@@ -385,42 +385,30 @@ func (x *XN) MarkDirty(e *kernel.Env, b disk.BlockNo) error {
 	return nil
 }
 
-// setDirty marks an entry dirty, maintaining the dirty count and
-// triggering flush-behind when configured.
-func (x *XN) setDirty(en *Entry) {
-	if !en.Dirty {
-		en.Dirty = true
-		x.dirtyCount++
-	}
-	x.maybeFlushBehind()
-}
-
 // DirtyCount reports the number of dirty blocks (exposed information).
-func (x *XN) DirtyCount() int { return x.dirtyCount }
+func (x *XN) DirtyCount() int { return x.dirty.n }
 
 // maybeFlushBehind starts asynchronous write-back of the writable
 // dirty blocks when the dirty set exceeds the threshold. The caller
 // does not wait; completions arrive through disk events.
 func (x *XN) maybeFlushBehind() {
-	if x.FlushBehind <= 0 || x.dirtyCount <= x.FlushBehind {
+	if x.FlushBehind <= 0 || x.dirty.n <= x.FlushBehind {
 		return
 	}
 	var flush []disk.BlockNo
-	limit := x.dirtyCount - x.FlushBehind/2 // flush down to half-threshold
-	for _, b := range x.DirtyBlocks() {
+	limit := x.dirty.n - x.FlushBehind/2 // flush down to half-threshold
+	x.dirty.each(func(b disk.BlockNo) bool {
 		en := x.reg[b]
 		if en.LockedBy != NoEnv || en.State != StateResident || en.flushing {
-			continue
+			return true
 		}
 		if x.taintCheck(en) != nil {
-			continue
+			return true
 		}
 		en.flushing = true
 		flush = append(flush, b)
-		if len(flush) >= limit {
-			break
-		}
-	}
+		return len(flush) < limit
+	})
 	if len(flush) > 0 {
 		// Write with a nil environment: fire and forget.
 		_ = x.Write(nil, flush)
@@ -451,6 +439,11 @@ func (x *XN) AdoptPage(e *kernel.Env, dest, src disk.BlockNo) error {
 	}
 	if err := x.checkAccess(e, den, true); err != nil {
 		return err
+	}
+	// The access checks charge and so park the caller; either entry
+	// may have left the registry meanwhile.
+	if sen.dropped || den.dropped {
+		return ErrNotInRegistry
 	}
 	if den.Page != mem.NoPage {
 		x.M.Unref(den.Page)
@@ -499,10 +492,16 @@ func (x *XN) InitMetadata(e *kernel.Env, b disk.BlockNo, content []byte) error {
 	if !okAcl {
 		return ErrAccessDenied
 	}
+	if en.dropped { // deallocated while the UDFs were charged
+		return ErrNotInRegistry
+	}
 	if en.Page == mem.NoPage {
 		p, err := x.getPage(e)
 		if err != nil {
 			return err
+		}
+		if en.dropped {
+			return ErrNotInRegistry
 		}
 		en.Page = p
 		x.M.Ref(p)
@@ -511,49 +510,6 @@ func (x *XN) InitMetadata(e *kernel.Env, b disk.BlockNo, content []byte) error {
 	en.setState(StateResident)
 	x.setDirty(en)
 	x.touch(en)
-	return nil
-}
-
-// ownsMap expands extents to a per-block type map for exact delta
-// comparison (extent boundaries may shift across a modification).
-func ownsMap(extents []udf.Extent) map[disk.BlockNo]int64 {
-	m := make(map[disk.BlockNo]int64)
-	for _, e := range extents {
-		for i := int64(0); i < e.Count; i++ {
-			m[disk.BlockNo(e.Start+i)] = e.Type
-		}
-	}
-	return m
-}
-
-// verifyDelta checks new = old + add - remove exactly.
-func verifyDelta(old, new map[disk.BlockNo]int64, add, remove udf.Extent) error {
-	want := make(map[disk.BlockNo]int64, len(old))
-	for b, t := range old {
-		want[b] = t
-	}
-	for i := int64(0); i < add.Count; i++ {
-		b := disk.BlockNo(add.Start + i)
-		if _, dup := want[b]; dup {
-			return fmt.Errorf("%w: block %d already owned", ErrBadDelta, b)
-		}
-		want[b] = add.Type
-	}
-	for i := int64(0); i < remove.Count; i++ {
-		b := disk.BlockNo(remove.Start + i)
-		if t, ok := want[b]; !ok || t != remove.Type {
-			return fmt.Errorf("%w: block %d not owned with type %d", ErrBadDelta, b, remove.Type)
-		}
-		delete(want, b)
-	}
-	if len(new) != len(want) {
-		return ErrBadDelta
-	}
-	for b, t := range want {
-		if nt, ok := new[b]; !ok || nt != t {
-			return ErrBadDelta
-		}
-	}
 	return nil
 }
 
@@ -611,8 +567,16 @@ func (x *XN) mutateMeta(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remov
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyDelta(ownsMap(oldOwns), ownsMap(newOwns), add, remove); err != nil {
+	rs := x.takeRuns()
+	err = rs.checkDelta(oldOwns, newOwns, add, remove)
+	x.releaseRuns(rs)
+	if err != nil {
 		return nil, err
+	}
+	// The charged UDF runs let other envs in: one may have recycled or
+	// deallocated meta, and data may now back another block.
+	if en.dropped {
+		return nil, ErrNotInRegistry
 	}
 	// Commit.
 	copy(data, tmp)
@@ -640,10 +604,25 @@ func (x *XN) Alloc(e *kernel.Env, meta disk.BlockNo, mods []Mod, ext udf.Extent)
 	if err != nil {
 		return err
 	}
-	tmpl := x.templates[en.Tmpl]
+	x.addChildren(meta, en, ext)
+	if ext.Count > 0 {
+		x.K.Stats.Add(sim.CtrTaintedBlocks, ext.Count)
+	}
+	x.recomputeTaint(meta)
+	return nil
+}
+
+// addChildren takes ext's blocks off the free map and installs their
+// registry entries, uninitialized and bound to parent meta (entry en).
+// A speculative entry a block already had is dropped first.
+func (x *XN) addChildren(meta disk.BlockNo, en *Entry, ext udf.Extent) {
+	temporary := en.Temporary || x.templates[en.Tmpl].Temporary
 	for i := int64(0); i < ext.Count; i++ {
 		b := disk.BlockNo(ext.Start + i)
 		x.free.set(int64(b), false)
+		if old, ok := x.reg[b]; ok {
+			x.dropEntry(old)
+		}
 		x.reg[b] = &Entry{
 			Block:     b,
 			Page:      mem.NoPage,
@@ -652,13 +631,21 @@ func (x *XN) Alloc(e *kernel.Env, meta disk.BlockNo, mods []Mod, ext udf.Extent)
 			Tmpl:      TemplateID(ext.Type),
 			Parent:    meta,
 			Attached:  en.Attached,
-			Temporary: en.Temporary || tmpl.Temporary,
+			Temporary: temporary,
 			LockedBy:  NoEnv,
 		}
-		x.K.Stats.Inc(sim.CtrTaintedBlocks)
 	}
-	x.recomputeTaint(meta)
-	return nil
+}
+
+// freeChildren drops ext's registry entries and releases its blocks.
+func (x *XN) freeChildren(ext udf.Extent) {
+	for i := int64(0); i < ext.Count; i++ {
+		b := disk.BlockNo(ext.Start + i)
+		if cen, ok := x.reg[b]; ok {
+			x.dropEntry(cen)
+		}
+		x.releaseBlock(b)
+	}
 }
 
 // Dealloc removes the extent from meta's ownership. Freed blocks whose
@@ -666,24 +653,10 @@ func (x *XN) Alloc(e *kernel.Env, meta disk.BlockNo, mods []Mod, ext udf.Extent)
 // the pointers are nullified by a write (Section 4.4).
 func (x *XN) Dealloc(e *kernel.Env, meta disk.BlockNo, mods []Mod, ext udf.Extent) error {
 	x.charge(e, 200)
-	en, err := x.mutateMeta(e, meta, mods, udf.Extent{}, ext, OpDealloc)
-	if err != nil {
+	if _, err := x.mutateMeta(e, meta, mods, udf.Extent{}, ext, OpDealloc); err != nil {
 		return err
 	}
-	_ = en
-	for i := int64(0); i < ext.Count; i++ {
-		b := disk.BlockNo(ext.Start + i)
-		if cen, ok := x.reg[b]; ok {
-			if cen.Page != mem.NoPage {
-				x.M.Unref(cen.Page)
-			}
-			if cen.Dirty {
-				x.dirtyCount--
-			}
-			delete(x.reg, b)
-		}
-		x.releaseBlock(b)
-	}
+	x.freeChildren(ext)
 	x.recomputeTaint(meta)
 	return nil
 }
@@ -744,35 +717,8 @@ func (x *XN) Replace(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remove u
 	if err != nil {
 		return err
 	}
-	tmpl := x.templates[en.Tmpl]
-	for i := int64(0); i < add.Count; i++ {
-		b := disk.BlockNo(add.Start + i)
-		x.free.set(int64(b), false)
-		x.reg[b] = &Entry{
-			Block:     b,
-			Page:      mem.NoPage,
-			State:     StateOutOfCore,
-			Uninit:    true,
-			Tmpl:      TemplateID(add.Type),
-			Parent:    meta,
-			Attached:  en.Attached,
-			Temporary: en.Temporary || tmpl.Temporary,
-			LockedBy:  NoEnv,
-		}
-	}
-	for i := int64(0); i < remove.Count; i++ {
-		b := disk.BlockNo(remove.Start + i)
-		if cen, ok := x.reg[b]; ok {
-			if cen.Page != mem.NoPage {
-				x.M.Unref(cen.Page)
-			}
-			if cen.Dirty {
-				x.dirtyCount--
-			}
-			delete(x.reg, b)
-		}
-		x.releaseBlock(b)
-	}
+	x.addChildren(meta, en, add)
+	x.freeChildren(remove)
 	x.recomputeTaint(meta)
 	return nil
 }
@@ -943,27 +889,31 @@ func (x *XN) Write(e *kernel.Env, blocks []disk.BlockNo) error {
 // whose last pointer died, clear dirty/uninit, and refresh taint up
 // the tree.
 func (x *XN) completeWrite(b disk.BlockNo, en *Entry, newOwns []udf.Extent) {
-	oldMap := ownsMap(x.onDiskOwns[b])
-	newMap := ownsMap(newOwns)
-	for c := range newMap {
-		if _, had := oldMap[c]; !had {
-			x.diskRefs[c]++
+	rs := x.takeRuns()
+	gained, lost := rs.refDelta(x.onDiskOwns[b], newOwns)
+	for _, r := range gained {
+		for c := r.first; ; c++ {
+			x.diskRefs[disk.BlockNo(c)]++
+			if c == r.last {
+				break
+			}
 		}
 	}
-	for c := range oldMap {
-		if _, has := newMap[c]; !has {
-			x.decDiskRef(c)
+	for _, r := range lost {
+		for c := r.first; ; c++ {
+			x.decDiskRef(disk.BlockNo(c))
+			if c == r.last {
+				break
+			}
 		}
 	}
+	x.releaseRuns(rs)
 	if len(newOwns) > 0 {
 		x.onDiskOwns[b] = newOwns
 	} else {
 		delete(x.onDiskOwns, b)
 	}
-	if en.Dirty {
-		en.Dirty = false
-		x.dirtyCount--
-	}
+	x.clearDirty(en)
 	en.flushing = false
 	wasUninit := en.Uninit
 	en.Uninit = false
@@ -979,19 +929,17 @@ func (x *XN) completeWrite(b disk.BlockNo, en *Entry, newOwns []udf.Extent) {
 // 4.3.3): no acl check here, flushing committed state is always safe.
 func (x *XN) WriteBack(e *kernel.Env, max int) (int, error) {
 	var flush []disk.BlockNo
-	for _, b := range x.DirtyBlocks() {
+	x.dirty.each(func(b disk.BlockNo) bool {
 		en := x.reg[b]
-		if en.LockedBy != NoEnv {
-			continue
+		if en.State != StateResident || en.LockedBy != NoEnv {
+			return true
 		}
 		if x.taintCheck(en) != nil {
-			continue // not yet writable; its children must go first
+			return true // not yet writable; its children must go first
 		}
 		flush = append(flush, b)
-		if max > 0 && len(flush) >= max {
-			break
-		}
-	}
+		return max <= 0 || len(flush) < max
+	})
 	if len(flush) == 0 {
 		return 0, nil
 	}

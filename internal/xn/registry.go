@@ -1,8 +1,6 @@
 package xn
 
 import (
-	"sort"
-
 	"xok/internal/disk"
 	"xok/internal/kernel"
 	"xok/internal/mem"
@@ -65,6 +63,11 @@ type Entry struct {
 	waiters  []*kernel.Env // environments waiting for an in-flight read
 	flushing bool          // flush-behind write in flight
 	pinned   bool          // exempt from LRU recycling (hot metadata)
+	dropped  bool          // removed from the registry (see dropEntry)
+
+	// lruPrev and lruNext link the entry into XN's LRU list once
+	// touched, in lastUse order (index.go).
+	lruPrev, lruNext *Entry
 
 	// stateWord mirrors State as an exposed int64 so wakeup
 	// predicates can bind to it: "to wait for a disk block to be
@@ -97,11 +100,17 @@ func (x *XN) isMetadata(id TemplateID) bool {
 	return false
 }
 
+// touch stamps en as the most recently used entry and moves it to the
+// tail of the LRU list.
 func (x *XN) touch(en *Entry) {
 	x.useClock++
 	en.lastUse = x.useClock
 	if en.Page != mem.NoPage {
 		x.M.Touch(en.Page)
+	}
+	if !en.dropped {
+		x.lruUnlink(en)
+		x.lruAppend(en)
 	}
 }
 
@@ -292,24 +301,15 @@ func (x *XN) LoadRoot(e *kernel.Env, name string) (Root, error) {
 // list" (Section 4.3.3).
 func (x *XN) RecycleLRU(e *kernel.Env) (mem.PageNo, bool) {
 	x.charge(e, 100)
-	var victim *Entry
-	for _, en := range x.reg {
+	for en := x.lru.lruNext; en != &x.lru; en = en.lruNext {
 		if en.State != StateResident || en.Dirty || en.LockedBy != NoEnv || en.pinned {
 			continue
 		}
-		if victim == nil || en.lastUse < victim.lastUse {
-			victim = en
-		}
+		p := en.Page
+		x.dropEntry(en)
+		return p, true
 	}
-	if victim == nil {
-		return mem.NoPage, false
-	}
-	p := victim.Page
-	delete(x.reg, victim.Block)
-	if p != mem.NoPage {
-		x.M.Unref(p)
-	}
-	return p, true
+	return mem.NoPage, false
 }
 
 // Pin exempts a resident block from LRU recycling. LibFSes pin their
@@ -334,12 +334,12 @@ func (x *XN) Unpin(b disk.BlockNo) {
 // write unowned dirty blocks).
 func (x *XN) DirtyBlocks() []disk.BlockNo {
 	var out []disk.BlockNo
-	for b, en := range x.reg {
-		if en.Dirty && en.State == StateResident {
+	x.dirty.each(func(b disk.BlockNo) bool {
+		if x.reg[b].State == StateResident {
 			out = append(out, b)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return true
+	})
 	return out
 }
 

@@ -1,7 +1,9 @@
 package xn
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"xok/internal/disk"
 	"xok/internal/kernel"
@@ -25,7 +27,9 @@ type Snapshot struct {
 	freeWords []uint64
 	freeN     int64
 
-	entries  []Entry // registry, flattened; waiters nil, nothing in flight
+	// entries is the registry, flattened and sorted by lastUse (the
+	// LRU order); waiters and list links nil, nothing in flight.
+	entries  []Entry
 	useClock uint64
 
 	onDiskOwns map[disk.BlockNo][]udf.Extent
@@ -35,7 +39,6 @@ type Snapshot struct {
 	freeCost      bool
 	maxCachePages int
 	flushBehind   int
-	dirtyCount    int
 }
 
 // Snapshot captures XN's state. The kernel-level quiescence check
@@ -64,7 +67,6 @@ func (x *XN) Snapshot() (*Snapshot, error) {
 		freeCost:      x.FreeCost,
 		maxCachePages: x.MaxCachePages,
 		flushBehind:   x.FlushBehind,
-		dirtyCount:    x.dirtyCount,
 	}
 	for id, t := range x.templates {
 		s.templates[id] = t
@@ -84,8 +86,10 @@ func (x *XN) Snapshot() (*Snapshot, error) {
 		}
 		cp := *en
 		cp.waiters = nil
+		cp.lruPrev, cp.lruNext = nil, nil
 		s.entries = append(s.entries, cp)
 	}
+	slices.SortFunc(s.entries, func(a, b Entry) int { return cmp.Compare(a.lastUse, b.lastUse) })
 	for b, owns := range x.onDiskOwns {
 		s.onDiskOwns[b] = owns
 	}
@@ -109,7 +113,6 @@ func ForkXN(s *Snapshot, k *kernel.Kernel) *XN {
 	x.FreeCost = s.freeCost
 	x.MaxCachePages = s.maxCachePages
 	x.FlushBehind = s.flushBehind
-	x.dirtyCount = s.dirtyCount
 	x.free = &bitmap{words: append([]uint64(nil), s.freeWords...), n: s.freeN}
 	for id, t := range s.templates {
 		x.templates[id] = t
@@ -123,6 +126,12 @@ func ForkXN(s *Snapshot, k *kernel.Kernel) *XN {
 	for i := range s.entries {
 		en := s.entries[i]
 		x.reg[en.Block] = &en
+		if en.Dirty {
+			x.dirty.add(en.Block)
+		}
+		if en.lastUse != 0 {
+			x.lruAppend(&en)
+		}
 	}
 	for b, owns := range s.onDiskOwns {
 		x.onDiskOwns[b] = owns

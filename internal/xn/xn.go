@@ -144,6 +144,11 @@ type XN struct {
 
 	reg map[disk.BlockNo]*Entry
 
+	// dirty indexes the registry's dirty entries in block order, and
+	// lru is the sentinel of its LRU list (index.go).
+	dirty dirtySet
+	lru   Entry
+
 	// useClock stamps registry entries for LRU recycling. Per-machine
 	// state: a package-level clock would be a data race (and a hidden
 	// cross-machine coupling) once machines run on parallel workers.
@@ -178,8 +183,6 @@ type XN struct {
 	// are asynchronous but dirty data does not accumulate unboundedly).
 	FlushBehind int
 
-	dirtyCount int
-
 	// modScratch is the reusable shadow-copy buffer mutateMeta uses to
 	// trial-apply a modification before owns-udf re-verification, sized
 	// to the largest metadata block seen. modScratchBusy marks it held
@@ -187,6 +190,11 @@ type XN struct {
 	// allocates privately rather than sharing.
 	modScratch     []byte
 	modScratchBusy bool
+
+	// runs is the reusable scratch of the ownership comparisons
+	// (runs.go), lent out under the same rule as modScratch.
+	runs     runScratch
+	runsBusy bool
 
 	// Catalogue write-through batching and scratch (see catalog.go).
 	catFlushHold  int
@@ -210,7 +218,7 @@ func newEmpty(k *kernel.Kernel) *XN {
 	if k.Disk == nil {
 		panic("xn: kernel has no disk")
 	}
-	return &XN{
+	x := &XN{
 		K:          k,
 		D:          k.Disk,
 		M:          k.Mem,
@@ -223,6 +231,8 @@ func newEmpty(k *kernel.Kernel) *XN {
 		diskRefs:   make(map[disk.BlockNo]int),
 		willFree:   make(map[disk.BlockNo]bool),
 	}
+	x.lruInit()
+	return x
 }
 
 // InstallTemplate verifies the three UDFs and installs a new type in

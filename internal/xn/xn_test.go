@@ -120,9 +120,16 @@ type fixture struct {
 	rootName string
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
-	k := kernel.New(kernel.Config{Name: "xok", MemPages: 2048, DiskSize: 4096})
+	return newFixtureQuantum(t, 0)
+}
+
+// newFixtureQuantum is newFixture on a kernel with the given scheduler
+// quantum (0 for the default).
+func newFixtureQuantum(t testing.TB, quantum sim.Time) *fixture {
+	t.Helper()
+	k := kernel.New(kernel.Config{Name: "xok", MemPages: 2048, DiskSize: 4096, Quantum: quantum})
 	x := New(k)
 	f := &fixture{k: k, x: x, rootName: "testfs"}
 	f.run(t, "mkfs", func(e *kernel.Env) error {
@@ -159,7 +166,7 @@ func newFixture(t *testing.T) *fixture {
 
 // run executes body in a fresh environment with root credentials and
 // drains the machine.
-func (f *fixture) run(t *testing.T, name string, body func(*kernel.Env) error) {
+func (f *fixture) run(t testing.TB, name string, body func(*kernel.Env) error) {
 	t.Helper()
 	f.k.Spawn(name, func(e *kernel.Env) {
 		if e.Creds == nil {
