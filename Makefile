@@ -29,13 +29,15 @@ crash:
 # A fixed-seed differential fuzzing campaign: 100 syscall programs,
 # every personality compared against every other (internal/difftest).
 # Deterministic by construction, so a failure here is a real semantic
-# divergence, never flake. Then a short native-fuzzing run of XN's
-# ownership delta check against its per-block map reference; a crasher
-# it finds lands in internal/xn/testdata/fuzz and replays on every
-# `go test` from then on.
+# divergence, never flake. Then short native-fuzzing runs of XN's
+# ownership delta check against its per-block map reference, and of its
+# incremental taint counts against the owns-udf scan they replace; a
+# crasher either finds lands in internal/xn/testdata/fuzz and replays
+# on every `go test` from then on.
 fuzz-smoke:
 	$(GO) run ./cmd/xok-bench -run difftest -seeds 100
 	$(GO) test -run '^$$' -fuzz '^FuzzOwnsDelta$$' -fuzztime 10s ./internal/xn/
+	$(GO) test -run '^$$' -fuzz '^FuzzTaintIncremental$$' -fuzztime 10s ./internal/xn/
 
 # A short difftest batch fanned across 4 workers under the race
 # detector: the canary for cross-machine shared state. Any package

@@ -9,17 +9,20 @@ import (
 	"xok/internal/mem"
 )
 
-// The registry keeps two indices beside its map, so the write-back
-// daemon and page recycling cost what they touch rather than a scan of
-// every cached block:
+// The registry keeps three indices beside its map, so the write-back
+// daemon, flush-behind and page recycling cost what they touch rather
+// than a scan of every cached block:
 //
-//   - dirty, the dirty entries in block order (DirtyBlocks, WriteBack,
-//     Sync and flush-behind walk it), which also counts them;
+//   - dirty, the dirty entries in block order (DirtyBlocks, WriteBack
+//     and Sync walk it), which also counts them;
+//   - flushable, the dirty entries with no flush-behind write in flight,
+//     in block order (flush-behind walks it: until a flush-behind write
+//     completes its blocks stay dirty, and they are most of the set);
 //   - an intrusive LRU list of the touched entries in lastUse order
 //     (RecycleLRU takes the first eligible entry from its head).
 //
 // Every way out of the registry goes through dropEntry, which keeps
-// both in step with the map.
+// them in step with the map.
 
 // dirtyChunkBlocks is the span of one dirtySet chunk: 64 words of bits.
 const dirtyChunkBlocks = 64 * 64
@@ -110,6 +113,7 @@ func (x *XN) setDirty(en *Entry) {
 	if !en.Dirty {
 		en.Dirty = true
 		x.dirty.add(en.Block)
+		x.flushable.add(en.Block)
 	}
 	x.maybeFlushBehind()
 }
@@ -119,6 +123,7 @@ func (x *XN) clearDirty(en *Entry) {
 	if en.Dirty {
 		en.Dirty = false
 		x.dirty.remove(en.Block)
+		x.flushable.remove(en.Block)
 	}
 }
 
@@ -145,15 +150,17 @@ func (x *XN) lruUnlink(en *Entry) {
 	en.lruPrev, en.lruNext = nil, nil
 }
 
-// dropEntry removes en from the registry: it leaves the LRU list and
-// the dirty index and gives up its page pin. An operation still in
-// flight on en (a flush-behind write, a read) completes against the
-// detached entry without touching either index.
+// dropEntry removes en from the registry: it leaves the LRU list, the
+// dirty indices and its parent's bad-child count and gives up its page
+// pin. An operation still in flight on en (a flush-behind write, a
+// read) completes against the detached entry without touching any of
+// them.
 func (x *XN) dropEntry(en *Entry) {
 	delete(x.reg, en.Block)
 	en.dropped = true
 	x.lruUnlink(en)
 	x.clearDirty(en)
+	x.unbind(en)
 	if en.Page != mem.NoPage {
 		x.M.Unref(en.Page)
 	}

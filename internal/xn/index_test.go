@@ -18,15 +18,20 @@ import (
 
 // checkIndices audits the registry's indices against the map they
 // index: the dirty index holds exactly the dirty entries and counts
-// them, the LRU list holds exactly the touched entries in lastUse
-// order, and no resident entry is untouched (RecycleLRU's list walk
-// relies on it to pick what a scan of the whole registry would).
+// them, the flushable index exactly the dirty entries with no
+// flush-behind write in flight, the LRU list exactly the touched
+// entries in lastUse order, and no resident entry is untouched
+// (RecycleLRU's list walk relies on it to pick what a scan of the whole
+// registry would).
 func checkIndices(x *XN) error {
-	var dirty []disk.BlockNo
+	var dirty, flushable []disk.BlockNo
 	var touched []*Entry
 	for b, en := range x.reg {
 		if en.Dirty {
 			dirty = append(dirty, b)
+			if !en.flushing {
+				flushable = append(flushable, b)
+			}
 		}
 		if en.lastUse != 0 {
 			touched = append(touched, en)
@@ -45,6 +50,15 @@ func checkIndices(x *XN) error {
 	}
 	if x.DirtyCount() != len(dirty) {
 		return fmt.Errorf("DirtyCount() = %d with %d dirty entries", x.DirtyCount(), len(dirty))
+	}
+	slices.Sort(flushable)
+	indexed = indexed[:0]
+	x.flushable.each(func(b disk.BlockNo) bool {
+		indexed = append(indexed, b)
+		return true
+	})
+	if !slices.Equal(indexed, flushable) || x.flushable.n != len(flushable) {
+		return fmt.Errorf("flushable index %v (n=%d), dirty entries not in flight %v", indexed, x.flushable.n, flushable)
 	}
 	slices.SortFunc(touched, func(a, b *Entry) int { return cmp.Compare(a.lastUse, b.lastUse) })
 	var listed []*Entry
@@ -65,7 +79,7 @@ func checkIndices(x *XN) error {
 func lruVictim(x *XN) *Entry {
 	var victim *Entry
 	for _, en := range x.reg {
-		if en.State != StateResident || en.Dirty || en.LockedBy != NoEnv || en.pinned {
+		if en.State != StateResident || en.Dirty || en.LockedBy != NoEnv || en.pinned || en.Uninit {
 			continue
 		}
 		if victim == nil || en.lastUse < victim.lastUse {
@@ -78,8 +92,8 @@ func lruVictim(x *XN) *Entry {
 // TestRegistryIndicesInvariant drives random sequences of registry
 // operations — with flush-behind writes in flight, pinned entries,
 // speculative reads later allocated over, and a small cache forcing
-// recycling — and audits the indices after every one, across
-// snapshot/fork boundaries.
+// recycling — and audits the indices and the bad-child counts after
+// every one, across snapshot/fork boundaries.
 func TestRegistryIndicesInvariant(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f := newFixture(t)
@@ -155,6 +169,9 @@ func TestRegistryIndicesInvariant(t *testing.T) {
 						}
 					}
 					if err := checkIndices(f.x); err != nil {
+						return fmt.Errorf("seed %d round %d op %d: %w", seed, round, i, err)
+					}
+					if err := checkTaint(f.x); err != nil {
 						return fmt.Errorf("seed %d round %d op %d: %w", seed, round, i, err)
 					}
 				}

@@ -176,7 +176,9 @@ func (x *XN) Read(e *kernel.Env, blocks []disk.BlockNo, pages []mem.PageNo) erro
 						op.entry.setState(StateOutOfCore)
 					} else {
 						op.entry.setState(StateResident)
+						wasBad := op.entry.bad()
 						op.entry.Uninit = false
+						op.entry.noteBad(wasBad)
 						x.touch(op.entry)
 					}
 					for _, w := range op.entry.waiters {
@@ -389,7 +391,8 @@ func (x *XN) MarkDirty(e *kernel.Env, b disk.BlockNo) error {
 func (x *XN) DirtyCount() int { return x.dirty.n }
 
 // maybeFlushBehind starts asynchronous write-back of the writable
-// dirty blocks when the dirty set exceeds the threshold. The caller
+// dirty blocks when the dirty set exceeds the threshold. It walks only
+// the dirty blocks with no flush-behind write in flight. The caller
 // does not wait; completions arrive through disk events.
 func (x *XN) maybeFlushBehind() {
 	if x.FlushBehind <= 0 || x.dirty.n <= x.FlushBehind {
@@ -397,18 +400,21 @@ func (x *XN) maybeFlushBehind() {
 	}
 	var flush []disk.BlockNo
 	limit := x.dirty.n - x.FlushBehind/2 // flush down to half-threshold
-	x.dirty.each(func(b disk.BlockNo) bool {
+	x.flushable.each(func(b disk.BlockNo) bool {
 		en := x.reg[b]
-		if en.LockedBy != NoEnv || en.State != StateResident || en.flushing {
+		if en.LockedBy != NoEnv || en.State != StateResident {
 			return true
 		}
 		if x.taintCheck(en) != nil {
 			return true
 		}
-		en.flushing = true
 		flush = append(flush, b)
 		return len(flush) < limit
 	})
+	for _, b := range flush {
+		x.reg[b].flushing = true
+		x.flushable.remove(b)
+	}
 	if len(flush) > 0 {
 		// Write with a nil environment: fire and forget.
 		_ = x.Write(nil, flush)
@@ -420,7 +426,7 @@ func (x *XN) maybeFlushBehind() {
 // strategy eliminates all copies; the file is DMAed into and out of
 // the buffer cache by the disk controller — the CPU never touches the
 // data". Requires read access to src and write access to dest, checked
-// at bind time.
+// at bind time; neither may be metadata.
 func (x *XN) AdoptPage(e *kernel.Env, dest, src disk.BlockNo) error {
 	x.charge(e, 60) // page remap, no data movement
 	sen, ok := x.reg[src]
@@ -431,7 +437,9 @@ func (x *XN) AdoptPage(e *kernel.Env, dest, src disk.BlockNo) error {
 	if !ok {
 		return ErrNotInRegistry
 	}
-	if x.isMetadata(den.Tmpl) {
+	// A metadata source would alias its page into a block that can be
+	// mapped writable, changing metadata past acl-uf and owns-udf.
+	if x.isMetadata(den.Tmpl) || x.isMetadata(sen.Tmpl) {
 		return ErrMetadataRW
 	}
 	if err := x.checkAccess(e, sen, false); err != nil {
@@ -580,6 +588,7 @@ func (x *XN) mutateMeta(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remov
 	}
 	// Commit.
 	copy(data, tmp)
+	x.detachChildren(remove)
 	x.setDirty(en)
 	x.touch(en)
 	return en, nil
@@ -623,7 +632,7 @@ func (x *XN) addChildren(meta disk.BlockNo, en *Entry, ext udf.Extent) {
 		if old, ok := x.reg[b]; ok {
 			x.dropEntry(old)
 		}
-		x.reg[b] = &Entry{
+		cen := &Entry{
 			Block:     b,
 			Page:      mem.NoPage,
 			State:     StateOutOfCore,
@@ -634,6 +643,8 @@ func (x *XN) addChildren(meta disk.BlockNo, en *Entry, ext udf.Extent) {
 			Temporary: temporary,
 			LockedBy:  NoEnv,
 		}
+		x.reg[b] = cen
+		x.bind(cen, meta)
 	}
 }
 
@@ -733,71 +744,6 @@ func (x *XN) Modify(e *kernel.Env, meta disk.BlockNo, mods []Mod) error {
 
 // WillFreeCount reports blocks parked on the will-free list.
 func (x *XN) WillFreeCount() int { return len(x.willFree) }
-
-// recomputeTaint refreshes the taint flag of b and propagates changes
-// up the parent chain: "any block is considered tainted if it points
-// either to an uninitialized block or to a tainted block"
-// (Section 4.3.2). Unattached and temporary trees are not tracked.
-func (x *XN) recomputeTaint(b disk.BlockNo) {
-	for b != NoParent {
-		en, ok := x.reg[b]
-		if !ok || en.State != StateResident || en.Temporary || !en.Attached {
-			return
-		}
-		if !x.isMetadata(en.Tmpl) {
-			return
-		}
-		t := x.templates[en.Tmpl]
-		owns, err := x.runOwns(nil, t, x.M.Data(en.Page))
-		if err != nil {
-			return
-		}
-		tainted := false
-		for _, ext := range owns {
-			for i := int64(0); i < ext.Count && !tainted; i++ {
-				if cen, ok := x.reg[disk.BlockNo(ext.Start+i)]; ok {
-					if cen.Uninit || cen.Tainted {
-						tainted = true
-					}
-				}
-			}
-			if tainted {
-				break
-			}
-		}
-		if en.Tainted == tainted {
-			return
-		}
-		en.Tainted = tainted
-		b = en.Parent
-	}
-}
-
-// taintCheck reports whether writing b's current cached content would
-// persist a pointer to uninitialized data.
-func (x *XN) taintCheck(en *Entry) error {
-	if en.Temporary || !en.Attached {
-		return nil // exemptions, Section 4.3.2
-	}
-	if !x.isMetadata(en.Tmpl) {
-		return nil
-	}
-	t := x.templates[en.Tmpl]
-	owns, err := x.runOwns(nil, t, x.M.Data(en.Page))
-	if err != nil {
-		return err
-	}
-	for _, ext := range owns {
-		for i := int64(0); i < ext.Count; i++ {
-			if cen, ok := x.reg[disk.BlockNo(ext.Start+i)]; ok {
-				if cen.Uninit || cen.Tainted {
-					return ErrTainted
-				}
-			}
-		}
-	}
-	return nil
-}
 
 // Write flushes the listed blocks to disk, enforcing the ordering
 // rules, and blocks the environment until the I/O completes. "The
@@ -915,8 +861,9 @@ func (x *XN) completeWrite(b disk.BlockNo, en *Entry, newOwns []udf.Extent) {
 	}
 	x.clearDirty(en)
 	en.flushing = false
-	wasUninit := en.Uninit
+	wasUninit, wasBad := en.Uninit, en.bad()
 	en.Uninit = false
+	en.noteBad(wasBad)
 	if wasUninit && en.Parent != NoParent {
 		x.recomputeTaint(en.Parent)
 	}

@@ -55,15 +55,23 @@ type Entry struct {
 	// Temporary: belongs to a non-persistent file system.
 	Temporary bool
 
+	// Packed beside the flags above, which keeps an Entry (with up,
+	// below) at 112 bytes, an allocator size class.
+	flushing bool // flush-behind write in flight
+	pinned   bool // exempt from LRU recycling (hot metadata)
+	dropped  bool // removed from the registry (see dropEntry)
+
 	Tmpl     TemplateID
 	Parent   disk.BlockNo
 	LockedBy kernel.EnvID
 
-	lastUse  uint64
-	waiters  []*kernel.Env // environments waiting for an in-flight read
-	flushing bool          // flush-behind write in flight
-	pinned   bool          // exempt from LRU recycling (hot metadata)
-	dropped  bool          // removed from the registry (see dropEntry)
+	lastUse uint64
+	waiters []*kernel.Env // environments waiting for an in-flight read
+
+	// up is the bad-child count of the parent incarnation the entry is
+	// bound under, nil once it leaves the parent's content or for a
+	// block with no parent (taint.go).
+	up *taintCount
 
 	// lruPrev and lruNext link the entry into XN's LRU list once
 	// touched, in lastUse order (index.go).
@@ -219,12 +227,13 @@ func (x *XN) Insert(e *kernel.Env, parent disk.BlockNo, ext udf.Extent) error {
 				en.Parent = parent
 				en.Attached = pen.Attached
 				en.Temporary = pen.Temporary
+				x.bind(en, parent)
 			} else if en.Parent != parent && en.Parent != NoParent {
 				return ErrWrongParent
 			}
 			continue
 		}
-		x.reg[b] = &Entry{
+		cen := &Entry{
 			Block:     b,
 			Page:      mem.NoPage,
 			State:     StateOutOfCore,
@@ -234,6 +243,8 @@ func (x *XN) Insert(e *kernel.Env, parent disk.BlockNo, ext udf.Extent) error {
 			Temporary: pen.Temporary,
 			LockedBy:  NoEnv,
 		}
+		x.reg[b] = cen
+		x.bind(cen, parent)
 	}
 	return nil
 }
@@ -298,11 +309,14 @@ func (x *XN) LoadRoot(e *kernel.Env, name string) (Root, error) {
 // RecycleLRU evicts the least-recently-used clean, unlocked, resident
 // entry and returns its page for reuse: "by default, when libOSes need
 // pages and none are free, they recycle the oldest buffer on this LRU
-// list" (Section 4.3.3).
+// list" (Section 4.3.3). An uninitialized block's entry is never
+// evicted: it is the only record that the block's disk content belongs
+// to a previous owner, and without it a later Insert would read that
+// content back as the block's own.
 func (x *XN) RecycleLRU(e *kernel.Env) (mem.PageNo, bool) {
 	x.charge(e, 100)
 	for en := x.lru.lruNext; en != &x.lru; en = en.lruNext {
-		if en.State != StateResident || en.Dirty || en.LockedBy != NoEnv || en.pinned {
+		if en.State != StateResident || en.Dirty || en.LockedBy != NoEnv || en.pinned || en.Uninit {
 			continue
 		}
 		p := en.Page

@@ -3,6 +3,7 @@ package xn
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"xok/internal/disk"
@@ -31,6 +32,12 @@ type Snapshot struct {
 	// LRU order); waiters and list links nil, nothing in flight.
 	entries  []Entry
 	useClock uint64
+
+	// taint is the live bad-child count of each metadata block. The
+	// counts keep changing in the live XN: a fork uses them, and the
+	// entries' up pointers, only to tell which entries share a count,
+	// and recounts.
+	taint map[disk.BlockNo]*taintCount
 
 	onDiskOwns map[disk.BlockNo][]udf.Extent
 	diskRefs   map[disk.BlockNo]int
@@ -90,6 +97,7 @@ func (x *XN) Snapshot() (*Snapshot, error) {
 		s.entries = append(s.entries, cp)
 	}
 	slices.SortFunc(s.entries, func(a, b Entry) int { return cmp.Compare(a.lastUse, b.lastUse) })
+	s.taint = maps.Clone(x.taint)
 	for b, owns := range x.onDiskOwns {
 		s.onDiskOwns[b] = owns
 	}
@@ -123,11 +131,23 @@ func ForkXN(s *Snapshot, k *kernel.Kernel) *XN {
 	for n, r := range s.roots {
 		x.roots[n] = r
 	}
+	fresh := make(map[*taintCount]*taintCount, len(s.taint))
+	for b, c := range s.taint {
+		x.taint[b] = &taintCount{}
+		fresh[c] = x.taint[b]
+	}
 	for i := range s.entries {
 		en := s.entries[i]
 		x.reg[en.Block] = &en
 		if en.Dirty {
 			x.dirty.add(en.Block)
+			x.flushable.add(en.Block)
+		}
+		// An entry under a count no block has any more (its parent was
+		// freed) counts toward nothing, and needs no count of its own.
+		en.up = fresh[en.up]
+		if en.up != nil && en.bad() {
+			en.up.n++
 		}
 		if en.lastUse != 0 {
 			x.lruAppend(&en)

@@ -144,10 +144,16 @@ type XN struct {
 
 	reg map[disk.BlockNo]*Entry
 
-	// dirty indexes the registry's dirty entries in block order, and
-	// lru is the sentinel of its LRU list (index.go).
-	dirty dirtySet
-	lru   Entry
+	// dirty indexes the registry's dirty entries in block order,
+	// flushable the dirty ones with no flush-behind write in flight,
+	// and lru is the sentinel of its LRU list (index.go).
+	dirty     dirtySet
+	flushable dirtySet
+	lru       Entry
+
+	// taint holds the bad-child count of each metadata block's current
+	// incarnation (taint.go).
+	taint map[disk.BlockNo]*taintCount
 
 	// useClock stamps registry entries for LRU recycling. Per-machine
 	// state: a package-level clock would be a data race (and a hidden
@@ -227,6 +233,7 @@ func newEmpty(k *kernel.Kernel) *XN {
 		nextTmpl:   1,
 		roots:      make(map[string]Root),
 		reg:        make(map[disk.BlockNo]*Entry),
+		taint:      make(map[disk.BlockNo]*taintCount),
 		onDiskOwns: make(map[disk.BlockNo][]udf.Extent),
 		diskRefs:   make(map[disk.BlockNo]int),
 		willFree:   make(map[disk.BlockNo]bool),

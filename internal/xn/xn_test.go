@@ -3,6 +3,7 @@ package xn
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"xok/internal/cap"
@@ -549,6 +550,79 @@ func TestMetadataNeverMappedWritable(t *testing.T) {
 		}
 		_, err = f.x.MapData(e, f.rootBlk, false)
 		return err // read-only mapping of metadata is fine
+	})
+}
+
+// TestAdoptPageRejectsMetadataSource is the regression for a metadata
+// alias: adopting a metadata block's page into a data block, which can
+// then be mapped writable, would let the caller rewrite the metadata
+// past acl-uf and owns-udf.
+func TestAdoptPageRejectsMetadataSource(t *testing.T) {
+	f := newFixture(t)
+	f.run(t, "adopt-meta", func(e *kernel.Env) error {
+		d, _ := f.x.FindFree(300, 1)
+		if err := f.x.Alloc(e, f.rootBlk, tnAddRecord(0, d, 1, f.data),
+			udf.Extent{Start: int64(d), Count: 1, Type: int64(f.data)}); err != nil {
+			return err
+		}
+		if err := f.x.AdoptPage(e, d, f.rootBlk); !errors.Is(err, ErrMetadataRW) {
+			t.Errorf("AdoptPage from the root tnode: err = %v, want ErrMetadataRW", err)
+		}
+		root, _ := f.x.Lookup(f.rootBlk)
+		if p, err := f.x.MapData(e, d, true); err == nil && p == root.Page {
+			t.Errorf("data block %d maps the root tnode's page %d writable", d, p)
+		}
+		return nil
+	})
+}
+
+// TestRecycleKeepsUninitializedEntry reallocates a block whose disk
+// still holds its previous incarnation, reads it (zeros: it was never
+// initialized) and recycles everything it can. The entry must stay, so
+// that reading the block back serves zeros rather than the previous
+// owner's content.
+func TestRecycleKeepsUninitializedEntry(t *testing.T) {
+	f := newFixture(t)
+	f.run(t, "stale", func(e *kernel.Env) error {
+		m, _ := f.x.FindFree(500, 1)
+		ext := udf.Extent{Start: int64(m), Count: 1, Type: int64(f.tnode)}
+		if err := f.x.Alloc(e, f.rootBlk, tnAddRecord(0, m, 1, f.tnode), ext); err != nil {
+			return err
+		}
+		if err := f.x.InitMetadata(e, m, []byte{7, 0, 0, 0}); err != nil {
+			return err
+		}
+		if err := f.x.Sync(e); err != nil {
+			return err
+		}
+		if err := f.x.Dealloc(e, f.rootBlk, tnRemoveLast(1), ext); err != nil {
+			return err
+		}
+		if err := f.x.Sync(e); err != nil {
+			return err
+		}
+		if !f.x.IsFree(m) {
+			return fmt.Errorf("block %d not free once its last pointer was written", m)
+		}
+		if err := f.x.Alloc(e, f.rootBlk, tnAddRecord(0, m, 1, f.tnode), ext); err != nil {
+			return err
+		}
+		if err := f.x.Read(e, []disk.BlockNo{m}, nil); err != nil {
+			return err
+		}
+		for ok := true; ok; {
+			_, ok = f.x.RecycleLRU(e)
+		}
+		if err := f.x.Insert(e, f.rootBlk, ext); err != nil {
+			return err
+		}
+		if err := f.x.Read(e, []disk.BlockNo{m}, nil); err != nil {
+			return err
+		}
+		if owner := binary.LittleEndian.Uint32(f.x.PageData(m)); owner != 0 {
+			return fmt.Errorf("block %d read back with owner %d, its previous incarnation's", m, owner)
+		}
+		return nil
 	})
 }
 
