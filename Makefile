@@ -94,8 +94,9 @@ wheel-smoke:
 
 # The full pre-commit gate: everything compiles, the tree is gofmt
 # clean, vet is clean, the whole suite passes under the race detector
-# (the token-handoff protocol in internal/sim is exactly the kind of
-# code -race exists for), the parallel harness is race-clean, the
+# (the coroutine hand-off between the scheduler and environments in
+# internal/kernel is exactly the kind of code -race exists for), the
+# parallel harness is race-clean, the
 # crash-enumeration sweep re-runs, the differential fuzz smoke
 # campaign comes back clean, snapshot forking reproduces boot runs
 # bit-exactly, the 100k-connection cluster digests identically with

@@ -168,13 +168,6 @@ func New(eng *sim.Engine, stats *sim.Stats, nblocks int64, opts ...Option) *Disk
 	return d
 }
 
-// NewStriped returns a RAID-0 set.
-//
-// Deprecated: use New with WithStriping.
-func NewStriped(eng *sim.Engine, stats *sim.Stats, nblocks int64, n int, stripeUnit int64) *Disk {
-	return New(eng, stats, nblocks, WithStriping(n, stripeUnit))
-}
-
 // SetTrace attaches a tracer after construction (prefer WithTrace). A
 // nil tracer turns tracing off.
 func (d *Disk) SetTrace(tr *trace.Tracer, pid int64) {

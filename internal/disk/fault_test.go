@@ -121,14 +121,3 @@ func TestCrashImageTornWrite(t *testing.T) {
 		t.Fatal("block 3 appeared although never transferred")
 	}
 }
-
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewStriped(eng, nil, 1024, 4, 8)
-	if d.Spindles() != 4 {
-		t.Fatalf("spindles = %d", d.Spindles())
-	}
-	if d2 := New(eng, nil, 64); d2.Spindles() != 1 {
-		t.Fatalf("default spindles = %d", d2.Spindles())
-	}
-}

@@ -8,7 +8,7 @@ import (
 
 func TestStripedRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewStriped(eng, sim.NewStats(), 1<<16, 4, 16)
+	d := New(eng, sim.NewStats(), 1<<16, WithStriping(4, 16))
 	if d.Spindles() != 4 {
 		t.Fatalf("spindles = %d", d.Spindles())
 	}
@@ -49,7 +49,7 @@ func TestStripingParallelism(t *testing.T) {
 	// n-way stripe (transfer-time bound).
 	elapsed := func(spindles int) sim.Time {
 		eng := sim.NewEngine()
-		d := NewStriped(eng, sim.NewStats(), 1<<20, spindles, 16)
+		d := New(eng, sim.NewStats(), 1<<20, WithStriping(spindles, 16))
 		const blocks = 512
 		d.Submit(&Request{Block: 0, Count: blocks})
 		eng.Run()
@@ -68,7 +68,7 @@ func TestStripingIndependentQueues(t *testing.T) {
 	// the same spindle serialize.
 	sameSpindle := func() sim.Time {
 		eng := sim.NewEngine()
-		d := NewStriped(eng, sim.NewStats(), 1<<20, 4, 16)
+		d := New(eng, sim.NewStats(), 1<<20, WithStriping(4, 16))
 		// Blocks 0 and 64 both map to spindle 0 (64/16 = 4 % 4 = 0).
 		d.Submit(&Request{Block: 0, Count: 1})
 		d.Submit(&Request{Block: 64, Count: 1})
@@ -77,7 +77,7 @@ func TestStripingIndependentQueues(t *testing.T) {
 	}()
 	diffSpindle := func() sim.Time {
 		eng := sim.NewEngine()
-		d := NewStriped(eng, sim.NewStats(), 1<<20, 4, 16)
+		d := New(eng, sim.NewStats(), 1<<20, WithStriping(4, 16))
 		// Blocks 0 and 16 map to spindles 0 and 1.
 		d.Submit(&Request{Block: 0, Count: 1})
 		d.Submit(&Request{Block: 16, Count: 1})
@@ -101,7 +101,7 @@ func TestStripingIndependentQueues(t *testing.T) {
 func TestCSCANUsesPhysicalPositions(t *testing.T) {
 	eng := sim.NewEngine()
 	stats := sim.NewStats()
-	d := NewStriped(eng, stats, 1<<16, 2, 16)
+	d := New(eng, stats, 1<<16, WithStriping(2, 16))
 
 	var order []string
 	// r0: logical 64..79 → spindle 0, phys 32..47; head lands at 48.
@@ -146,7 +146,7 @@ func TestSeekCalibrationPerSpindle(t *testing.T) {
 	// logical 3200 both live on spindle 0 at phys 0 and phys 800 — the
 	// identical physical schedule.
 	striped := sim.NewEngine()
-	dr := NewStriped(striped, sim.NewStats(), 4<<16, 4, 16)
+	dr := New(striped, sim.NewStats(), 4<<16, WithStriping(4, 16))
 	dr.Submit(&Request{Block: 0, Count: 1})
 	dr.Submit(&Request{Block: 3200, Count: 1})
 	striped.Run()
@@ -162,7 +162,7 @@ func TestSeekCalibrationPerSpindle(t *testing.T) {
 // exactly one Done, at the instant the *last* piece completes.
 func TestSplitCountdownManyUnits(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewStriped(eng, sim.NewStats(), 1<<16, 4, 16)
+	d := New(eng, sim.NewStats(), 1<<16, WithStriping(4, 16))
 	// Blocks 8..47 → pieces [8,+8) [16,+16) [32,+16) on spindles 0,1,2.
 	const start, n = 8, 40
 	wr := make([][]byte, n)
@@ -193,7 +193,7 @@ func TestSplitCountdownManyUnits(t *testing.T) {
 // in service — DMA happens at completion) must not reflect them.
 func TestSnapshotExcludesQueued(t *testing.T) {
 	eng := sim.NewEngine()
-	d := NewStriped(eng, sim.NewStats(), 1<<16, 2, 16)
+	d := New(eng, sim.NewStats(), 1<<16, WithStriping(2, 16))
 	page := func(v byte) [][]byte {
 		p := make([]byte, sim.DiskBlockSize)
 		p[0] = v

@@ -21,9 +21,9 @@
 // path is one nil check. No machine pays for fault injection unless a
 // plan is attached.
 //
-// Like sim.Engine, a Plan is not safe for concurrent use; the token
-// handoff protocol guarantees only one goroutine per machine touches
-// it at a time.
+// Like sim.Engine, a Plan is not safe for concurrent use; a machine's
+// environments are coroutines of its host goroutine (internal/kernel),
+// so only one goroutine per machine touches it at a time.
 package fault
 
 import (

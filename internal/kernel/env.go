@@ -22,7 +22,8 @@ const (
 	envDead
 )
 
-// errKilled poisons an environment goroutine during Shutdown.
+// errKilled unwinds an environment's body: Shutdown makes its parked
+// yield fail, and a fault-plan kill raises it directly.
 var errKilled = errors.New("kernel: environment killed")
 
 // Env is one environment: "the hardware-specific state needed to run a
@@ -44,7 +45,12 @@ type Env struct {
 	// x86, Section 5.1).
 	PT *mem.PageTable
 
-	resume    chan bool
+	// The body's coroutine (see start): next resumes it, stop unwinds
+	// it, and yield, called from inside the body, parks it.
+	next  func() (parkMsg, bool)
+	stop  func()
+	yield func(parkMsg) bool
+
 	burst     sim.Time // CPU cycles owed before code continues
 	grant     sim.Time // size of the in-flight burn slice (see burnGrantArg)
 	cpuUsed   sim.Time // lifetime CPU consumed (accounting)
@@ -53,6 +59,7 @@ type Env struct {
 	timeout   sim.Event
 
 	inCritical bool
+	dying      bool   // the body is unwinding; see live
 	exitWait   []*Env // environments waiting for this one to exit
 
 	ipcQ []IPCMsg
@@ -84,21 +91,30 @@ func (e *Env) CPUUsed() sim.Time { return e.cpuUsed }
 // the HTTP connections 10000+.
 func (e *Env) TraceLane() int64 { return 100 + int64(e.id) }
 
-// exit terminates the environment from inside its own code: hand the
-// token back as an exit and unwind the goroutine. Spawn's recover
-// swallows the poison, the scheduler wakes any WaitFor-ers.
+// exit terminates the environment from inside its own code by
+// unwinding the body. The coroutine swallows the poison and ends, and
+// the scheduler retires the environment and wakes any WaitFor-ers.
 func (e *Env) exit() {
-	e.park(parkMsg{env: e, kind: parkExit})
+	e.dying = true
 	panic(errKilled)
 }
 
-// park hands the token to the scheduler and blocks until resumed.
-func (e *Env) park(msg parkMsg) {
-	e.k.parkCh <- msg
-	if msg.kind == parkExit {
-		return // scheduler never resumes an exited environment
+// live refuses kernel work from a dying environment. Once its body has
+// begun unwinding (killed by the fault plan, or stopped by Shutdown),
+// a kernel call made by its deferred code unwinds again at once: it
+// charges no time, counts nothing, wakes no one and schedules nothing.
+// Deferred host code still runs; the simulated process does not.
+func (e *Env) live() {
+	if e.dying {
+		panic(errKilled)
 	}
-	if !<-e.resume {
+}
+
+// park hands the CPU to the scheduler and returns when resumed.
+func (e *Env) park(msg parkMsg) {
+	e.live()
+	if !e.yield(msg) {
+		e.dying = true
 		panic(errKilled)
 	}
 }
@@ -110,16 +126,19 @@ func (e *Env) Use(c sim.Time) {
 	if c == 0 {
 		return
 	}
-	e.park(parkMsg{env: e, kind: parkUse, n: c})
+	e.park(parkMsg{kind: parkUse, n: c})
 }
 
 // Syscall charges one kernel crossing plus the in-kernel work cost.
 func (e *Env) Syscall(work sim.Time) {
+	e.live()
 	e.k.Stats.Inc(sim.CtrSyscalls)
 	if e.k.Faults.KillNow(e.name) {
 		// The fault plan kills this environment mid-syscall: it paid
 		// the trap but never returns — exactly a process destroyed
-		// through the kernel interface while inside a call.
+		// through the kernel interface while inside a call. Its
+		// deferred code may still run, but live refuses any kernel
+		// call it makes.
 		e.Use(e.k.cfg.TrapCost)
 		e.exit()
 	}
@@ -139,12 +158,14 @@ func (e *Env) Syscall(work sim.Time) {
 // Syscalls charges n kernel crossings with no work (used to model the
 // protection calls inserted before shared-state writes, Section 6.3).
 func (e *Env) Syscalls(n int) {
+	e.live()
 	e.k.Stats.Add(sim.CtrSyscalls, int64(n))
 	e.Use(sim.Time(n) * e.k.cfg.TrapCost)
 }
 
 // LibCall charges a protected procedure call into a libOS plus work.
 func (e *Env) LibCall(work sim.Time) {
+	e.live()
 	e.k.Stats.Inc(sim.CtrLibCalls)
 	e.Use(sim.CostLibCall + work)
 }
@@ -152,7 +173,7 @@ func (e *Env) LibCall(work sim.Time) {
 // Block parks the environment until another environment or a device
 // handler calls Wake.
 func (e *Env) Block() {
-	e.park(parkMsg{env: e, kind: parkBlock})
+	e.park(parkMsg{kind: parkBlock})
 }
 
 // SleepOn downloads a wakeup predicate and parks. The kernel evaluates
@@ -161,6 +182,7 @@ func (e *Env) Block() {
 // a dispatch pass at that time even if the machine is otherwise idle
 // (predicates that compare against the clock need this to fire).
 func (e *Env) SleepOn(p *wkpred.Pred, deadline sim.Time) {
+	e.live()
 	e.pred = p
 	e.Use(p.Cost()) // downloading/compiling the predicate
 	if deadline > 0 {
@@ -170,7 +192,7 @@ func (e *Env) SleepOn(p *wkpred.Pred, deadline sim.Time) {
 			e.k.kickDispatch()
 		})
 	}
-	e.park(parkMsg{env: e, kind: parkBlock})
+	e.park(parkMsg{kind: parkBlock})
 }
 
 // Wake makes target runnable. Callable from device completion handlers
@@ -186,16 +208,18 @@ func (k *Kernel) Wake(target *Env) {
 // Section 5.2.1: pipes yield to the other party when it must do work).
 // A nil target is an undirected yield to the end of the run queue.
 func (e *Env) YieldTo(target *Env) {
+	e.live()
 	e.k.Wake(target)
-	e.park(parkMsg{env: e, kind: parkYieldTo, to: target})
+	e.park(parkMsg{kind: parkYieldTo, to: target})
 }
 
 // WaitFor blocks until target exits. Returns immediately if it is
 // already dead. Robust against spurious wakeups.
 func (e *Env) WaitFor(target *Env) {
+	e.live()
 	for target != nil && target.state != envDead {
 		target.exitWait = append(target.exitWait, e)
-		e.park(parkMsg{env: e, kind: parkBlock})
+		e.park(parkMsg{kind: parkBlock})
 	}
 }
 
@@ -203,6 +227,7 @@ func (e *Env) WaitFor(target *Env) {
 // workload launcher's wait-any). Returns immediately if any target is
 // already dead or the list is empty.
 func (e *Env) WaitAnyOf(targets []*Env) {
+	e.live()
 	for {
 		if len(targets) == 0 {
 			return
@@ -215,7 +240,7 @@ func (e *Env) WaitAnyOf(targets []*Env) {
 		for _, t := range targets {
 			t.exitWait = append(t.exitWait, e)
 		}
-		e.park(parkMsg{env: e, kind: parkBlock})
+		e.park(parkMsg{kind: parkBlock})
 	}
 }
 
@@ -236,10 +261,11 @@ func (e *Env) EndCritical() {
 
 // Sleep parks until the given virtual duration elapses.
 func (e *Env) Sleep(d sim.Time) {
+	e.live()
 	target := e.k.Eng.Now() + d
 	e.timeout = e.k.Eng.At(target, func() {
 		e.timeout = sim.Event{}
 		e.k.makeRunnable(e)
 	})
-	e.park(parkMsg{env: e, kind: parkBlock})
+	e.park(parkMsg{kind: parkBlock})
 }

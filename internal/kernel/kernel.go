@@ -6,15 +6,15 @@
 //
 // # Execution model
 //
-// Each environment's code runs in its own goroutine, but the simulation
-// enforces strict token handoff: exactly one goroutine — either the
-// event loop or the current environment — runs at a time. An
-// environment's code executes in zero virtual time except where it
-// explicitly charges cycles (Env.Use and the syscall helpers); charged
-// cycles are burned by the scheduler in quantum-sized slices
-// interleaved round-robin with other runnable environments, so CPU
-// contention, context-switch overhead and time-slice preemption are
-// modelled faithfully and deterministically.
+// Each environment's code runs as a coroutine (iter.Pull) that the
+// scheduler switches into and that switches back when it parks, so
+// exactly one of the event loop and the current environment runs at a
+// time. An environment's code executes in zero virtual time except
+// where it explicitly charges cycles (Env.Use and the syscall
+// helpers); charged cycles are burned by the scheduler in
+// quantum-sized slices interleaved round-robin with other runnable
+// environments, so CPU contention, context-switch overhead and
+// time-slice preemption are modelled faithfully and deterministically.
 //
 // The same Kernel type also serves as the substrate for the monolithic
 // BSD personalities (internal/bsdos): Config selects the trap cost and
@@ -62,11 +62,11 @@ type Config struct {
 	// instead of building a private one: all machines on one engine
 	// share a single virtual clock, which is how a netsim.Topology
 	// ties a cluster of machines to one network fabric. Machines on a
-	// shared engine still serialize their environment goroutines
-	// correctly (the token-handoff protocol is per-kernel), but they
-	// must all run from the same host goroutine, and the per-machine
-	// engine event hook is skipped — an event count spanning machines
-	// belongs to no single one of them.
+	// shared engine still run one environment at a time each (every
+	// environment is its own coroutine), but they must all run from
+	// the same host goroutine, and the per-machine engine event hook
+	// is skipped — an event count spanning machines belongs to no
+	// single one of them.
 	Eng *sim.Engine
 }
 
@@ -100,7 +100,6 @@ type Kernel struct {
 	sleeprs  []*Env // predicate sleepers, in sleep order
 
 	dispatchPending bool
-	parkCh          chan parkMsg
 	liveEnvs        int
 
 	regions    map[RegionID]*region
@@ -131,7 +130,6 @@ func New(cfg Config) *Kernel {
 		Faults:  cfg.Faults,
 		cfg:     cfg,
 		envs:    make(map[EnvID]*Env),
-		parkCh:  make(chan parkMsg),
 		regions: make(map[RegionID]*region),
 	}
 	if cfg.DiskSize > 0 {
@@ -165,10 +163,9 @@ func (k *Kernel) TrapCost() sim.Time { return k.cfg.TrapCost }
 // Now returns the current virtual time.
 func (k *Kernel) Now() sim.Time { return k.Eng.Now() }
 
-// parkMsg is what an environment's goroutine sends when it hands the
-// token back to the scheduler.
+// parkMsg is what an environment's coroutine yields when it hands the
+// CPU back to the scheduler.
 type parkMsg struct {
-	env  *Env
 	kind parkKind
 	n    sim.Time // useCPU: cycles requested
 	to   *Env     // yieldTo target
@@ -180,20 +177,18 @@ const (
 	parkUse parkKind = iota
 	parkBlock
 	parkYieldTo
-	parkExit
 )
 
 // Spawn creates an environment running body and makes it runnable.
-// The body executes in its own goroutine under the token protocol; it
-// may only touch kernel state between Spawn and its return.
+// The body executes as the environment's coroutine; it may only touch
+// kernel state between Spawn and its return.
 func (k *Kernel) Spawn(name string, body func(*Env)) *Env {
 	e := &Env{
-		k:      k,
-		id:     k.nextEnv,
-		name:   name,
-		state:  envBlocked, // makeRunnable queues it below
-		resume: make(chan bool),
-		PT:     mem.NewPageTable(),
+		k:     k,
+		id:    k.nextEnv,
+		name:  name,
+		state: envBlocked, // makeRunnable queues it below
+		PT:    mem.NewPageTable(),
 	}
 	k.nextEnv++
 	k.envs[e.id] = e
@@ -201,21 +196,7 @@ func (k *Kernel) Spawn(name string, body func(*Env)) *Env {
 	if k.Trace != nil {
 		k.Trace.NameLane(k.TracePID, e.TraceLane(), fmt.Sprintf("env %d (%s)", e.id, name))
 	}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r == errKilled {
-					return // Shutdown poisoned us; die silently.
-				}
-				panic(r)
-			}
-		}()
-		if !<-e.resume {
-			panic(errKilled)
-		}
-		body(e)
-		e.park(parkMsg{env: e, kind: parkExit})
-	}()
+	e.start(body)
 	k.makeRunnable(e)
 	return e
 }
@@ -411,16 +392,14 @@ func burnGrantArg(a any) {
 	e.k.step(e)
 }
 
-// resume hands the token to e's goroutine and processes the park
-// message it eventually sends back.
+// resume switches to e's coroutine and processes the park message it
+// yields back; a body that returned or unwound yields none and exits.
 func (k *Kernel) resume(e *Env) {
-	e.resume <- true
-	msg := <-k.parkCh
-	k.handlePark(msg)
-}
-
-func (k *Kernel) handlePark(msg parkMsg) {
-	e := msg.env
+	msg, ok := e.next()
+	if !ok {
+		k.retire(e)
+		return
+	}
 	switch msg.kind {
 	case parkUse:
 		e.burst += msg.n
@@ -446,19 +425,21 @@ func (k *Kernel) handlePark(msg parkMsg) {
 			k.runqPromote(msg.to)
 		}
 		k.Eng.AfterArg(sim.CostYieldDirected, dispatchArg, k)
-	case parkExit:
-		k.current = nil
-		e.state = envDead
-		k.liveEnvs--
-		delete(k.envs, e.id)
-		if e.exitWait != nil {
-			for _, w := range e.exitWait {
-				k.makeRunnable(w)
-			}
-			e.exitWait = nil
-		}
-		k.Eng.AfterArg(sim.CostContextSwitch, dispatchArg, k)
 	}
+}
+
+// retire marks e dead once its body has returned or unwound, and
+// wakes its WaitFor-ers.
+func (k *Kernel) retire(e *Env) {
+	k.current = nil
+	e.state = envDead
+	k.liveEnvs--
+	delete(k.envs, e.id)
+	for _, w := range e.exitWait {
+		k.makeRunnable(w)
+	}
+	e.exitWait = nil
+	k.Eng.AfterArg(sim.CostContextSwitch, dispatchArg, k)
 }
 
 // Run processes events until the machine is idle (no events pending;
@@ -483,13 +464,13 @@ func (k *Kernel) Crash(at sim.Time) disk.Image {
 	return img
 }
 
-// Shutdown kills every live environment goroutine. Call when a test or
-// benchmark finishes with environments still blocked.
+// Shutdown unwinds every live environment's coroutine. Call when a
+// test or benchmark finishes with environments still blocked.
 func (k *Kernel) Shutdown() {
 	for _, e := range k.envs {
 		if e.state != envDead && e.state != envRunning {
 			e.state = envDead
-			e.resume <- false
+			e.stop()
 		}
 	}
 }

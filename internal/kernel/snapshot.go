@@ -16,8 +16,8 @@ import (
 // tracer, and the fault plan's stream positions.
 //
 // Snapshots are only legal at quiescent points — no live environments
-// and no pending events. Environment bodies are Go closures running on
-// their own goroutines, whose stacks cannot be captured; at quiescence
+// and no pending events. Environment bodies are Go closures running as
+// coroutines, whose stacks cannot be captured; at quiescence
 // there are none, so the machine state collapses to data this package
 // can deep-clone. Forking from one Snapshot is safe from concurrent
 // goroutines: forks only read it.
@@ -98,7 +98,6 @@ func Fork(s *Snapshot) *Kernel {
 		nextEnv:    s.nextEnv,
 		nextRegion: s.nextRegion,
 		envs:       make(map[EnvID]*Env),
-		parkCh:     make(chan parkMsg),
 		regions:    make(map[RegionID]*region, len(s.regions)),
 	}
 	for id, r := range s.regions {

@@ -17,17 +17,30 @@ func testServerConfig() StackConfig {
 	}
 }
 
+// pair wires sim.NumLinks Ethernets between a client host and k's
+// machine: the single-server fabric of the HTTP experiments.
+func pair(k *kernel.Kernel) (tp *Topology, client, server HostID) {
+	tp = NewTopologyOn(k.Eng)
+	tp.Faults = k.Faults
+	client = tp.AddHost("client")
+	server = tp.AttachKernel("server", k)
+	for i := 0; i < sim.NumLinks; i++ {
+		tp.Link(client, server, LinkSpec{})
+	}
+	return tp, client, server
+}
+
 // serve boots a machine with a fixed-size handler and runs a client
 // pool against it.
 func serve(t *testing.T, cfg StackConfig, body, clients int, dur sim.Time) (*ClientPool, *kernel.Env, *kernel.Kernel) {
 	t.Helper()
 	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-	n := New(k)
+	tp, client, server := pair(k)
 	stop := k.Now() + dur
-	pool := n.NewClientPool(clients, body, stop)
+	pool := tp.NewClientPool(client, server, clients, body, stop)
 	env := k.Spawn("server", func(e *kernel.Env) {
 		e.Creds = cap.UnixCreds(0)
-		n.Serve(e, cfg, func(*kernel.Env, *Conn) int { return body }, stop)
+		tp.NIC(server).Serve(e, cfg, func(*kernel.Env, *Conn) int { return body }, stop)
 	})
 	k.RunUntil(stop)
 	k.Shutdown()
@@ -166,13 +179,13 @@ func TestLossRecoveredByRetransmission(t *testing.T) {
 	// go-back-N retransmission out of the retransmission pool fills
 	// the holes.
 	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-	n := New(k)
-	n.LossRate = 32
+	tp, client, server := pair(k)
+	tp.LossRate = 32
 	dur := 2 * sim.CPUHz / 5 * sim.Time(1) // 400 ms
 	stop := k.Now() + dur
-	pool := n.NewClientPool(6, 20000, stop)
+	pool := tp.NewClientPool(client, server, 6, 20000, stop)
 	k.Spawn("server", func(e *kernel.Env) {
-		n.Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 20000 }, stop)
+		tp.NIC(server).Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 20000 }, stop)
 	})
 	k.RunUntil(stop)
 	k.Shutdown()
@@ -191,12 +204,12 @@ func TestLossRecoveredByRetransmission(t *testing.T) {
 func TestLossReducesThroughput(t *testing.T) {
 	measure := func(loss int) int {
 		k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-		n := New(k)
-		n.LossRate = loss
+		tp, client, server := pair(k)
+		tp.LossRate = loss
 		stop := k.Now() + 200*sim.Millisecond
-		pool := n.NewClientPool(8, 10000, stop)
+		pool := tp.NewClientPool(client, server, 8, 10000, stop)
 		k.Spawn("server", func(e *kernel.Env) {
-			n.Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 10000 }, stop)
+			tp.NIC(server).Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 10000 }, stop)
 		})
 		k.RunUntil(stop)
 		k.Shutdown()
@@ -218,11 +231,11 @@ func TestBidirectionalLossRecovered(t *testing.T) {
 	run := func() (*ClientPool, *kernel.Kernel) {
 		plan := &fault.Plan{Seed: 7, LossRate: 24, DupRate: 37, ReorderRate: 41}
 		k := kernel.New(kernel.Config{Name: "net", MemPages: 512, Faults: plan})
-		n := New(k)
+		tp, client, server := pair(k)
 		stop := k.Now() + 400*sim.Millisecond
-		pool := n.NewClientPool(6, 20000, stop)
+		pool := tp.NewClientPool(client, server, 6, 20000, stop)
 		k.Spawn("server", func(e *kernel.Env) {
-			n.Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 20000 }, stop)
+			tp.NIC(server).Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 20000 }, stop)
 		})
 		k.RunUntil(stop)
 		k.Shutdown()
@@ -251,12 +264,12 @@ func TestClientSideLossRecovered(t *testing.T) {
 	// fails constantly, and only the client retransmission timer keeps
 	// connections alive.
 	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-	n := New(k)
-	n.LossRate = 6
+	tp, client, server := pair(k)
+	tp.LossRate = 6
 	stop := k.Now() + 400*sim.Millisecond
-	pool := n.NewClientPool(4, 5000, stop)
+	pool := tp.NewClientPool(client, server, 4, 5000, stop)
 	k.Spawn("server", func(e *kernel.Env) {
-		n.Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 5000 }, stop)
+		tp.NIC(server).Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 5000 }, stop)
 	})
 	k.RunUntil(stop)
 	k.Shutdown()
@@ -271,11 +284,11 @@ func TestClientSideLossRecovered(t *testing.T) {
 func TestConnectionTracing(t *testing.T) {
 	tr := trace.New()
 	k := kernel.New(kernel.Config{Name: "net", MemPages: 512, Trace: tr})
-	n := New(k)
+	tp, client, server := pair(k)
 	stop := k.Now() + 100*sim.Millisecond
-	pool := n.NewClientPool(4, 1000, stop)
+	pool := tp.NewClientPool(client, server, 4, 1000, stop)
 	k.Spawn("server", func(e *kernel.Env) {
-		n.Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 1000 }, stop)
+		tp.NIC(server).Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 1000 }, stop)
 	})
 	k.RunUntil(stop)
 	k.Shutdown()

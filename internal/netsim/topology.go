@@ -695,8 +695,8 @@ func (t *Topology) wireShards() error {
 
 // RunSharded drives a partitioned fabric to global completion — the
 // parallel equivalent of Engine().Run() on every island at once, with
-// one worker goroutine per island (routed through internal/parallel).
-// Cross-island links become timestamped channels whose lookahead is
+// the islands multiplexed over a small worker pool (routed through
+// internal/parallel). Cross-island links become timestamped channels whose lookahead is
 // the link latency; execution order is conservatively synchronized, so
 // results are byte-identical to the same fabric run on one engine.
 // The fabric-global nondeterminism channels are rejected up front:
@@ -721,8 +721,6 @@ func (t *Topology) RunSharded() error {
 		islands[i] = rt.isl
 	}
 	sim.RunIslands(islands, func(n int, run func(i int)) {
-		// One worker per island: islands block on each other's
-		// promises, so multiplexing them onto fewer workers deadlocks.
 		parallel.Map(n, n, func(i int) struct{} {
 			run(i)
 			return struct{}{}

@@ -5,7 +5,8 @@
 // The simulator's machines are fully self-contained once the tracer is
 // routed through machine.Config: one engine, one kernel, one fault
 // plan, one tracer per machine, touched by exactly one goroutine at a
-// time under the token-handoff protocol. Distinct machines therefore
+// time (a machine's environments are coroutines its host goroutine
+// switches into, see internal/kernel). Distinct machines therefore
 // parallelize trivially — the only thing that must NOT parallelize is
 // the *consumption* of their results, because logs, tables, replay
 // tokens and digest comparisons are all order-sensitive.

@@ -56,8 +56,9 @@ type node struct {
 // event queue is the hottest host-side structure in the simulator.
 //
 // Engine is not safe for concurrent use; the simulation guarantees
-// that only one goroutine touches it at a time (the kernel's
-// token-handoff protocol, see internal/kernel). Distinct Engines are
+// that only one goroutine touches it at a time (the kernel runs each
+// environment as a coroutine of the host goroutine, see
+// internal/kernel). Distinct Engines are
 // fully independent and may run on concurrent goroutines — the basis
 // of the parallel harness (internal/parallel).
 type Engine struct {

@@ -2,25 +2,32 @@ package sim
 
 // Conservative parallel discrete-event execution (Chandy–Misra–Bryant
 // with null-message promises). A simulation is partitioned into
-// Islands — each an Engine driven by its own goroutine — joined by
-// directed Channels that carry timestamped callbacks plus lookahead
-// promises. A channel with lookahead L guarantees that a message
-// handed over while the sender's clock reads S fires no earlier than
-// S+L+1 on the receiver, so the receiver may safely execute everything
-// up to (promised sender clock)+L without waiting, and an idle island
-// still advances past a quiet neighbor on promises alone.
+// Islands — each an Engine — joined by directed Channels that carry
+// timestamped callbacks plus lookahead promises. A channel with
+// lookahead L guarantees that a message handed over while the sender's
+// clock reads S fires no earlier than S+L+1 on the receiver, so the
+// receiver may safely execute everything up to (promised sender
+// clock)+L without waiting, and an idle island still advances past a
+// quiet neighbor on promises alone.
 //
 // The merge is deterministic: each island orders its engine's next
 // event against the inbound channel heads by (fire time, scheduling
 // time, origin island, channel index) — the same order a single shared
 // engine's (time, seq) heap produces whenever the scheduling instants
-// differ, with the island id as the tie-break of last resort. Island
-// state is only ever touched by its own goroutine; the channels are
-// the only synchronization points.
+// differ, with the island id as the tie-break of last resort.
+//
+// Islands run on a small worker pool, not a goroutine each: a worker
+// takes a runnable island off the ready queue and executes it until it
+// blocks, so setting an island aside costs a queue operation rather
+// than a goroutine park and wake. When every island is blocked at
+// once, all promises jump to the earliest pending event instead of
+// climbing one lookahead per exchange. One mutex (shardState.mu)
+// guards the queue, the channels and the promises; an island's engine
+// is touched only by the worker holding it.
 
 import (
+	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // maxTime is the saturation bound for promise arithmetic.
@@ -75,7 +82,7 @@ type Channel struct {
 	sentPromise Time
 	pubQuantum  Time
 
-	// Receiver-side state, guarded by to.mu.
+	// Receiver-side state, guarded by the run's shardState.mu.
 	promise Time  // proven lower bound on the sender's clock
 	q       []msg // ring: q[head], q[head+1], ... (mod len), count live
 	head    int
@@ -84,29 +91,39 @@ type Channel struct {
 }
 
 // Island is one partition of a conservatively parallel simulation: an
-// engine plus its inbound and outbound channels. Exactly one goroutine
-// (the one RunIslands spawns for it) executes its events.
+// engine plus its inbound and outbound channels. At most one worker
+// executes its events at a time.
 type Island struct {
 	id  int
 	eng *Engine
+	in  []*Channel
+	out []*Channel
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	waiting bool
-	version uint64 // bumped on every inbound push or promise raise
-	in      []*Channel
-	out     []*Channel
-
-	st *shardState
+	// Scheduling state, guarded by st.mu. need is, while the island
+	// is blocked, its earliest pending candidate (maxTime if none),
+	// kept current as messages arrive, so wakers and the stall check
+	// never touch a blocked island's engine.
+	st    *shardState // the run it belongs to
+	state islandState
+	need  Time
 }
+
+// islandState is an island's place in its run's scheduler.
+type islandState uint8
+
+const (
+	blocked islandState = iota // nothing executable; on no queue
+	ready                      // on st.ready, waiting for a worker
+	running                    // held by a worker
+)
 
 // NewIsland wraps an engine as one island. The id must be unique
 // within the set later passed to RunIslands; it doubles as the
 // deterministic tie-break among islands.
 func NewIsland(id int, eng *Engine) *Island {
-	isl := &Island{id: id, eng: eng}
-	isl.cond = sync.NewCond(&isl.mu)
-	return isl
+	// Until RunIslands adopts it, the island sits in a finished run of
+	// its own, so a Send outside any run just queues the message.
+	return &Island{id: id, eng: eng, st: &shardState{done: true}}
 }
 
 // ID returns the island's tie-break identity.
@@ -134,7 +151,7 @@ func Connect(from, to *Island, lookahead Time) *Channel {
 }
 
 // Send hands fn to the receiving island to fire at virtual time at.
-// It must be called from the sending island's goroutine, with at
+// It must be called while the sending island executes, with at
 // strictly beyond the sender's clock plus the lookahead, and strictly
 // beyond every earlier Send on the same channel. The hand-off is
 // synchronous — the message is in the receiver's queue before Send
@@ -156,11 +173,11 @@ func (c *Channel) send(m msg) {
 	if at <= satAdd(now, c.lookahead) {
 		panic("sim: Channel.Send violates the lookahead contract")
 	}
-	to := c.to
-	to.mu.Lock()
+	st := c.from.st
+	st.mu.Lock()
 	if c.count > 0 {
 		if last := c.q[(c.head+c.count-1)%len(c.q)]; at <= last.at {
-			to.mu.Unlock()
+			st.mu.Unlock()
 			panic("sim: Channel.Send timestamps must strictly increase")
 		}
 	}
@@ -169,20 +186,14 @@ func (c *Channel) send(m msg) {
 	if c.promise < now {
 		c.promise = now
 	}
-	to.version++
-	if st := c.from.st; st != nil {
-		st.sent.Add(1)
-	}
-	if to.waiting {
-		to.cond.Signal()
-	}
-	to.mu.Unlock()
+	st.wakeLocked(c.to, at)
+	st.mu.Unlock()
 	if now > c.sentPromise {
 		c.sentPromise = now
 	}
 }
 
-// push appends to the ring, growing it when full. Caller holds to.mu.
+// push appends to the ring, growing it when full. Caller holds st.mu.
 func (c *Channel) push(m msg) {
 	if c.count == len(c.q) {
 		grown := make([]msg, max(8, 2*len(c.q)))
@@ -195,7 +206,7 @@ func (c *Channel) push(m msg) {
 	c.count++
 }
 
-// pop removes the head message. Caller holds to.mu.
+// pop removes the head message. Caller holds st.mu.
 func (c *Channel) pop() msg {
 	m := c.q[c.head]
 	c.q[c.head] = msg{}
@@ -204,28 +215,92 @@ func (c *Channel) pop() msg {
 	return m
 }
 
-// shardState is the run-wide termination tracker. An island that is
-// purely idle — empty engine, empty inbound queues — counts itself;
-// when every island is idle at once and every message ever sent has
-// been executed, the run is globally drained and everyone exits.
-// (Message counting closes the race where a sender finishes its last
-// event — whose Send already woke a receiver that had counted itself
-// idle — before that receiver un-counts.)
+// shardState is one RunIslands call's scheduler: the ready queue the
+// workers take islands from, and the count of islands they hold. When
+// the queue is empty and no worker holds an island, every island is
+// blocked at once (sends are synchronous, so no message is in flight)
+// and the run either jumps its promises or is over.
 type shardState struct {
-	mu        sync.Mutex
-	idle      int
-	n         int
-	done      atomic.Bool
-	sent      atomic.Int64
-	processed atomic.Int64
-	islands   []*Island
+	mu      sync.Mutex
+	cond    sync.Cond // idle workers wait here for the ready queue
+	ready   []*Island
+	held    int // islands a worker is executing
+	idle    int // workers waiting on cond
+	done    bool
+	islands []*Island
 }
 
-func (st *shardState) wakeAll() {
+// wakeLocked queues a blocked island that a new message (firing at
+// at) or a raised promise (at == maxTime) has made runnable. An island
+// a worker holds needs nothing: it re-examines its channels before it
+// blocks, under this same lock. A raise that leaves a blocked island
+// still short of its next candidate wakes no one; if the whole run
+// stalls that way, stalledLocked moves it on. Caller holds st.mu.
+func (st *shardState) wakeLocked(isl *Island, at Time) {
+	if isl.state != blocked {
+		return
+	}
+	isl.need = min(isl.need, at)
+	if isl.need > isl.safeLocked() {
+		return
+	}
+	isl.state = ready
+	st.ready = append(st.ready, isl)
+	if st.idle > 0 {
+		st.cond.Signal()
+	}
+}
+
+// stalledLocked handles every island being blocked at once. With no
+// event or message left anywhere the run is over. Otherwise nothing
+// can execute before the earliest pending candidate across all
+// islands, so no island can send from an earlier clock: every promise
+// is raised to that instant, which makes at least the island holding
+// it runnable. Caller holds st.mu.
+func (st *shardState) stalledLocked() {
+	next := maxTime
 	for _, isl := range st.islands {
-		isl.mu.Lock()
-		isl.cond.Broadcast()
-		isl.mu.Unlock()
+		next = min(next, isl.need)
+	}
+	if next == maxTime {
+		st.done = true
+		st.cond.Broadcast()
+		return
+	}
+	for _, isl := range st.islands {
+		for _, c := range isl.out {
+			c.promise = max(c.promise, next)
+			c.sentPromise = max(c.sentPromise, next)
+		}
+	}
+	for _, isl := range st.islands {
+		st.wakeLocked(isl, maxTime)
+	}
+}
+
+// work is one pool worker: take the oldest ready island, execute it
+// until it blocks, repeat until the run is over.
+func (st *shardState) work() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for !st.done {
+		if len(st.ready) == 0 {
+			if st.held == 0 {
+				st.stalledLocked()
+				continue
+			}
+			st.idle++
+			st.cond.Wait()
+			st.idle--
+			continue
+		}
+		isl := st.ready[0]
+		st.ready = append(st.ready[:0], st.ready[1:]...)
+		isl.state = running
+		st.held++
+		st.mu.Unlock()
+		isl.run()
+		st.held--
 	}
 }
 
@@ -261,8 +336,7 @@ func (a cand) beats(b cand) bool {
 // everything that can still arrive on it, since timestamps strictly
 // increase per channel). chMin is the earliest queued channel head —
 // engine events strictly before it need no merge at all. Caller holds
-// isl.mu; engine access needs no lock (only this island's goroutine
-// touches it).
+// st.mu and the island.
 func (isl *Island) pickLocked() (best cand, ok bool, safe, chMin Time) {
 	safe, chMin = maxTime, maxTime
 	if at, schedAt, has := isl.eng.NextEvent(); has {
@@ -287,57 +361,59 @@ func (isl *Island) pickLocked() (best cand, ok bool, safe, chMin Time) {
 	return best, ok, safe, chMin
 }
 
-// queuedLocked counts inbound messages not yet executed. Caller holds
-// isl.mu.
-func (isl *Island) queuedLocked() int {
-	n := 0
+// safeLocked is pickLocked's safe bound alone, from the channels
+// without the engine. Caller holds st.mu.
+func (isl *Island) safeLocked() Time {
+	safe := maxTime
 	for _, c := range isl.in {
-		n += c.count
+		if c.count == 0 {
+			safe = min(safe, satAdd(c.promise, c.lookahead))
+		}
 	}
-	return n
+	return safe
 }
 
-// publish raises the promise on every outbound channel whose last
-// published bound lags value. While busy (force=false) a channel is
-// only touched once the clock has advanced a quantum past its last
-// publication, bounding lock traffic to a fraction of the lookahead;
-// at a blocking point (force=true) every lagging channel is raised so
-// neighbors can make maximal progress.
-func (isl *Island) publish(value Time, force bool) {
-	for _, c := range isl.out {
-		if value <= c.sentPromise {
-			continue
-		}
-		if !force && value < satAdd(c.sentPromise, c.pubQuantum) {
-			continue
-		}
-		to := c.to
-		to.mu.Lock()
-		if c.promise < value {
-			c.promise = value
-			to.version++
-			if to.waiting {
-				to.cond.Signal()
+// publish raises, while the island is busy, the promise on every
+// outbound channel whose last publication lags value by at least a
+// quantum, bounding lock traffic to a fraction of the lookahead.
+func (isl *Island) publish(value Time) {
+	for i, c := range isl.out {
+		if value >= satAdd(c.sentPromise, c.pubQuantum) {
+			isl.st.mu.Lock()
+			for _, c := range isl.out[i:] {
+				if value >= satAdd(c.sentPromise, c.pubQuantum) {
+					c.raiseLocked(value)
+				}
 			}
+			isl.st.mu.Unlock()
+			return
 		}
-		to.mu.Unlock()
-		c.sentPromise = value
 	}
 }
 
-// runLoop is one island's executor: merge, execute while safe, else
-// promise and wait. Lock order is strict — isl.mu is never held while
-// taking another island's mu or st.mu (promises are published after
-// snapshotting the decision under the version counter, and the
-// snapshot is revalidated before sleeping).
-func (isl *Island) runLoop() {
+// raiseLocked publishes value as the channel's promise, waking the
+// receiver if that makes it runnable. Caller holds st.mu.
+func (c *Channel) raiseLocked(value Time) {
+	if c.promise < value {
+		c.promise = value
+		c.from.st.wakeLocked(c.to, maxTime)
+	}
+	c.sentPromise = value
+}
+
+// run executes the island for the worker holding it: merge, execute
+// while safe, and when nothing is executable publish the clock it is
+// now guaranteed to reach and mark it blocked. The final merge, the
+// promise publication and the block happen under one hold of st.mu,
+// so no wakeup can slip between them. Returns holding st.mu.
+func (isl *Island) run() {
 	st := isl.st
 	for {
-		isl.mu.Lock()
+		st.mu.Lock()
 		best, ok, safe, chMin := isl.pickLocked()
 		if ok && best.at <= safe {
 			if best.ch == nil {
-				isl.mu.Unlock()
+				st.mu.Unlock()
 				// Lock-free batch: every engine event strictly before the
 				// earliest queued channel head and within the safe bound
 				// wins the merge outright, so run them all without
@@ -349,7 +425,7 @@ func (isl *Island) runLoop() {
 				// tie-break.
 				for {
 					isl.eng.Step()
-					isl.publish(isl.eng.Now(), false)
+					isl.publish(isl.eng.Now())
 					at, _, has := isl.eng.NextEvent()
 					if !has || at > safe || at >= chMin {
 						break
@@ -357,86 +433,71 @@ func (isl *Island) runLoop() {
 				}
 			} else {
 				m := best.ch.pop()
-				isl.mu.Unlock()
+				st.mu.Unlock()
 				if now := isl.eng.Now(); m.at > now {
 					isl.eng.Advance(m.at - now)
 				}
-				st.processed.Add(1)
 				m.run()
-				isl.publish(isl.eng.Now(), false)
+				isl.publish(isl.eng.Now())
 			}
 			continue
 		}
-		// Nothing executable. lbts is the clock value we are guaranteed
-		// to reach before sending anything else: every candidate is past
-		// safe, and any future arrival is past safe too (promise +
-		// lookahead is inclusive; real messages land strictly beyond it).
-		v := isl.version
-		pureIdle := !ok && isl.queuedLocked() == 0
-		lbts := isl.eng.Now()
-		if limit := satAdd(safe, 1); limit > lbts {
-			lbts = limit
-		}
-		isl.mu.Unlock()
-		isl.publish(lbts, true)
-		if pureIdle {
-			st.mu.Lock()
-			st.idle++
-			if st.idle == st.n && st.sent.Load() == st.processed.Load() {
-				st.done.Store(true)
-				st.mu.Unlock()
-				st.wakeAll()
-				return
+		// Nothing executable. The clock is guaranteed to reach at least
+		// safe+1 before the island sends anything else: every candidate
+		// is past safe, and any future arrival is past safe too
+		// (promise + lookahead is inclusive; real messages land
+		// strictly beyond it).
+		lbts := max(isl.eng.Now(), satAdd(safe, 1))
+		for _, c := range isl.out {
+			if lbts > c.sentPromise {
+				c.raiseLocked(lbts)
 			}
-			st.mu.Unlock()
 		}
-		isl.mu.Lock()
-		if isl.version == v && !st.done.Load() {
-			isl.waiting = true
-			isl.cond.Wait()
-			isl.waiting = false
+		isl.state = blocked
+		isl.need = maxTime
+		if ok {
+			isl.need = best.at
 		}
-		isl.mu.Unlock()
-		if pureIdle {
-			st.mu.Lock()
-			st.idle--
-			st.mu.Unlock()
-		}
-		if st.done.Load() {
-			return
-		}
+		return
 	}
 }
 
 // RunIslands drives the islands to global completion: every engine
 // drained, every channel empty. spawn must run its argument for each
 // i in 0..n-1 on concurrent goroutines and return once all have
-// finished — each island needs its own goroutine (multiplexing
-// blocking islands onto fewer workers deadlocks), so callers pass a
-// one-worker-per-island fan-out (internal/netsim routes this through
-// internal/parallel). Channels persist across calls; promises are
-// (re)seeded from the senders' current clocks, so a fabric that
-// settles, loads and runs again never replays the null-message climb
-// from time zero.
+// finished (internal/netsim routes this through internal/parallel).
+// Channels persist across calls; promises are (re)seeded from the
+// senders' current clocks, so a fabric that settles, loads and runs
+// again never replays the null-message climb from time zero.
+//
+// The pool gets one worker per two CPUs the process may use (at least
+// one, at most one per island), leaving the rest to the runtime's
+// garbage collector and scheduler, as a single engine does. A worker
+// per CPU lost on the 2-CPU reference host: in the 4-server cluster
+// cell only 278 of 16,433 island runs overlapped, and the second
+// worker's cross-CPU wakeups made the cell about 1.25x slower than one
+// worker.
 func RunIslands(islands []*Island, spawn func(n int, run func(i int))) {
-	st := &shardState{n: len(islands), islands: islands}
+	runIslands(islands, max(1, runtime.GOMAXPROCS(0)/2), spawn)
+}
+
+// runIslands is RunIslands on a given number of workers. Any count is
+// deadlock-free, since a blocked island holds no worker.
+func runIslands(islands []*Island, workers int, spawn func(n int, run func(i int))) {
+	st := &shardState{islands: islands}
+	st.cond.L = &st.mu
 	for _, isl := range islands {
 		isl.st = st
+		isl.state = ready
+		st.ready = append(st.ready, isl)
 		now := isl.eng.Now()
 		for _, c := range isl.out {
-			c.to.mu.Lock()
-			if c.promise < now {
-				c.promise = now
-			}
-			c.to.mu.Unlock()
-			if c.sentPromise < now {
-				c.sentPromise = now
-			}
+			c.promise = max(c.promise, now)
+			c.sentPromise = max(c.sentPromise, now)
 		}
 	}
-	spawn(len(islands), func(i int) { islands[i].runLoop() })
+	spawn(min(workers, len(islands)), func(int) { st.work() })
 	for _, isl := range islands {
-		isl.st = nil
 		isl.eng.flushMeter()
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// goSpawn is the test fan-out: one goroutine per island.
+// goSpawn is the test fan-out: one goroutine per worker.
 func goSpawn(n int, run func(i int)) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -18,11 +18,21 @@ func goSpawn(n int, run func(i int)) {
 	wg.Wait()
 }
 
+// workerCounts are the pool sizes every island test runs under: one
+// worker multiplexes all islands; two run them concurrently, so the
+// race detector sees the cross-worker hand-offs.
+var workerCounts = []int{1, 2}
+
 // TestIslandNullMessageStarvation: an island whose only neighbor is
 // completely quiet (no events, never sends) must still advance past it
-// on lookahead promises alone — the null-message path, exercised here
-// across many lookahead windows.
+// — here 100 lookahead windows, which the stall jump crosses at once.
 func TestIslandNullMessageStarvation(t *testing.T) {
+	for _, w := range workerCounts {
+		testIslandNullMessageStarvation(t, w)
+	}
+}
+
+func testIslandNullMessageStarvation(t *testing.T, workers int) {
 	const lookahead = 100
 	const eventAt = 10_000 // 100 lookahead windows past the quiet island
 	busy := NewIsland(0, NewEngine())
@@ -35,18 +45,13 @@ func TestIslandNullMessageStarvation(t *testing.T) {
 	fired := Time(0)
 	busy.eng.At(eventAt, func() { fired = busy.eng.Now() })
 
-	done := make(chan struct{})
-	go func() {
-		RunIslands([]*Island{busy, quiet}, goSpawn)
-		close(done)
-	}()
-	<-done
+	runIslands([]*Island{busy, quiet}, workers, goSpawn)
 
 	if fired != eventAt {
-		t.Fatalf("event fired at %d, want %d", fired, eventAt)
+		t.Fatalf("workers=%d: event fired at %d, want %d", workers, fired, eventAt)
 	}
 	if busy.eng.Now() != eventAt {
-		t.Fatalf("busy clock %d, want %d", busy.eng.Now(), eventAt)
+		t.Fatalf("workers=%d: busy clock %d, want %d", workers, busy.eng.Now(), eventAt)
 	}
 }
 
@@ -57,7 +62,7 @@ func TestIslandNullMessageStarvation(t *testing.T) {
 // records: cross-island recording order is inherently unordered, which
 // is why the fabric keeps every tracer on a single island.)
 func TestIslandCrossTrafficDeterministic(t *testing.T) {
-	run := func() []Time {
+	run := func(workers int) []Time {
 		var log []Time
 		a := NewIsland(0, NewEngine())
 		b := NewIsland(1, NewEngine())
@@ -85,15 +90,15 @@ func TestIslandCrossTrafficDeterministic(t *testing.T) {
 			at := 7 * i
 			a.eng.At(at, func() { log = append(log, at) })
 		}
-		RunIslands([]*Island{a, b}, goSpawn)
+		runIslands([]*Island{a, b}, workers, goSpawn)
 		return log
 	}
-	first := run()
+	first := run(1)
 	if len(first) < 40 {
 		t.Fatalf("log too short: %d entries", len(first))
 	}
 	for trial := 0; trial < 20; trial++ {
-		got := run()
+		got := run(workerCounts[trial%len(workerCounts)])
 		if len(got) != len(first) {
 			t.Fatalf("trial %d: %d entries, want %d", trial, len(got), len(first))
 		}
@@ -132,7 +137,7 @@ func TestIslandMatchesSingleEngine(t *testing.T) {
 		return r
 	}
 
-	sharded := func() result {
+	sharded := func(workers int) result {
 		var r result
 		client := NewIsland(0, NewEngine())
 		server := NewIsland(1, NewEngine())
@@ -150,17 +155,20 @@ func TestIslandMatchesSingleEngine(t *testing.T) {
 				})
 			})
 		}
-		RunIslands([]*Island{client, server}, goSpawn)
+		runIslands([]*Island{client, server}, workers, goSpawn)
 		return r
 	}
 
-	want, got := single(), sharded()
-	if len(want.completions) != len(got.completions) {
-		t.Fatalf("completions: single %d, sharded %d", len(want.completions), len(got.completions))
-	}
-	for i := range want.completions {
-		if want.completions[i] != got.completions[i] {
-			t.Fatalf("completion %d: single %d, sharded %d", i, want.completions[i], got.completions[i])
+	want := single()
+	for _, w := range workerCounts {
+		got := sharded(w)
+		if len(want.completions) != len(got.completions) {
+			t.Fatalf("workers=%d: completions: single %d, sharded %d", w, len(want.completions), len(got.completions))
+		}
+		for i := range want.completions {
+			if want.completions[i] != got.completions[i] {
+				t.Fatalf("workers=%d: completion %d: single %d, sharded %d", w, i, want.completions[i], got.completions[i])
+			}
 		}
 	}
 }

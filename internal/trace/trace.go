@@ -19,9 +19,10 @@
 // disabled path is a nil check. No allocation, no locking, no clock
 // reads happen unless a tracer is attached.
 //
-// Like sim.Engine, a Tracer is not safe for concurrent use. The token
-// handoff protocol guarantees only one goroutine per machine touches
-// it at a time; attach distinct machines to one Tracer only when they
+// Like sim.Engine, a Tracer is not safe for concurrent use. A
+// machine's environments are coroutines of its host goroutine
+// (internal/kernel), so only one goroutine per machine touches it at
+// a time; attach distinct machines to one Tracer only when they
 // run sequentially. Machines running concurrently (internal/parallel)
 // each get their own Tracer, folded together afterwards with Merge.
 package trace
