@@ -98,21 +98,6 @@ func main() {
 		bench.Trace = tr
 	}
 	defer dumpTrace(tr)
-	experiments := map[string]func(){
-		"figure2":    figure2,
-		"mab":        mab,
-		"protection": protection,
-		"table2":     table2,
-		"figure3":    figure3,
-		"figure4":    func() { globalPerf("Figure 4 (pool 1)", core.Pool1()) },
-		"figure5":    func() { globalPerf("Figure 5 (pool 2)", core.Pool2()) },
-		"emulator":   emulator,
-		"xcp":        xcp,
-		"crash":      crash,
-		"difftest":   diffFuzz,
-		"cluster":    cluster,
-	}
-	order := []string{"figure2", "mab", "protection", "table2", "emulator", "xcp", "crash", "difftest", "figure3", "figure4", "figure5", "cluster"}
 	if *runFlag == "all" {
 		for _, name := range order {
 			timed(name, experiments[name])
@@ -127,6 +112,26 @@ func main() {
 	}
 	timed(*runFlag, fn)
 }
+
+// experiments maps each -run name to its experiment; order is the
+// order -run all runs them in.
+var (
+	experiments = map[string]func(){
+		"figure2":    figure2,
+		"mab":        mab,
+		"protection": protection,
+		"table2":     table2,
+		"figure3":    figure3,
+		"figure4":    func() { globalPerf("Figure 4 (pool 1)", core.Pool1()) },
+		"figure5":    func() { globalPerf("Figure 5 (pool 2)", core.Pool2()) },
+		"emulator":   emulator,
+		"xcp":        xcp,
+		"crash":      crash,
+		"difftest":   diffFuzz,
+		"cluster":    cluster,
+	}
+	order = []string{"figure2", "mab", "protection", "table2", "emulator", "xcp", "crash", "difftest", "figure3", "figure4", "figure5", "cluster"}
+)
 
 // timed wraps one experiment with a wall-clock summary: host seconds
 // spent, virtual cycles simulated, and engine events dispatched with

@@ -46,10 +46,12 @@ var (
 	ErrPageInUse    = errors.New("mem: page reference count not zero")
 )
 
+// page is one frame's metadata. The zero page is a free frame that was
+// never allocated.
 type page struct {
 	guard    xcap.Capability
 	refCount int  // live mappings + registry pins
-	free     bool // on the free list
+	used     bool // allocated, not on the free list
 	shared   bool // data is frozen in a snapshot: copy-on-write, never mutate or Put
 	data     []byte
 	lastUse  uint64 // LRU clock stamp
@@ -57,9 +59,18 @@ type page struct {
 
 // PhysMem is the machine's physical page frame array plus the free
 // list.
+//
+// The free list is kept in two parts, so that booting and tearing down
+// a machine cost the frames it used rather than its memory size. The
+// frames from fresh up have never been allocated: they are zero pages,
+// and stand at the bottom of the list in descending order, so once
+// freeList (the frames freed since, most recent last) runs out, Alloc
+// hands them out lowest first, the order a list built as
+// n-1, ..., 1, 0 would give.
 type PhysMem struct {
 	pages    []page
 	freeList []PageNo
+	fresh    int
 	useClock uint64
 	stats    *sim.Stats
 }
@@ -67,28 +78,28 @@ type PhysMem struct {
 // physmemPool recycles whole PhysMem shells (the page-frame array and
 // free list) between machine boots. Harnesses that churn through
 // machines hand them back via Recycle; a pooled shell whose arrays are
-// too small for the requested size is simply replaced.
+// too small for the requested size is simply replaced. A pooled shell's
+// page array is zero up to its capacity.
 var physmemPool = sync.Pool{New: func() any { return new(PhysMem) }}
 
-// New returns physical memory with npages frames, all free.
-func New(npages int, stats *sim.Stats) *PhysMem {
+// shell takes a pooled PhysMem with npages zero frames.
+func shell(npages int, stats *sim.Stats) *PhysMem {
 	m := physmemPool.Get().(*PhysMem)
 	m.stats = stats
-	m.useClock = 0
 	if cap(m.pages) >= npages {
 		m.pages = m.pages[:npages]
 	} else {
 		m.pages = make([]page, npages)
 	}
-	if cap(m.freeList) >= npages {
-		m.freeList = m.freeList[:0]
-	} else {
-		m.freeList = make([]PageNo, 0, npages)
-	}
-	for i := npages - 1; i >= 0; i-- {
-		m.pages[i].free = true
-		m.freeList = append(m.freeList, PageNo(i))
-	}
+	return m
+}
+
+// New returns physical memory with npages frames, all free.
+func New(npages int, stats *sim.Stats) *PhysMem {
+	m := shell(npages, stats)
+	m.useClock = 0
+	m.freeList = m.freeList[:0]
+	m.fresh = 0
 	return m
 }
 
@@ -97,12 +108,14 @@ func New(npages int, stats *sim.Stats) *PhysMem {
 // the next New. The caller promises no reference into this PhysMem —
 // page data included — survives the call.
 func (m *PhysMem) Recycle() {
-	for i := range m.pages {
-		if d := m.pages[i].data; d != nil && !m.pages[i].shared {
+	touched := m.pages[:m.fresh]
+	for i := range touched {
+		if d := touched[i].data; d != nil && !touched[i].shared {
 			bufpool.Put(d)
 		}
 	}
-	clear(m.pages)
+	clear(touched)
+	m.fresh = 0
 	m.stats = nil
 	physmemPool.Put(m)
 }
@@ -112,7 +125,7 @@ func (m *PhysMem) NumPages() int { return len(m.pages) }
 
 // FreePages returns how many frames are on the free list. The free
 // list itself is exposed state; applications use it to pick frames.
-func (m *PhysMem) FreePages() int { return len(m.freeList) }
+func (m *PhysMem) FreePages() int { return len(m.freeList) + len(m.pages) - m.fresh }
 
 func (m *PhysMem) valid(p PageNo) bool {
 	return p >= 0 && int(p) < len(m.pages)
@@ -122,14 +135,18 @@ func (m *PhysMem) valid(p PageNo) bool {
 // The caller (an environment) chose to allocate — allocation is always
 // explicit and visible.
 func (m *PhysMem) Alloc(guard xcap.Capability) (PageNo, error) {
-	n := len(m.freeList)
-	if n == 0 {
+	var p PageNo
+	if n := len(m.freeList); n > 0 {
+		p = m.freeList[n-1]
+		m.freeList = m.freeList[:n-1]
+	} else if m.fresh < len(m.pages) {
+		p = PageNo(m.fresh)
+		m.fresh++
+	} else {
 		return NoPage, ErrNoMemory
 	}
-	p := m.freeList[n-1]
-	m.freeList = m.freeList[:n-1]
 	pg := &m.pages[p]
-	pg.free = false
+	pg.used = true
 	pg.guard = guard
 	pg.refCount = 0
 	pg.lastUse = m.touchClock()
@@ -143,8 +160,17 @@ func (m *PhysMem) AllocSpecific(p PageNo, guard xcap.Capability) error {
 		return ErrBadPage
 	}
 	pg := &m.pages[p]
-	if !pg.free {
+	if pg.used {
 		return ErrNotFree
+	}
+	if int(p) >= m.fresh {
+		// Spell the never-allocated frames out beneath the freed ones.
+		list := make([]PageNo, 0, len(m.pages)-m.fresh+len(m.freeList))
+		for i := len(m.pages) - 1; i >= m.fresh; i-- {
+			list = append(list, PageNo(i))
+		}
+		m.freeList = append(list, m.freeList...)
+		m.fresh = len(m.pages)
 	}
 	for i, f := range m.freeList {
 		if f == p {
@@ -152,7 +178,7 @@ func (m *PhysMem) AllocSpecific(p PageNo, guard xcap.Capability) error {
 			break
 		}
 	}
-	pg.free = false
+	pg.used = true
 	pg.guard = guard
 	pg.refCount = 0
 	pg.lastUse = m.touchClock()
@@ -168,7 +194,7 @@ func (m *PhysMem) Free(p PageNo, creds xcap.Credentials) error {
 		return ErrBadPage
 	}
 	pg := &m.pages[p]
-	if pg.free {
+	if !pg.used {
 		return ErrBadPage
 	}
 	if !creds.Grants(pg.guard, true) {
@@ -177,7 +203,7 @@ func (m *PhysMem) Free(p PageNo, creds xcap.Credentials) error {
 	if pg.refCount != 0 {
 		return ErrPageInUse
 	}
-	pg.free = true
+	pg.used = false
 	// Keep the frame buffer attached (zeroed) rather than dropping it to
 	// the GC: a later Alloc of this frame sees the same fresh-page
 	// semantics, without re-allocating 4 KB. A snapshot-frozen buffer
@@ -201,7 +227,7 @@ func (m *PhysMem) Access(p PageNo, creds xcap.Credentials, write bool) error {
 		return ErrBadPage
 	}
 	pg := &m.pages[p]
-	if pg.free {
+	if !pg.used {
 		return ErrBadPage
 	}
 	if !creds.Grants(pg.guard, write) {
@@ -221,7 +247,7 @@ func (m *PhysMem) SetGuard(p PageNo, creds xcap.Credentials, guard xcap.Capabili
 
 // Guard returns the page's guard capability (exposed information).
 func (m *PhysMem) Guard(p PageNo) (xcap.Capability, error) {
-	if !m.valid(p) || m.pages[p].free {
+	if !m.valid(p) || !m.pages[p].used {
 		return xcap.Capability{}, ErrBadPage
 	}
 	return m.pages[p].guard, nil
@@ -230,7 +256,7 @@ func (m *PhysMem) Guard(p PageNo) (xcap.Capability, error) {
 // Ref pins a frame (a mapping or a buffer-registry entry references
 // it). RefCount is exposed information.
 func (m *PhysMem) Ref(p PageNo) error {
-	if !m.valid(p) || m.pages[p].free {
+	if !m.valid(p) || !m.pages[p].used {
 		return ErrBadPage
 	}
 	m.pages[p].refCount++
@@ -239,7 +265,7 @@ func (m *PhysMem) Ref(p PageNo) error {
 
 // Unref releases one pin.
 func (m *PhysMem) Unref(p PageNo) error {
-	if !m.valid(p) || m.pages[p].free {
+	if !m.valid(p) || !m.pages[p].used {
 		return ErrBadPage
 	}
 	if m.pages[p].refCount == 0 {
@@ -251,7 +277,7 @@ func (m *PhysMem) Unref(p PageNo) error {
 
 // RefCount returns the pin count of frame p.
 func (m *PhysMem) RefCount(p PageNo) int {
-	if !m.valid(p) || m.pages[p].free {
+	if !m.valid(p) || !m.pages[p].used {
 		return 0
 	}
 	return m.pages[p].refCount
@@ -261,7 +287,7 @@ func (m *PhysMem) RefCount(p PageNo) int {
 // The simulation stores real bytes so XN's UDFs can interpret real
 // metadata.
 func (m *PhysMem) Data(p PageNo) []byte {
-	if !m.valid(p) || m.pages[p].free {
+	if !m.valid(p) || !m.pages[p].used {
 		panic(fmt.Sprintf("mem: Data on invalid page %d", p))
 	}
 	pg := &m.pages[p]
@@ -286,7 +312,7 @@ func (m *PhysMem) Data(p PageNo) []byte {
 // ordering of all physical pages, something individual applications
 // cannot do without global information" (Section 3.1).
 func (m *PhysMem) Touch(p PageNo) {
-	if m.valid(p) && !m.pages[p].free {
+	if m.valid(p) && m.pages[p].used {
 		m.pages[p].lastUse = m.touchClock()
 	}
 }
@@ -302,9 +328,9 @@ func (m *PhysMem) touchClock() uint64 {
 func (m *PhysMem) LRUVictim() PageNo {
 	best := NoPage
 	var bestUse uint64
-	for i := range m.pages {
+	for i := range m.pages[:m.fresh] {
 		pg := &m.pages[i]
-		if pg.free || pg.refCount > 0 {
+		if !pg.used || pg.refCount > 0 {
 			continue
 		}
 		if best == NoPage || pg.lastUse < bestUse {

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"xok/internal/cap"
@@ -204,5 +206,104 @@ func TestPageTable(t *testing.T) {
 	}
 	if len(pt.VPNs()) != 1 {
 		t.Fatal("VPNs length mismatch")
+	}
+}
+
+// TestFreeListOrderMatchesExplicitList drives Alloc, Free and
+// AllocSpecific at random and checks every allocation against the free
+// list spelled out in full (built n-1, ..., 0, freed frames pushed on
+// top), across a Recycle into a smaller machine and a Freeze and Fork.
+func TestFreeListOrderMatchesExplicitList(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := cap.Root(true)
+	creds := cap.Credentials{g}
+	check := func(m *PhysMem, ref []PageNo, ops int) []PageNo {
+		t.Helper()
+		used := map[PageNo]bool{}
+		for p := range m.pages {
+			if m.pages[p].used {
+				used[PageNo(p)] = true
+			}
+		}
+		for i := 0; i < ops; i++ {
+			switch r := rng.Intn(10); {
+			case r < 5:
+				p, err := m.Alloc(g)
+				if len(ref) == 0 {
+					if err != ErrNoMemory {
+						t.Fatalf("op %d: Alloc = %d, %v on an empty list", i, p, err)
+					}
+					continue
+				}
+				want := ref[len(ref)-1]
+				ref = ref[:len(ref)-1]
+				if err != nil || p != want {
+					t.Fatalf("op %d: Alloc = %d, %v, want %d", i, p, err, want)
+				}
+				if d := m.Data(p); d[0] != 0 || d[len(d)-1] != 0 {
+					t.Fatalf("op %d: page %d not zero", i, p)
+				}
+				m.Data(p)[0] = 1
+				used[p] = true
+			case r < 9:
+				if len(used) == 0 {
+					continue
+				}
+				keys := make([]PageNo, 0, len(used))
+				for p := range used {
+					keys = append(keys, p)
+				}
+				slices.Sort(keys)
+				p := keys[rng.Intn(len(keys))]
+				if err := m.Free(p, creds); err != nil {
+					t.Fatalf("op %d: Free(%d): %v", i, p, err)
+				}
+				delete(used, p)
+				ref = append(ref, p)
+			default:
+				p := PageNo(rng.Intn(len(m.pages)))
+				err := m.AllocSpecific(p, g)
+				if used[p] {
+					if err != ErrNotFree {
+						t.Fatalf("op %d: AllocSpecific(%d) of a used frame: %v", i, p, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("op %d: AllocSpecific(%d): %v", i, p, err)
+				}
+				for j, f := range ref {
+					if f == p {
+						ref = append(ref[:j], ref[j+1:]...)
+						break
+					}
+				}
+				used[p] = true
+			}
+			if m.FreePages() != len(ref) {
+				t.Fatalf("op %d: FreePages = %d, want %d", i, m.FreePages(), len(ref))
+			}
+		}
+		return ref
+	}
+	fresh := func(n int) []PageNo {
+		var ref []PageNo
+		for p := n - 1; p >= 0; p-- {
+			ref = append(ref, PageNo(p))
+		}
+		return ref
+	}
+	for round := 0; round < 4; round++ {
+		m := newMem(64)
+		ref := check(m, fresh(64), 200)
+		s := m.Freeze()
+		f := s.Fork(sim.NewStats())
+		check(f, append([]PageNo(nil), ref...), 200)
+		f.Recycle()
+		m.Recycle()
+		s.Release()
+		m = newMem(48)
+		check(m, fresh(48), 200)
+		m.Recycle()
 	}
 }

@@ -17,8 +17,10 @@ import (
 // machine forked from the snapshot can touch them again. Forking from
 // one Snap is safe from concurrent goroutines: forks only read it.
 type Snap struct {
-	pages    []page
+	pages    []page // the frames below fresh; the rest are zero
+	npages   int
 	freeList []PageNo
+	fresh    int
 	useClock uint64
 	owned    [][]byte // buffers this snapshot froze; returned on Release
 }
@@ -27,30 +29,26 @@ type Snap struct {
 // buffer to copy-on-write. m keeps running afterwards — its first
 // write (or read) of a frozen frame copies the buffer up.
 func (m *PhysMem) Freeze() *Snap {
-	s := &Snap{useClock: m.useClock}
+	s := &Snap{npages: len(m.pages), fresh: m.fresh, useClock: m.useClock}
 	s.freeList = append([]PageNo(nil), m.freeList...)
-	for i := range m.pages {
-		pg := &m.pages[i]
+	touched := m.pages[:m.fresh]
+	for i := range touched {
+		pg := &touched[i]
 		if pg.data != nil && !pg.shared {
 			s.owned = append(s.owned, pg.data)
 			pg.shared = true
 		}
 	}
-	s.pages = append([]page(nil), m.pages...)
+	s.pages = append([]page(nil), touched...)
 	return s
 }
 
 // Fork builds a new PhysMem continuing from the snapshot. All frames
 // with data start shared (copy-on-write against the frozen buffers).
 func (s *Snap) Fork(stats *sim.Stats) *PhysMem {
-	m := physmemPool.Get().(*PhysMem)
-	m.stats = stats
+	m := shell(s.npages, stats)
 	m.useClock = s.useClock
-	if cap(m.pages) >= len(s.pages) {
-		m.pages = m.pages[:len(s.pages)]
-	} else {
-		m.pages = make([]page, len(s.pages))
-	}
+	m.fresh = s.fresh
 	copy(m.pages, s.pages)
 	if cap(m.freeList) >= len(s.freeList) {
 		m.freeList = m.freeList[:len(s.freeList)]

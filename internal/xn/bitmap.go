@@ -1,5 +1,7 @@
 package xn
 
+import "math/bits"
+
 // bitmap is XN's free map: bit set = block free. LibFSes read it to
 // control their own layout; only XN writes it.
 type bitmap struct {
@@ -29,21 +31,28 @@ func (b *bitmap) set(i int64, v bool) {
 	}
 }
 
+// setRange sets bits [lo, hi), clipped to the map, a word at a time.
 func (b *bitmap) setRange(lo, hi int64, v bool) {
-	for i := lo; i < hi; i++ {
-		b.set(i, v)
+	lo, hi = max(lo, 0), min(hi, b.n)
+	for lo < hi {
+		w, off := lo/64, uint(lo%64)
+		span := min(hi-lo, int64(64-off))
+		mask := ^uint64(0) >> (64 - uint(span)) << off
+		if v {
+			b.words[w] |= mask
+		} else {
+			b.words[w] &^= mask
+		}
+		lo += span
 	}
 }
 
 func (b *bitmap) count() int64 {
-	var c int64
+	var c int
 	for _, w := range b.words {
-		for w != 0 {
-			w &= w - 1
-			c++
-		}
+		c += bits.OnesCount64(w)
 	}
-	return c
+	return int64(c)
 }
 
 // findRun locates `count` consecutive free blocks at or after hint,

@@ -107,3 +107,52 @@ func TestBitmapFindRunProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// setRangeRef is the per-bit reference setRange is checked against.
+func setRangeRef(b *bitmap, lo, hi int64, v bool) {
+	for i := lo; i < hi; i++ {
+		b.set(i, v)
+	}
+}
+
+// TestBitmapSetRangeMatchesPerBit checks the word-level setRange
+// against the per-bit loop with lo and hi on and beside word edges,
+// over an empty, a full and a patterned map, on maps that end inside a
+// word and on one.
+func TestBitmapSetRangeMatchesPerBit(t *testing.T) {
+	for _, n := range []int64{130, 128} {
+		edges := []int64{0, 63, 64, 65, n}
+		for _, fill := range []uint64{0, ^uint64(0), 0xA5A5_5A5A_F00F_0FF0} {
+			for _, lo := range edges {
+				for _, hi := range edges {
+					for _, v := range []bool{true, false} {
+						got, want := newBitmap(n), newBitmap(n)
+						for i := int64(0); i < n; i++ {
+							bit := fill>>(uint(i)%64)&1 != 0
+							got.set(i, bit)
+							want.set(i, bit)
+						}
+						got.setRange(lo, hi, v)
+						setRangeRef(want, lo, hi, v)
+						for w := range want.words {
+							if got.words[w] != want.words[w] {
+								t.Fatalf("n=%d fill=%x setRange(%d, %d, %v): word %d = %x, want %x",
+									n, fill, lo, hi, v, w, got.words[w], want.words[w])
+							}
+						}
+						var c int64
+						for i := int64(0); i < n; i++ {
+							if want.get(i) {
+								c++
+							}
+						}
+						if got.count() != c {
+							t.Fatalf("n=%d fill=%x setRange(%d, %d, %v): count %d, want %d",
+								n, fill, lo, hi, v, got.count(), c)
+						}
+					}
+				}
+			}
+		}
+	}
+}

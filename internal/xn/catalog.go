@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"sort"
+	"sync"
 
 	"xok/internal/disk"
 	"xok/internal/kernel"
@@ -125,17 +126,16 @@ func Mount(k *kernel.Kernel) (*XN, error) {
 		}
 		data = append(data, blk[:need]...)
 	}
-	var img catalogImage
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("xn: catalogue decode: %v", err)
+	cat, err := decodeCatalog(data)
+	if err != nil {
+		return nil, err
 	}
-	x.nextTmpl = img.NextTmpl
-	for i := range img.Templates {
-		t := img.Templates[i]
-		x.templates[t.ID] = &t
+	x.nextTmpl = cat.nextTmpl
+	for _, t := range cat.templates {
+		x.templates[t.ID] = t
 		x.tmplNames[t.Name] = t.ID
 	}
-	for _, r := range img.Roots {
+	for _, r := range cat.roots {
 		if r.Temporary {
 			continue // temporary file systems do not survive reboot
 		}
@@ -145,6 +145,52 @@ func Mount(k *kernel.Kernel) (*XN, error) {
 	x.free.setRange(reservedEnd, x.D.NumBlocks(), true)
 	x.recoverGC()
 	return x, nil
+}
+
+// mountedCatalog is a decoded catalogue image. Its templates are
+// shared by every XN mounted from the same bytes, as Snapshot shares
+// them with forks: a template never changes once installed.
+type mountedCatalog struct {
+	nextTmpl  TemplateID
+	templates []*Template
+	roots     []Root
+}
+
+// catalogMemoMax bounds the memo of decoded catalogues. A campaign of
+// forked machines mounts a handful of distinct catalogues thousands of
+// times; the memo is emptied when it fills.
+const catalogMemoMax = 16
+
+// catalogMemo maps a catalogue's exact bytes to its decoding. Mount
+// runs on parallel workers, so the map is guarded.
+var catalogMemo = struct {
+	sync.Mutex
+	m map[string]*mountedCatalog
+}{m: make(map[string]*mountedCatalog)}
+
+// decodeCatalog decodes a catalogue image, once per distinct image.
+func decodeCatalog(data []byte) (*mountedCatalog, error) {
+	catalogMemo.Lock()
+	cat := catalogMemo.m[string(data)]
+	catalogMemo.Unlock()
+	if cat != nil {
+		return cat, nil
+	}
+	var img catalogImage
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
+		return nil, fmt.Errorf("xn: catalogue decode: %v", err)
+	}
+	cat = &mountedCatalog{nextTmpl: img.NextTmpl, roots: img.Roots}
+	for i := range img.Templates {
+		cat.templates = append(cat.templates, &img.Templates[i])
+	}
+	catalogMemo.Lock()
+	if len(catalogMemo.m) >= catalogMemoMax {
+		clear(catalogMemo.m)
+	}
+	catalogMemo.m[string(data)] = cat
+	catalogMemo.Unlock()
+	return cat, nil
 }
 
 // recoverGC rebuilds the free map and the on-disk reference counts by

@@ -101,7 +101,7 @@ func (x *XN) Read(e *kernel.Env, blocks []disk.BlockNo, pages []mem.PageNo) erro
 		case StateInTransit:
 			// Another environment's read is in flight; wait for it.
 			if e != nil {
-				en.waiters = append(en.waiters, e)
+				x.waiters[en] = append(x.waiters[en], e)
 			}
 			continue
 		}
@@ -113,19 +113,8 @@ func (x *XN) Read(e *kernel.Env, blocks []disk.BlockNo, pages []mem.PageNo) erro
 			// zeros) and stale-data containment in one. Uninit stays
 			// set: it describes the *disk*, which is still garbage.
 			x.K.Stats.Inc(sim.CtrCacheHits)
-			if en.Page == mem.NoPage {
-				var p mem.PageNo
-				if pages != nil && i < len(pages) && pages[i] != mem.NoPage {
-					p = pages[i]
-				} else {
-					var err error
-					p, err = x.getPage(e)
-					if err != nil {
-						return err
-					}
-				}
-				en.Page = p
-				x.M.Ref(p)
+			if err := x.backPage(e, en, pages, i); err != nil {
+				return err
 			}
 			d := x.M.Data(en.Page)
 			for j := range d {
@@ -136,19 +125,8 @@ func (x *XN) Read(e *kernel.Env, blocks []disk.BlockNo, pages []mem.PageNo) erro
 			continue
 		}
 		x.K.Stats.Inc(sim.CtrCacheMisses)
-		if en.Page == mem.NoPage {
-			var p mem.PageNo
-			if pages != nil && i < len(pages) && pages[i] != mem.NoPage {
-				p = pages[i]
-			} else {
-				var err error
-				p, err = x.getPage(e)
-				if err != nil {
-					return err
-				}
-			}
-			en.Page = p
-			x.M.Ref(p)
+		if err := x.backPage(e, en, pages, i); err != nil {
+			return err
 		}
 		en.setState(StateInTransit)
 		ops = append(ops, readOp{b, en})
@@ -181,10 +159,12 @@ func (x *XN) Read(e *kernel.Env, blocks []disk.BlockNo, pages []mem.PageNo) erro
 						op.entry.noteBad(wasBad)
 						x.touch(op.entry)
 					}
-					for _, w := range op.entry.waiters {
-						x.K.Wake(w)
+					if ws, ok := x.waiters[op.entry]; ok {
+						for _, w := range ws {
+							x.K.Wake(w)
+						}
+						delete(x.waiters, op.entry)
 					}
-					op.entry.waiters = nil
 				}
 				if e != nil {
 					x.K.Wake(e)
@@ -226,6 +206,41 @@ func (x *XN) Read(e *kernel.Env, blocks []disk.BlockNo, pages []mem.PageNo) erro
 			e.Block()
 		}
 	}
+	return nil
+}
+
+// backPage gives en a page to read into if it has none: pages[i] when
+// the caller chose one, else one from getPage. A chosen page must be
+// one the caller may write that backs nothing else; any other would
+// make the read rewrite that content, metadata included, past acl-uf
+// and owns-udf.
+func (x *XN) backPage(e *kernel.Env, en *Entry, pages []mem.PageNo, i int) error {
+	if en.Page != mem.NoPage {
+		return nil
+	}
+	var p mem.PageNo
+	if i < len(pages) && pages[i] != mem.NoPage {
+		p = pages[i]
+		creds := cap.Credentials{cap.Root(true)} // a nil env is the kernel itself
+		if e != nil {
+			creds = e.Creds
+		}
+		if err := x.M.Access(p, creds, true); err != nil {
+			return err
+		}
+		if x.M.RefCount(p) != 0 {
+			return mem.ErrPageInUse
+		}
+	} else {
+		var err error
+		if p, err = x.getPage(e); err != nil {
+			return err
+		}
+	}
+	if err := x.M.Ref(p); err != nil {
+		return err
+	}
+	en.Page = p
 	return nil
 }
 
@@ -548,7 +563,7 @@ func (x *XN) mutateMeta(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remov
 	if !okAcl {
 		return nil, ErrAccessDenied
 	}
-	oldOwns, err := x.runOwns(e, t, data)
+	oldOwns, err := x.ownsOf(e, en, t, data)
 	if err != nil {
 		return nil, err
 	}
@@ -571,7 +586,8 @@ func (x *XN) mutateMeta(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remov
 	if err := applyMods(tmp, mods); err != nil {
 		return nil, err
 	}
-	newOwns, err := x.runOwns(e, t, tmp)
+	newOwns, newSteps, err := evalOwns(t, tmp)
+	x.chargeUDF(e, newSteps)
 	if err != nil {
 		return nil, err
 	}
@@ -588,6 +604,7 @@ func (x *XN) mutateMeta(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remov
 	}
 	// Commit.
 	copy(data, tmp)
+	en.setOwns(newOwns, newSteps)
 	x.detachChildren(remove)
 	x.setDirty(en)
 	x.touch(en)
@@ -776,7 +793,7 @@ func (x *XN) Write(e *kernel.Env, blocks []disk.BlockNo) error {
 		if x.isMetadata(en.Tmpl) {
 			t := x.templates[en.Tmpl]
 			var err error
-			owns, err = x.runOwns(e, t, x.M.Data(en.Page))
+			owns, err = x.ownsOf(e, en, t, x.M.Data(en.Page))
 			if err != nil {
 				return err
 			}

@@ -55,18 +55,27 @@ type Entry struct {
 	// Temporary: belongs to a non-persistent file system.
 	Temporary bool
 
-	// Packed beside the flags above, which keeps an Entry (with up,
-	// below) at 112 bytes, an allocator size class.
-	flushing bool // flush-behind write in flight
-	pinned   bool // exempt from LRU recycling (hot metadata)
-	dropped  bool // removed from the registry (see dropEntry)
+	// Packed beside the flags above, which keeps an Entry (with
+	// ownsSteps and owns, below) within the 128-byte allocator size
+	// class.
+	flushing  bool // flush-behind write in flight
+	pinned    bool // exempt from LRU recycling (hot metadata)
+	dropped   bool // removed from the registry (see dropEntry)
+	ownsValid bool // owns and ownsSteps hold a result (see ownsOf)
+
+	// ownsSteps and owns are the last owns-udf result over the page's
+	// current content, under the template Tmpl names. Tmpl changes only
+	// from TmplUnknown, which has no owns-udf, and every content reload
+	// goes through setState, which clears the result.
+	ownsSteps int32
 
 	Tmpl     TemplateID
 	Parent   disk.BlockNo
 	LockedBy kernel.EnvID
 
+	owns []udf.Extent
+
 	lastUse uint64
-	waiters []*kernel.Env // environments waiting for an in-flight read
 
 	// up is the bad-child count of the parent incarnation the entry is
 	// bound under, nil once it leaves the parent's content or for a
@@ -85,11 +94,22 @@ type Entry struct {
 	stateWord int64
 }
 
-// setState updates both representations of an entry's state.
+// setState updates both representations of an entry's state. Every
+// path that gives the page new content (read completion, the Uninit
+// zero fill, InitMetadata, AttachPage, AdoptPage) passes through here,
+// so it also forgets the cached owns-udf result.
 func (en *Entry) setState(st EntryState) {
 	en.State = st
 	en.stateWord = int64(st)
+	en.clearOwns()
 }
+
+// setOwns records the owns-udf result over the page's current content.
+func (en *Entry) setOwns(owns []udf.Extent, steps int) {
+	en.owns, en.ownsSteps, en.ownsValid = owns, int32(steps), true
+}
+
+func (en *Entry) clearOwns() { en.owns, en.ownsSteps, en.ownsValid = nil, 0, false }
 
 // Metadata reports whether the entry's type can own blocks (leaf/data
 // templates never taint anything through content).
@@ -202,7 +222,7 @@ func (x *XN) Insert(e *kernel.Env, parent disk.BlockNo, ext udf.Extent) error {
 	if !ok {
 		return ErrNoTemplate
 	}
-	owned, err := x.runOwns(e, pt, x.M.Data(pen.Page))
+	owned, err := x.ownsOf(e, pen, pt, x.M.Data(pen.Page))
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,7 @@ type Snapshot struct {
 	freeN     int64
 
 	// entries is the registry, flattened and sorted by lastUse (the
-	// LRU order); waiters and list links nil, nothing in flight.
+	// LRU order); list links nil, nothing in flight.
 	entries  []Entry
 	useClock uint64
 
@@ -88,11 +88,10 @@ func (x *XN) Snapshot() (*Snapshot, error) {
 		if en.flushing {
 			return nil, fmt.Errorf("xn: snapshot with flush-behind write in flight on block %d", en.Block)
 		}
-		if len(en.waiters) != 0 {
-			return nil, fmt.Errorf("xn: snapshot with %d environments waiting on block %d", len(en.waiters), en.Block)
+		if ws := x.waiters[en]; len(ws) != 0 {
+			return nil, fmt.Errorf("xn: snapshot with %d environments waiting on block %d", len(ws), en.Block)
 		}
 		cp := *en
-		cp.waiters = nil
 		cp.lruPrev, cp.lruNext = nil, nil
 		s.entries = append(s.entries, cp)
 	}

@@ -96,8 +96,8 @@ type taintNode struct {
 
 // taintRig runs the operations a byte string encodes on a small XN
 // (four-block flush-behind threshold, 32-page cache); runTaintOps checks
-// the bad-child counts against the scan, and the registry indices,
-// after each one.
+// the bad-child counts against the scan, the registry indices and the
+// entries' owns-udf results after each one.
 type taintRig struct {
 	f     *fixture
 	in    []byte
@@ -299,6 +299,9 @@ func runTaintOps(t *testing.T, data []byte) {
 				if err := checkIndices(f.x); err != nil {
 					return fmt.Errorf("op %d (%d): %w", ops, op, err)
 				}
+				if err := checkOwns(f.x); err != nil {
+					return fmt.Errorf("op %d (%d): %w", ops, op, err)
+				}
 				if !more {
 					return nil
 				}
@@ -317,6 +320,9 @@ func runTaintOps(t *testing.T, data []byte) {
 		}
 		f.x = ForkXN(s, f.k)
 		if err := checkTaint(f.x); err != nil {
+			t.Fatalf("after the fork at op %d: %v", ops, err)
+		}
+		if err := checkOwns(f.x); err != nil {
 			t.Fatalf("after the fork at op %d: %v", ops, err)
 		}
 	}
@@ -345,6 +351,23 @@ var taintSeeds = [][]byte{
 	// Snapshot and ForkXN mid-tree, with bad children cached across the fork.
 	{tdAllocTnode, 0, 10, 0, tdAllocData, 1, 30, 1, tdFork, tdTouch, 1, 0, 0,
 		tdFork, tdSync, tdFork},
+	// The rest reload a block's content each way there is, then reuse
+	// its owns-udf result (checkOwns).
+	// Read completion: a written tnode recycled, read back, then
+	// modified and written again.
+	{tdAllocTnode, 0, 10, 0, tdAllocData, 1, 30, 1, tdTouch, 1, 0, 0, tdSync, tdWait, 10,
+		tdRecycle, 7, tdRecycle, 7, tdReread, 1, tdModify, 1, tdAllocData, 1, 40, 0, tdWrite, 1},
+	// Uninit zero fill: an uninitialized child tnode read back as zeros,
+	// then allocated into.
+	{tdAllocTnode, 0, 10, 1, tdRecycle, 7, tdReread, 1, tdAllocData, 1, 30, 0, tdModify, 1},
+	// InitMetadata, then allocation into the initialized tnode.
+	{tdAllocTnode, 0, 10, 0, tdAllocData, 1, 30, 0, tdAllocData, 1, 40, 1, tdModify, 1, tdSync},
+	// AttachPage on an out-of-core data block, with its parent modified
+	// before and after.
+	{tdAllocData, 0, 10, 1, tdModify, 0, tdTouch, 0, 0, 0, tdModify, 0, tdWrite, 0},
+	// A fork, then a modification and allocation on the fork.
+	{tdAllocTnode, 0, 10, 0, tdAllocData, 1, 30, 1, tdModify, 1, tdFork,
+		tdModify, 1, tdAllocData, 1, 50, 0, tdFork, tdDealloc, 1, tdModify, 0},
 }
 
 func TestTaintSeeds(t *testing.T) {

@@ -144,6 +144,10 @@ type XN struct {
 
 	reg map[disk.BlockNo]*Entry
 
+	// waiters holds the environments waiting for each entry's read in
+	// flight, woken when it completes.
+	waiters map[*Entry][]*kernel.Env
+
 	// dirty indexes the registry's dirty entries in block order,
 	// flushable the dirty ones with no flush-behind write in flight,
 	// and lru is the sentinel of its LRU list (index.go).
@@ -233,6 +237,7 @@ func newEmpty(k *kernel.Kernel) *XN {
 		nextTmpl:   1,
 		roots:      make(map[string]Root),
 		reg:        make(map[disk.BlockNo]*Entry),
+		waiters:    make(map[*Entry][]*kernel.Env),
 		taint:      make(map[disk.BlockNo]*taintCount),
 		onDiskOwns: make(map[disk.BlockNo][]udf.Extent),
 		diskRefs:   make(map[disk.BlockNo]int),
@@ -383,14 +388,40 @@ func (x *XN) chargeUDF(e *kernel.Env, steps int) {
 // owns-udf).
 func (x *XN) NextTemplateID() TemplateID { return x.nextTmpl }
 
+// evalOwns interprets a template's owns-udf over metadata bytes,
+// without charging for it.
+func evalOwns(t *Template, meta []byte) ([]udf.Extent, int, error) {
+	res, err := udf.Run(t.Owns, meta, nil, nil, 0)
+	if err != nil {
+		return nil, res.Steps, fmt.Errorf("%w: owns-udf(%s): %v", ErrUDF, t.Name, err)
+	}
+	return res.Extents, res.Steps, nil
+}
+
 // runOwns interprets a template's owns-udf over metadata bytes.
 func (x *XN) runOwns(e *kernel.Env, t *Template, meta []byte) ([]udf.Extent, error) {
-	res, err := udf.Run(t.Owns, meta, nil, nil, 0)
-	x.chargeUDF(e, res.Steps)
-	if err != nil {
-		return nil, fmt.Errorf("%w: owns-udf(%s): %v", ErrUDF, t.Name, err)
+	owns, steps, err := evalOwns(t, meta)
+	x.chargeUDF(e, steps)
+	return owns, err
+}
+
+// ownsOf is runOwns over data, the content of en's page. owns-udf is
+// deterministic, so its result is a function of the template and the
+// bytes: en keeps the last one until its content changes, and a repeat
+// is charged the steps of the run it stands for without interpreting
+// them again. The result is stored before the charge parks e, so a
+// modification committed meanwhile is not overwritten by a stale one.
+func (x *XN) ownsOf(e *kernel.Env, en *Entry, t *Template, data []byte) ([]udf.Extent, error) {
+	if en.ownsValid {
+		x.chargeUDF(e, int(en.ownsSteps))
+		return en.owns, nil
 	}
-	return res.Extents, nil
+	owns, steps, err := evalOwns(t, data)
+	if err == nil && !en.dropped {
+		en.setOwns(owns, steps)
+	}
+	x.chargeUDF(e, steps)
+	return owns, err
 }
 
 // runAcl interprets acl-uf: metadata, proposed modification bytes, and

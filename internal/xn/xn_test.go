@@ -9,6 +9,7 @@ import (
 	"xok/internal/cap"
 	"xok/internal/disk"
 	"xok/internal/kernel"
+	"xok/internal/mem"
 	"xok/internal/sim"
 	"xok/internal/udf"
 	"xok/internal/wkpred"
@@ -371,6 +372,82 @@ func TestDataWriteReadRoundTrip(t *testing.T) {
 		got := string(f.x.PageData(target)[:9])
 		if got != "hello, xn" {
 			t.Errorf("read back %q", got)
+		}
+		return nil
+	})
+}
+
+// TestReadRejectsForeignCallerPage hands Read pages it must not read
+// into: the root's own page, on the zero-fill path of an uninitialized
+// block and on the disk path of a written one, and a page the caller
+// may not write. Each is refused before the page changes; a page the
+// caller owns and nothing else backs is used.
+func TestReadRejectsForeignCallerPage(t *testing.T) {
+	f := newFixture(t)
+	var fresh, written disk.BlockNo
+	alloc := func(e *kernel.Env, i int) (disk.BlockNo, error) {
+		b, _ := f.x.FindFree(disk.BlockNo(300+10*i), 1)
+		return b, f.x.Alloc(e, f.rootBlk, tnAddRecord(i, b, 1, f.data),
+			udf.Extent{Start: int64(b), Count: 1, Type: int64(f.data)})
+	}
+	f.run(t, "setup", func(e *kernel.Env) error {
+		var err error
+		if written, err = alloc(e, 0); err != nil {
+			return err
+		}
+		if _, err := f.x.AttachPage(e, written); err != nil {
+			return err
+		}
+		copy(f.x.PageData(written), "on disk")
+		if err := f.x.MarkDirty(e, written); err != nil {
+			return err
+		}
+		if err := f.x.Sync(e); err != nil {
+			return err
+		}
+		for {
+			if _, ok := f.x.RecycleLRU(e); !ok {
+				break
+			}
+		}
+		if _, err := f.x.LoadRoot(e, f.rootName); err != nil {
+			return err
+		}
+		if err := f.x.Insert(e, f.rootBlk, udf.Extent{Start: int64(written), Count: 1, Type: int64(f.data)}); err != nil {
+			return err
+		}
+		fresh, err = alloc(e, 1)
+		return err
+	})
+	root, _ := f.x.Lookup(f.rootBlk)
+	before := string(f.x.M.Data(root.Page))
+	f.run(t, "root page", func(e *kernel.Env) error {
+		for _, b := range []disk.BlockNo{fresh, written} {
+			if err := f.x.Read(e, []disk.BlockNo{b}, []mem.PageNo{root.Page}); !errors.Is(err, mem.ErrPageInUse) {
+				return fmt.Errorf("Read(%d) into the root's page: err = %v, want %v", b, err, mem.ErrPageInUse)
+			}
+			if en, _ := f.x.Lookup(b); en.Page != mem.NoPage || en.State != StateOutOfCore {
+				return fmt.Errorf("block %d took page %d, state %d", b, en.Page, en.State)
+			}
+		}
+		return nil
+	})
+	if string(f.x.M.Data(root.Page)) != before {
+		t.Fatal("the root's page changed")
+	}
+	kernelPage, err := f.x.M.Alloc(cap.Root(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.runAs(t, "unwritable page", 5, mem.ErrAccessDenied, func(e *kernel.Env) error {
+		return f.x.Read(e, []disk.BlockNo{written}, []mem.PageNo{kernelPage})
+	})
+	f.run(t, "own page", func(e *kernel.Env) error {
+		if err := f.x.Read(e, []disk.BlockNo{written, fresh}, []mem.PageNo{kernelPage, mem.NoPage}); err != nil {
+			return err
+		}
+		if en, _ := f.x.Lookup(written); en.Page != kernelPage || string(f.x.PageData(written)[:7]) != "on disk" {
+			return fmt.Errorf("block %d read into page %d, want %d", written, en.Page, kernelPage)
 		}
 		return nil
 	})
