@@ -26,8 +26,17 @@ var goldenRuns = []struct {
 	seeds     int
 }{
 	{"figure2", "figure2", 200},
+	{"mab", "mab", 200},
+	{"protection", "protection", 200},
+	{"table2", "table2", 200},
+	{"emulator", "emulator", 200},
+	{"xcp", "xcp", 200},
 	{"crash", "crash", 200},
 	{"difftest-seeds-100", "difftest", 100},
+	{"figure3", "figure3", 200},
+	{"figure4", "figure4", 200},
+	{"figure5", "figure5", 200},
+	{"cluster", "cluster", 200},
 }
 
 // TestStdoutGolden runs each pinned experiment as `xok-bench -run` does,
