@@ -3,6 +3,7 @@ package disk
 import (
 	"testing"
 
+	"xok/internal/bufpool"
 	"xok/internal/sim"
 )
 
@@ -48,6 +49,27 @@ func TestUnwrittenBlocksReadZero(t *testing.T) {
 	eng.Run()
 	if rd[0] != 0 {
 		t.Fatal("unwritten block did not read as zero")
+	}
+}
+
+// A write shorter than a block to a never-written block leaves the rest
+// of the block zero, whatever the recycled buffer held before.
+func TestShortWriteToFreshBlockZeroFills(t *testing.T) {
+	_, _, d := newDisk()
+	dirty := bufpool.GetDirty()
+	for i := range dirty {
+		dirty[i] = 0xAA
+	}
+	bufpool.Put(dirty)
+	d.PokeBlock(7, []byte{1, 2, 3})
+	got := d.PeekBlock(7)
+	if got[0] != 1 || got[2] != 3 {
+		t.Fatalf("block starts %v, want [1 2 3]", got[:3])
+	}
+	for i, c := range got[3:] {
+		if c != 0 {
+			t.Fatalf("byte %d = %#x past a short write, want 0", 3+i, c)
+		}
 	}
 }
 

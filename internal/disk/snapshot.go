@@ -6,7 +6,7 @@ import "xok/internal/bufpool"
 // overlay into an immutable layer; the disk (and any disk forked from
 // the checkpoint via Adopt) continues on an empty overlay chained over
 // it. Reads fall through the chain; the first write to a frozen block
-// copies it up into the live overlay (see mediaBlock). Taking a
+// copies it up into the live overlay (see writeMedia). Taking a
 // checkpoint is O(1) in media size, and a fork that writes nothing
 // copies nothing.
 

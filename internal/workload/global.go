@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"hash/crc32"
+	"sync"
 
 	"xok/internal/apps"
 	"xok/internal/kernel"
@@ -47,6 +49,15 @@ func stageTree(p unix.Proc, dir string, files, fileSize int) error {
 	return nil
 }
 
+// The cksum job sums four staged files of cksumFileSize zero bytes;
+// cksumStaged is the CRC-32 of what it staged, which the job's sum must
+// equal: a check that the file system returned what was written.
+const cksumFileSize = 120_000
+
+var cksumStaged = sync.OnceValue(func() uint32 {
+	return crc32.ChecksumIEEE(make([]byte, 4*cksumFileSize))
+})
+
 // Pool1 is Figure 4's mix of I/O- and CPU-intensive programs: pax -w,
 // grep, cksum, tsp, sor, wc, gcc, gzip, gunzip.
 func Pool1() []JobKind {
@@ -68,14 +79,17 @@ func Pool1() []JobKind {
 			Name: "cksum",
 			Stage: func(p unix.Proc, dir string) error {
 				for i := 0; i < 4; i++ {
-					if err := stageFile(p, dir, fmt.Sprintf("f%d", i), 120_000); err != nil {
+					if err := stageFile(p, dir, fmt.Sprintf("f%d", i), cksumFileSize); err != nil {
 						return err
 					}
 				}
 				return nil
 			},
 			Run: func(p unix.Proc, dir string) error {
-				_, err := apps.Cksum(p, 80, dir+"/f0", dir+"/f1", dir+"/f2", dir+"/f3")
+				sum, err := apps.Cksum(p, 80, dir+"/f0", dir+"/f1", dir+"/f2", dir+"/f3")
+				if err == nil && sum != cksumStaged() {
+					err = fmt.Errorf("cksum %08x, but the staged files sum to %08x", sum, cksumStaged())
+				}
 				return err
 			},
 		},
