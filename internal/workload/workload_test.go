@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
+	"xok/internal/apps"
 	"xok/internal/bsdos"
 	"xok/internal/sim"
+	"xok/internal/unix"
 )
 
 func TestIOIntensiveShape(t *testing.T) {
@@ -145,6 +148,40 @@ func TestGlobalPerfSmall(t *testing.T) {
 	ratio := float64(xok1.Total) / float64(fbsd.Total)
 	if ratio < 0.5 || ratio > 1.35 {
 		t.Errorf("Xok/FreeBSD total ratio = %.2f, want roughly comparable", ratio)
+	}
+}
+
+// Figure 4's cksum job fails when the file system returns bytes other
+// than those staged.
+func TestCksumJobChecksStagedBytes(t *testing.T) {
+	var job JobKind
+	for _, k := range Pool1() {
+		if k.Name == "cksum" {
+			job = k
+		}
+	}
+	m := NewXok()
+	var clean, corrupt error
+	m.SpawnProc("cksum", 0, func(p unix.Proc) {
+		if clean = p.Mkdir("/j", 7); clean != nil {
+			return
+		}
+		if clean = job.Stage(p, "/j"); clean != nil {
+			return
+		}
+		clean = job.Run(p, "/j")
+		other := make([]byte, cksumFileSize)
+		other[cksumFileSize/2] = 1
+		if corrupt = apps.WriteFile(p, "/j/f2", other); corrupt == nil {
+			corrupt = job.Run(p, "/j")
+		}
+	})
+	m.Run()
+	if clean != nil {
+		t.Fatalf("cksum over the staged files: %v", clean)
+	}
+	if corrupt == nil || !strings.Contains(corrupt.Error(), "staged files sum to") {
+		t.Fatalf("cksum job over a file that differs from the one it staged: %v, want a sum mismatch", corrupt)
 	}
 }
 
