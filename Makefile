@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race crash fuzz-smoke race-parallel perf-sanity cluster-smoke shard-smoke snapshot-smoke wheel-smoke check bench
+.PHONY: all build fmt vet test race crash fuzz-smoke race-parallel perf-sanity cluster-smoke snapshot-smoke check bench
 
 all: check
 
@@ -47,14 +47,14 @@ race-parallel:
 	$(GO) run -race ./cmd/xok-bench -run difftest -seeds 12 -parallel 4
 
 # Perf sanity: the difftest campaign fanned across 4 workers must not
-# be slower than the same campaign serial beyond a generous tolerance,
-# and likewise the sharded cluster cell against its single-engine twin
-# (single-CPU hosts legitimately see speedup ~1, and hosts with >= 4
-# CPUs must see the sharded cell actually win; what this catches is
+# be slower than the same campaign serial beyond a generous tolerance
+# (single-CPU hosts legitimately see speedup ~1; what this catches is
 # the harness actively LOSING to serial — coordination overhead or
-# shared-state contention). Reduced sizes keep it quick; the
-# XOK_PERF_SANITY guard keeps the wall-clock assertions out of
-# ordinary `go test ./...` runs where they would be noise.
+# shared-state contention), and the committed BENCH_sim.json must
+# carry no regression row its recorded CPU count cannot explain.
+# Reduced sizes keep it quick; the XOK_PERF_SANITY guard keeps the
+# wall-clock assertions out of ordinary `go test ./...` runs where
+# they would be noise.
 perf-sanity:
 	XOK_PERF_SANITY=1 $(GO) test -run TestPerfSanity -count=1 -v .
 
@@ -66,13 +66,6 @@ perf-sanity:
 cluster-smoke:
 	$(GO) run ./cmd/xok-bench -run cluster -servers 2 -conns 300
 
-# Shard smoke: the same tiny cluster with its fabric split across
-# per-server islands, under the race detector — the canary for the
-# conservative parallel scheduler's cross-island channels (the full
-# byte-identity check lives in TestClusterShardMatchesSingleEngine).
-shard-smoke:
-	$(GO) run -race ./cmd/xok-bench -run cluster -servers 2 -conns 300 -shard 2
-
 # Snapshot smoke: the fork fast path's equivalence guards, re-run
 # (-count=1) under the race detector — replay equivalence (fork at a
 # random MAB boundary continues bit-identically, with and without an
@@ -82,27 +75,16 @@ shard-smoke:
 snapshot-smoke:
 	$(GO) test -race -count=1 -run 'TestSnapshot' ./internal/workload/ ./internal/difftest/
 
-# Wheel smoke: the cluster at 100k connections under the race
-# detector, digest-pinned — one 4-server cell runs with the timer
-# wheel and again on the pure heap, single-engine and sharded, and
-# within each topology the latency digests and engine event counts
-# must match exactly (the wheel is an implementation detail; only
-# host time may move). The XOK_WHEEL_SMOKE guard keeps the
-# multi-minute raced run out of ordinary `go test ./...`.
-wheel-smoke:
-	XOK_WHEEL_SMOKE=1 $(GO) test -race -count=1 -run TestClusterConns100kWheelDigest -v ./internal/workload/
-
 # The full pre-commit gate: everything compiles, the tree is gofmt
 # clean, vet is clean, the whole suite passes under the race detector
 # (the coroutine hand-off between the scheduler and environments in
 # internal/kernel is exactly the kind of code -race exists for), the
 # parallel harness is race-clean, the
 # crash-enumeration sweep re-runs, the differential fuzz smoke
-# campaign comes back clean, snapshot forking reproduces boot runs
-# bit-exactly, the 100k-connection cluster digests identically with
-# the timer wheel on and off, and the parallel harness is not slower
-# than serial.
-check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke shard-smoke snapshot-smoke wheel-smoke perf-sanity
+# campaign comes back clean, the cluster runs end to end, snapshot
+# forking reproduces boot runs bit-exactly, and the parallel harness
+# is not slower than serial.
+check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-smoke perf-sanity
 
 # Wall-clock benchmark baseline, committed as BENCH_sim.json so engine
 # or harness regressions show up as a diff. Two tiers: the engine
@@ -124,8 +106,7 @@ BenchmarkDifftest100Serial,BenchmarkDifftest100Parallel4,\
 BenchmarkDifftest100SnapshotSerial,BenchmarkDifftest100SnapshotParallel4,\
 BenchmarkCrashSweepSerial,BenchmarkCrashSweepParallel4,\
 BenchmarkCrashSweepSnapshotSerial,BenchmarkCrashSweepSnapshotParallel4,\
-BenchmarkClusterSerial,BenchmarkClusterParallel4,BenchmarkClusterShard4,\
-BenchmarkClusterConns100k,BenchmarkClusterConns100kNoWheel
+BenchmarkClusterSerial,BenchmarkClusterParallel4,BenchmarkClusterConns100k
 
 bench:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim/ && \

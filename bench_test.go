@@ -45,7 +45,9 @@ func BenchmarkFigure2_IOIntensive(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			var total sim.Time
 			for i := 0; i < b.N; i++ {
-				res, err := workload.IOIntensive(s.mk())
+				m := s.mk()
+				res, err := workload.IOIntensive(m)
+				m.Close()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -69,7 +71,9 @@ func BenchmarkMAB(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			var total sim.Time
 			for i := 0; i < b.N; i++ {
-				res, err := workload.MAB(s.mk())
+				m := s.mk()
+				res, err := workload.MAB(m)
+				m.Close()
 				if err != nil {
 					b.Fatal(err)
 				}

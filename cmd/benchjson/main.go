@@ -8,8 +8,10 @@
 // Parsed per benchmark line: the run count plus every "value unit"
 // metric pair — the standard ns/op, B/op, allocs/op and any custom
 // b.ReportMetric units (vsec/system, usec/call, ...). Header lines
-// (goos/goarch/cpu) become the "host" block. Everything else passes
-// through to stderr untouched so failures stay visible in the pipe.
+// (goos/goarch/cpu) and the host's CPU count and GOMAXPROCS become the
+// "host" block. Benchmark pairs that differ in one name part become
+// "speedups" rows (see pairings). Everything else passes through to
+// stderr untouched so failures stay visible in the pipe.
 package main
 
 import (
@@ -18,6 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -32,85 +36,37 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// Speedup is one derived serial-vs-parallel comparison: a benchmark
-// pair named <Base>Serial / <Base>Parallel<k>.
+// Speedup is one derived base-versus-variant comparison: two
+// benchmarks that run the same campaign and differ in one name part,
+// paired by one of the rules in pairings.
 type Speedup struct {
+	// Kind names the pairing rule ("parallel", "snapshot", "wheel").
+	Kind string `json:"kind"`
+	// Base and Variant are the two benchmarks' names.
 	Base    string `json:"base"`
-	Workers int    `json:"workers"`
-	// Speedup is serial ns/op over parallel ns/op (>1 = parallel wins).
+	Variant string `json:"variant"`
+	// Workers is the variant's worker count when its name carries one
+	// (Parallel<k>); 0 means it runs on one goroutine.
+	Workers int `json:"workers,omitempty"`
+	// Speedup is base ns/op over variant ns/op (>1 = the variant wins).
 	Speedup float64 `json:"speedup"`
-	// SerialNsOp/ParallelNsOp restate the inputs for review diffs.
-	SerialNsOp   float64 `json:"serial_ns_op"`
-	ParallelNsOp float64 `json:"parallel_ns_op"`
-	// AllocDelta* are parallel minus serial — how much extra (or saved)
-	// heap the fan-out costs per campaign. Present only when both sides
-	// ran with -benchmem.
+	// BaseNsOp/VariantNsOp restate the inputs for review diffs.
+	BaseNsOp    float64 `json:"base_ns_op"`
+	VariantNsOp float64 `json:"variant_ns_op"`
+	// AllocDelta* are variant minus base per campaign. Present only
+	// when both sides ran with -benchmem.
 	AllocDeltaBytes   *float64 `json:"alloc_delta_bytes,omitempty"`
 	AllocDeltaObjects *float64 `json:"alloc_delta_objects,omitempty"`
 	// IntraRun is false for campaigns whose legs cannot fan out (e.g. a
 	// single cluster cell sweep: Parallel only distributes whole cells,
 	// so the worker count barely moves the number). It flags rows that
-	// must not be read as scaling evidence; see shard_speedups for the
-	// within-run comparison.
+	// must not be read as scaling evidence.
 	IntraRun *bool `json:"intra_run,omitempty"`
-	// Regression marks a speedup below 1.0 — the "fast" side lost. On a
-	// multi-core host `make perf-sanity` refuses to accept these rows;
-	// on a single-CPU host parallel rows hovering just under 1.0 are
-	// measurement noise (see perfsanity_test.go).
-	Regression bool `json:"regression,omitempty"`
-}
-
-// ShardSpeedup is one derived single-engine-vs-sharded comparison: a
-// benchmark pair named <Base>Serial / <Base>Shard<k>, where the shard
-// side splits each simulated fabric across k concurrent islands
-// (conservative parallel simulation within one run, not a pool of
-// independent runs).
-type ShardSpeedup struct {
-	Base   string `json:"base"`
-	Shards int    `json:"shards"`
-	// Speedup is single-engine ns/op over sharded ns/op (>1 = sharding
-	// wins).
-	Speedup float64 `json:"speedup"`
-	// SerialNsOp/ShardNsOp restate the inputs for review diffs.
-	SerialNsOp float64 `json:"serial_ns_op"`
-	ShardNsOp  float64 `json:"shard_ns_op"`
-	// Regression marks a speedup below 1.0 (see Speedup.Regression).
-	Regression bool `json:"regression,omitempty"`
-}
-
-// SnapshotSpeedup is one derived boot-vs-fork comparison: a benchmark
-// pair named <Base><Mode> / <Base>Snapshot<Mode> for the same Mode
-// (Serial or Parallel<k>) — the same campaign re-booting machines per
-// run versus forking them from snapshots.
-type SnapshotSpeedup struct {
-	Base string `json:"base"`
-	Mode string `json:"mode"`
-	// Speedup is boot ns/op over fork ns/op (>1 = forking wins).
-	Speedup float64 `json:"speedup"`
-	// BootNsOp/ForkNsOp restate the inputs for review diffs.
-	BootNsOp float64 `json:"boot_ns_op"`
-	ForkNsOp float64 `json:"fork_ns_op"`
-	// Regression marks a speedup below 1.0 (see Speedup.Regression).
-	Regression bool `json:"regression,omitempty"`
-}
-
-// WheelSpeedup is one derived heap-vs-timer-wheel comparison, from a
-// benchmark pair named <Base>Heap<Case> / <Base>Wheel<Case> (the
-// engine's far-timer microbenchmarks) or <Base>NoWheel / <Base> (a
-// whole campaign with the wheel backend off vs on). Speedup > 1 means
-// the wheel wins; these runs are single-threaded and deterministic, so
-// a regression here is real on any host.
-type WheelSpeedup struct {
-	Base string `json:"base"`
-	// Case is the pending-count suffix of the microbenchmark pair
-	// ("65536", "1M"), empty for whole-campaign NoWheel pairs.
-	Case string `json:"case,omitempty"`
-	// Speedup is heap ns/op over wheel ns/op (>1 = wheel wins).
-	Speedup float64 `json:"speedup"`
-	// HeapNsOp/WheelNsOp restate the inputs for review diffs.
-	HeapNsOp  float64 `json:"heap_ns_op"`
-	WheelNsOp float64 `json:"wheel_ns_op"`
-	// Regression marks a speedup below 1.0 (see Speedup.Regression).
+	// Regression marks a speedup below 1.0 — the variant lost. `make
+	// perf-sanity` refuses these rows, except concurrent ones measured
+	// on a host with fewer CPUs than the variant's workers, where a
+	// ratio hovering just under 1.0 is scheduler noise (see
+	// perfsanity_test.go).
 	Regression bool `json:"regression,omitempty"`
 }
 
@@ -120,27 +76,22 @@ type Report struct {
 	Host map[string]string `json:"host"`
 	// Benchmarks appear in input order.
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// ParallelSpeedups is derived from <Base>Serial / <Base>Parallel<k>
-	// benchmark pairs, in the serial side's input order.
-	ParallelSpeedups []Speedup `json:"parallel_speedups,omitempty"`
-	// SnapshotSpeedups is derived from <Base><Mode> /
-	// <Base>Snapshot<Mode> benchmark pairs, in the snapshot side's
-	// input order.
-	SnapshotSpeedups []SnapshotSpeedup `json:"snapshot_speedups,omitempty"`
-	// ShardSpeedups is derived from <Base>Serial / <Base>Shard<k>
-	// benchmark pairs, in the serial side's input order.
-	ShardSpeedups []ShardSpeedup `json:"shard_speedups,omitempty"`
-	// WheelSpeedups is derived from <Base>Heap<Case> / <Base>Wheel<Case>
-	// and <Base>NoWheel / <Base> benchmark pairs, in the heap (resp.
-	// NoWheel) side's input order.
-	WheelSpeedups []WheelSpeedup `json:"wheel_speedups,omitempty"`
+	// Speedups is derived from the benchmark pairs the pairing rules
+	// match, in the variant side's input order.
+	Speedups []Speedup `json:"speedups,omitempty"`
 }
 
 func main() {
 	expect := flag.String("expect", "", "comma-separated benchmark names that must be present; any missing or unparsable one fails the run")
 	flag.Parse()
 
-	rep := Report{Host: map[string]string{}}
+	// benchjson reads the benchmarks through a pipe on the same host,
+	// under the same environment, so its own runtime sees the CPU
+	// count and GOMAXPROCS they ran with.
+	rep := Report{Host: map[string]string{
+		"num_cpu":    strconv.Itoa(runtime.NumCPU()),
+		"gomaxprocs": strconv.Itoa(runtime.GOMAXPROCS(0)),
+	}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -169,10 +120,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: expected benchmarks missing or unparsable: %s\n", strings.Join(missing, ", "))
 		os.Exit(1)
 	}
-	rep.ParallelSpeedups = deriveSpeedups(rep.Benchmarks)
-	rep.SnapshotSpeedups = deriveSnapshotSpeedups(rep.Benchmarks)
-	rep.ShardSpeedups = deriveShardSpeedups(rep.Benchmarks)
-	rep.WheelSpeedups = deriveWheelSpeedups(rep.Benchmarks)
+	rep.Speedups = deriveSpeedups(rep.Benchmarks)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
@@ -203,207 +151,94 @@ func missingBenchmarks(expect string, got []Benchmark) []string {
 	return missing
 }
 
-// noIntraRunParallelism names the campaign bases whose Parallel legs
-// cannot fan out within a run — the worker pool only distributes whole
-// independent sub-runs, and this campaign has too few to matter (the
-// cluster sweep is three cells, dominated by the largest). Their
-// speedup rows are kept for the record but flagged intra_run: false so
-// nobody reads a ~1.0x as a regression or a ~Nx as scaling.
+// noIntraRunParallelism names the campaigns (by their serial side)
+// whose Parallel legs cannot fan out within a run — the worker pool
+// only distributes whole independent sub-runs, and this campaign has
+// too few to matter (the cluster sweep is three cells, dominated by
+// the largest). Their rows are kept for the record but flagged
+// intra_run: false so nobody reads a ~1.0x as a regression or a ~Nx
+// as scaling.
 var noIntraRunParallelism = map[string]bool{
-	"BenchmarkCluster": true,
+	"BenchmarkClusterSerial": true,
 }
 
-// deriveSpeedups pairs <Base>Serial with every <Base>Parallel<k> and
-// computes the speedup ratio plus the per-campaign allocation deltas.
+// pairings are the base-versus-variant rules: a benchmark whose name
+// matches variant is paired with the benchmark named by expanding base
+// against the match, when that one ran too.
+var pairings = []struct {
+	kind    string
+	variant *regexp.Regexp
+	base    string
+}{
+	// <X>Serial -> <X>Parallel<k>: the worker pool on versus off.
+	{"parallel", regexp.MustCompile(`^(.+)Parallel\d+$`), "${1}Serial"},
+	// <X><Mode> -> <X>Snapshot<Mode>: forking machines from snapshots
+	// versus booting them, at the same worker count.
+	{"snapshot", regexp.MustCompile(`^(.+)Snapshot(Serial|Parallel\d+)$`), "${1}${2}"},
+	// <X>Heap<Case> -> <X>Wheel<Case>: the engine's timer wheel versus
+	// its pure-heap reference.
+	{"wheel", regexp.MustCompile(`^(.+)Wheel(.*)$`), "${1}Heap${2}"},
+}
+
+// workersRE reads the worker count out of a Parallel<k> name.
+var workersRE = regexp.MustCompile(`Parallel(\d+)$`)
+
+// deriveSpeedups applies every pairing rule to every benchmark and
+// computes each pair's speedup and allocation deltas.
 func deriveSpeedups(benches []Benchmark) []Speedup {
 	byName := make(map[string]Benchmark, len(benches))
 	for _, b := range benches {
 		byName[b.Name] = b
 	}
 	var out []Speedup
-	for _, s := range benches {
-		base, ok := strings.CutSuffix(s.Name, "Serial")
-		if !ok {
-			continue
-		}
-		for _, p := range benches {
-			rest, ok := strings.CutPrefix(p.Name, base+"Parallel")
+	for _, v := range benches {
+		for _, rule := range pairings {
+			m := rule.variant.FindStringSubmatchIndex(v.Name)
+			if m == nil {
+				continue
+			}
+			name := string(rule.variant.ExpandString(nil, rule.base, v.Name, m))
+			b, ok := byName[name]
 			if !ok {
 				continue
 			}
-			workers, err := strconv.Atoi(rest)
-			if err != nil {
-				continue
-			}
-			sNs, pNs := s.Metrics["ns/op"], p.Metrics["ns/op"]
-			if sNs == 0 || pNs == 0 {
+			bNs, vNs := b.Metrics["ns/op"], v.Metrics["ns/op"]
+			if bNs == 0 || vNs == 0 {
 				continue
 			}
 			sp := Speedup{
-				Base:         base,
-				Workers:      workers,
-				Speedup:      sNs / pNs,
-				SerialNsOp:   sNs,
-				ParallelNsOp: pNs,
+				Kind:        rule.kind,
+				Base:        b.Name,
+				Variant:     v.Name,
+				Speedup:     bNs / vNs,
+				BaseNsOp:    bNs,
+				VariantNsOp: vNs,
+				Regression:  bNs/vNs < 1.0,
 			}
-			sB, okSB := s.Metrics["B/op"]
-			pB, okPB := p.Metrics["B/op"]
-			if okSB && okPB {
-				d := pB - sB
+			if w := workersRE.FindStringSubmatch(v.Name); w != nil {
+				sp.Workers, _ = strconv.Atoi(w[1]) // \d+ always parses
+			}
+			if d, ok := delta(b, v, "B/op"); ok {
 				sp.AllocDeltaBytes = &d
 			}
-			sA, okSA := s.Metrics["allocs/op"]
-			pA, okPA := p.Metrics["allocs/op"]
-			if okSA && okPA {
-				d := pA - sA
+			if d, ok := delta(b, v, "allocs/op"); ok {
 				sp.AllocDeltaObjects = &d
 			}
-			if noIntraRunParallelism[base] {
+			if noIntraRunParallelism[b.Name] {
 				f := false
 				sp.IntraRun = &f
 			}
-			sp.Regression = sp.Speedup < 1.0
 			out = append(out, sp)
 		}
 	}
 	return out
 }
 
-// deriveShardSpeedups pairs <Base>Serial with every <Base>Shard<k>:
-// the same campaign on one engine versus split across k concurrent
-// islands inside each run.
-func deriveShardSpeedups(benches []Benchmark) []ShardSpeedup {
-	byName := make(map[string]Benchmark, len(benches))
-	for _, b := range benches {
-		byName[b.Name] = b
-	}
-	var out []ShardSpeedup
-	for _, s := range benches {
-		base, ok := strings.CutSuffix(s.Name, "Serial")
-		if !ok {
-			continue
-		}
-		for _, p := range benches {
-			rest, ok := strings.CutPrefix(p.Name, base+"Shard")
-			if !ok {
-				continue
-			}
-			shards, err := strconv.Atoi(rest)
-			if err != nil {
-				continue
-			}
-			sNs, pNs := s.Metrics["ns/op"], p.Metrics["ns/op"]
-			if sNs == 0 || pNs == 0 {
-				continue
-			}
-			out = append(out, ShardSpeedup{
-				Base:       base,
-				Shards:     shards,
-				Speedup:    sNs / pNs,
-				SerialNsOp: sNs,
-				ShardNsOp:  pNs,
-				Regression: sNs/pNs < 1.0,
-			})
-		}
-	}
-	return out
-}
-
-// deriveWheelSpeedups pairs the heap baseline with the timer-wheel
-// side: <Base>Heap<Case> with <Base>Wheel<Case> (engine far-timer
-// microbenchmarks at a fixed pending count) and <Base>NoWheel with
-// <Base> (whole campaigns with the wheel backend off vs on).
-func deriveWheelSpeedups(benches []Benchmark) []WheelSpeedup {
-	byName := make(map[string]Benchmark, len(benches))
-	for _, b := range benches {
-		byName[b.Name] = b
-	}
-	row := func(base, c string, heap, wheel Benchmark) (WheelSpeedup, bool) {
-		hNs, wNs := heap.Metrics["ns/op"], wheel.Metrics["ns/op"]
-		if hNs == 0 || wNs == 0 {
-			return WheelSpeedup{}, false
-		}
-		return WheelSpeedup{
-			Base: base, Case: c,
-			Speedup:    hNs / wNs,
-			HeapNsOp:   hNs,
-			WheelNsOp:  wNs,
-			Regression: hNs/wNs < 1.0,
-		}, true
-	}
-	var out []WheelSpeedup
-	for _, h := range benches {
-		if base, ok := strings.CutSuffix(h.Name, "NoWheel"); ok {
-			if wheel, found := byName[base]; found {
-				if sp, valid := row(base, "", h, wheel); valid {
-					out = append(out, sp)
-				}
-			}
-			continue
-		}
-		i := strings.Index(h.Name, "Heap")
-		if i < 0 {
-			continue
-		}
-		base, c := h.Name[:i], h.Name[i+len("Heap"):]
-		wheel, found := byName[base+"Wheel"+c]
-		if !found {
-			continue
-		}
-		if sp, valid := row(base, c, h, wheel); valid {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-// deriveSnapshotSpeedups pairs <Base>Snapshot<Mode> with <Base><Mode>
-// for Mode = Serial or Parallel<k>, comparing the fork fast path
-// against the boot-per-run baseline at the same worker count.
-func deriveSnapshotSpeedups(benches []Benchmark) []SnapshotSpeedup {
-	byName := make(map[string]Benchmark, len(benches))
-	for _, b := range benches {
-		byName[b.Name] = b
-	}
-	validMode := func(mode string) bool {
-		if mode == "Serial" {
-			return true
-		}
-		rest, ok := strings.CutPrefix(mode, "Parallel")
-		if !ok {
-			return false
-		}
-		_, err := strconv.Atoi(rest)
-		return err == nil
-	}
-	var out []SnapshotSpeedup
-	for _, f := range benches {
-		i := strings.LastIndex(f.Name, "Snapshot")
-		if i < 0 {
-			continue
-		}
-		base, mode := f.Name[:i], f.Name[i+len("Snapshot"):]
-		if !validMode(mode) {
-			continue
-		}
-		boot, ok := byName[base+mode]
-		if !ok {
-			continue
-		}
-		bNs, fNs := boot.Metrics["ns/op"], f.Metrics["ns/op"]
-		if bNs == 0 || fNs == 0 {
-			continue
-		}
-		out = append(out, SnapshotSpeedup{
-			Base:       base,
-			Mode:       mode,
-			Speedup:    bNs / fNs,
-			BootNsOp:   bNs,
-			ForkNsOp:   fNs,
-			Regression: bNs/fNs < 1.0,
-		})
-	}
-	return out
+// delta is variant minus base for one metric both sides reported.
+func delta(base, variant Benchmark, unit string) (float64, bool) {
+	b, okB := base.Metrics[unit]
+	v, okV := variant.Metrics[unit]
+	return v - b, okB && okV
 }
 
 // parseHeader matches the `go test -bench` preamble: "goos: linux",

@@ -55,13 +55,15 @@ func TestDeriveSpeedups(t *testing.T) {
 			"ns/op": 400e6, "B/op": 110e6, "allocs/op": 1100,
 		}},
 		{Name: "BenchmarkUnpaired", Metrics: map[string]float64{"ns/op": 5}},
+		{Name: "BenchmarkOrphanParallel2", Metrics: map[string]float64{"ns/op": 5}},
 	}
 	got := deriveSpeedups(benches)
 	if len(got) != 1 {
 		t.Fatalf("derived %d speedups, want 1: %+v", len(got), got)
 	}
 	s := got[0]
-	if s.Base != "BenchmarkDifftest100" || s.Workers != 4 {
+	if s.Kind != "parallel" || s.Base != "BenchmarkDifftest100Serial" ||
+		s.Variant != "BenchmarkDifftest100Parallel4" || s.Workers != 4 {
 		t.Fatalf("pairing wrong: %+v", s)
 	}
 	if s.Speedup != 2.0 {
@@ -88,7 +90,7 @@ func TestDeriveSpeedupsIntraRunFlag(t *testing.T) {
 	}
 	for _, s := range got {
 		switch s.Base {
-		case "BenchmarkCluster":
+		case "BenchmarkClusterSerial":
 			if s.IntraRun == nil || *s.IntraRun {
 				t.Fatalf("cluster row must be flagged intra_run=false: %+v", s)
 			}
@@ -100,26 +102,9 @@ func TestDeriveSpeedupsIntraRunFlag(t *testing.T) {
 	}
 }
 
-func TestDeriveShardSpeedups(t *testing.T) {
-	benches := []Benchmark{
-		{Name: "BenchmarkClusterSerial", Metrics: map[string]float64{"ns/op": 900e6}},
-		{Name: "BenchmarkClusterShard4", Metrics: map[string]float64{"ns/op": 300e6}},
-		{Name: "BenchmarkClusterShardX", Metrics: map[string]float64{"ns/op": 5}}, // malformed count
-		{Name: "BenchmarkUnpairedShard2", Metrics: map[string]float64{"ns/op": 5}},
-	}
-	got := deriveShardSpeedups(benches)
-	if len(got) != 1 {
-		t.Fatalf("derived %d shard speedups, want 1: %+v", len(got), got)
-	}
-	s := got[0]
-	if s.Base != "BenchmarkCluster" || s.Shards != 4 {
-		t.Fatalf("pairing wrong: %+v", s)
-	}
-	if s.Speedup != 3.0 {
-		t.Fatalf("speedup = %v, want 3.0", s.Speedup)
-	}
-}
-
+// TestDeriveSnapshotSpeedups: the snapshot rule pairs each fork-path
+// campaign with its boot twin at the same worker count, while the
+// parallel rule pairs the two snapshot campaigns with each other.
 func TestDeriveSnapshotSpeedups(t *testing.T) {
 	benches := []Benchmark{
 		{Name: "BenchmarkCrashSweepSerial", Metrics: map[string]float64{"ns/op": 600e6}},
@@ -128,15 +113,20 @@ func TestDeriveSnapshotSpeedups(t *testing.T) {
 		{Name: "BenchmarkCrashSweepSnapshotParallel4", Metrics: map[string]float64{"ns/op": 100e6}},
 		{Name: "BenchmarkSnapshotOrphan", Metrics: map[string]float64{"ns/op": 5}}, // no mode suffix
 	}
-	got := deriveSnapshotSpeedups(benches)
-	if len(got) != 2 {
-		t.Fatalf("derived %d snapshot speedups, want 2: %+v", len(got), got)
+	var snap []Speedup
+	for _, s := range deriveSpeedups(benches) {
+		if s.Kind == "snapshot" {
+			snap = append(snap, s)
+		}
 	}
-	if got[0].Base != "BenchmarkCrashSweep" || got[0].Mode != "Serial" || got[0].Speedup != 2.0 {
-		t.Fatalf("serial pairing wrong: %+v", got[0])
+	if len(snap) != 2 {
+		t.Fatalf("derived %d snapshot speedups, want 2: %+v", len(snap), snap)
 	}
-	if got[1].Base != "BenchmarkCrashSweep" || got[1].Mode != "Parallel4" || got[1].Speedup != 2.0 {
-		t.Fatalf("parallel pairing wrong: %+v", got[1])
+	if snap[0].Base != "BenchmarkCrashSweepSerial" || snap[0].Workers != 0 || snap[0].Speedup != 2.0 {
+		t.Fatalf("serial pairing wrong: %+v", snap[0])
+	}
+	if snap[1].Base != "BenchmarkCrashSweepParallel4" || snap[1].Workers != 4 || snap[1].Speedup != 2.0 {
+		t.Fatalf("parallel pairing wrong: %+v", snap[1])
 	}
 }
 
@@ -146,23 +136,18 @@ func TestDeriveWheelSpeedups(t *testing.T) {
 		{Name: "BenchmarkEngineTimersWheel65536", Metrics: map[string]float64{"ns/op": 85.8}},
 		{Name: "BenchmarkEngineTimersHeap1M", Metrics: map[string]float64{"ns/op": 232.9}},
 		{Name: "BenchmarkEngineTimersWheel1M", Metrics: map[string]float64{"ns/op": 130.7}},
-		{Name: "BenchmarkClusterConns100k", Metrics: map[string]float64{"ns/op": 2.0e9}},
-		{Name: "BenchmarkClusterConns100kNoWheel", Metrics: map[string]float64{"ns/op": 2.8e9}},
+		{Name: "BenchmarkEngineScheduleCancelWheel", Metrics: map[string]float64{"ns/op": 20}}, // no heap twin
 		{Name: "BenchmarkUnpairedHeap8", Metrics: map[string]float64{"ns/op": 5}},
-		{Name: "BenchmarkOrphanNoWheel", Metrics: map[string]float64{"ns/op": 5}},
 	}
-	got := deriveWheelSpeedups(benches)
-	if len(got) != 3 {
-		t.Fatalf("derived %d wheel speedups, want 3: %+v", len(got), got)
+	got := deriveSpeedups(benches)
+	if len(got) != 2 {
+		t.Fatalf("derived %d wheel speedups, want 2: %+v", len(got), got)
 	}
-	if got[0].Base != "BenchmarkEngineTimers" || got[0].Case != "65536" || got[0].Speedup < 2.0 {
+	if got[0].Kind != "wheel" || got[0].Base != "BenchmarkEngineTimersHeap65536" || got[0].Speedup < 2.0 {
 		t.Fatalf("65536 pairing wrong: %+v", got[0])
 	}
-	if got[1].Case != "1M" || got[1].Speedup < 1.7 {
+	if got[1].Variant != "BenchmarkEngineTimersWheel1M" || got[1].Speedup < 1.7 {
 		t.Fatalf("1M pairing wrong: %+v", got[1])
-	}
-	if got[2].Base != "BenchmarkClusterConns100k" || got[2].Case != "" || got[2].Speedup < 1.3 {
-		t.Fatalf("NoWheel pairing wrong: %+v", got[2])
 	}
 	for _, s := range got {
 		if s.Regression {
@@ -175,22 +160,18 @@ func TestDeriveSpeedupsRegressionFlag(t *testing.T) {
 	benches := []Benchmark{
 		{Name: "BenchmarkSlowSerial", Metrics: map[string]float64{"ns/op": 100}},
 		{Name: "BenchmarkSlowParallel4", Metrics: map[string]float64{"ns/op": 110}},
-		{Name: "BenchmarkSlowShard4", Metrics: map[string]float64{"ns/op": 120}},
 		{Name: "BenchmarkSlowSnapshotSerial", Metrics: map[string]float64{"ns/op": 130}},
 		{Name: "BenchmarkEngineTimersHeap1M", Metrics: map[string]float64{"ns/op": 90}},
 		{Name: "BenchmarkEngineTimersWheel1M", Metrics: map[string]float64{"ns/op": 100}},
 	}
-	if got := deriveSpeedups(benches); len(got) != 1 || !got[0].Regression {
-		t.Fatalf("parallel slowdown not flagged: %+v", got)
+	got := deriveSpeedups(benches)
+	if len(got) != 3 {
+		t.Fatalf("derived %d speedups, want 3: %+v", len(got), got)
 	}
-	if got := deriveShardSpeedups(benches); len(got) != 1 || !got[0].Regression {
-		t.Fatalf("shard slowdown not flagged: %+v", got)
-	}
-	if got := deriveSnapshotSpeedups(benches); len(got) != 1 || !got[0].Regression {
-		t.Fatalf("snapshot slowdown not flagged: %+v", got)
-	}
-	if got := deriveWheelSpeedups(benches); len(got) != 1 || !got[0].Regression {
-		t.Fatalf("wheel slowdown not flagged: %+v", got)
+	for _, s := range got {
+		if !s.Regression {
+			t.Fatalf("%s slowdown not flagged: %+v", s.Kind, s)
+		}
 	}
 }
 

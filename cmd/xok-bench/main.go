@@ -78,8 +78,6 @@ var (
 	serversFlag  = flag.Int("servers", 4, "cluster: backend machine count")
 	connsFlag    = flag.Int("conns", 2000, "cluster: open-loop connection arrivals per cell")
 	rateFlag     = flag.Float64("rate", 0, "cluster: offered arrivals per virtual second (0 = default)")
-	shardFlag    = flag.Int("shard", 0, "cluster: shard each cell's fabric across this many concurrent islands (0 = single-engine); stdout is byte-identical at any setting, incompatible with -trace/-hist")
-	nowheelFlag  = flag.Bool("nowheel", false, "cluster: disable the engines' timer-wheel scheduling backend (pure-heap baseline); stdout is byte-identical either way, only host time moves")
 )
 
 // bench carries the shared experiment knobs: the optional trace sink
@@ -90,8 +88,6 @@ var bench core.Bench
 func main() {
 	flag.Parse()
 	bench.Parallel = parallel.Workers(*parallelFlag)
-	bench.Shard = *shardFlag
-	bench.NoWheel = *nowheelFlag
 	var tr *trace.Tracer
 	if *traceFlag != "" || *histFlag {
 		tr = trace.New()
@@ -137,8 +133,7 @@ var (
 // spent, virtual cycles simulated, and engine events dispatched with
 // their per-host-second rate (summed across every machine the
 // experiment ran, on all workers). Events-per-host-second is the
-// simulator-throughput number a scheduling-backend change (heap vs
-// timer wheel) actually moves. The line goes to stderr so stdout —
+// simulator-throughput number an event-engine change actually moves. The line goes to stderr so stdout —
 // the tables — stays byte-identical across runs and -parallel values.
 func timed(name string, fn func()) {
 	hostStart := time.Now()

@@ -40,16 +40,6 @@ type BenchOpts struct {
 	// cmd/xok-bench resolves its -parallel flag (0 = one worker per
 	// CPU) with parallel.Workers before setting this.
 	Parallel int
-	// Shard partitions each cluster cell's fabric across this many
-	// concurrent islands (conservative parallel simulation inside one
-	// run, vs Parallel's across-runs pool). Only the cluster
-	// experiment honors it; 0 runs single-engine. Incompatible with
-	// Trace — sharded cells refuse a full tracer.
-	Shard int
-	// NoWheel disables the cluster engines' timer-wheel scheduling
-	// backend (pure-heap baseline). Results are byte-identical either
-	// way; only host time moves (cmd/xok-bench's -nowheel).
-	NoWheel bool
 }
 
 func (b *Bench) workers() int {
@@ -96,7 +86,9 @@ func (b *Bench) Figure2() ([]workload.IOResult, error) {
 	return runLegs(b, len(cfgs), func(i int, tr *trace.Tracer) (workload.IOResult, error) {
 		cfg := cfgs[i]
 		cfg.Trace = tr
-		return workload.IOIntensive(machine.MustNew(cfg))
+		m := machine.MustNew(cfg)
+		defer m.Close()
+		return workload.IOIntensive(m)
 	})
 }
 
@@ -106,7 +98,9 @@ func (b *Bench) MAB() ([]workload.MABResult, error) {
 	return runLegs(b, len(cfgs), func(i int, tr *trace.Tracer) (workload.MABResult, error) {
 		cfg := cfgs[i]
 		cfg.Trace = tr
-		return workload.MAB(machine.MustNew(cfg))
+		m := machine.MustNew(cfg)
+		defer m.Close()
+		return workload.MAB(m)
 	})
 }
 
@@ -121,7 +115,9 @@ func (b *Bench) ProtectionCost() (workload.ProtectionResult, error) {
 	rs, err := runLegs(b, len(cfgs), func(i int, tr *trace.Tracer) (workload.IOResult, error) {
 		cfg := cfgs[i]
 		cfg.Trace = tr
-		return workload.IOIntensive(machine.MustNew(cfg))
+		m := machine.MustNew(cfg)
+		defer m.Close()
+		return workload.IOIntensive(m)
 	})
 	if err != nil {
 		return workload.ProtectionResult{}, err
@@ -143,7 +139,9 @@ func (b *Bench) Table2() ([]Table2Row, error) {
 	return runLegs(b, len(specs), func(i int, tr *trace.Tracer) (Table2Row, error) {
 		cfg := specs[i].cfg
 		cfg.Trace = tr
-		run := machine.Runner(machine.MustNew(cfg))
+		m := machine.MustNew(cfg)
+		defer m.Close()
+		run := machine.Runner(m)
 		row := Table2Row{
 			Impl:   specs[i].impl,
 			Lat1B:  ostest.PipeLatency(run, 1, rounds),
@@ -184,8 +182,6 @@ func (b *Bench) Cluster(cells []workload.ClusterConfig) ([]workload.ClusterResul
 	return runLegs(b, len(cells), func(i int, tr *trace.Tracer) (workload.ClusterResult, error) {
 		cfg := cells[i]
 		cfg.Trace = tr
-		cfg.Shard = b.Shard
-		cfg.NoWheel = b.NoWheel
 		return workload.Cluster(cfg)
 	})
 }
@@ -201,7 +197,9 @@ func (b *Bench) GlobalSweep(pool []workload.JobKind, cells []GlobalCell, seed ui
 			cfg.Personality = machine.FreeBSD
 		}
 		cfg.Trace = tr
-		return workload.GlobalPerf(machine.MustNew(cfg), pool, cell.TotalJobs, cell.MaxConc, seed)
+		m := machine.MustNew(cfg)
+		defer m.Close()
+		return workload.GlobalPerf(m, pool, cell.TotalJobs, cell.MaxConc, seed)
 	})
 	if err != nil {
 		return nil, err

@@ -155,11 +155,7 @@ func New(cfg Config) (Machine, error) {
 		if cfg.Net.Topology == nil {
 			return nil, fmt.Errorf("machine: Net attachment without a topology")
 		}
-		if n := cfg.Net.Topology.Islands(); int(cfg.Net.Island) >= n {
-			return nil, fmt.Errorf("machine: attachment island %d out of range (topology has %d)",
-				cfg.Net.Island, n)
-		}
-		eng = cfg.Net.Topology.IslandEngine(cfg.Net.Island)
+		eng = cfg.Net.Topology.Engine()
 	}
 	var m Machine
 	switch cfg.Personality {
@@ -178,7 +174,7 @@ func New(cfg Config) (Machine, error) {
 		if cfg.Personality == XokUnprotected {
 			s.X.FreeCost = true
 		}
-		m = Xok{S: s, net: cfg.Net}
+		m = Xok{S: s}
 	case FreeBSD, OpenBSD, OpenBSDCFFS:
 		if cfg.SharedMemPipes {
 			return nil, fmt.Errorf("machine: %s has no shared-memory pipes", cfg.Personality)
@@ -201,7 +197,7 @@ func New(cfg Config) (Machine, error) {
 			Faults:     cfg.Faults,
 			Eng:        eng,
 		})
-		m = BSD{S: s, net: cfg.Net}
+		m = BSD{S: s}
 	default:
 		return nil, fmt.Errorf("machine: unknown personality %d", int(cfg.Personality))
 	}
@@ -239,8 +235,6 @@ func Runner(m Machine) ostest.RunFunc {
 // drives the file cache and XN directly).
 type Xok struct {
 	S *exos.System
-
-	net *netsim.Attachment // nil for stand-alone machines and forks
 }
 
 // Name implements Machine.
@@ -278,8 +272,6 @@ func (m Xok) Close() { m.S.K.Release() }
 // BSD wraps a BSD system as a Machine.
 type BSD struct {
 	S *bsdos.System
-
-	net *netsim.Attachment // nil for stand-alone machines and forks
 }
 
 // Name implements Machine.

@@ -29,15 +29,8 @@ func (s *Snapshot) Personality() Personality { return s.pers }
 // Snapshot implements Machine. A machine attached to a shared network
 // fabric can only be snapshotted while the fabric is quiesced — no
 // in-flight packets or timers anywhere on the shared engine — and the
-// fork runs standalone (its own clock, no NIC). Machines on a sharded
-// fabric refuse outright: quiescence would have to hold across every
-// island and all the cross-island channels at once, which the fork —
-// owning only its island's engine — could never re-establish.
+// fork runs standalone (its own clock, no NIC).
 func (m Xok) Snapshot() (*Snapshot, error) {
-	if m.net != nil && m.net.Topology.Islands() > 1 {
-		return nil, fmt.Errorf("machine: cannot snapshot a machine on a sharded fabric (topology has %d islands); snapshot a single-engine run instead",
-			m.net.Topology.Islands())
-	}
 	pers := XokExOS
 	if m.S.X.FreeCost {
 		pers = XokUnprotected
@@ -49,12 +42,8 @@ func (m Xok) Snapshot() (*Snapshot, error) {
 	return &Snapshot{pers: pers, xok: sn}, nil
 }
 
-// Snapshot implements Machine. Sharded fabrics refuse, as for Xok.
+// Snapshot implements Machine, with the same fabric rules as Xok's.
 func (m BSD) Snapshot() (*Snapshot, error) {
-	if m.net != nil && m.net.Topology.Islands() > 1 {
-		return nil, fmt.Errorf("machine: cannot snapshot a machine on a sharded fabric (topology has %d islands); snapshot a single-engine run instead",
-			m.net.Topology.Islands())
-	}
 	var pers Personality
 	switch m.S.Variant {
 	case bsdos.FreeBSD:

@@ -25,11 +25,11 @@ const pathHalf = 4
 // saturates the server from multiple client hosts).
 //
 // Conn objects are deliberately NOT pooled: in-flight duplicate or
-// lost-in-transit packets keep *Conn references alive across islands
-// after completion, so recycling a retired connection under a sharded
-// run would be a determinism (and correctness) hazard. The scale pass
-// pools what cycles fast — packets, transit records, timer nodes —
-// and keeps the connection itself a plain allocation.
+// lost-in-transit packets keep *Conn references alive after
+// completion, so a recycled connection would let a late segment act
+// on an unrelated connection's state. The scale pass pools what
+// cycles fast — packets, transit records, timer nodes — and keeps the
+// connection itself a plain allocation.
 type Conn struct {
 	t       *Topology
 	fwd     []hop // client -> server path (through the balancer, if any)
@@ -295,11 +295,11 @@ func (c *Conn) sendToClient(flags uint8, payload, seq int) {
 	k := c.backend.K
 	k.Stats.Inc(sim.CtrPacketsTx)
 	if tr := k.Trace; tr != nil {
-		tr.Instant(k.TracePID, c.lane(), "net", "tx", c.backend.rt.eng.Now(),
+		tr.Instant(k.TracePID, c.lane(), "net", "tx", c.t.eng.Now(),
 			trace.Arg{Key: "seq", Val: strconv.Itoa(seq)},
 			trace.Arg{Key: "payload", Val: strconv.Itoa(payload)})
 	}
-	pkt := c.backend.rt.newPacket()
+	pkt := c.t.newPacket()
 	pkt.SrcPort, pkt.DstPort, pkt.Conn = ServerPort, c.clientPort, c
 	pkt.Flags, pkt.Payload, pkt.Seq = flags, payload, seq
 	c.t.xmit(c.rev, pkt, c)

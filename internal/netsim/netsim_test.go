@@ -137,13 +137,13 @@ type nowSink struct {
 func (s *nowSink) deliverPkt(*Packet) { *s.at = s.eng.Now() }
 
 func TestWireTimeSerializesLink(t *testing.T) {
-	eng := sim.NewEngine()
-	rt := &islandRT{eng: eng}
-	l := &link{rt: [2]*islandRT{rt, rt}, bps: sim.LinkBandwidthBps, latency: sim.LinkLatency}
+	tp := NewTopology()
+	eng := tp.Engine()
+	l := &link{bps: sim.LinkBandwidthBps, latency: sim.LinkLatency}
 	var first, second sim.Time
 	send := func(at *sim.Time) {
-		tr := rt.newTransit()
-		tr.rt = rt
+		tr := tp.newTransit()
+		tr.t = tp
 		tr.to = &nowSink{eng: eng, at: at}
 		l.transmit(0, 1460, tr)
 	}

@@ -50,7 +50,6 @@ const RTO = 80 * sim.Millisecond
 type NIC struct {
 	t    *Topology
 	host *host
-	rt   *islandRT // the machine's island: its engine and freelist
 	K    *kernel.Kernel
 	DPF  *dpf.Engine
 
@@ -68,17 +67,17 @@ func (nic *NIC) deliverPkt(pkt *Packet) {
 	nic.K.ChargeInterrupt(sim.CostNICInterrupt)
 	nic.K.Stats.Inc(sim.CtrPacketsRx)
 	if tr := nic.K.Trace; tr != nil && pkt.Conn != nil {
-		tr.Instant(nic.K.TracePID, pkt.Conn.lane(), "net", "rx", nic.rt.eng.Now())
+		tr.Instant(nic.K.TracePID, pkt.Conn.lane(), "net", "rx", nic.t.eng.Now())
 	}
 	nic.K.ChargeInterrupt(sim.CostPacketFilter)
 	owner, ok := nic.DPF.Dispatch(pkt.HeaderInto(nic.hdrBuf[:]))
 	if !ok {
-		nic.rt.release(pkt)
+		nic.t.release(pkt)
 		return // no filter claims it: dropped
 	}
 	ring, ok := owner.(*ring)
 	if !ok {
-		nic.rt.release(pkt)
+		nic.t.release(pkt)
 		return
 	}
 	ring.push(pkt)
@@ -132,7 +131,7 @@ func (nic *NIC) Serve(env *kernel.Env, cfg StackConfig, handler Handler, stopAt 
 	if stopAt > 0 {
 		// Stop event so the server wakes up and notices the deadline
 		// even if traffic is in flight.
-		nic.rt.eng.At(stopAt, func() { nic.K.Wake(env) })
+		nic.t.eng.At(stopAt, func() { nic.K.Wake(env) })
 	}
 	s.loop()
 	return s
@@ -140,7 +139,7 @@ func (nic *NIC) Serve(env *kernel.Env, cfg StackConfig, handler Handler, stopAt 
 
 // expired reports whether the serve deadline has passed.
 func (s *Stack) expired() bool {
-	return s.stopAt > 0 && s.nic.rt.eng.Now() >= s.stopAt
+	return s.stopAt > 0 && s.nic.t.eng.Now() >= s.stopAt
 }
 
 // wait blocks the server until a packet arrives or the deadline hits.
@@ -188,7 +187,7 @@ func (s *Stack) loop() {
 			}
 		}
 		// The ring handed us this delivery; processing is done.
-		s.nic.rt.release(pkt)
+		s.nic.t.release(pkt)
 	}
 }
 
@@ -223,7 +222,7 @@ func (s *Stack) serveRequest(c *Conn) {
 		// the handler already ran; the RTO covers delivery.
 		return
 	}
-	c.tsReq = s.nic.rt.eng.Now()
+	c.tsReq = s.nic.t.eng.Now()
 	// Receive-side processing of the request segment.
 	s.env.Use(s.cfg.PerPacket)
 	if s.cfg.CopyOnSend {
@@ -281,7 +280,7 @@ func (s *Stack) sendFrom(c *Conn, from int, first bool) {
 // armRTO schedules the retransmission timer; firing enqueues a marker
 // packet the server loop handles with CPU properly charged.
 func (s *Stack) armRTO(c *Conn) {
-	eng := s.nic.rt.eng
+	eng := s.nic.t.eng
 	eng.Cancel(c.rto)
 	c.rto = eng.AfterArg(c.serverTimeout(), rtoFire, c)
 }
@@ -296,7 +295,7 @@ func rtoFire(a any) {
 	if s == nil || c.srvDone || s.expired() {
 		return
 	}
-	mp := s.nic.rt.newPacket()
+	mp := s.nic.t.newPacket()
 	mp.Flags, mp.Conn, mp.refs = flagRetransmit, c, 1
 	s.inbox = append(s.inbox, mp)
 	s.nic.K.Wake(s.env)
@@ -318,10 +317,10 @@ func (s *Stack) retransmit(c *Conn) {
 // retireConn tears down a fully-acknowledged connection.
 func (s *Stack) retireConn(c *Conn) {
 	if tr := s.nic.K.Trace; tr != nil {
-		tr.Instant(s.nic.K.TracePID, c.lane(), "http", "retire", s.nic.rt.eng.Now())
+		tr.Instant(s.nic.K.TracePID, c.lane(), "http", "retire", s.nic.t.eng.Now())
 	}
 	c.srvDone = true
-	s.nic.rt.eng.Cancel(c.rto)
+	s.nic.t.eng.Cancel(c.rto)
 	c.rto = sim.Event{}
 	if c.hasFilter {
 		_ = s.nic.DPF.Remove(c.filterID)

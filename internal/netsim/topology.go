@@ -1,89 +1,14 @@
 package netsim
 
 import (
-	"fmt"
-
 	"xok/internal/dpf"
 	"xok/internal/fault"
 	"xok/internal/kernel"
-	"xok/internal/parallel"
 	"xok/internal/sim"
 )
 
 // HostID names one node of a Topology.
 type HostID int
-
-// IslandID names one partition of a sharded Topology. Island 0 — the
-// root — is the topology's original engine; every plain host and load
-// balancer lives there. AddIsland creates further islands, each with
-// its own engine and clock, for machines to boot onto (see
-// Attachment.Island); RunSharded then executes the islands on
-// concurrent workers under conservative (lookahead-based) time
-// synchronization, with results byte-identical to a single engine.
-type IslandID int
-
-// islandRT is the per-island runtime: the engine, the packet freelist
-// and the drop counter, each touched only by the island that owns it
-// (the whole point — no cross-island locking on the fast path). The
-// root island's counter aliases Topology.Drops; the others accumulate
-// locally and fold into it after a sharded run joins.
-type islandRT struct {
-	id  int
-	eng *sim.Engine
-	isl *sim.Island // created when the fabric is first wired for sharding
-
-	// freePkts recycles Packet objects island-locally: a saturated run
-	// sends hundreds of thousands of segments whose lifetime is a few
-	// events. A packet crossing islands is freed — and later reused —
-	// by the island it landed on.
-	freePkts []*Packet
-
-	// freeTransits recycles the per-hop delivery records the same way:
-	// popped by the island sending a hop, pushed back by the island the
-	// hop lands on. Each list is only ever touched by its own island's
-	// goroutine.
-	freeTransits []*transit
-
-	drops      *int64
-	localDrops int64
-}
-
-// newPacket returns a zeroed Packet from the island's freelist.
-func (rt *islandRT) newPacket() *Packet {
-	if k := len(rt.freePkts); k > 0 {
-		p := rt.freePkts[k-1]
-		rt.freePkts = rt.freePkts[:k-1]
-		*p = Packet{}
-		return p
-	}
-	return &Packet{}
-}
-
-// release drops one pending delivery; the last one frees the packet
-// into this island's freelist.
-func (rt *islandRT) release(p *Packet) {
-	p.refs--
-	if p.refs == 0 {
-		rt.freePkts = append(rt.freePkts, p)
-	}
-}
-
-// newTransit returns a zeroed delivery record from the island's
-// freelist.
-func (rt *islandRT) newTransit() *transit {
-	if k := len(rt.freeTransits); k > 0 {
-		tr := rt.freeTransits[k-1]
-		rt.freeTransits = rt.freeTransits[:k-1]
-		return tr
-	}
-	return &transit{}
-}
-
-// freeTransit recycles a finished delivery record.
-func (rt *islandRT) freeTransit(tr *transit) {
-	*tr = transit{}
-	rt.freeTransits = append(rt.freeTransits, tr)
-}
 
 // sink consumes packets that reach the end of their path: a *NIC (the
 // server receive path) or a *Conn (the scripted client endpoint).
@@ -98,11 +23,9 @@ type sink interface {
 // pooled record link.transmit schedules instead of a fresh closure per
 // hop (at connection scale the per-hop closures were the fabric's
 // dominant allocation). The fault decisions are drawn at send time in
-// forward — exactly where the closure captured them before — and the
-// record is freed by the island the hop lands on (rt).
+// forward — exactly where the closure captured them before.
 type transit struct {
 	t     *Topology
-	rt    *islandRT // receiving island: runs the arrival, frees the record
 	path  []hop
 	i     int
 	pkt   *Packet
@@ -114,23 +37,24 @@ type transit struct {
 // transitArrive is the arrival event for one hop: drop a lost copy,
 // forward an inner hop, apply a reorder delay on the last hop, or
 // deliver to the sink. Package-level so scheduling it via AtArg /
-// SendArg captures nothing.
+// AfterArg captures nothing.
 func transitArrive(a any) {
 	tr := a.(*transit)
+	t := tr.t
 	switch {
 	case tr.lost:
-		tr.rt.release(tr.pkt)
+		t.release(tr.pkt)
 	case tr.i+1 < len(tr.path):
-		tr.t.forward(tr.path, tr.i+1, tr.pkt, tr.to)
+		t.forward(tr.path, tr.i+1, tr.pkt, tr.to)
 	case tr.delay > 0:
 		d := tr.delay
 		tr.delay = 0
-		tr.rt.eng.AfterArg(d, transitArrive, tr)
+		t.eng.AfterArg(d, transitArrive, tr)
 		return // still in flight; the delayed firing frees it
 	default:
 		tr.to.deliverPkt(tr.pkt)
 	}
-	tr.rt.freeTransit(tr)
+	t.freeTransit(tr)
 }
 
 // Policy selects how a load balancer spreads new connections over its
@@ -181,16 +105,9 @@ type LinkSpec struct {
 
 // link is one full-duplex wire between two hosts. Direction 0 is
 // a-to-b, direction 1 is b-to-a; each direction serializes frames
-// against its own transmit horizon. rt[dir] is the island of the
-// direction's SENDING host — the only island that ever touches
-// busy[dir], which is what keeps the horizons race-free under
-// sharding. xch[dir] is the cross-island hand-off channel when the
-// endpoints live on different islands (nil for intra-island links):
-// the link's propagation latency is the channel's lookahead.
+// against its own transmit horizon.
 type link struct {
 	a, b    HostID
-	rt      [2]*islandRT
-	xch     [2]*sim.Channel
 	bps     uint64
 	latency sim.Time
 	queue   int
@@ -205,38 +122,28 @@ func (l *link) wire(payload int) sim.Time {
 	return sim.WireTimeAt(payload+ipTCPHeader, l.bps)
 }
 
-// full reports whether the direction's backlog exceeds the queue
-// bound: the untransmitted horizon is longer than Queue full-size
-// frames' worth of wire time.
-func (l *link) full(dir int) bool {
+// full reports whether the direction's backlog at time now exceeds
+// the queue bound: the untransmitted horizon is longer than Queue
+// full-size frames' worth of wire time.
+func (l *link) full(dir int, now sim.Time) bool {
 	if l.queue <= 0 {
 		return false
 	}
-	backlog := l.busy[dir] - l.rt[dir].eng.Now()
-	return backlog > sim.Time(l.queue)*l.wire(MSS)
+	return l.busy[dir]-now > sim.Time(l.queue)*l.wire(MSS)
 }
 
 // transmit serializes a frame on one direction and schedules its
-// arrival record after the wire time plus propagation — on the
-// sender's own engine for an intra-island link, or through the
-// cross-island channel when the far end lives on another island.
-// Serialization makes arrival timestamps per direction strictly
-// increasing (tx is at least one cycle), which is exactly the
-// channel's ordering contract.
+// arrival record, on the fabric's engine, after the wire time plus
+// propagation.
 func (l *link) transmit(dir int, payload int, tr *transit) {
-	rt := l.rt[dir]
-	start := rt.eng.Now()
+	eng := tr.t.eng
+	start := eng.Now()
 	if l.busy[dir] > start {
 		start = l.busy[dir]
 	}
 	tx := l.wire(payload)
 	l.busy[dir] = start + tx
-	at := start + tx + l.latency
-	if ch := l.xch[dir]; ch != nil {
-		ch.SendArg(at, transitArrive, tr)
-		return
-	}
-	rt.eng.AtArg(at, transitArrive, tr)
+	eng.AtArg(start+tx+l.latency, transitArrive, tr)
 }
 
 // hop is one directed traversal of a link.
@@ -257,7 +164,6 @@ type host struct {
 	id   HostID
 	name string
 	kind hostKind
-	rt   *islandRT // the island this host's events run on
 	nic  *NIC
 	lb   *lbState
 	adj  []adjEntry // links out of this host, insertion order
@@ -339,17 +245,11 @@ type Topology struct {
 	paths  map[pairKey][]HostID
 	trunks map[pairKey]*trunkSet
 
-	// noWheel mirrors sim.Engine.SetWheel across the fabric: SetWheel
-	// records it here so islands added later inherit the setting.
-	noWheel bool
-
-	// islands[0] is the root (the topology's own engine — clients and
-	// balancers always live there); AddIsland appends the rest. All
-	// client-side connection logic, routing-table mutation and balancer
-	// state stays on the root island, which is what keeps the trace
-	// recording order — and so the digests — identical to a
-	// single-engine run.
-	islands []*islandRT
+	// freePkts recycles Packet objects: a saturated run sends hundreds
+	// of thousands of segments whose lifetime is a few events.
+	freePkts []*Packet
+	// freeTransits recycles the per-hop delivery records the same way.
+	freeTransits []*transit
 }
 
 // NewTopology builds an empty fabric on a fresh event engine.
@@ -360,56 +260,12 @@ func NewTopology() *Topology {
 // NewTopologyOn builds an empty fabric on an existing engine —
 // machines attached later must already run on the same engine.
 func NewTopologyOn(eng *sim.Engine) *Topology {
-	t := &Topology{
+	return &Topology{
 		eng:     eng,
 		lossRNG: sim.NewRNG(0xfade),
 		paths:   make(map[pairKey][]HostID),
 		trunks:  make(map[pairKey]*trunkSet),
 	}
-	root := &islandRT{id: 0, eng: eng, drops: &t.Drops}
-	t.islands = []*islandRT{root}
-	return t
-}
-
-// AddIsland adds a partition with its own engine and clock. Machines
-// booted onto it (Attachment.Island) run concurrently with the other
-// islands under RunSharded; everything else about the fabric API is
-// unchanged. Islands must be added before the hosts that live on them.
-func (t *Topology) AddIsland() IslandID {
-	rt := &islandRT{id: len(t.islands), eng: sim.NewEngine()}
-	rt.drops = &rt.localDrops
-	rt.eng.SetWheel(!t.noWheel)
-	t.islands = append(t.islands, rt)
-	return IslandID(rt.id)
-}
-
-// SetWheel toggles the timer-wheel scheduling backend (on by default)
-// on every island engine, current and future. The off position is the
-// pure-heap baseline; results are bit-identical either way — only the
-// host time to produce them moves.
-func (t *Topology) SetWheel(on bool) {
-	t.noWheel = !on
-	for _, rt := range t.islands {
-		rt.eng.SetWheel(on)
-	}
-}
-
-// Islands reports the partition count (1 = unsharded).
-func (t *Topology) Islands() int { return len(t.islands) }
-
-// IslandEngine returns an island's engine; island 0 is Engine().
-func (t *Topology) IslandEngine(id IslandID) *sim.Engine {
-	return t.islands[id].eng
-}
-
-// rtByEngine finds the island runtime owning eng (nil if none).
-func (t *Topology) rtByEngine(eng *sim.Engine) *islandRT {
-	for _, rt := range t.islands {
-		if rt.eng == eng {
-			return rt
-		}
-	}
-	return nil
 }
 
 // Engine returns the fabric's event engine. Machines joining the
@@ -420,7 +276,7 @@ func (t *Topology) Engine() *sim.Engine { return t.eng }
 func (t *Topology) Now() sim.Time { return t.eng.Now() }
 
 func (t *Topology) addHost(name string, kind hostKind) *host {
-	h := &host{id: HostID(len(t.hosts)), name: name, kind: kind, rt: t.islands[0]}
+	h := &host{id: HostID(len(t.hosts)), name: name, kind: kind}
 	t.hosts = append(t.hosts, h)
 	return h
 }
@@ -433,18 +289,14 @@ func (t *Topology) AddHost(name string) HostID {
 }
 
 // AttachKernel adds a NIC host for an already-booted machine. The
-// kernel must run on one of the fabric's island engines — the root
-// engine for an unsharded fabric (boot it with kernel.Config.Eng =
-// t.Engine(), or let machine.Config.Net do it), or an AddIsland engine
-// for a partitioned one. The host joins the kernel's island.
+// kernel must run on the fabric's engine (boot it with
+// kernel.Config.Eng = t.Engine(), or let machine.Config.Net do it).
 func (t *Topology) AttachKernel(name string, k *kernel.Kernel) HostID {
-	rt := t.rtByEngine(k.Eng)
-	if rt == nil {
-		panic("netsim: AttachKernel: kernel is not on any of the topology's island engines")
+	if k.Eng != t.eng {
+		panic("netsim: AttachKernel: kernel is not on the topology's engine")
 	}
 	h := t.addHost(name, kindNIC)
-	h.rt = rt
-	h.nic = &NIC{t: t, host: h, K: k, DPF: dpf.NewEngine(), rt: rt}
+	h.nic = &NIC{t: t, host: h, K: k, DPF: dpf.NewEngine()}
 	return h.id
 }
 
@@ -479,7 +331,6 @@ func (t *Topology) Link(a, b HostID, spec LinkSpec) {
 	}
 	l := &link{
 		a: a, b: b,
-		rt:  [2]*islandRT{t.hosts[a].rt, t.hosts[b].rt},
 		bps: spec.BandwidthBps, latency: spec.Latency,
 		queue: spec.Queue, loss: spec.LossRate,
 	}
@@ -602,14 +453,41 @@ func pathRTT(path []hop) sim.Time {
 	return 2 * oneWay
 }
 
-// newPacket returns a zeroed Packet from the root island's freelist —
-// the client-side allocation path (server stacks allocate from their
-// own island via NIC.rt).
-func (t *Topology) newPacket() *Packet { return t.islands[0].newPacket() }
+// newPacket returns a zeroed Packet from the fabric's freelist.
+func (t *Topology) newPacket() *Packet {
+	if k := len(t.freePkts); k > 0 {
+		p := t.freePkts[k-1]
+		t.freePkts = t.freePkts[:k-1]
+		*p = Packet{}
+		return p
+	}
+	return &Packet{}
+}
 
-// release drops one pending delivery on the root island; the last one
-// frees the packet.
-func (t *Topology) release(p *Packet) { t.islands[0].release(p) }
+// release drops one pending delivery; the last one frees the packet.
+func (t *Topology) release(p *Packet) {
+	p.refs--
+	if p.refs == 0 {
+		t.freePkts = append(t.freePkts, p)
+	}
+}
+
+// newTransit returns a zeroed delivery record from the fabric's
+// freelist.
+func (t *Topology) newTransit() *transit {
+	if k := len(t.freeTransits); k > 0 {
+		tr := t.freeTransits[k-1]
+		t.freeTransits = t.freeTransits[:k-1]
+		return tr
+	}
+	return &transit{}
+}
+
+// freeTransit recycles a finished delivery record.
+func (t *Topology) freeTransit(tr *transit) {
+	*tr = transit{}
+	t.freeTransits = append(t.freeTransits, tr)
+}
 
 // xmit puts one segment on the wire along a path of hops, applying
 // the fault decisions: loss (LossRate, per-link loss, or the fault
@@ -634,14 +512,9 @@ func (t *Topology) xmit(path []hop, pkt *Packet, to sink) {
 // forward sends one copy across hop i; its transit record recurses to
 // i+1 on arrival. Fault decisions draw in the legacy order (fabric
 // loss, link loss, plan loss, plan reorder) at every hop, at send
-// time. Hop i runs on the island of its sending host; the arrival
-// record runs on the receiving host's island (which is hop i+1's
-// sending island), so every freelist and drop-counter touch is
-// island-local. The fabric-global decision streams (LossRate, Faults)
-// only draw on unsharded fabrics — RunSharded rejects them.
+// time.
 func (t *Topology) forward(path []hop, i int, pkt *Packet, to sink) {
 	h := path[i]
-	send, recv := h.l.rt[h.dir], h.l.rt[1-h.dir]
 	last := i == len(path)-1
 	lost := t.LossRate > 0 && t.lossRNG.Intn(t.LossRate) == 0
 	if h.l.loss > 0 && h.l.lossRNG.Intn(h.l.loss) == 0 {
@@ -654,85 +527,15 @@ func (t *Topology) forward(path []hop, i int, pkt *Packet, to sink) {
 	if last && t.Faults.ReorderSegment() {
 		delay = 2 * sim.WireTime(sim.EthernetMTU+ipTCPHeader)
 	}
-	if h.l.full(h.dir) {
-		*send.drops++
-		send.release(pkt)
+	if h.l.full(h.dir, t.eng.Now()) {
+		t.Drops++
+		t.release(pkt)
 		return
 	}
-	tr := send.newTransit()
-	tr.t, tr.rt, tr.path, tr.i = t, recv, path, i
+	tr := t.newTransit()
+	tr.t, tr.path, tr.i = t, path, i
 	tr.pkt, tr.to, tr.lost, tr.delay = pkt, to, lost, delay
 	h.l.transmit(h.dir, pkt.Payload, tr)
-}
-
-// wireShards creates the cross-island hand-off channels for every link
-// whose endpoints live on different islands, validating the lookahead
-// contract. Idempotent per link, so islands wired once stay wired
-// across repeated sharded runs.
-func (t *Topology) wireShards() error {
-	for _, rt := range t.islands {
-		if rt.isl == nil {
-			rt.isl = sim.NewIsland(rt.id, rt.eng)
-		}
-	}
-	for _, l := range t.links {
-		if l.rt[0] == l.rt[1] || l.xch[0] != nil {
-			continue
-		}
-		if l.latency < 1 {
-			return fmt.Errorf("netsim: zero-latency link between %s and %s crosses islands %d and %d: no lookahead is possible — merge the hosts onto one island or give the link latency",
-				t.hosts[l.a].name, t.hosts[l.b].name, l.rt[0].id, l.rt[1].id)
-		}
-		if l.loss > 0 {
-			return fmt.Errorf("netsim: lossy link between %s and %s crosses islands %d and %d: per-link loss draws are only deterministic island-locally",
-				t.hosts[l.a].name, t.hosts[l.b].name, l.rt[0].id, l.rt[1].id)
-		}
-		l.xch[0] = sim.Connect(l.rt[0].isl, l.rt[1].isl, l.latency)
-		l.xch[1] = sim.Connect(l.rt[1].isl, l.rt[0].isl, l.latency)
-	}
-	return nil
-}
-
-// RunSharded drives a partitioned fabric to global completion — the
-// parallel equivalent of Engine().Run() on every island at once, with
-// the islands multiplexed over a small worker pool (routed through
-// internal/parallel). Cross-island links become timestamped channels whose lookahead is
-// the link latency; execution order is conservatively synchronized, so
-// results are byte-identical to the same fabric run on one engine.
-// The fabric-global nondeterminism channels are rejected up front:
-// loss, duplication and fault plans draw from streams whose order a
-// partitioned run cannot reproduce.
-func (t *Topology) RunSharded() error {
-	if len(t.islands) == 1 {
-		t.eng.Run()
-		return nil
-	}
-	if t.Faults != nil {
-		return fmt.Errorf("netsim: RunSharded: fault plans draw from a fabric-global stream; run single-engine")
-	}
-	if t.LossRate > 0 {
-		return fmt.Errorf("netsim: RunSharded: fabric-wide LossRate draws from a global stream; run single-engine or use per-link loss on intra-island links")
-	}
-	if err := t.wireShards(); err != nil {
-		return err
-	}
-	islands := make([]*sim.Island, len(t.islands))
-	for i, rt := range t.islands {
-		islands[i] = rt.isl
-	}
-	sim.RunIslands(islands, func(n int, run func(i int)) {
-		parallel.Map(n, n, func(i int) struct{} {
-			run(i)
-			return struct{}{}
-		})
-	})
-	// Fold the non-root islands' drop counts into the public counter
-	// now that their goroutines have joined.
-	for _, rt := range t.islands[1:] {
-		t.Drops += rt.localDrops
-		rt.localDrops = 0
-	}
-	return nil
 }
 
 // openConn builds a connection from a client host to a server: either
@@ -806,10 +609,6 @@ type Attachment struct {
 	Topology *Topology
 	// Name labels the NIC host (default: the machine's name).
 	Name string
-	// Island selects which partition of a sharded fabric the machine
-	// boots onto (its kernel runs on that island's engine). Zero — the
-	// root island — is the single-engine default.
-	Island IslandID
 
 	// Host is the machine's NIC host, filled by machine.New.
 	Host HostID

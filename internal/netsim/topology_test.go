@@ -15,9 +15,9 @@ func (s *funcSink) deliverPkt(p *Packet) { s.f(p) }
 
 // testTransit builds a terminal transit record (no further hops)
 // delivering to the given sink.
-func testTransit(rt *islandRT, to sink) *transit {
-	tr := rt.newTransit()
-	tr.rt = rt
+func testTransit(tp *Topology, to sink) *transit {
+	tr := tp.newTransit()
+	tr.t = tp
 	tr.to = to
 	return tr
 }
@@ -25,14 +25,14 @@ func testTransit(rt *islandRT, to sink) *transit {
 // TestLinkCustomBandwidthSerializes: frames on a slow link serialize
 // against the custom wire time, not the default Ethernet's.
 func TestLinkCustomBandwidthSerializes(t *testing.T) {
-	eng := sim.NewEngine()
+	tp := NewTopology()
+	eng := tp.Engine()
 	const bps = 10_000_000 // 10 Mbit
-	rt := &islandRT{eng: eng}
-	l := &link{rt: [2]*islandRT{rt, rt}, bps: bps, latency: sim.LinkLatency}
+	l := &link{bps: bps, latency: sim.LinkLatency}
 	var deliveries []sim.Time
 	record := &funcSink{f: func(p *Packet) { deliveries = append(deliveries, eng.Now()) }}
-	l.transmit(0, 1460, testTransit(rt, record))
-	l.transmit(0, 1460, testTransit(rt, record))
+	l.transmit(0, 1460, testTransit(tp, record))
+	l.transmit(0, 1460, testTransit(tp, record))
 	eng.Run()
 	if len(deliveries) != 2 {
 		t.Fatalf("delivered %d frames, want 2", len(deliveries))
@@ -100,6 +100,20 @@ func TestUnboundedQueueNeverDrops(t *testing.T) {
 	if delivered != 64 || tp.Drops != 0 {
 		t.Errorf("delivered %d (want 64), drops %d (want 0)", delivered, tp.Drops)
 	}
+}
+
+// TestAttachKernelRejectsForeignEngine: a kernel booted on its own
+// engine would run its NIC against a clock the fabric never advances,
+// so attaching it panics instead of simulating nonsense.
+func TestAttachKernelRejectsForeignEngine(t *testing.T) {
+	k := kernel.New(kernel.Config{Name: "foreign", MemPages: 512})
+	tp := NewTopology()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AttachKernel accepted a kernel on a foreign engine")
+		}
+	}()
+	tp.AttachKernel("server", k)
 }
 
 // TestRoundRobinPickCycles: round-robin walks the backends cyclically

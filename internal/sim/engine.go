@@ -34,16 +34,15 @@ func (ev Event) At() Time {
 // not allocate. gen increments on every recycle, invalidating any
 // handles still pointing at the slot.
 type node struct {
-	at      Time
-	schedAt Time // clock value when the event was scheduled
-	seq     uint64
-	fn      func()
-	fnArg   func(any) // set (with arg) by AfterArg instead of fn
-	arg     any
-	gen     uint32
-	index   int32 // heap position, -1 once popped/removed, <= -2 in a wheel bucket
-	next    *node // free-list / wheel-bucket link
-	prev    *node // wheel-bucket back link (O(1) cancel)
+	at    Time
+	seq   uint64
+	fn    func()
+	fnArg func(any) // set (with arg) by AfterArg instead of fn
+	arg   any
+	gen   uint32
+	index int32 // heap position, -1 once popped/removed, <= -2 in a wheel bucket
+	next  *node // free-list / wheel-bucket link
+	prev  *node // wheel-bucket back link (O(1) cancel)
 }
 
 // Engine is the discrete-event core: a virtual clock plus a
@@ -62,16 +61,16 @@ type node struct {
 // fully independent and may run on concurrent goroutines — the basis
 // of the parallel harness (internal/parallel).
 type Engine struct {
-	now     Time
-	heap    []*node
-	seq     uint64
-	free    *node
-	hook    func(at Time) // observes every fired event; nil = off
-	metered Time          // clock value already flushed to the global meter
-	wheel   *wheel        // far-future backend (wheel.go), lazily allocated
-	noWheel bool          // SetWheel(false): pure-heap baseline mode
-	fired   int64         // events dispatched since the last meter flush
-	flushed int64         // events already published to the global meter
+	now      Time
+	heap     []*node
+	seq      uint64
+	free     *node
+	hook     func(at Time) // observes every fired event; nil = off
+	metered  Time          // clock value already flushed to the global meter
+	wheel    *wheel        // far-future backend (wheel.go), lazily allocated
+	heapOnly bool          // pure-heap reference mode, set only by tests before scheduling
+	fired    int64         // events dispatched since the last meter flush
+	flushed  int64         // events already published to the global meter
 }
 
 // Dispatched returns the total events this engine has fired since it
@@ -118,7 +117,6 @@ func (e *Engine) schedule(t Time) *node {
 		n = &node{}
 	}
 	n.at = t
-	n.schedAt = e.now
 	n.seq = e.seq
 	e.seq++
 	if !e.wheelAdd(n) {
@@ -225,21 +223,6 @@ func (e *Engine) peek() (Time, bool) {
 		return 0, false
 	}
 	return e.heap[0].at, true
-}
-
-// NextEvent peeks at the earliest queued event without firing it,
-// reporting its fire time and the clock value at which it was
-// scheduled. The conservative parallel scheduler (shard.go) uses the
-// pair to merge engine events against cross-island channel arrivals
-// with the same tie-break a single shared engine's (at, seq) order
-// would produce: among same-instant events, the one scheduled earliest
-// fires first.
-func (e *Engine) NextEvent() (at, schedAt Time, ok bool) {
-	e.syncWheel()
-	if len(e.heap) == 0 {
-		return 0, 0, false
-	}
-	return e.heap[0].at, e.heap[0].schedAt, true
 }
 
 // Run processes events until the queue is empty.

@@ -74,7 +74,7 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 func benchFarTimers(b *testing.B, pending int, wheelOn bool) {
 	const window = 12_000_000 // 60ms at 200MHz, the legacy RTO floor
 	e := NewEngine()
-	e.SetWheel(wheelOn)
+	e.heapOnly = !wheelOn
 	i := 0
 	var tick func(any)
 	tick = func(any) {

@@ -21,9 +21,9 @@ import "math/bits"
 // the sole arbiter of order, so an event that takes the wheel detour
 // pops exactly where it always did. Any placement the wheel cannot
 // make safely (deadline inside an already-flushed slot, beyond the top
-// level's span like the 1<<60 serve-forever sentinels, or the wheel
-// disabled) falls back to the heap, which is always exact — the wheel
-// can only ever be a deferral, never a reordering.
+// level's span like the 1<<60 serve-forever sentinels, or a test's
+// pure-heap reference engine) falls back to the heap, which is always
+// exact — the wheel can only ever be a deferral, never a reordering.
 const (
 	wheelSlotBits = 8
 	wheelSlots    = 1 << wheelSlotBits // 256 slots per level
@@ -170,7 +170,7 @@ func (w *wheel) skipGap() {
 // wheelAdd tries to file a freshly scheduled node into the wheel,
 // reporting false when it belongs on the heap instead.
 func (e *Engine) wheelAdd(n *node) bool {
-	if e.noWheel || n.at-e.now < wheelMinDefer {
+	if e.heapOnly || n.at-e.now < wheelMinDefer {
 		return false
 	}
 	w := e.wheel
@@ -248,40 +248,5 @@ func (e *Engine) syncWheel() {
 			lv.cur = limit
 			w.skipGap()
 		}
-	}
-}
-
-// drainWheel moves every wheel resident into the heap (order is
-// irrelevant — the heap re-establishes (at, seq) order).
-func (e *Engine) drainWheel() {
-	w := e.wheel
-	if w == nil {
-		return
-	}
-	for l := range w.levels {
-		lv := &w.levels[l]
-		for ring := range lv.slots {
-			for n := lv.slots[ring]; n != nil; {
-				next := n.next
-				n.prev, n.next = nil, nil
-				e.push(n)
-				n = next
-			}
-			lv.slots[ring] = nil
-		}
-		lv.occ = [wheelSlots / 64]uint64{}
-	}
-	w.count = 0
-}
-
-// SetWheel toggles the timer-wheel backend (on by default). Disabling
-// it drains every wheel resident into the heap, so pop order — already
-// bit-identical by construction — is unaffected mid-run; benchmarks
-// and differential tests use the off position as the pure-heap
-// baseline.
-func (e *Engine) SetWheel(on bool) {
-	e.noWheel = !on
-	if !on {
-		e.drainWheel()
 	}
 }

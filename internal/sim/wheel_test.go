@@ -20,7 +20,7 @@ type wheelFire struct {
 
 func runWheelTrace(seed int64, ops int, wheelOn bool) []wheelFire {
 	e := NewEngine()
-	e.SetWheel(wheelOn)
+	e.heapOnly = !wheelOn
 	r := NewRNG(uint64(seed))
 	var fired []wheelFire
 	var handles []Event
@@ -228,36 +228,6 @@ func TestWheelRunUntilAndAdvance(t *testing.T) {
 	}
 }
 
-// TestWheelDisableDrains: turning the wheel off mid-run moves every
-// resident to the heap without disturbing order, and new far events
-// heap directly.
-func TestWheelDisableDrains(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	for _, at := range []Time{30_000_000, 10_000_000, 20_000_000} {
-		at := at
-		e.At(at, func() { got = append(got, at) })
-	}
-	if e.wheel.count != 3 {
-		t.Fatalf("wheel residents = %d, want 3", e.wheel.count)
-	}
-	e.SetWheel(false)
-	if e.wheel.count != 0 || len(e.heap) != 3 {
-		t.Fatalf("drain left wheel=%d heap=%d", e.wheel.count, len(e.heap))
-	}
-	e.At(40_000_000, func() { got = append(got, 40_000_000) })
-	if e.wheel.count != 0 {
-		t.Fatal("far event entered a disabled wheel")
-	}
-	e.Run()
-	want := []Time{10_000_000, 20_000_000, 30_000_000, 40_000_000}
-	for i, at := range want {
-		if got[i] != at {
-			t.Fatalf("order after drain: %v", got)
-		}
-	}
-}
-
 // TestWheelScheduleCancelAllocFree pins the wheel schedule/cancel path
 // at zero allocations per op in steady state, and likewise the
 // schedule→flush→fire path: nodes come from the engine pool and
@@ -314,61 +284,6 @@ func TestWheelSnapshotClock(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
-// TestWheelIslandsMatchSingleEngine: the conservative parallel
-// scheduler must produce the same merged dispatch order whether island
-// engines run wheel-backed or pure heap — cross-island merges go
-// through NextEvent/Advance, which sync the wheel first.
-func TestWheelIslandsMatchSingleEngine(t *testing.T) {
-	type hop struct {
-		at  Time
-		isl int
-		n   int
-	}
-	run := func(wheelOn bool) []hop {
-		var log []hop
-		a := NewIsland(0, NewEngine())
-		b := NewIsland(1, NewEngine())
-		a.Engine().SetWheel(wheelOn)
-		b.Engine().SetWheel(wheelOn)
-		ab := Connect(a, b, 1000)
-		ba := Connect(b, a, 1000)
-		// Ping-pong with far gaps (wheel territory) plus local far
-		// timers on each island.
-		var ping func(isl *Island, out *Channel, n int)
-		ping = func(isl *Island, out *Channel, n int) {
-			log = append(log, hop{isl.Engine().Now(), isl.ID(), n})
-			if n >= 12 {
-				return
-			}
-			isl.Engine().After(3_000_000, func() {
-				log = append(log, hop{isl.Engine().Now(), isl.ID(), 100 + n})
-			})
-			at := isl.Engine().Now() + 20_000_000
-			var dst *Island
-			var back *Channel
-			if isl == a {
-				dst, back = b, ba
-			} else {
-				dst, back = a, ab
-			}
-			out.Send(at, func() { ping(dst, back, n+1) })
-		}
-		a.Engine().After(10_000_000, func() { ping(a, ab, 0) })
-		RunIslands([]*Island{a, b}, goSpawn)
-		return log
-	}
-	on := run(true)
-	off := run(false)
-	if len(on) != len(off) {
-		t.Fatalf("wheel-on fired %d hops, wheel-off %d", len(on), len(off))
-	}
-	for i := range on {
-		if on[i] != off[i] {
-			t.Fatalf("island dispatch[%d]: on=%+v off=%+v", i, on[i], off[i])
 		}
 	}
 }

@@ -41,29 +41,8 @@ type ClusterConfig struct {
 	// Trace, when non-nil, additionally receives every machine's
 	// spans plus the request-latency series. It must not be shared
 	// with a concurrently running cell (core.Bench passes a fresh
-	// tracer per leg and merges in order). Incompatible with Shard:
-	// one tracer cannot deterministically interleave recordings from
-	// concurrent islands.
+	// tracer per leg and merges in order).
 	Trace *trace.Tracer
-	// Shard > 0 partitions the fabric into min(Shard, Servers) server
-	// islands plus the client/balancer island and runs them on
-	// concurrent workers (conservative parallel simulation over the
-	// link latencies). Results are deterministic at every shard count
-	// and byte-identical to Shard == 0 at the standard scales (pinned
-	// through 60k connections). Past that, same-cycle event collisions
-	// across islands become statistically certain, and the merge's
-	// island-id tie-break can order them differently than the single
-	// engine's global sequence numbers (whose order is genealogical —
-	// no scalar key a cross-island message could carry reproduces it).
-	// Sharded runs remain exactly reproducible and agree with each
-	// other at every shard count >= 2; only the sub-cycle tie order
-	// against Shard == 0 may move.
-	Shard int
-	// NoWheel disables the engines' timer-wheel scheduling backend and
-	// runs the cell on the pure binary-heap baseline. Results are
-	// bit-identical either way — the wheel-vs-heap digest test pins
-	// exactly that — so the knob only moves host time.
-	NoWheel bool
 }
 
 func (cfg ClusterConfig) withDefaults() ClusterConfig {
@@ -128,11 +107,10 @@ type ClusterResult struct {
 	Retransmits int64
 	Drops       int64
 
-	// EngineEvents sums the cell's island engines' dispatched-event
-	// counts (sim.CtrEngineEvents; the denominator-free half of the
-	// events-per-host-second throughput metric). Deterministic for a
-	// given shard count, but sharded runs add channel-sync events, so
-	// it is excluded from the report and the digest.
+	// EngineEvents is the cell engine's dispatched-event count
+	// (sim.CtrEngineEvents; the denominator-free half of the
+	// events-per-host-second throughput metric). It is not part of the
+	// report or the digest.
 	EngineEvents int64
 
 	// Digest fingerprints the cell's latency series (and, when the
@@ -222,36 +200,23 @@ func clusterHandler(fs *cffs.FS, classes []netsim.RequestClass) netsim.Handler {
 	}
 }
 
-// clusterEpoch is the virtual instant load starts. Every island's
-// clock — there is exactly one island unless cfg.Shard > 0 — is run
-// to quiescence and then advanced to this fixed epoch between staging
-// and the open-loop arrivals. Sharded islands stage on separate
-// clocks that drift from the globally-interleaved single-engine
-// order; pinning both paths to one epoch makes every load-phase
-// timestamp (and so every digest) byte-identical across shard counts.
+// clusterEpoch is the virtual instant load starts. The cell's engine
+// is run to quiescence after staging and then advanced to this fixed
+// epoch before the open-loop arrivals, so load starts at a fixed
+// instant whatever staging costs.
 const clusterEpoch = 1000 * sim.Millisecond
 
 // Cluster runs one cell: builds the fabric (clients — balancer — N
 // server machines), boots and stages every server, then drives the
-// open-loop arrivals to completion. Deterministic end to end:
-// conservative synchronization orders everything (trivially so on a
-// single engine), arrivals and the class mix come from the seeded
-// stream, and the balancer's choices are policy-deterministic.
+// open-loop arrivals to completion, all on one event engine.
+// Deterministic end to end: the engine orders every event, arrivals
+// and the class mix come from the seeded stream, and the balancer's
+// choices are policy-deterministic.
 func Cluster(cfg ClusterConfig) (ClusterResult, error) {
 	cfg = cfg.withDefaults()
 	classes := ClusterClasses()
-	if cfg.Shard > 0 && cfg.Trace != nil {
-		return ClusterResult{}, fmt.Errorf("cluster: full tracing and sharding are incompatible (one tracer cannot deterministically interleave concurrent islands); run Shard=0 for traced cells")
-	}
-	shards := 0
-	if cfg.Shard > 0 {
-		shards = min(cfg.Shard, cfg.Servers)
-	}
 
 	topo := netsim.NewTopology()
-	if cfg.NoWheel {
-		topo.SetWheel(false)
-	}
 	clients := topo.AddHost("clients")
 	lb := topo.LoadBalancer(cfg.Policy)
 	// Fat front link: the client aggregate must not be the bottleneck
@@ -275,19 +240,8 @@ func Cluster(cfg ClusterConfig) (ClusterResult, error) {
 		}
 	}()
 	profile := clusterProfile(cfg.Personality)
-	// Partition: clients and the balancer stay on the root island (the
-	// open-loop pool's clock lives there); servers round-robin over the
-	// shard islands, each bounded from its neighbors by the LB link's
-	// latency (the lookahead).
-	islands := make([]netsim.IslandID, shards)
-	for i := range islands {
-		islands[i] = topo.AddIsland()
-	}
 	for i := 0; i < cfg.Servers; i++ {
 		att := &netsim.Attachment{Topology: topo, Name: fmt.Sprintf("srv%d", i)}
-		if shards > 0 {
-			att.Island = islands[i%shards]
-		}
 		m, err := machine.New(machine.Config{
 			Personality: cfg.Personality,
 			// Small machines: the cluster stresses the network path,
@@ -312,17 +266,14 @@ func Cluster(cfg ClusterConfig) (ClusterResult, error) {
 			nic.Serve(e, profile, handler, 0) // serve forever
 		})
 	}
-	// Settle every server into its listen state, then advance every
-	// island's clock to the shared epoch so load-phase timestamps are
-	// identical at every shard count (see clusterEpoch).
-	for i := 0; i < topo.Islands(); i++ {
-		eng := topo.IslandEngine(netsim.IslandID(i))
-		eng.Run()
-		if eng.Now() > clusterEpoch {
-			return ClusterResult{}, fmt.Errorf("cluster: island %d staging ran to %v, past the load epoch %v", i, eng.Now(), clusterEpoch)
-		}
-		eng.RunUntil(clusterEpoch)
+	// Settle every server into its listen state, then advance the clock
+	// to the load epoch.
+	eng := topo.Engine()
+	eng.Run()
+	if eng.Now() > clusterEpoch {
+		return ClusterResult{}, fmt.Errorf("cluster: staging ran to %v, past the load epoch %v", eng.Now(), clusterEpoch)
 	}
+	eng.RunUntil(clusterEpoch)
 
 	pool := topo.OpenLoop(netsim.OpenLoopConfig{
 		From: clients, Target: lb,
@@ -331,9 +282,7 @@ func Cluster(cfg ClusterConfig) (ClusterResult, error) {
 		Classes: classes,
 		Trace:   latTr, TracePID: pid,
 	})
-	if err := topo.RunSharded(); err != nil {
-		return ClusterResult{}, fmt.Errorf("cluster: %w", err)
-	}
+	eng.Run()
 
 	res := ClusterResult{
 		Servers: cfg.Servers, Policy: cfg.Policy,
@@ -365,9 +314,7 @@ func Cluster(cfg ClusterConfig) (ClusterResult, error) {
 	for _, m := range machines {
 		res.Retransmits += m.Stats().Get(sim.CtrRetransmits)
 	}
-	for i := 0; i < topo.Islands(); i++ {
-		res.EngineEvents += topo.IslandEngine(netsim.IslandID(i)).Dispatched()
-	}
+	res.EngineEvents = eng.Dispatched()
 	if len(machines) > 0 {
 		machines[0].Stats().Add(sim.CtrEngineEvents, res.EngineEvents)
 	}

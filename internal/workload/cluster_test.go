@@ -2,7 +2,6 @@ package workload_test
 
 import (
 	"bytes"
-	"os"
 	"testing"
 
 	"xok/internal/core"
@@ -45,131 +44,6 @@ func TestClusterParallelMatchesSerial(t *testing.T) {
 		if digest != serialDigest {
 			t.Errorf("-parallel %d digest %#x != serial %#x", p, digest, serialDigest)
 		}
-	}
-}
-
-// renderClusterShard runs the sweep single-threaded with the given
-// shard count (0 = single-engine) and returns the rendered report and
-// combined digest. No trace sink: full tracing and sharding are
-// mutually exclusive, and the latency digest is what the byte-identity
-// bar is measured on.
-func renderClusterShard(t *testing.T, shard int) (string, uint64) {
-	t.Helper()
-	bench := core.Bench{BenchOpts: core.BenchOpts{Shard: shard}}
-	rs, err := bench.Cluster(testCells())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	workload.WriteClusterReport(&buf, rs)
-	return buf.String(), workload.ClusterDigest(rs)
-}
-
-// TestClusterShardMatchesSingleEngine: the sharded cluster renders
-// byte-identically — report text and latency digests — to the
-// single-engine run at every shard count, including shard counts past
-// the server count (which clamp).
-func TestClusterShardMatchesSingleEngine(t *testing.T) {
-	singleOut, singleDigest := renderClusterShard(t, 0)
-	for _, n := range []int{1, 2, 4, 8} {
-		out, digest := renderClusterShard(t, n)
-		if out != singleOut {
-			t.Errorf("-shard %d report differs from single-engine:\n--- single ---\n%s--- shard %d ---\n%s",
-				n, singleOut, n, out)
-		}
-		if digest != singleDigest {
-			t.Errorf("-shard %d digest %#x != single-engine %#x", n, digest, singleDigest)
-		}
-	}
-}
-
-// TestClusterWheelMatchesHeap: the timer-wheel scheduling backend is
-// an implementation detail — every cell's report bytes and latency
-// digest are identical with the wheel on (default) and off (NoWheel's
-// pure-heap baseline), and identical again when sharding composes with
-// either backend.
-func TestClusterWheelMatchesHeap(t *testing.T) {
-	render := func(noWheel bool, shard int) (string, uint64) {
-		bench := core.Bench{BenchOpts: core.BenchOpts{NoWheel: noWheel, Shard: shard}}
-		rs, err := bench.Cluster(testCells())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		workload.WriteClusterReport(&buf, rs)
-		return buf.String(), workload.ClusterDigest(rs)
-	}
-	wheelOut, wheelDigest := render(false, 0)
-	for _, cfg := range []struct {
-		name    string
-		noWheel bool
-		shard   int
-	}{
-		{"heap", true, 0},
-		{"heap-shard2", true, 2},
-		{"wheel-shard2", false, 2},
-	} {
-		out, digest := render(cfg.noWheel, cfg.shard)
-		if out != wheelOut {
-			t.Errorf("%s report differs from wheel/single-engine:\n--- wheel ---\n%s--- %s ---\n%s",
-				cfg.name, wheelOut, cfg.name, out)
-		}
-		if digest != wheelDigest {
-			t.Errorf("%s digest %#x != wheel %#x", cfg.name, digest, wheelDigest)
-		}
-	}
-}
-
-// TestClusterConns100kWheelDigest is the wheel smoke (`make
-// wheel-smoke`): one 100k-connection cell, run with the wheel and with
-// the pure heap — single-engine and sharded — must complete every
-// connection, and within each topology the two scheduling backends
-// must produce identical latency digests and engine event counts (the
-// wheel is an implementation detail at every scale and shard count).
-// The single-engine and sharded digests are NOT compared to each
-// other: past ~60k connections the cross-island tie-break for
-// same-cycle events may legitimately order sub-cycle collisions
-// differently than the shared engine's sequence numbers (see the
-// ClusterConfig.Shard doc). ~5 s/run unraced on a 2021 host — opt-in
-// via XOK_WHEEL_SMOKE=1 so plain `go test ./...` stays fast.
-func TestClusterConns100kWheelDigest(t *testing.T) {
-	if os.Getenv("XOK_WHEEL_SMOKE") == "" {
-		t.Skip("set XOK_WHEEL_SMOKE=1 (make wheel-smoke) to run the 100k-connection smoke")
-	}
-	run := func(noWheel bool, shard int) workload.ClusterResult {
-		res, err := workload.Cluster(workload.ClusterConfig{
-			Servers: 4, Conns: 100_000, Rate: 4000,
-			Policy: netsim.LeastConnections, NoWheel: noWheel, Shard: shard,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Completed != res.Conns {
-			t.Fatalf("noWheel=%v shard=%d: %d/%d connections completed",
-				noWheel, shard, res.Completed, res.Conns)
-		}
-		return res
-	}
-	for _, shard := range []int{0, 2} {
-		wheel := run(false, shard)
-		heap := run(true, shard)
-		if wheel.Digest != heap.Digest {
-			t.Errorf("100k-connection digest (shard=%d): wheel %#x != heap %#x",
-				shard, wheel.Digest, heap.Digest)
-		}
-		if wheel.EngineEvents != heap.EngineEvents {
-			t.Errorf("100k-connection event count (shard=%d): wheel %d != heap %d",
-				shard, wheel.EngineEvents, heap.EngineEvents)
-		}
-	}
-}
-
-// TestClusterShardRejectsTracing: a traced cell cannot shard — one
-// tracer cannot deterministically interleave concurrent islands.
-func TestClusterShardRejectsTracing(t *testing.T) {
-	bench := core.Bench{BenchOpts: core.BenchOpts{Trace: trace.New(), Shard: 2}}
-	if _, err := bench.Cluster(testCells()); err == nil {
-		t.Fatal("sharded cluster with a full tracer did not error")
 	}
 }
 

@@ -64,9 +64,9 @@ func BenchmarkCrashSweepParallel4(b *testing.B) { benchCrashSweep(b, 4, false) }
 func BenchmarkCrashSweepSnapshotSerial(b *testing.B)    { benchCrashSweep(b, 1, true) }
 func BenchmarkCrashSweepSnapshotParallel4(b *testing.B) { benchCrashSweep(b, 4, true) }
 
-func benchCluster(b *testing.B, workers, shard int) {
+func benchCluster(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
-		bench := core.Bench{BenchOpts: core.BenchOpts{Parallel: workers, Shard: shard}}
+		bench := core.Bench{BenchOpts: core.BenchOpts{Parallel: workers}}
 		rs, err := bench.Cluster(workload.ClusterCells(4, 400, 8000))
 		if err != nil {
 			b.Fatal(err)
@@ -81,12 +81,9 @@ func benchCluster(b *testing.B, workers, shard int) {
 
 // The Parallel4 leg distributes whole cells over workers — the sweep
 // is three cells dominated by the largest, so it barely moves
-// (benchjson flags its speedup row intra_run: false). The Shard4 leg
-// is the real within-run parallelism: each cell's fabric splits into
-// per-server islands running concurrently, byte-identical output.
-func BenchmarkClusterSerial(b *testing.B)    { benchCluster(b, 1, 0) }
-func BenchmarkClusterParallel4(b *testing.B) { benchCluster(b, 4, 0) }
-func BenchmarkClusterShard4(b *testing.B)    { benchCluster(b, 1, 4) }
+// (benchjson flags its speedup row intra_run: false).
+func BenchmarkClusterSerial(b *testing.B)    { benchCluster(b, 1) }
+func BenchmarkClusterParallel4(b *testing.B) { benchCluster(b, 4) }
 
 // BenchmarkClusterConns100k is the connection-scale cell the timer
 // wheel and the netsim allocation pass exist for: one 4-server cell
@@ -94,14 +91,14 @@ func BenchmarkClusterShard4(b *testing.B)    { benchCluster(b, 1, 4) }
 // service capacity so the backlog stays bounded (no 1-server baseline
 // — a single server would backlog ~all arrivals and the cell would
 // measure RTO thrash, not serving). Reports events-per-host-second,
-// the simulator-throughput number the scheduling backend moves.
-func benchCluster100k(b *testing.B, noWheel bool) {
+// the simulator-throughput number an engine change moves.
+func BenchmarkClusterConns100k(b *testing.B) {
 	b.ReportAllocs()
 	var events int64
 	for i := 0; i < b.N; i++ {
 		res, err := workload.Cluster(workload.ClusterConfig{
 			Servers: 4, Conns: 100_000, Rate: 4000,
-			Policy: netsim.LeastConnections, NoWheel: noWheel,
+			Policy: netsim.LeastConnections,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -115,6 +112,3 @@ func benchCluster100k(b *testing.B, noWheel bool) {
 		b.ReportMetric(float64(events)/secs, "events/s")
 	}
 }
-
-func BenchmarkClusterConns100k(b *testing.B)        { benchCluster100k(b, false) }
-func BenchmarkClusterConns100kNoWheel(b *testing.B) { benchCluster100k(b, true) }
