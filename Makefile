@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race crash fuzz-smoke race-parallel perf-sanity cluster-smoke snapshot-smoke check bench
+.PHONY: all build fmt vet test race crash fuzz-smoke race-parallel perf-sanity cluster-smoke snapshot-smoke examples check bench
 
 all: check
 
@@ -75,6 +75,13 @@ cluster-smoke:
 snapshot-smoke:
 	$(GO) test -race -count=1 -run 'TestSnapshot' ./internal/workload/ ./internal/difftest/
 
+# The four standalone programs under examples/, each run to completion
+# with its stdout discarded: they boot machines and drive the libOS
+# APIs directly, so an API change that breaks one fails here.
+examples:
+	@for e in quickstart customfs webserver xcp; do \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; done
+
 # The full pre-commit gate: everything compiles, the tree is gofmt
 # clean, vet is clean, the whole suite passes under the race detector
 # (the coroutine hand-off between the scheduler and environments in
@@ -82,9 +89,9 @@ snapshot-smoke:
 # parallel harness is race-clean, the
 # crash-enumeration sweep re-runs, the differential fuzz smoke
 # campaign comes back clean, the cluster runs end to end, snapshot
-# forking reproduces boot runs bit-exactly, and the parallel harness
-# is not slower than serial.
-check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-smoke perf-sanity
+# forking reproduces boot runs bit-exactly, the examples run, and the
+# parallel harness is not slower than serial.
+check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-smoke examples perf-sanity
 
 # Wall-clock benchmark baseline, committed as BENCH_sim.json so engine
 # or harness regressions show up as a diff. Two tiers: the engine

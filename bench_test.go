@@ -14,17 +14,11 @@ import (
 	"fmt"
 	"testing"
 
-	"xok/internal/apps"
-	"xok/internal/bsdos"
-	"xok/internal/cap"
 	"xok/internal/core"
-	"xok/internal/exos"
 	"xok/internal/httpd"
-	"xok/internal/kernel"
 	"xok/internal/machine"
 	"xok/internal/ostest"
 	"xok/internal/sim"
-	"xok/internal/unix"
 	"xok/internal/workload"
 )
 
@@ -32,20 +26,12 @@ import (
 // lcc-install workload on the four systems. Reported metric:
 // virtual seconds of total workload time per system.
 func BenchmarkFigure2_IOIntensive(b *testing.B) {
-	systems := []struct {
-		name string
-		mk   func() workload.Machine
-	}{
-		{"Xok-ExOS", workload.NewXok},
-		{"OpenBSD-CFFS", func() workload.Machine { return workload.NewBSD(bsdos.OpenBSDCFFS) }},
-		{"OpenBSD", func() workload.Machine { return workload.NewBSD(bsdos.OpenBSD) }},
-		{"FreeBSD", func() workload.Machine { return workload.NewBSD(bsdos.FreeBSD) }},
-	}
-	for _, s := range systems {
-		b.Run(s.name, func(b *testing.B) {
+	names := []string{"Xok-ExOS", "OpenBSD-CFFS", "OpenBSD", "FreeBSD"}
+	for k, cfg := range workload.SystemConfigs() {
+		b.Run(names[k], func(b *testing.B) {
 			var total sim.Time
 			for i := 0; i < b.N; i++ {
-				m := s.mk()
+				m := machine.MustNew(cfg)
 				res, err := workload.IOIntensive(m)
 				m.Close()
 				if err != nil {
@@ -58,20 +44,23 @@ func BenchmarkFigure2_IOIntensive(b *testing.B) {
 	}
 }
 
+// xokAndFreeBSD are the two systems of the MAB and Figure 4/5
+// benchmarks.
+var xokAndFreeBSD = []struct {
+	name string
+	cfg  machine.Config
+}{
+	{"Xok-ExOS", machine.Config{Personality: machine.XokExOS}},
+	{"FreeBSD", machine.Config{Personality: machine.FreeBSD}},
+}
+
 // BenchmarkMAB regenerates the Modified Andrew Benchmark totals.
 func BenchmarkMAB(b *testing.B) {
-	systems := []struct {
-		name string
-		mk   func() workload.Machine
-	}{
-		{"Xok-ExOS", workload.NewXok},
-		{"FreeBSD", func() workload.Machine { return workload.NewBSD(bsdos.FreeBSD) }},
-	}
-	for _, s := range systems {
+	for _, s := range xokAndFreeBSD {
 		b.Run(s.name, func(b *testing.B) {
 			var total sim.Time
 			for i := 0; i < b.N; i++ {
-				m := s.mk()
+				m := machine.MustNew(s.cfg)
 				res, err := workload.MAB(m)
 				m.Close()
 				if err != nil {
@@ -88,7 +77,7 @@ func BenchmarkMAB(b *testing.B) {
 // syscall-count deltas between protected and unprotected Xok/ExOS.
 func BenchmarkProtectionCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := workload.ProtectionCost()
+		res, err := (&core.Bench{}).ProtectionCost()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,25 +94,20 @@ func BenchmarkProtectionCost(b *testing.B) {
 func BenchmarkTable2_Pipes(b *testing.B) {
 	impls := []struct {
 		name string
-		run  func() ostest.RunFunc
+		cfg  machine.Config
 	}{
-		{"SharedMemory", func() ostest.RunFunc {
-			return machine.Runner(machine.MustNew(machine.Config{
-				Personality: machine.XokExOS, SharedMemPipes: true}))
-		}},
-		{"Protection", func() ostest.RunFunc {
-			return machine.Runner(machine.MustNew(machine.Config{Personality: machine.XokExOS}))
-		}},
-		{"OpenBSD", func() ostest.RunFunc {
-			return machine.Runner(machine.MustNew(machine.Config{Personality: machine.OpenBSD}))
-		}},
+		{"SharedMemory", machine.Config{Personality: machine.XokExOS, SharedMemPipes: true}},
+		{"Protection", machine.Config{Personality: machine.XokExOS}},
+		{"OpenBSD", machine.Config{Personality: machine.OpenBSD}},
 	}
 	for _, impl := range impls {
 		for _, size := range []int{1, 8192} {
 			b.Run(fmt.Sprintf("%s/%dB", impl.name, size), func(b *testing.B) {
 				var lat sim.Time
 				for i := 0; i < b.N; i++ {
-					lat = ostest.PipeLatency(impl.run(), size, 100)
+					m := machine.MustNew(impl.cfg)
+					lat = ostest.PipeLatency(machine.Runner(m), size, 100)
+					m.Close()
 				}
 				b.ReportMetric(lat.Micros(), "vus/transfer")
 			})
@@ -134,133 +118,34 @@ func BenchmarkTable2_Pipes(b *testing.B) {
 // BenchmarkEmulatorGetpid regenerates Section 7.1: the trivial system
 // call natively on OpenBSD vs emulated on Xok/ExOS.
 func BenchmarkEmulatorGetpid(b *testing.B) {
-	b.Run("OpenBSD-native", func(b *testing.B) {
-		var cycles sim.Time
-		for i := 0; i < b.N; i++ {
-			m := machine.MustNew(machine.Config{Personality: machine.OpenBSD})
-			cycles = ostest.GetpidCost(machine.Runner(m))
+	var res core.EmulatorResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		if res, err = (&core.Bench{}).Emulator(); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(cycles), "vcycles/call")
-	})
-	b.Run("Xok-emulated", func(b *testing.B) {
-		var cycles sim.Time
-		for i := 0; i < b.N; i++ {
-			m := machine.MustNew(machine.Config{Personality: machine.XokExOS})
-			cycles = ostest.GetpidCost(func(fn func(unix.Proc)) {
-				m.SpawnProc("t", 0, func(p unix.Proc) {
-					fn(wrapEmulated{p})
-				})
-				m.Run()
-			})
-		}
-		b.ReportMetric(float64(cycles), "vcycles/call")
-	})
+	}
+	b.ReportMetric(float64(res.Native), "vcycles-native")
+	b.ReportMetric(float64(res.Emulated), "vcycles-emulated")
 }
 
-// wrapEmulated adds the INT-reroute cost to getpid, mirroring
-// internal/emu without the import cycle risk in this harness.
-type wrapEmulated struct{ unix.Proc }
-
-func (w wrapEmulated) Getpid() int {
-	w.Compute(12)
-	return w.Proc.Getpid()
-}
-
-// BenchmarkXCP regenerates Section 7.2: cp vs XCP, warm and cold.
+// BenchmarkXCP regenerates Section 7.2: cp vs XCP, in core and on
+// disk.
 func BenchmarkXCP(b *testing.B) {
-	for _, cold := range []bool{false, true} {
-		name := "InCore"
-		if cold {
-			name = "OnDisk"
+	var rows []core.XCPRow
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = (&core.Bench{}).XCP(); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				cpT, xcpT := xcpPair(b, cold)
-				ratio = float64(cpT) / float64(xcpT)
-			}
-			b.ReportMetric(ratio, "cp/xcp-speedup")
-		})
 	}
-}
-
-// xcpPair stages fragmented files on fresh machines and copies them
-// with cp and with XCP, returning both elapsed virtual times.
-func xcpPair(b *testing.B, cold bool) (cpT, xcpT sim.Time) {
-	b.Helper()
-	const n, size = 8, 400_000
-	stage := func() (*exos.System, [][2]string) {
-		s := machine.MustNew(machine.Config{Personality: machine.XokExOS}).(machine.Xok).S
-		pairs := make([][2]string, n)
-		s.Spawn("stage", 0, func(p unix.Proc) {
-			fds := make([]unix.FD, n)
-			for i := range fds {
-				fd, err := p.Create(fmt.Sprintf("/s%d", i), 6)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				fds[i] = fd
-				pairs[i] = [2]string{fmt.Sprintf("/s%d", i), fmt.Sprintf("/d%d", i)}
-			}
-			chunk := make([]byte, sim.DiskBlockSize)
-			for off := 0; off < size; off += len(chunk) {
-				for i := range fds {
-					if _, err := p.Write(fds[i], chunk); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}
-			for _, fd := range fds {
-				p.Close(fd)
-			}
-			if err := p.Sync(); err != nil {
-				b.Error(err)
-			}
-		})
-		s.Run()
-		if cold {
-			s.K.Spawn("evict", func(e *kernel.Env) {
-				e.Creds = cap.UnixCreds(0)
-				for {
-					if _, ok := s.X.RecycleLRU(e); !ok {
-						return
-					}
-				}
-			})
-			s.Run()
+	for _, r := range rows {
+		unit := "cp/xcp-incore"
+		if r.Cold {
+			unit = "cp/xcp-ondisk"
 		}
-		return s, pairs
+		b.ReportMetric(float64(r.Cp)/float64(r.XCP), unit)
 	}
-
-	sc, pairsC := stage()
-	start := sc.Now()
-	var end sim.Time
-	sc.Spawn("cp", 0, func(p unix.Proc) {
-		for _, pr := range pairsC {
-			if err := apps.Cp(p, pr[0], pr[1]); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-		end = p.Now()
-	})
-	sc.Run()
-	cpT = end - start
-
-	sx, pairsX := stage()
-	start = sx.Now()
-	sx.K.Spawn("xcp", func(e *kernel.Env) {
-		e.Creds = cap.UnixCreds(0)
-		if err := apps.XCP(e, sx.FS, pairsX); err != nil {
-			b.Error(err)
-		}
-		end = sx.Now()
-	})
-	sx.Run()
-	xcpT = end - start
-	return
 }
 
 // BenchmarkFigure3_HTTP regenerates Figure 3 at two representative
@@ -287,29 +172,24 @@ func BenchmarkFigure3_HTTP(b *testing.B) {
 // BenchmarkFigure4_GlobalPool1 regenerates a Figure 4 cell (14 jobs,
 // concurrency 2) on Xok/ExOS and FreeBSD.
 func BenchmarkFigure4_GlobalPool1(b *testing.B) {
-	benchGlobal(b, core.Pool1())
+	benchGlobal(b, workload.Pool1())
 }
 
 // BenchmarkFigure5_GlobalPool2 regenerates a Figure 5 cell on the
 // pool with C-FFS-favoured jobs.
 func BenchmarkFigure5_GlobalPool2(b *testing.B) {
-	benchGlobal(b, core.Pool2())
+	benchGlobal(b, workload.Pool2())
 }
 
 func benchGlobal(b *testing.B, pool []workload.JobKind) {
-	systems := []struct {
-		name string
-		mk   func() workload.Machine
-	}{
-		{"Xok-ExOS", workload.NewXok},
-		{"FreeBSD", func() workload.Machine { return workload.NewBSD(bsdos.FreeBSD) }},
-	}
-	for _, s := range systems {
+	for _, s := range xokAndFreeBSD {
 		b.Run(s.name, func(b *testing.B) {
 			var res workload.GlobalResult
 			for i := 0; i < b.N; i++ {
+				m := machine.MustNew(s.cfg)
 				var err error
-				res, err = workload.GlobalPerf(s.mk(), pool, 14, 2, 1234)
+				res, err = workload.GlobalPerf(m, pool, 14, 2, 1234)
+				m.Close()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -47,19 +47,12 @@ import (
 	"strings"
 	"time"
 
-	"xok/internal/apps"
-	"xok/internal/cap"
 	"xok/internal/core"
 	"xok/internal/difftest"
-	"xok/internal/exos"
 	"xok/internal/fault"
-	"xok/internal/kernel"
-	"xok/internal/machine"
-	"xok/internal/ostest"
 	"xok/internal/parallel"
 	"xok/internal/sim"
 	"xok/internal/trace"
-	"xok/internal/unix"
 	"xok/internal/workload"
 )
 
@@ -118,8 +111,8 @@ var (
 		"protection": protection,
 		"table2":     table2,
 		"figure3":    figure3,
-		"figure4":    func() { globalPerf("Figure 4 (pool 1)", core.Pool1()) },
-		"figure5":    func() { globalPerf("Figure 5 (pool 2)", core.Pool2()) },
+		"figure4":    func() { globalPerf("Figure 4 (pool 1)", workload.Pool1()) },
+		"figure5":    func() { globalPerf("Figure 5 (pool 2)", workload.Pool2()) },
 		"emulator":   emulator,
 		"xcp":        xcp,
 		"crash":      crash,
@@ -316,38 +309,12 @@ func globalPerf(title string, pool []workload.JobKind) {
 func emulator() {
 	header("OpenBSD binary emulation (Section 7.1)")
 	fmt.Println("paper: getpid 270 cycles on OpenBSD, 100 cycles emulated on Xok/ExOS")
-
-	// Emulated getpid on Xok/ExOS (reroute + ExOS library call). These
-	// machines run sequentially in this goroutine, so they may share
-	// the main trace sink directly.
-	sys := machine.MustNew(machine.Config{Personality: machine.XokExOS, Trace: bench.Trace})
-	var emulated sim.Time
-	sys.SpawnProc("emu", 0, func(p unix.Proc) {
-		ep := emulateGetpid(p)
-		const n = 2000
-		ep()
-		start := p.Now()
-		for i := 0; i < n; i++ {
-			ep()
-		}
-		emulated = (p.Now() - start) / n
-	})
-	sys.Run()
-
-	bsd := machine.MustNew(machine.Config{Personality: machine.OpenBSD, Trace: bench.Trace})
-	native := ostest.GetpidCost(machine.Runner(bsd))
-	fmt.Printf("\ngetpid: native OpenBSD %d cycles, emulated on Xok/ExOS %d cycles\n",
-		native, emulated)
-}
-
-// emulateGetpid mirrors internal/emu without importing it here (the
-// emulator package has its own tests; this keeps the tool's output
-// self-contained).
-func emulateGetpid(p unix.Proc) func() int {
-	return func() int {
-		p.Compute(12) // INT reroute trampoline
-		return p.Getpid()
+	res, err := bench.Emulator()
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("\ngetpid: native OpenBSD %d cycles, emulated on Xok/ExOS %d cycles\n",
+		res.Native, res.Emulated)
 }
 
 func diffFuzz() {
@@ -450,87 +417,16 @@ func crash() {
 func xcp() {
 	header("XCP zero-touch copy (Section 7.2)")
 	fmt.Println("paper: XCP is ~3x faster than cp, in core and on disk")
-	for _, cold := range []bool{false, true} {
-		cpT, xcpT := xcpOnce(cold)
+	rows, err := bench.XCP()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range rows {
 		label := "in core"
-		if cold {
+		if r.Cold {
 			label = "on disk"
 		}
 		fmt.Printf("%-10s cp=%10v  xcp=%10v  speedup %.1fx\n",
-			label, cpT, xcpT, float64(cpT)/float64(xcpT))
+			label, r.Cp, r.XCP, float64(r.Cp)/float64(r.XCP))
 	}
-}
-
-func xcpOnce(cold bool) (cpT, xcpT sim.Time) {
-	const n, size = 8, 400_000
-	stage := func() (*exos.System, [][2]string) {
-		// Serial machines; the shared sink is safe here (see emulator).
-		s := machine.MustNew(machine.Config{Personality: machine.XokExOS, Trace: bench.Trace}).(machine.Xok).S
-		pairs := make([][2]string, n)
-		s.Spawn("stage", 0, func(p unix.Proc) {
-			fds := make([]unix.FD, n)
-			for i := range fds {
-				fd, err := p.Create(fmt.Sprintf("/s%d", i), 6)
-				if err != nil {
-					log.Fatal(err)
-				}
-				fds[i] = fd
-				pairs[i] = [2]string{fmt.Sprintf("/s%d", i), fmt.Sprintf("/d%d", i)}
-			}
-			chunk := make([]byte, sim.DiskBlockSize)
-			for off := 0; off < size; off += len(chunk) {
-				for i := range fds {
-					if _, err := p.Write(fds[i], chunk); err != nil {
-						log.Fatal(err)
-					}
-				}
-			}
-			for _, fd := range fds {
-				p.Close(fd)
-			}
-			if err := p.Sync(); err != nil {
-				log.Fatal(err)
-			}
-		})
-		s.Run()
-		if cold {
-			s.K.Spawn("evict", func(e *kernel.Env) {
-				e.Creds = cap.UnixCreds(0)
-				for {
-					if _, ok := s.X.RecycleLRU(e); !ok {
-						return
-					}
-				}
-			})
-			s.Run()
-		}
-		return s, pairs
-	}
-
-	sc, pairsC := stage()
-	start := sc.Now()
-	var end sim.Time
-	sc.Spawn("cp", 0, func(p unix.Proc) {
-		for _, pr := range pairsC {
-			if err := apps.Cp(p, pr[0], pr[1]); err != nil {
-				log.Fatal(err)
-			}
-		}
-		end = p.Now()
-	})
-	sc.Run()
-	cpT = end - start
-
-	sx, pairsX := stage()
-	start = sx.Now()
-	sx.K.Spawn("xcp", func(e *kernel.Env) {
-		e.Creds = cap.UnixCreds(0)
-		if err := apps.XCP(e, sx.FS, pairsX); err != nil {
-			log.Fatal(err)
-		}
-		end = sx.Now()
-	})
-	sx.Run()
-	xcpT = end - start
-	return cpT, xcpT
 }

@@ -8,14 +8,14 @@ import (
 	"log"
 
 	"xok/internal/apps"
-	"xok/internal/core"
+	"xok/internal/exos"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
 
 func main() {
 	// Boot: Xok kernel + XN storage + a fresh C-FFS volume + ExOS.
-	sys := core.BootXok()
+	sys := exos.Boot(exos.Config{Protect: true})
 	fmt.Println("booted Xok/ExOS:",
 		sys.K.Mem.NumPages(), "pages of memory,",
 		sys.K.Disk.NumBlocks(), "disk blocks")

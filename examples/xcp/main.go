@@ -10,7 +10,6 @@ import (
 
 	"xok/internal/apps"
 	"xok/internal/cap"
-	"xok/internal/core"
 	"xok/internal/exos"
 	"xok/internal/kernel"
 	"xok/internal/sim"
@@ -41,7 +40,7 @@ func main() {
 
 // run stages the files on a fresh machine and copies them.
 func run(cold, useXCP bool) sim.Time {
-	sys := core.BootXokWith(exos.Config{})
+	sys := exos.Boot(exos.Config{})
 
 	// Stage interleaved (fragmented) source files.
 	sys.Spawn("stage", 0, func(p unix.Proc) {

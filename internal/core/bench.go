@@ -1,19 +1,35 @@
+// Package core is the experiment runner of the exokernel
+// reproduction: Bench runs every experiment of the paper's evaluation
+// — Figure 2 / Table 1 (the I/O-intensive workload), the Modified
+// Andrew Benchmark, the Section 6.3 cost-of-protection measurement,
+// Table 2 (pipe latencies), the Section 7.1 emulator and 7.2 XCP
+// results, Figure 3 (HTTP throughput), Figures 4 and 5 (global
+// performance) and the cluster cells — each as a set of machines
+// booted with machine.New and closed when measured.
+//
+// cmd/xok-bench and the root benchmarks are built on this package;
+// each experiment returns plain result structs so callers can format
+// or assert on them.
 package core
 
 import (
 	"fmt"
 
+	"xok/internal/emu"
+	"xok/internal/exos"
 	"xok/internal/httpd"
 	"xok/internal/machine"
 	"xok/internal/ostest"
 	"xok/internal/parallel"
 	"xok/internal/sim"
 	"xok/internal/trace"
+	"xok/internal/unix"
 	"xok/internal/workload"
 )
 
-// Bench runs the paper's experiments with two orthogonal knobs the
-// plain Run* functions don't expose: a trace sink and a worker count.
+// Bench runs the paper's experiments with two cross-cutting knobs: a
+// trace sink and a worker count. The zero value is a serial, untraced
+// run.
 //
 // Every experiment decomposes into independent "legs" — one simulated
 // machine booted, run and measured in isolation (a Figure-2 system, a
@@ -25,14 +41,6 @@ import (
 // setting, including 1 (which takes internal/parallel's no-goroutine
 // serial path).
 type Bench struct {
-	BenchOpts
-}
-
-// BenchOpts are the cross-cutting experiment knobs — the options
-// every experiment accepts without threading them positionally
-// through internal/workload. The zero value is a serial, untraced
-// run.
-type BenchOpts struct {
 	// Trace, when non-nil, collects every leg's spans, histograms and
 	// counters (cmd/xok-bench feeds -trace/-hist from it).
 	Trace *trace.Tracer
@@ -40,13 +48,6 @@ type BenchOpts struct {
 	// cmd/xok-bench resolves its -parallel flag (0 = one worker per
 	// CPU) with parallel.Workers before setting this.
 	Parallel int
-}
-
-func (b *Bench) workers() int {
-	if b.Parallel <= 1 {
-		return 1
-	}
-	return b.Parallel
 }
 
 type leg[R any] struct {
@@ -60,7 +61,7 @@ type leg[R any] struct {
 // merge into b.Trace in index order. The first failing index aborts
 // with its error, matching a serial loop.
 func runLegs[R any](b *Bench, n int, run func(i int, tr *trace.Tracer) (R, error)) ([]R, error) {
-	legs := parallel.Map(b.workers(), n, func(i int) leg[R] {
+	legs := parallel.Map(b.Parallel, n, func(i int) leg[R] {
 		var tr *trace.Tracer
 		if b.Trace != nil {
 			tr = trace.New()
@@ -125,7 +126,16 @@ func (b *Bench) ProtectionCost() (workload.ProtectionResult, error) {
 	return workload.ProtectionResult{WithProtection: rs[0], WithoutProtection: rs[1]}, nil
 }
 
-// Table2 measures the three pipe implementations of Table 2.
+// Table2Row is one pipe implementation's latencies.
+type Table2Row struct {
+	Impl   string
+	Lat1B  sim.Time
+	Lat8KB sim.Time
+}
+
+// Table2 measures the three pipe implementations of Table 2:
+// shared-memory ExOS pipes, protected ExOS pipes (software regions +
+// wakeup predicates), and OpenBSD's in-kernel pipes.
 func (b *Bench) Table2() ([]Table2Row, error) {
 	const rounds = 200
 	specs := []struct {
@@ -152,6 +162,66 @@ func (b *Bench) Table2() ([]Table2Row, error) {
 		}
 		return row, nil
 	})
+}
+
+// EmulatorResult is Section 7.1's getpid cost, in cycles per call.
+type EmulatorResult struct {
+	// Native is OpenBSD's getpid: a real kernel crossing.
+	Native sim.Time
+	// Emulated is the same call from an OpenBSD binary under the Xok
+	// emulator: an INT reroute plus a procedure call into ExOS.
+	Emulated sim.Time
+}
+
+// Emulator measures getpid natively on OpenBSD and emulated on
+// Xok/ExOS through internal/emu, both with ostest.GetpidCost.
+func (b *Bench) Emulator() (EmulatorResult, error) {
+	cfgs := []machine.Config{
+		{Personality: machine.XokExOS},
+		{Personality: machine.OpenBSD},
+	}
+	rs, err := runLegs(b, len(cfgs), func(i int, tr *trace.Tracer) (sim.Time, error) {
+		cfg := cfgs[i]
+		cfg.Trace = tr
+		m := machine.MustNew(cfg)
+		defer m.Close()
+		run := machine.Runner(m)
+		if cfg.Personality == machine.XokExOS {
+			direct := run
+			run = func(main func(unix.Proc)) {
+				direct(func(p unix.Proc) { main(emu.Emulate(p.(*exos.Proc))) })
+			}
+		}
+		return ostest.GetpidCost(run), nil
+	})
+	if err != nil {
+		return EmulatorResult{}, err
+	}
+	return EmulatorResult{Native: rs[1], Emulated: rs[0]}, nil
+}
+
+// XCPRow is one row of the Section 7.2 comparison: the copy time of
+// cp and of XCP over the same staged files.
+type XCPRow struct {
+	// Cold is true when the copy starts with every block evicted (on
+	// disk), false when the files are cached (in core).
+	Cold    bool
+	Cp, XCP sim.Time
+}
+
+// XCP runs the Section 7.2 comparison, in core then on disk. Each of
+// its four legs (two rows × cp/XCP) copies on its own freshly staged
+// Xok/ExOS machine (workload.XCPCopy).
+func (b *Bench) XCP() ([]XCPRow, error) {
+	ts, err := runLegs(b, 4, func(i int, tr *trace.Tracer) (sim.Time, error) {
+		m := machine.MustNew(machine.Config{Personality: machine.XokExOS, Trace: tr})
+		defer m.Close()
+		return workload.XCPCopy(m, i >= 2, i%2 == 1)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []XCPRow{{Cold: false, Cp: ts[0], XCP: ts[1]}, {Cold: true, Cp: ts[2], XCP: ts[3]}}, nil
 }
 
 // Figure3 measures HTTP throughput for all five servers across the
@@ -184,6 +254,17 @@ func (b *Bench) Cluster(cells []workload.ClusterConfig) ([]workload.ClusterResul
 		cfg.Trace = tr
 		return workload.Cluster(cfg)
 	})
+}
+
+// GlobalCell is one number/number cell of Figures 4 and 5.
+type GlobalCell struct {
+	TotalJobs int
+	MaxConc   int
+}
+
+// Figure45Cells are the paper's five cells: 7/1 .. 35/5.
+func Figure45Cells() []GlobalCell {
+	return []GlobalCell{{7, 1}, {14, 2}, {21, 3}, {28, 4}, {35, 5}}
 }
 
 // GlobalSweep runs the Figure 4/5 cells on both Xok/ExOS and FreeBSD

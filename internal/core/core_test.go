@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"xok/internal/sim"
+	"xok/internal/workload"
 )
 
 func TestTable2PipeShape(t *testing.T) {
@@ -13,7 +15,7 @@ func TestTable2PipeShape(t *testing.T) {
 	// three converge, with the user-level pipes still at or below
 	// OpenBSD ("even with gratuitous use of Xok's protection
 	// mechanisms, user-level pipes can still outperform OpenBSD").
-	rows, err := RunTable2()
+	rows, err := (&Bench{}).Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,19 +60,16 @@ func TestTable2PipeShape(t *testing.T) {
 }
 
 func TestBootHelpers(t *testing.T) {
-	if s := BootXok(); s.FS == nil || !s.Cfg.Protect {
-		t.Fatal("BootXok misconfigured")
-	}
 	if cells := Figure45Cells(); len(cells) != 5 || cells[4].TotalJobs != 35 {
 		t.Fatal("figure 4/5 cells wrong")
 	}
-	if len(Pool1()) != 9 || len(Pool2()) != 5 {
+	if len(workload.Pool1()) != 9 || len(workload.Pool2()) != 5 {
 		t.Fatal("pool sizes wrong")
 	}
 }
 
 func TestRunFigure3Smoke(t *testing.T) {
-	results, err := RunFigure3(8, 50*sim.Millisecond)
+	results, err := (&Bench{}).Figure3(8, 50*sim.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +84,11 @@ func TestRunFigure3Smoke(t *testing.T) {
 }
 
 func TestRunGlobalSmoke(t *testing.T) {
-	xok, fbsd, err := RunGlobal(Pool1(), GlobalCell{TotalJobs: 4, MaxConc: 2}, 7)
+	rows, err := (&Bench{}).GlobalSweep(workload.Pool1(), []GlobalCell{{TotalJobs: 4, MaxConc: 2}}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	xok, fbsd := rows[0][0], rows[0][1]
 	if xok.Total == 0 || fbsd.Total == 0 {
 		t.Fatalf("empty results: %+v %+v", xok, fbsd)
 	}
@@ -101,25 +101,89 @@ func TestRunFigure2AndMABSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	f2, err := RunFigure2()
+	f2, err := (&Bench{}).Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f2) != 4 || len(f2[0].Steps) != 11 {
 		t.Fatalf("figure 2 shape: %d systems, %d steps", len(f2), len(f2[0].Steps))
 	}
-	mab, err := RunMAB()
+	mab, err := (&Bench{}).MAB()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mab) != 4 || len(mab[0].Phases) != 5 {
 		t.Fatalf("MAB shape: %d systems, %d phases", len(mab), len(mab[0].Phases))
 	}
-	pc, err := RunProtectionCost()
+}
+
+func TestProtectionCost(t *testing.T) {
+	// Section 6.3: protection costs a few percent (41.1 s vs 39.7 s)
+	// and most system calls (300k -> 81k).
+	res, err := (&Bench{}).ProtectionCost()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc.WithProtection.Total <= pc.WithoutProtection.Total {
-		t.Fatal("protection result inverted")
+	with, without := res.WithProtection, res.WithoutProtection
+	t.Logf("with protection:    %v, %d syscalls (%d protection calls)",
+		with.Total, with.Syscalls, with.ProtCalls)
+	t.Logf("without protection: %v, %d syscalls", without.Total, without.Syscalls)
+	if with.Total <= without.Total {
+		t.Error("protection should cost something")
+	}
+	overhead := float64(with.Total-without.Total) / float64(without.Total)
+	if overhead > 0.15 {
+		t.Errorf("protection overhead = %.1f%%, want a few percent", overhead*100)
+	}
+	if with.Syscalls < 2*without.Syscalls {
+		t.Errorf("syscall reduction %d -> %d too small (paper: 300k -> 81k)",
+			with.Syscalls, without.Syscalls)
+	}
+	if without.ProtCalls != 0 {
+		t.Error("unprotected run made protection calls")
+	}
+}
+
+// Section 7.1: an emulated getpid beats the native one (the paper's
+// 100 vs 270 cycles), and the result is the same at any worker count.
+func TestEmulator(t *testing.T) {
+	serial, err := (&Bench{Parallel: 1}).Emulator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := (&Bench{Parallel: 4}).Emulator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide != serial {
+		t.Fatalf("Parallel 4 = %+v, Parallel 1 = %+v", wide, serial)
+	}
+	if serial.Emulated == 0 || serial.Emulated >= serial.Native {
+		t.Errorf("emulated getpid %d cycles, native %d: want emulated cheaper", serial.Emulated, serial.Native)
+	}
+}
+
+// Section 7.2: XCP beats cp in core and on disk, and the rows are the
+// same at any worker count.
+func TestXCP(t *testing.T) {
+	serial, err := (&Bench{Parallel: 1}).XCP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := (&Bench{Parallel: 4}).XCP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(wide, serial) {
+		t.Fatalf("Parallel 4 = %+v, Parallel 1 = %+v", wide, serial)
+	}
+	if len(serial) != 2 || serial[0].Cold || !serial[1].Cold {
+		t.Fatalf("rows = %+v, want in core then on disk", serial)
+	}
+	for _, r := range serial {
+		t.Logf("cold=%v cp=%v xcp=%v speedup %.1fx", r.Cold, r.Cp, r.XCP, float64(r.Cp)/float64(r.XCP))
+		if r.XCP == 0 || r.XCP >= r.Cp {
+			t.Errorf("cold=%v: xcp %v, cp %v: want xcp faster", r.Cold, r.XCP, r.Cp)
+		}
 	}
 }

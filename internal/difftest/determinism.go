@@ -35,7 +35,7 @@ func fuzzDeterminism(o *Options) (*Divergence, error) {
 		divPers  machine.Personality
 		divSeed  uint64
 	)
-	parallel.Stream(o.workers(), o.Seeds, func(i int) seedResult {
+	parallel.Stream(o.Parallel, o.Seeds, func(i int) seedResult {
 		seed := o.BaseSeed + uint64(i)
 		steps := Generate(seed, o.Steps)
 		keep := allSteps(len(steps))

@@ -658,7 +658,7 @@ func Fuzz(opt Options) (*Divergence, error) {
 		firstDiv *Divergence
 		divSeed  uint64
 	)
-	parallel.Stream(o.workers(), o.Seeds, func(i int) seedResult {
+	parallel.Stream(o.Parallel, o.Seeds, func(i int) seedResult {
 		seed := o.BaseSeed + uint64(i)
 		steps := Generate(seed, o.Steps)
 		div, err := o.diffOnce(seed, steps, allSteps(len(steps)))
@@ -687,18 +687,6 @@ func Fuzz(opt Options) (*Divergence, error) {
 		return o.shrinkDivergence(divSeed, Generate(divSeed, o.Steps), firstDiv)
 	}
 	return nil, nil
-}
-
-// workers resolves Options.Parallel for parallel.Stream: difftest
-// treats values <= 1 (including the zero value) as serial so existing
-// callers keep their exact behavior; explicit counts pass through.
-// Callers wanting "one worker per CPU" resolve it themselves with
-// parallel.Workers(0), as cmd/xok-bench does for its -parallel flag.
-func (o *Options) workers() int {
-	if o.Parallel <= 1 {
-		return 1
-	}
-	return o.Parallel
 }
 
 // diffOnce runs one program (the kept subset) on every personality and

@@ -16,11 +16,10 @@ package httpd
 import (
 	"fmt"
 
-	"xok/internal/bsdos"
 	"xok/internal/cap"
 	"xok/internal/cffs"
-	"xok/internal/exos"
 	"xok/internal/kernel"
+	"xok/internal/machine"
 	"xok/internal/netsim"
 	"xok/internal/sim"
 	"xok/internal/trace"
@@ -145,15 +144,19 @@ func (o Opts) withDefaults() Opts {
 // closed-loop clients for o.Duration of virtual time.
 func Measure(kind Kind, docSize int, o Opts) (Result, error) {
 	o = o.withDefaults()
-	tr := o.Trace
-	var k *kernel.Kernel
-	var fs *cffs.FS
+	p := machine.OpenBSD
 	if kind.onXok() {
-		s := exos.Boot(exos.Config{Trace: tr})
-		k, fs = s.K, s.FS
-	} else {
-		s := bsdos.Boot(bsdos.OpenBSD, bsdos.Config{Trace: tr})
-		k, fs = s.K, s.FS
+		p = machine.XokExOS
+	}
+	m := machine.MustNew(machine.Config{Personality: p, Trace: o.Trace})
+	defer m.Close()
+	k := m.Kern()
+	var fs *cffs.FS
+	switch m := m.(type) {
+	case machine.Xok:
+		fs = m.S.FS
+	case machine.BSD:
+		fs = m.S.FS
 	}
 
 	// Stage the document tree. NCSA-style servers resolve a deeper
@@ -222,7 +225,6 @@ func Measure(kind Kind, docSize int, o Opts) (Result, error) {
 	if res.CPUIdle < 0 {
 		res.CPUIdle = 0
 	}
-	k.Shutdown()
 	return res, nil
 }
 

@@ -2,8 +2,9 @@
 // machines under test: one Config names the OS personality (Xok/ExOS
 // or one of the monolithic BSD models), the disk geometry, the
 // observability sink and the fault plan, and New boots it. Every
-// benchmark, harness and tool builds machines here rather than calling
-// exos.Boot / bsdos.Boot with hand-copied settings.
+// experiment, benchmark, harness and tool builds machines here rather
+// than calling exos.Boot / bsdos.Boot with hand-copied settings; only
+// package tests and the standalone examples boot a system directly.
 package machine
 
 import (

@@ -180,7 +180,7 @@ func TestLossRecoveredByRetransmission(t *testing.T) {
 	// the holes.
 	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
 	tp, client, server := pair(k)
-	tp.LossRate = 32
+	tp.Faults = &fault.Plan{Seed: 1, LossRate: 32}
 	dur := 2 * sim.CPUHz / 5 * sim.Time(1) // 400 ms
 	stop := k.Now() + dur
 	pool := tp.NewClientPool(client, server, 6, 20000, stop)
@@ -205,7 +205,7 @@ func TestLossReducesThroughput(t *testing.T) {
 	measure := func(loss int) int {
 		k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
 		tp, client, server := pair(k)
-		tp.LossRate = loss
+		tp.Faults = &fault.Plan{Seed: 1, LossRate: loss}
 		stop := k.Now() + 200*sim.Millisecond
 		pool := tp.NewClientPool(client, server, 8, 10000, stop)
 		k.Spawn("server", func(e *kernel.Env) {
@@ -259,13 +259,13 @@ func TestBidirectionalLossRecovered(t *testing.T) {
 }
 
 func TestClientSideLossRecovered(t *testing.T) {
-	// Legacy LossRate now applies to client->server segments too: under
+	// The fault plan's loss applies to client->server segments too: under
 	// harsh symmetric loss (one in six frames) the handshake itself
 	// fails constantly, and only the client retransmission timer keeps
 	// connections alive.
 	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
 	tp, client, server := pair(k)
-	tp.LossRate = 6
+	tp.Faults = &fault.Plan{Seed: 1, LossRate: 6}
 	stop := k.Now() + 400*sim.Millisecond
 	pool := tp.NewClientPool(client, server, 4, 5000, stop)
 	k.Spawn("server", func(e *kernel.Env) {

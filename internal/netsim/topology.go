@@ -99,7 +99,7 @@ type LinkSpec struct {
 	Queue int
 	// LossRate drops roughly one in LossRate frames on this link
 	// only, from a per-link deterministic stream (0 = lossless). The
-	// fabric-wide Topology.LossRate and fault plan apply on top.
+	// fault plan's loss channel applies on top.
 	LossRate int
 }
 
@@ -227,14 +227,6 @@ type Topology struct {
 	hosts []*host
 	links []*link
 
-	// LossRate drops roughly one in LossRate TCP segments on every
-	// hop, in both directions — SYNs, requests and ACKs as well as
-	// response data (0 = lossless, the default). Deterministic:
-	// driven by a seeded stream. Per-link LinkSpec.LossRate and the
-	// fault plan add independent channels on top.
-	LossRate int
-	lossRNG  *sim.RNG
-
 	// Faults is the fabric's deterministic fault plan (nil = none):
 	// segment loss, duplication and reordering channels.
 	Faults *fault.Plan
@@ -261,10 +253,9 @@ func NewTopology() *Topology {
 // machines attached later must already run on the same engine.
 func NewTopologyOn(eng *sim.Engine) *Topology {
 	return &Topology{
-		eng:     eng,
-		lossRNG: sim.NewRNG(0xfade),
-		paths:   make(map[pairKey][]HostID),
-		trunks:  make(map[pairKey]*trunkSet),
+		eng:    eng,
+		paths:  make(map[pairKey][]HostID),
+		trunks: make(map[pairKey]*trunkSet),
 	}
 }
 
@@ -490,9 +481,9 @@ func (t *Topology) freeTransit(tr *transit) {
 }
 
 // xmit puts one segment on the wire along a path of hops, applying
-// the fault decisions: loss (LossRate, per-link loss, or the fault
-// plan), duplication and reordering (fault plan only, the latter on
-// the final hop so successors can overtake). A lost segment still
+// the fault decisions: loss (per-link LossRate or the fault plan),
+// duplication and reordering (fault plan only, the latter on the
+// final hop so successors can overtake). A lost segment still
 // consumes its wire time — the frame went out, it just never arrives;
 // a tail-dropped one (full queue) consumes nothing. A duplicated
 // segment is sent twice back to back. Each copy carries one
@@ -510,16 +501,12 @@ func (t *Topology) xmit(path []hop, pkt *Packet, to sink) {
 }
 
 // forward sends one copy across hop i; its transit record recurses to
-// i+1 on arrival. Fault decisions draw in the legacy order (fabric
-// loss, link loss, plan loss, plan reorder) at every hop, at send
-// time.
+// i+1 on arrival. Fault decisions draw in a fixed order (link loss,
+// plan loss, plan reorder) at every hop, at send time.
 func (t *Topology) forward(path []hop, i int, pkt *Packet, to sink) {
 	h := path[i]
 	last := i == len(path)-1
-	lost := t.LossRate > 0 && t.lossRNG.Intn(t.LossRate) == 0
-	if h.l.loss > 0 && h.l.lossRNG.Intn(h.l.loss) == 0 {
-		lost = true
-	}
+	lost := h.l.loss > 0 && h.l.lossRNG.Intn(h.l.loss) == 0
 	if t.Faults.DropSegment() {
 		lost = true
 	}

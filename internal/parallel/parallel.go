@@ -38,12 +38,11 @@ func Workers(n int) int {
 // and delivers each result to consume(i, r) strictly in increasing
 // index order, always in the caller's goroutine. consume returning
 // false stops the stream early: no new produce calls start, in-flight
-// ones finish and their results are discarded. workers <= 1 (after
-// Workers normalization callers usually do themselves; Stream treats
-// the value literally except that <= 0 means GOMAXPROCS) runs fully
-// serially with no goroutines, producing and consuming alternately.
+// ones finish and their results are discarded. workers <= 1, the zero
+// value included, runs fully serially with no goroutines, producing and
+// consuming alternately; callers wanting one worker per CPU resolve
+// that with Workers first.
 func Stream[R any](workers, n int, produce func(int) R, consume func(int, R) bool) {
-	workers = Workers(workers)
 	if workers > n {
 		workers = n
 	}
@@ -150,21 +149,4 @@ func Map[R any](workers, n int, f func(int) R) []R {
 		return true
 	})
 	return out
-}
-
-// MapErr runs f(i) for i in [0, n) on up to workers goroutines and
-// returns the error of the lowest failing index (nil if all succeed).
-// Because failures are observed in index order, the returned error is
-// deterministic regardless of which worker finished first, matching a
-// serial loop that stops at its first error.
-func MapErr(workers, n int, f func(int) error) error {
-	var firstErr error
-	Stream(workers, n, f, func(i int, err error) bool {
-		if err != nil && firstErr == nil {
-			firstErr = err
-			return false // no need to start more; in-flight still finish
-		}
-		return true
-	})
-	return firstErr
 }

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -64,17 +63,20 @@ func TestStreamEarlyStop(t *testing.T) {
 func TestStreamSerialFastPathAlternates(t *testing.T) {
 	// With one worker, produce(i+1) must not start before consume(i):
 	// the serial path is the reference behavior parallel runs must match.
-	var trace []string
-	Stream(1, 3, func(i int) int {
-		trace = append(trace, fmt.Sprintf("p%d", i))
-		return i
-	}, func(i, _ int) bool {
-		trace = append(trace, fmt.Sprintf("c%d", i))
-		return true
-	})
-	want := "[p0 c0 p1 c1 p2 c2]"
-	if got := fmt.Sprint(trace); got != want {
-		t.Fatalf("serial order %v, want %v", got, want)
+	// The zero value means serial too, never one worker per CPU.
+	for _, workers := range []int{0, 1} {
+		var trace []string
+		Stream(workers, 3, func(i int) int {
+			trace = append(trace, fmt.Sprintf("p%d", i))
+			return i
+		}, func(i, _ int) bool {
+			trace = append(trace, fmt.Sprintf("c%d", i))
+			return true
+		})
+		want := "[p0 c0 p1 c1 p2 c2]"
+		if got := fmt.Sprint(trace); got != want {
+			t.Fatalf("workers=%d: serial order %v, want %v", workers, got, want)
+		}
 	}
 }
 
@@ -95,30 +97,6 @@ func TestMap(t *testing.T) {
 		if s != fmt.Sprint(i) {
 			t.Fatalf("Map[%d] = %q", i, s)
 		}
-	}
-}
-
-func TestMapErrFirstByIndex(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	for trial := 0; trial < 20; trial++ {
-		err := MapErr(8, 100, func(i int) error {
-			switch i {
-			case 7:
-				return errA
-			case 3:
-				// Make the lower-index error the SLOWER one.
-				time.Sleep(time.Millisecond)
-				return errB
-			}
-			return nil
-		})
-		if err != errB {
-			t.Fatalf("trial %d: err = %v, want lowest-index error %v", trial, err, errB)
-		}
-	}
-	if err := MapErr(4, 10, func(int) error { return nil }); err != nil {
-		t.Fatalf("clean run returned %v", err)
 	}
 }
 

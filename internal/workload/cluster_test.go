@@ -21,7 +21,7 @@ func testCells() []workload.ClusterConfig {
 // and returns the rendered report plus the combined latency digest.
 func renderCluster(t *testing.T, parallel int) (string, uint64) {
 	t.Helper()
-	bench := core.Bench{BenchOpts: core.BenchOpts{Trace: trace.New(), Parallel: parallel}}
+	bench := core.Bench{Trace: trace.New(), Parallel: parallel}
 	rs, err := bench.Cluster(testCells())
 	if err != nil {
 		t.Fatal(err)

@@ -109,10 +109,7 @@ func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
 	if cfg.DiskBlocks == 0 {
 		cfg.DiskBlocks = 32768
 	}
-	if cfg.Parallel <= 1 {
-		cfg.Parallel = 1 // zero value = serial; never auto-widen
-	}
-	boot := func() (Machine, *fault.Plan) {
+	boot := func() (machine.Machine, *fault.Plan) {
 		p := plan.Clone()
 		m := machine.MustNew(machine.Config{
 			Personality: machine.XokExOS,
@@ -198,7 +195,7 @@ func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
 		if k < 0 {
 			k = 0
 		}
-		var m Machine
+		var m machine.Machine
 		if cfg.Snapshot {
 			// Fork to the start of segment k. Concurrent trials fork from
 			// one snapshot safely: it is read-only, pages and blocks are

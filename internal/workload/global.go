@@ -7,6 +7,7 @@ import (
 
 	"xok/internal/apps"
 	"xok/internal/kernel"
+	"xok/internal/machine"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
@@ -222,7 +223,7 @@ type GlobalResult struct {
 
 // GlobalPerf runs `total` jobs drawn pseudo-randomly from pool,
 // holding `maxConc` running at once.
-func GlobalPerf(m Machine, pool []JobKind, total, maxConc int, seed uint64) (GlobalResult, error) {
+func GlobalPerf(m machine.Machine, pool []JobKind, total, maxConc int, seed uint64) (GlobalResult, error) {
 	res := GlobalResult{System: m.Name(), TotalJobs: total, MaxConc: maxConc}
 
 	// Identical seeds => identical schedules on every system.

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"xok/internal/apps"
+	"xok/internal/machine"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
@@ -56,7 +57,7 @@ var lccArchive = sync.OnceValue(func() []byte { return apps.ArchiveBytes(apps.Lc
 // IOIntensive runs the Table 1 workload on m. Setup (creating the
 // initial compressed archive) is excluded from the measurement, like
 // the paper's pre-staged archive file.
-func IOIntensive(m Machine) (IOResult, error) {
+func IOIntensive(m machine.Machine) (IOResult, error) {
 	res := IOResult{System: m.Name()}
 	plaintext := lccArchive()
 	// The "compressed" archive: gzip-ratio-sized prefix of the stream.
@@ -116,24 +117,11 @@ func IOIntensive(m Machine) (IOResult, error) {
 	return res, nil
 }
 
-// ProtectionCost runs the Section 6.3 experiment: the I/O workload on
+// ProtectionResult holds the Section 6.3 experiment: the I/O workload on
 // stock Xok/ExOS (XN + shared-state protection calls) versus Xok/ExOS
 // with both removed. The paper reports 41.1 s -> 39.7 s and 300,000 ->
 // 81,000 system calls.
 type ProtectionResult struct {
 	WithProtection    IOResult
 	WithoutProtection IOResult
-}
-
-// ProtectionCost executes both configurations.
-func ProtectionCost() (ProtectionResult, error) {
-	var res ProtectionResult
-	var err error
-	if res.WithProtection, err = IOIntensive(NewXok()); err != nil {
-		return res, err
-	}
-	if res.WithoutProtection, err = IOIntensive(NewXokUnprotected()); err != nil {
-		return res, err
-	}
-	return res, nil
 }

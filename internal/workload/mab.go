@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xok/internal/apps"
+	"xok/internal/machine"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
@@ -42,7 +43,7 @@ func mabTree() apps.TreeSpec {
 }
 
 // MAB runs the benchmark on m.
-func MAB(m Machine) (MABResult, error) {
+func MAB(m machine.Machine) (MABResult, error) {
 	res := MABResult{System: m.Name()}
 	spec := mabTree()
 

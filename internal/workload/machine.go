@@ -2,57 +2,19 @@
 // I/O-intensive lcc-install workload (Table 1 / Figure 2), the
 // Modified Andrew Benchmark (Section 6.2), the cost-of-protection
 // experiment (Section 6.3), the global-performance job mixes
-// (Figures 4 and 5), and the crash-point enumeration harness. Each
-// takes a Machine — one of the systems under test, built through
-// internal/machine — and returns measured virtual times.
+// (Figures 4 and 5), the Section 7.2 copy comparison, and the
+// crash-point enumeration harness. Each takes a machine.Machine — one
+// of the systems under test, booted by the caller with machine.New —
+// and returns measured virtual times.
 package workload
 
 import (
 	"fmt"
 
-	"xok/internal/bsdos"
 	"xok/internal/machine"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
-
-// EnvHandle identifies a spawned process.
-type EnvHandle = machine.EnvHandle
-
-// Machine abstracts over the OS personalities; internal/machine is the
-// construction path.
-type Machine = machine.Machine
-
-// Xok and BSD are the concrete machine wrappers, re-exported for
-// experiments that reach the underlying systems.
-type (
-	Xok = machine.Xok
-	BSD = machine.BSD
-)
-
-// NewXok boots a stock Xok/ExOS machine (protection on, as in all
-// Section 6 measurements).
-func NewXok() Machine {
-	return machine.MustNew(machine.Config{Personality: machine.XokExOS})
-}
-
-// NewXokUnprotected boots Xok/ExOS with XN charging and shared-state
-// protection calls removed (the Section 6.3 comparison point).
-func NewXokUnprotected() Machine {
-	return machine.MustNew(machine.Config{Personality: machine.XokUnprotected})
-}
-
-// NewBSD boots a BSD machine.
-func NewBSD(v bsdos.Variant) Machine {
-	p := machine.FreeBSD
-	switch v {
-	case bsdos.OpenBSD:
-		p = machine.OpenBSD
-	case bsdos.OpenBSDCFFS:
-		p = machine.OpenBSDCFFS
-	}
-	return machine.MustNew(machine.Config{Personality: p})
-}
 
 // SystemConfigs returns the machine configurations of the four
 // Figure-2 systems in the paper's presentation order. Callers that
@@ -68,20 +30,9 @@ func SystemConfigs() []machine.Config {
 	}
 }
 
-// AllSystems boots the four systems of Figure 2, in the paper's
-// presentation order.
-func AllSystems() []Machine {
-	cfgs := SystemConfigs()
-	ms := make([]Machine, len(cfgs))
-	for i, cfg := range cfgs {
-		ms[i] = machine.MustNew(cfg)
-	}
-	return ms
-}
-
 // exec runs main as a process to completion and returns the elapsed
 // virtual time. Errors inside are collected into errp.
-func exec(m Machine, name string, main func(unix.Proc) error, errp *error) sim.Time {
+func exec(m machine.Machine, name string, main func(unix.Proc) error, errp *error) sim.Time {
 	start := m.Now()
 	m.SpawnProc(name, 0, func(p unix.Proc) {
 		if err := main(p); err != nil && *errp == nil {

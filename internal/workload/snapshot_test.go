@@ -29,7 +29,7 @@ import (
 // against an uninterrupted run.
 
 // runSegments executes segs[from:to] on m, one process per segment.
-func runSegments(m Machine, segs []mabSegment, from, to int) error {
+func runSegments(m machine.Machine, segs []mabSegment, from, to int) error {
 	var err error
 	for _, seg := range segs[from:to] {
 		exec(m, seg.name, seg.body, &err)
@@ -42,7 +42,7 @@ func runSegments(m Machine, segs []mabSegment, from, to int) error {
 
 // mediaHash digests the machine's final disk contents, block order
 // normalized.
-func mediaHash(t *testing.T, m Machine) uint64 {
+func mediaHash(t *testing.T, m machine.Machine) uint64 {
 	t.Helper()
 	img := m.Disk().Snapshot()
 	blocks := make([]disk.BlockNo, 0, len(img))

@@ -5,23 +5,30 @@ import (
 	"testing"
 
 	"xok/internal/apps"
-	"xok/internal/bsdos"
-	"xok/internal/sim"
+	"xok/internal/machine"
 	"xok/internal/unix"
 )
+
+// boot starts a stock machine of personality p, closed when the test
+// ends.
+func boot(t *testing.T, p machine.Personality) machine.Machine {
+	m := machine.MustNew(machine.Config{Personality: p})
+	t.Cleanup(m.Close)
+	return m
+}
 
 func TestIOIntensiveShape(t *testing.T) {
 	// Figure 2's shape: Xok/ExOS fastest, OpenBSD/C-FFS second,
 	// native-FFS BSDs slowest (41 s vs 51 s vs ~60 s in the paper).
-	xok, err := IOIntensive(NewXok())
+	xok, err := IOIntensive(boot(t, machine.XokExOS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	obsdCffs, err := IOIntensive(NewBSD(bsdos.OpenBSDCFFS))
+	obsdCffs, err := IOIntensive(boot(t, machine.OpenBSDCFFS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbsd, err := IOIntensive(NewBSD(bsdos.FreeBSD))
+	fbsd, err := IOIntensive(boot(t, machine.FreeBSD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,43 +64,16 @@ func TestIOIntensiveShape(t *testing.T) {
 	}
 }
 
-func TestProtectionCost(t *testing.T) {
-	// Section 6.3: protection costs a few percent (41.1 s vs 39.7 s)
-	// and most system calls (300k -> 81k).
-	res, err := ProtectionCost()
-	if err != nil {
-		t.Fatal(err)
-	}
-	with, without := res.WithProtection, res.WithoutProtection
-	t.Logf("with protection:    %v, %d syscalls (%d protection calls)",
-		with.Total, with.Syscalls, with.ProtCalls)
-	t.Logf("without protection: %v, %d syscalls", without.Total, without.Syscalls)
-	if with.Total <= without.Total {
-		t.Error("protection should cost something")
-	}
-	overhead := float64(with.Total-without.Total) / float64(without.Total)
-	if overhead > 0.15 {
-		t.Errorf("protection overhead = %.1f%%, want a few percent", overhead*100)
-	}
-	if with.Syscalls < 2*without.Syscalls {
-		t.Errorf("syscall reduction %d -> %d too small (paper: 300k -> 81k)",
-			with.Syscalls, without.Syscalls)
-	}
-	if without.ProtCalls != 0 {
-		t.Error("unprotected run made protection calls")
-	}
-}
-
 func TestMABShape(t *testing.T) {
 	// Section 6.2: MAB totals 11.5 / 12.5 / 14.2 / 11.5 s for Xok,
 	// OpenBSD/C-FFS, OpenBSD, FreeBSD — much closer than the I/O
 	// workload "because MAB stresses fork, an expensive function in
 	// Xok/ExOS".
-	xok, err := MAB(NewXok())
+	xok, err := MAB(boot(t, machine.XokExOS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbsd, err := MAB(NewBSD(bsdos.FreeBSD))
+	fbsd, err := MAB(boot(t, machine.FreeBSD))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +105,18 @@ func TestGlobalPerfSmall(t *testing.T) {
 	// A scaled-down Figure 4 cell: 7 jobs at concurrency 2. Xok and
 	// FreeBSD should land within ~35% of each other, and identical
 	// seeds must give identical schedules per system.
-	xok1, err := GlobalPerf(NewXok(), Pool1(), 7, 2, 42)
+	xok1, err := GlobalPerf(boot(t, machine.XokExOS), Pool1(), 7, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xok2, err := GlobalPerf(NewXok(), Pool1(), 7, 2, 42)
+	xok2, err := GlobalPerf(boot(t, machine.XokExOS), Pool1(), 7, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if xok1.Total != xok2.Total || xok1.Max != xok2.Max || xok1.Min != xok2.Min {
 		t.Errorf("nondeterministic: %+v vs %+v", xok1, xok2)
 	}
-	fbsd, err := GlobalPerf(NewBSD(bsdos.FreeBSD), Pool1(), 7, 2, 42)
+	fbsd, err := GlobalPerf(boot(t, machine.FreeBSD), Pool1(), 7, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +140,7 @@ func TestCksumJobChecksStagedBytes(t *testing.T) {
 			job = k
 		}
 	}
-	m := NewXok()
+	m := boot(t, machine.XokExOS)
 	var clean, corrupt error
 	m.SpawnProc("cksum", 0, func(p unix.Proc) {
 		if clean = p.Mkdir("/j", 7); clean != nil {
@@ -189,11 +169,11 @@ func TestGlobalPerfPool2ConcurrencyHelpsXok(t *testing.T) {
 	// Figure 5: "the relative performance difference between FreeBSD
 	// and Xok/ExOS increases with job concurrency" when C-FFS-favoured
 	// jobs are in the pool.
-	xok, err := GlobalPerf(NewXok(), Pool2(), 8, 4, 7)
+	xok, err := GlobalPerf(boot(t, machine.XokExOS), Pool2(), 8, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbsd, err := GlobalPerf(NewBSD(bsdos.FreeBSD), Pool2(), 8, 4, 7)
+	fbsd, err := GlobalPerf(boot(t, machine.FreeBSD), Pool2(), 8, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,5 +182,3 @@ func TestGlobalPerfPool2ConcurrencyHelpsXok(t *testing.T) {
 		t.Errorf("Xok (%v) should beat FreeBSD (%v) on the pool-2 mix", xok.Total, fbsd.Total)
 	}
 }
-
-var _ = sim.Time(0)

@@ -66,7 +66,7 @@ func BenchmarkCrashSweepSnapshotParallel4(b *testing.B) { benchCrashSweep(b, 4, 
 
 func benchCluster(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
-		bench := core.Bench{BenchOpts: core.BenchOpts{Parallel: workers}}
+		bench := core.Bench{Parallel: workers}
 		rs, err := bench.Cluster(workload.ClusterCells(4, 400, 8000))
 		if err != nil {
 			b.Fatal(err)
