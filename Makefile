@@ -70,10 +70,11 @@ cluster-smoke:
 # (-count=1) under the race detector — replay equivalence (fork at a
 # random MAB boundary continues bit-identically, with and without an
 # armed fault plan), the crash sweep's snapshot-vs-boot digest match,
-# and difftest's from-boot-vs-forked exact compare with concurrent
-# forks from shared snapshots.
+# difftest's from-boot-vs-forked exact compare with concurrent forks
+# from shared snapshots, and the process layer's Freeze/Thaw of a
+# mount table with one file system at two prefixes.
 snapshot-smoke:
-	$(GO) test -race -count=1 -run 'TestSnapshot' ./internal/workload/ ./internal/difftest/
+	$(GO) test -race -count=1 -run 'TestSnapshot' ./internal/workload/ ./internal/difftest/ ./internal/exos/
 
 # The four standalone programs under examples/, each run to completion
 # with its stdout discarded: they boot machines and drive the libOS

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"xok/internal/ostest"
+	"xok/internal/posix"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
 
 func runner(v Variant) (ostest.RunFunc, *System) {
-	s := Boot(v, Config{})
+	s := Boot(v, posix.Hardware{})
 	return func(main func(unix.Proc)) {
 		s.Spawn("test", 0, main)
 		s.Run()
@@ -77,8 +78,8 @@ func TestEveryFileOpTraps(t *testing.T) {
 }
 
 func TestOpenBSDCacheSmallerThanFreeBSD(t *testing.T) {
-	sf := Boot(FreeBSD, Config{})
-	so := Boot(OpenBSD, Config{})
+	sf := Boot(FreeBSD, posix.Hardware{})
+	so := Boot(OpenBSD, posix.Hardware{})
 	if sf.X.MaxCachePages != 0 {
 		t.Fatal("FreeBSD cache should be unified (uncapped)")
 	}
@@ -90,11 +91,11 @@ func TestOpenBSDCacheSmallerThanFreeBSD(t *testing.T) {
 func TestVariantFSProfiles(t *testing.T) {
 	// FreeBSD/OpenBSD run FFS (sync metadata); OpenBSD/C-FFS runs the
 	// co-locating profile.
-	f := Boot(FreeBSD, Config{})
+	f := Boot(FreeBSD, posix.Hardware{})
 	if f.FS.Cfg.EmbeddedInodes || !f.FS.Cfg.SyncMeta {
 		t.Fatalf("FreeBSD profile = %+v", f.FS.Cfg)
 	}
-	c := Boot(OpenBSDCFFS, Config{})
+	c := Boot(OpenBSDCFFS, posix.Hardware{})
 	if !c.FS.Cfg.EmbeddedInodes || c.FS.Cfg.SyncMeta {
 		t.Fatalf("OpenBSD/C-FFS profile = %+v", c.FS.Cfg)
 	}

@@ -2,6 +2,7 @@ package bsdos
 
 import (
 	"xok/internal/kernel"
+	"xok/internal/posix"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
@@ -17,53 +18,33 @@ const pipeCapacity = 16384
 // blocking handoff, beyond the generic context switch.
 const costPipeWakeup = 8 * sim.Microsecond
 
-// ErrPipeClosed reports a write with no reader (the canonical
-// unix.ErrPipe, shared across personalities).
-var ErrPipeClosed = unix.ErrPipe
-
 type bsdPipe struct {
-	s *System
+	posix.PipeEnds
 
 	buf        []byte
 	count      int64
 	rpos, wpos int
-
-	readerWaiting *kernel.Env
-	writerWaiting *kernel.Env
-	readers       int
-	writers       int
-}
-
-func (p *bsdPipe) rClosed() bool { return p.readers == 0 }
-func (p *bsdPipe) wClosed() bool { return p.writers == 0 }
-
-// addRef notes a forked descriptor sharing this end.
-func (p *bsdPipe) addRef(writeEnd bool) {
-	if writeEnd {
-		p.writers++
-	} else {
-		p.readers++
-	}
 }
 
 func (p *bsdPipe) moveBytes(e *kernel.Env, n int) {
 	e.Use(sim.CopyCost(n))
-	p.s.K.Stats.Add(sim.CtrBytesCopied, int64(n))
+	e.Kernel().Stats.Add(sim.CtrBytesCopied, int64(n))
 }
 
-func (p *bsdPipe) write(e *kernel.Env, data []byte) (int, error) {
+// Write copies data into the kernel buffer, sleeping while it is full.
+func (p *bsdPipe) Write(e *kernel.Env, data []byte) (int, error) {
 	n := 0
 	for n < len(data) {
-		if p.rClosed() {
-			return n, ErrPipeClosed
+		if p.RClosed() {
+			return n, unix.ErrPipe
 		}
 		space := pipeCapacity - int(p.count)
 		if space == 0 {
-			p.writerWaiting = e
+			p.WriterWaiting = e
 			e.Use(costPipeWakeup)
-			if r := p.readerWaiting; r != nil {
-				p.readerWaiting = nil
-				p.s.K.Wake(r)
+			if r := p.ReaderWaiting; r != nil {
+				p.ReaderWaiting = nil
+				e.Kernel().Wake(r)
 			}
 			e.Block()
 			continue
@@ -86,24 +67,25 @@ func (p *bsdPipe) write(e *kernel.Env, data []byte) (int, error) {
 		p.moveBytes(e, chunk)
 		p.count += int64(chunk)
 	}
-	if r := p.readerWaiting; r != nil && p.count > 0 {
-		p.readerWaiting = nil
+	if r := p.ReaderWaiting; r != nil && p.count > 0 {
+		p.ReaderWaiting = nil
 		e.Use(costPipeWakeup)
-		p.s.K.Wake(r)
+		e.Kernel().Wake(r)
 	}
 	return n, nil
 }
 
-func (p *bsdPipe) read(e *kernel.Env, buf []byte) (int, error) {
+// Read copies out of the kernel buffer, sleeping while it is empty.
+func (p *bsdPipe) Read(e *kernel.Env, buf []byte) (int, error) {
 	for p.count == 0 {
-		if p.wClosed() {
+		if p.WClosed() {
 			return 0, nil
 		}
-		p.readerWaiting = e
+		p.ReaderWaiting = e
 		e.Use(costPipeWakeup)
-		if w := p.writerWaiting; w != nil {
-			p.writerWaiting = nil
-			p.s.K.Wake(w)
+		if w := p.WriterWaiting; w != nil {
+			p.WriterWaiting = nil
+			e.Kernel().Wake(w)
 		}
 		e.Block()
 	}
@@ -124,34 +106,10 @@ func (p *bsdPipe) read(e *kernel.Env, buf []byte) (int, error) {
 	}
 	p.moveBytes(e, chunk)
 	p.count -= int64(chunk)
-	if w := p.writerWaiting; w != nil {
-		p.writerWaiting = nil
+	if w := p.WriterWaiting; w != nil {
+		p.WriterWaiting = nil
 		e.Use(costPipeWakeup)
-		p.s.K.Wake(w)
+		e.Kernel().Wake(w)
 	}
 	return chunk, nil
-}
-
-func (p *bsdPipe) closeEnd(e *kernel.Env, writeEnd bool) {
-	if writeEnd {
-		if p.writers > 0 {
-			p.writers--
-		}
-		if p.wClosed() {
-			if r := p.readerWaiting; r != nil {
-				p.readerWaiting = nil
-				p.s.K.Wake(r)
-			}
-		}
-	} else {
-		if p.readers > 0 {
-			p.readers--
-		}
-		if p.rClosed() {
-			if w := p.writerWaiting; w != nil {
-				p.writerWaiting = nil
-				p.s.K.Wake(w)
-			}
-		}
-	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"xok/internal/emu"
-	"xok/internal/exos"
 	"xok/internal/httpd"
 	"xok/internal/machine"
 	"xok/internal/ostest"
@@ -189,7 +188,7 @@ func (b *Bench) Emulator() (EmulatorResult, error) {
 		if cfg.Personality == machine.XokExOS {
 			direct := run
 			run = func(main func(unix.Proc)) {
-				direct(func(p unix.Proc) { main(emu.Emulate(p.(*exos.Proc))) })
+				direct(func(p unix.Proc) { main(emu.Emulate(p)) })
 			}
 		}
 		return ostest.GetpidCost(run), nil

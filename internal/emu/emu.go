@@ -11,10 +11,13 @@
 // getpid costs 270 cycles on OpenBSD (a real kernel crossing) but only
 // ~100 cycles emulated (INT reroute + procedure call into ExOS, which
 // "can omit many expensive checks that UNIX must perform").
+//
+// Proc is a decorator over any unix.Proc: it adds the reroute charge
+// and forwards the call. Wrapped around an ExOS process, as the
+// experiments do, the forwarded call is the library path.
 package emu
 
 import (
-	"xok/internal/exos"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
@@ -32,13 +35,13 @@ const SupportedCalls = 90
 // surface. Every call pays the reroute cost and then the ExOS library
 // path — no kernel crossing.
 type Proc struct {
-	P *exos.Proc
+	P unix.Proc
 }
 
 var _ unix.Proc = (*Proc)(nil)
 
-// Emulate wraps an ExOS process in the emulator.
-func Emulate(p *exos.Proc) *Proc { return &Proc{P: p} }
+// Emulate wraps a process in the emulator.
+func Emulate(p unix.Proc) *Proc { return &Proc{P: p} }
 
 func (m *Proc) reroute() { m.P.Compute(CostReroute) }
 
@@ -114,7 +117,5 @@ func (m *Proc) Pipe() (unix.FD, unix.FD, error) { m.reroute(); return m.P.Pipe()
 // Spawn emulates fork+execve; the child also runs under the emulator.
 func (m *Proc) Spawn(name string, f func(unix.Proc)) (unix.Handle, error) {
 	m.reroute()
-	return m.P.Spawn(name, func(c unix.Proc) {
-		f(Emulate(c.(*exos.Proc)))
-	})
+	return m.P.Spawn(name, func(c unix.Proc) { f(Emulate(c)) })
 }

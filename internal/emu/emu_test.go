@@ -7,6 +7,7 @@ import (
 	"xok/internal/bsdos"
 	"xok/internal/exos"
 	"xok/internal/ostest"
+	"xok/internal/posix"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
@@ -14,7 +15,7 @@ import (
 func runEmulated(main func(unix.Proc)) *exos.System {
 	s := exos.Boot(exos.Config{})
 	s.Spawn("emu", 0, func(p unix.Proc) {
-		main(Emulate(p.(*exos.Proc)))
+		main(Emulate(p))
 	})
 	s.Run()
 	return s
@@ -33,7 +34,7 @@ func TestEmulatedGetpidFasterThanNative(t *testing.T) {
 		emulated = (p.Now() - start) / n
 	})
 
-	bsd := bsdos.Boot(bsdos.OpenBSD, bsdos.Config{})
+	bsd := bsdos.Boot(bsdos.OpenBSD, posix.Hardware{})
 	native := ostest.GetpidCost(func(main func(unix.Proc)) {
 		bsd.Spawn("native", 0, main)
 		bsd.Run()
@@ -126,7 +127,7 @@ func TestEmulatorFullConformance(t *testing.T) {
 	runE := func(main func(unix.Proc)) {
 		s := exos.Boot(exos.Config{})
 		s.Spawn("emu", 0, func(p unix.Proc) {
-			main(Emulate(p.(*exos.Proc)))
+			main(Emulate(p))
 		})
 		s.Run()
 	}

@@ -12,13 +12,13 @@ func TestFDErrors(t *testing.T) {
 	s := Boot(Config{})
 	s.Spawn("t", 0, func(p unix.Proc) {
 		buf := make([]byte, 8)
-		if _, err := p.Read(unix.FD(42), buf); !errors.Is(err, ErrBadFD) {
+		if _, err := p.Read(unix.FD(42), buf); !errors.Is(err, unix.ErrBadFD) {
 			t.Errorf("read bad fd: %v", err)
 		}
-		if _, err := p.Write(unix.FD(42), buf); !errors.Is(err, ErrBadFD) {
+		if _, err := p.Write(unix.FD(42), buf); !errors.Is(err, unix.ErrBadFD) {
 			t.Errorf("write bad fd: %v", err)
 		}
-		if err := p.Close(unix.FD(42)); !errors.Is(err, ErrBadFD) {
+		if err := p.Close(unix.FD(42)); !errors.Is(err, unix.ErrBadFD) {
 			t.Errorf("close bad fd: %v", err)
 		}
 		fd, err := p.Create("/f", 6)
@@ -28,7 +28,7 @@ func TestFDErrors(t *testing.T) {
 		if err := p.Close(fd); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Close(fd); !errors.Is(err, ErrBadFD) {
+		if err := p.Close(fd); !errors.Is(err, unix.ErrBadFD) {
 			t.Errorf("double close: %v", err)
 		}
 	})
@@ -66,7 +66,7 @@ func TestWriteToClosedPipe(t *testing.T) {
 		if err := p.Close(r); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Write(w, []byte("x")); !errors.Is(err, ErrPipeClosed) {
+		if _, err := p.Write(w, []byte("x")); !errors.Is(err, unix.ErrPipe) {
 			t.Errorf("write to reader-less pipe: %v", err)
 		}
 	})

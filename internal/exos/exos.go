@@ -2,9 +2,12 @@
 // system for Xok (Section 5.2): a UNIX personality implemented
 // entirely as unprivileged library code linked into each application.
 //
-// Structure mirrors the paper:
+// The UNIX process layer itself is internal/posix, shared with the BSD
+// models; this package supplies what ExOS charges and its pipes:
 //
 //   - files go through the C-FFS libFS over XN;
+//   - calls are procedure calls into the library: only getpid and
+//     seek pay a libcall on entry, and nothing traps;
 //   - the file descriptor table and process map are shared global
 //     state; with Protect set, every write to them is preceded by
 //     three system calls, approximating the cost of the fully
@@ -20,18 +23,16 @@
 package exos
 
 import (
-	"xok/internal/cap"
 	"xok/internal/cffs"
-	"xok/internal/fault"
 	"xok/internal/kernel"
+	"xok/internal/posix"
 	"xok/internal/sim"
-	"xok/internal/trace"
-	"xok/internal/unix"
-	"xok/internal/xn"
 )
 
-// Config selects ExOS build options.
+// Config selects ExOS build options and the hardware it boots on.
 type Config struct {
+	posix.Hardware
+
 	// Protect charges three system calls before every write to shared
 	// global state (fd table, process map, ...). The paper's reported
 	// numbers all include this; Section 6.3 measures the system with
@@ -42,121 +43,60 @@ type Config struct {
 	// (Table 2 "Shared memory") instead of software regions +
 	// wakeup predicates (Table 2 "Protection").
 	SharedMemPipes bool
-
-	// DiskBlocks sizes the volume (default 1<<20 blocks = 4 GB).
-	DiskBlocks int64
-
-	// MemPages sizes physical memory (default 16384 pages = 64 MB).
-	MemPages int
-
-	// Spindles > 1 builds the volume as a RAID-0 stripe set of that
-	// many disks, StripeUnit blocks per unit (see kernel.Config).
-	Spindles   int
-	StripeUnit int64
-
-	// Trace and Faults are handed straight to the kernel: the
-	// observability sink and the deterministic fault plan (both nil by
-	// default, costing one nil check per decision point).
-	Trace  *trace.Tracer
-	Faults *fault.Plan
-
-	// Eng attaches the machine to a shared event engine (nil = build a
-	// private one); see kernel.Config.Eng.
-	Eng *sim.Engine
 }
 
 // System is one booted Xok/ExOS machine.
 type System struct {
-	K   *kernel.Kernel
-	X   *xn.XN
-	FS  *cffs.FS
-	Cfg Config
-
-	nextPid int
-	// The shared process map (pid -> environment), one of the tables
-	// kept in shared memory (Section 5.2.1).
-	procs map[int]*Proc
-
-	// mounts is the shared mount table (Section 5.2.1), longest
-	// prefix first.
-	mounts []mount
+	*posix.System
 }
 
 // Boot builds the machine: Xok kernel, XN, and a fresh C-FFS volume,
 // ready to spawn UNIX processes.
 func Boot(cfg Config) *System {
-	if cfg.DiskBlocks == 0 {
-		cfg.DiskBlocks = 1 << 20
-	}
-	if cfg.MemPages == 0 {
-		cfg.MemPages = 16384
-	}
-	k := kernel.New(kernel.Config{
-		Name:       "xok",
-		TrapCost:   sim.CostTrapXok,
-		MemPages:   cfg.MemPages,
-		DiskSize:   cfg.DiskBlocks,
-		Spindles:   cfg.Spindles,
-		StripeUnit: cfg.StripeUnit,
-		Trace:      cfg.Trace,
-		Faults:     cfg.Faults,
-		Eng:        cfg.Eng,
-	})
-	x := xn.New(k)
-	x.FlushBehind = 512 // C-FFS flush-behind: ~2 MB of dirty data max
-	s := &System{K: k, X: x, Cfg: cfg, nextPid: 1, procs: make(map[int]*Proc)}
-	k.Spawn("exos-mkfs", func(e *kernel.Env) {
-		e.Creds = cap.UnixCreds(0)
-		fs, err := cffs.Mkfs(e, x, "cffs", cffs.DefaultConfig())
-		if err != nil {
-			panic("exos: mkfs failed: " + err.Error())
-		}
-		s.FS = fs
-	})
-	k.Run()
-	return s
+	s := posix.New("xok", sim.CostTrapXok, cfg.Hardware,
+		libOS{protect: cfg.Protect, sharedPipes: cfg.SharedMemPipes})
+	s.Mkfs("exos-mkfs", "cffs", cffs.DefaultConfig())
+	return &System{s}
 }
 
-// Run drains the machine's event queue.
-func (s *System) Run() { s.K.Run() }
+// libOS is what ExOS charges in the UNIX process layer.
+type libOS struct {
+	protect     bool
+	sharedPipes bool
+}
 
-// Now returns virtual time.
-func (s *System) Now() sim.Time { return s.K.Now() }
+// Enter charges the library calls that do work of their own: getpid
+// is a protected procedure call into the library, no kernel crossing
+// (Section 7.1: 100 cycles vs 270 on OpenBSD), and seek a short one.
+// Every other call's cost is the work it does.
+func (libOS) Enter(e *kernel.Env, c posix.Call) {
+	switch c {
+	case posix.CallGetpid:
+		e.LibCall(sim.CostGetpidWork)
+	case posix.CallSeek:
+		e.LibCall(20)
+	}
+}
 
-// Stats exposes the machine counters.
-func (s *System) Stats() *sim.Stats { return s.K.Stats }
-
-// sharedWrite accounts one write to shared global state.
-func (s *System) sharedWrite(e *kernel.Env) {
-	if s.Cfg.Protect {
-		s.K.Stats.Add(sim.CtrProtCalls, 3)
+// SharedWrite accounts one write to shared global state.
+func (l libOS) SharedWrite(e *kernel.Env) {
+	if l.protect {
+		e.Kernel().Stats.Add(sim.CtrProtCalls, 3)
 		e.Syscalls(3)
 	}
 }
 
-// Spawn starts a top-level UNIX process running main as uid. The
-// returned handle's Wait only works from inside another process; from
-// the outside, call Run to drain the machine.
-func (s *System) Spawn(name string, uid uint16, main func(unix.Proc)) *Handle {
-	pid := s.nextPid
-	s.nextPid++
-	h := &Handle{}
-	h.env = s.K.Spawn(name, func(e *kernel.Env) {
-		e.Creds = cap.UnixCreds(uid)
-		p := &Proc{s: s, e: e, pid: pid, uid: uid, fds: make(map[unix.FD]*file)}
-		s.procs[pid] = p
-		main(p)
-		p.closeAll()
-		delete(s.procs, pid)
-	})
-	return h
+// Fork scans the page table marking pages copy-on-write through
+// batched system calls — a handful of traps cover the scan (~6 ms,
+// Section 6.2) — then execs.
+func (libOS) Fork(e *kernel.Env) {
+	e.Syscalls(8)
+	e.Use(sim.CostForkExOS + sim.CostExec)
 }
 
-// Handle identifies a spawned process.
-type Handle struct {
-	env *kernel.Env
-}
+// ForkChild charges the child's early COW faults (stack/data pages
+// the fork call itself was using were already copied eagerly).
+func (libOS) ForkChild(e *kernel.Env) { e.Use(4 * sim.CostCOWFault) }
 
-// Env exposes the underlying environment (tests and the workload
-// harness use it).
-func (h *Handle) Env() *kernel.Env { return h.env }
+// Pipe builds a pipe of the configured trust level.
+func (l libOS) Pipe(e *kernel.Env) posix.Pipe { return newPipe(e, l.sharedPipes) }

@@ -8,6 +8,7 @@ import (
 	"xok/internal/cap"
 	"xok/internal/cffs"
 	"xok/internal/kernel"
+	"xok/internal/posix"
 	"xok/internal/unix"
 )
 
@@ -125,4 +126,65 @@ func TestLongestPrefixWins(t *testing.T) {
 		}
 	})
 	s.Run()
+}
+
+// TestSnapshotForkKeepsMountAliases forks a machine whose one memory
+// file system is mounted at two prefixes: the fork must keep it one
+// file system, and must not share it with the original.
+func TestSnapshotForkKeepsMountAliases(t *testing.T) {
+	s := Boot(Config{})
+	var memfs *cffs.FS
+	s.K.Spawn("mktmp", func(e *kernel.Env) {
+		e.Creds = cap.UnixCreds(0)
+		var err error
+		if memfs, err = cffs.Mkfs(e, s.X, "tmpfs", cffs.MemConfig()); err != nil {
+			t.Error(err)
+		}
+	})
+	s.Run()
+	s.Mount("/tmp", memfs)
+	s.Mount("/scratch", memfs)
+
+	s.Spawn("live", 0, func(unix.Proc) {
+		if _, err := s.Snapshot(); err == nil {
+			t.Error("snapshot with a live process succeeded")
+		}
+	})
+	s.Run()
+
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := posix.Fork(sn)
+	f.Spawn("user", 0, func(p unix.Proc) {
+		fd, err := p.Create("/tmp/a", 6)
+		if err != nil {
+			t.Errorf("create: %v", err)
+			return
+		}
+		p.Close(fd)
+		if _, err := p.Stat("/scratch/a"); err != nil {
+			t.Errorf("file created through /tmp not visible through /scratch: %v", err)
+		}
+		if err := p.Rename("/tmp/a", "/scratch/b"); err != nil {
+			t.Errorf("rename between aliases of one FS: %v", err)
+		}
+		if err := p.Rename("/scratch/b", "/b"); !errors.Is(err, unix.ErrXDev) {
+			t.Errorf("rename onto the root FS = %v, want ErrXDev", err)
+		}
+	})
+	f.Run()
+
+	s.Spawn("original", 0, func(p unix.Proc) {
+		for _, path := range []string{"/tmp/a", "/tmp/b", "/scratch/b"} {
+			if _, err := p.Stat(path); !errors.Is(err, cffs.ErrNotFound) {
+				t.Errorf("original machine sees the fork's %s: %v", path, err)
+			}
+		}
+	})
+	s.Run()
+	f.K.Release()
+	s.K.Release()
+	sn.Release()
 }

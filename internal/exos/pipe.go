@@ -3,6 +3,7 @@ package exos
 import (
 	"xok/internal/cap"
 	"xok/internal/kernel"
+	"xok/internal/posix"
 	"xok/internal/sim"
 	"xok/internal/unix"
 	"xok/internal/wkpred"
@@ -24,12 +25,8 @@ import (
 
 const pipeCapacity = 16384
 
-// ErrPipeClosed reports a write to a pipe with no reader (the
-// canonical unix.ErrPipe, shared across personalities).
-var ErrPipeClosed = unix.ErrPipe
-
 type pipe struct {
-	s      *System
+	posix.PipeEnds
 	shared bool
 
 	buf    []byte // shared-memory variant storage
@@ -38,22 +35,11 @@ type pipe struct {
 	count      int64 // bytes buffered; watched by wakeup predicates
 	rpos, wpos int
 
-	readerWaiting *kernel.Env
-	writerWaiting *kernel.Env
-
-	// Open-descriptor counts per end (fork shares ends, so EOF and
-	// EPIPE only fire when the last descriptor of an end closes).
-	readers int
-	writers int
-
 	pred *wkpred.Pred
 }
 
-func (p *pipe) rClosed() bool { return p.readers == 0 }
-func (p *pipe) wClosed() bool { return p.writers == 0 }
-
-func newPipe(s *System, e *kernel.Env, shared bool) *pipe {
-	p := &pipe{s: s, shared: shared, readers: 1, writers: 1}
+func newPipe(e *kernel.Env, shared bool) *pipe {
+	p := &pipe{shared: shared}
 	if shared {
 		p.buf = make([]byte, pipeCapacity)
 		e.LibCall(sim.CopyCost(64)) // set up the shared mapping
@@ -79,7 +65,7 @@ func (p *pipe) moveIn(e *kernel.Env, src []byte) {
 		if p.shared {
 			copy(p.buf[p.wpos:], src[:seg])
 			e.Use(sim.CopyCost(seg))
-			p.s.K.Stats.Add(sim.CtrBytesCopied, int64(seg))
+			e.Kernel().Stats.Add(sim.CtrBytesCopied, int64(seg))
 		} else {
 			e.Use(sim.CostRegionCheck)
 			if err := e.RegionWrite(p.region, p.wpos, src[:seg]); err != nil {
@@ -101,7 +87,7 @@ func (p *pipe) moveOut(e *kernel.Env, dst []byte) {
 		if p.shared {
 			copy(dst[:seg], p.buf[p.rpos:])
 			e.Use(sim.CopyCost(seg))
-			p.s.K.Stats.Add(sim.CtrBytesCopied, int64(seg))
+			e.Kernel().Stats.Add(sim.CtrBytesCopied, int64(seg))
 		} else {
 			e.Use(sim.CostRegionCheck)
 			if err := e.RegionRead(p.region, p.rpos, dst[:seg]); err != nil {
@@ -113,22 +99,22 @@ func (p *pipe) moveOut(e *kernel.Env, dst []byte) {
 	}
 }
 
-// write sends data, blocking (with directed yields to the reader) when
+// Write sends data, blocking (with directed yields to the reader) when
 // the queue fills.
-func (p *pipe) write(e *kernel.Env, data []byte) (int, error) {
+func (p *pipe) Write(e *kernel.Env, data []byte) (int, error) {
 	e.LibCall(60)
 	n := 0
 	for n < len(data) {
-		if p.rClosed() {
-			return n, ErrPipeClosed
+		if p.RClosed() {
+			return n, unix.ErrPipe
 		}
 		space := pipeCapacity - int(p.count)
 		if space == 0 {
 			// Queue full: the reader must do work — yield to it, or
 			// block until a read drains the queue.
-			p.writerWaiting = e
-			if r := p.readerWaiting; r != nil {
-				p.readerWaiting = nil
+			p.WriterWaiting = e
+			if r := p.ReaderWaiting; r != nil {
+				p.ReaderWaiting = nil
 				e.YieldTo(r)
 			} else {
 				e.Block()
@@ -143,15 +129,15 @@ func (p *pipe) write(e *kernel.Env, data []byte) (int, error) {
 		p.count += int64(chunk)
 		n += chunk
 	}
-	if r := p.readerWaiting; r != nil && p.count > 0 {
-		p.readerWaiting = nil
+	if r := p.ReaderWaiting; r != nil && p.count > 0 {
+		p.ReaderWaiting = nil
 		e.YieldTo(r)
 	}
 	return n, nil
 }
 
-// read receives up to len(buf) bytes; returns 0, nil at EOF.
-func (p *pipe) read(e *kernel.Env, buf []byte) (int, error) {
+// Read receives up to len(buf) bytes; returns 0, nil at EOF.
+func (p *pipe) Read(e *kernel.Env, buf []byte) (int, error) {
 	e.LibCall(60)
 	if !p.shared {
 		// "...installs a wakeup predicate on every read (something
@@ -161,12 +147,12 @@ func (p *pipe) read(e *kernel.Env, buf []byte) (int, error) {
 		e.Syscall(sim.CostPredicateDownload)
 	}
 	for p.count == 0 {
-		if p.wClosed() {
+		if p.WClosed() {
 			return 0, nil // EOF
 		}
-		p.readerWaiting = e
-		w := p.writerWaiting
-		p.writerWaiting = nil
+		p.ReaderWaiting = e
+		w := p.WriterWaiting
+		p.WriterWaiting = nil
 		if !p.shared {
 			// Sleep on the predicate; the writer's yield makes the
 			// dispatch pass that re-evaluates it.
@@ -187,44 +173,9 @@ func (p *pipe) read(e *kernel.Env, buf []byte) (int, error) {
 	}
 	p.moveOut(e, buf[:chunk])
 	p.count -= int64(chunk)
-	if w := p.writerWaiting; w != nil {
-		p.writerWaiting = nil
-		p.s.K.Wake(w)
+	if w := p.WriterWaiting; w != nil {
+		p.WriterWaiting = nil
+		e.Kernel().Wake(w)
 	}
 	return chunk, nil
-}
-
-// closeEnd releases one descriptor of an end; when the last one goes,
-// any peer blocked on that end wakes (EOF / EPIPE).
-func (p *pipe) closeEnd(e *kernel.Env, writeEnd bool) {
-	if writeEnd {
-		if p.writers > 0 {
-			p.writers--
-		}
-		if p.wClosed() {
-			if r := p.readerWaiting; r != nil {
-				p.readerWaiting = nil
-				p.s.K.Wake(r)
-			}
-		}
-	} else {
-		if p.readers > 0 {
-			p.readers--
-		}
-		if p.rClosed() {
-			if w := p.writerWaiting; w != nil {
-				p.writerWaiting = nil
-				p.s.K.Wake(w)
-			}
-		}
-	}
-}
-
-// addRef notes a forked descriptor sharing this end.
-func (p *pipe) addRef(writeEnd bool) {
-	if writeEnd {
-		p.writers++
-	} else {
-		p.readers++
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"xok/internal/posix"
 	"xok/internal/unix"
 )
 
@@ -12,23 +13,22 @@ func TestSignalDelivery(t *testing.T) {
 	got := make(chan [2]int, 1)
 	var waiterPid int
 	s.Spawn("waiter", 0, func(p unix.Proc) {
-		ep := p.(*Proc)
-		waiterPid = ep.pid
-		sig, from := ep.Pause()
+		waiterPid = p.Getpid()
+		sig, from := p.(*posix.Proc).Pause()
 		got <- [2]int{sig, from}
 	})
 	s.Spawn("killer", 0, func(p unix.Proc) {
-		ep := p.(*Proc)
+		ep := p.(*posix.Proc)
 		p.Compute(1000)
-		if err := ep.Kill(waiterPid, SIGUSR1); err != nil {
+		if err := ep.Kill(waiterPid, posix.SIGUSR1); err != nil {
 			t.Errorf("kill: %v", err)
 		}
 	})
 	s.Run()
 	select {
 	case g := <-got:
-		if g[0] != SIGUSR1 {
-			t.Fatalf("signal = %d, want SIGUSR1", g[0])
+		if g[0] != posix.SIGUSR1 {
+			t.Fatalf("signal = %d, want posix.SIGUSR1", g[0])
 		}
 		if g[1] != 2 {
 			t.Fatalf("sender pid = %d, want 2", g[1])
@@ -42,8 +42,8 @@ func TestSignalDelivery(t *testing.T) {
 func TestSignalsQueueInOrder(t *testing.T) {
 	s := Boot(Config{})
 	s.Spawn("target", 0, func(p unix.Proc) {
-		ep := p.(*Proc)
-		want := []int{SIGHUP, SIGTERM, SIGUSR2}
+		ep := p.(*posix.Proc)
+		want := []int{posix.SIGHUP, posix.SIGTERM, posix.SIGUSR2}
 		for i := 0; i < 3; i++ {
 			sig, _ := ep.Pause() // blocks until each signal arrives
 			if sig != want[i] {
@@ -52,8 +52,8 @@ func TestSignalsQueueInOrder(t *testing.T) {
 		}
 	})
 	s.Spawn("sender", 0, func(p unix.Proc) {
-		ep := p.(*Proc)
-		for _, sig := range []int{SIGHUP, SIGTERM, SIGUSR2} {
+		ep := p.(*posix.Proc)
+		for _, sig := range []int{posix.SIGHUP, posix.SIGTERM, posix.SIGUSR2} {
 			if err := ep.Kill(1, sig); err != nil {
 				t.Errorf("kill: %v", err)
 			}
@@ -65,8 +65,8 @@ func TestSignalsQueueInOrder(t *testing.T) {
 func TestKillNoSuchProcess(t *testing.T) {
 	s := Boot(Config{})
 	s.Spawn("k", 0, func(p unix.Proc) {
-		if err := p.(*Proc).Kill(999, SIGTERM); !errors.Is(err, ErrNoProcess) {
-			t.Errorf("err = %v, want ErrNoProcess", err)
+		if err := p.(*posix.Proc).Kill(999, posix.SIGTERM); !errors.Is(err, posix.ErrNoProcess) {
+			t.Errorf("err = %v, want posix.ErrNoProcess", err)
 		}
 	})
 	s.Run()

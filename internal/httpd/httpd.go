@@ -151,13 +151,7 @@ func Measure(kind Kind, docSize int, o Opts) (Result, error) {
 	m := machine.MustNew(machine.Config{Personality: p, Trace: o.Trace})
 	defer m.Close()
 	k := m.Kern()
-	var fs *cffs.FS
-	switch m := m.(type) {
-	case machine.Xok:
-		fs = m.S.FS
-	case machine.BSD:
-		fs = m.S.FS
-	}
+	fs := m.RootFS()
 
 	// Stage the document tree. NCSA-style servers resolve a deeper
 	// path per request; Harvest and Cheetah keep flat object stores

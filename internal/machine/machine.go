@@ -18,6 +18,7 @@ import (
 	"xok/internal/kernel"
 	"xok/internal/netsim"
 	"xok/internal/ostest"
+	"xok/internal/posix"
 	"xok/internal/sim"
 	"xok/internal/trace"
 	"xok/internal/unix"
@@ -121,6 +122,9 @@ type Machine interface {
 	// the surviving disk image (including torn in-flight writes when
 	// the fault plan arms them) is captured, and the machine is dead.
 	Crash(at sim.Time) disk.Image
+	// RootFS returns the root file system, for servers and
+	// experiments that stage files below the UNIX surface.
+	RootFS() *cffs.FS
 	// FSSpec returns the root file system's registry name and
 	// structural profile — what cffs.AuditImage needs to re-attach a
 	// crash image of this machine forensically.
@@ -158,24 +162,27 @@ func New(cfg Config) (Machine, error) {
 		}
 		eng = cfg.Net.Topology.Engine()
 	}
+	hw := posix.Hardware{
+		DiskBlocks: cfg.DiskBlocks,
+		MemPages:   cfg.MemPages,
+		Spindles:   cfg.Spindles,
+		StripeUnit: cfg.StripeUnit,
+		Trace:      cfg.Trace,
+		Faults:     cfg.Faults,
+		Eng:        eng,
+	}
 	var m Machine
 	switch cfg.Personality {
 	case XokExOS, XokUnprotected:
 		s := exos.Boot(exos.Config{
+			Hardware:       hw,
 			Protect:        cfg.Personality == XokExOS,
 			SharedMemPipes: cfg.SharedMemPipes,
-			DiskBlocks:     cfg.DiskBlocks,
-			MemPages:       cfg.MemPages,
-			Spindles:       cfg.Spindles,
-			StripeUnit:     cfg.StripeUnit,
-			Trace:          cfg.Trace,
-			Faults:         cfg.Faults,
-			Eng:            eng,
 		})
 		if cfg.Personality == XokUnprotected {
 			s.X.FreeCost = true
 		}
-		m = Xok{S: s}
+		m = Xok{host{s.System, cfg.Personality}}
 	case FreeBSD, OpenBSD, OpenBSDCFFS:
 		if cfg.SharedMemPipes {
 			return nil, fmt.Errorf("machine: %s has no shared-memory pipes", cfg.Personality)
@@ -189,16 +196,7 @@ func New(cfg Config) (Machine, error) {
 		case OpenBSDCFFS:
 			v = bsdos.OpenBSDCFFS
 		}
-		s := bsdos.Boot(v, bsdos.Config{
-			DiskBlocks: cfg.DiskBlocks,
-			MemPages:   cfg.MemPages,
-			Spindles:   cfg.Spindles,
-			StripeUnit: cfg.StripeUnit,
-			Trace:      cfg.Trace,
-			Faults:     cfg.Faults,
-			Eng:        eng,
-		})
-		m = BSD{S: s}
+		m = BSD{host{bsdos.Boot(v, hw).System, cfg.Personality}}
 	default:
 		return nil, fmt.Errorf("machine: unknown personality %d", int(cfg.Personality))
 	}
@@ -231,78 +229,47 @@ func Runner(m Machine) ostest.RunFunc {
 	}
 }
 
-// Xok wraps an ExOS system as a Machine. The underlying system is
-// exported for experiments that reach below the UNIX surface (XCP
-// drives the file cache and XN directly).
-type Xok struct {
-	S *exos.System
+// host is the part of a Machine every personality shares: the UNIX
+// process layer, whose Run, Now and Stats it promotes, and the
+// personality it booted as. The embedded System is reachable for
+// experiments that go below the UNIX surface (XCP drives the file
+// cache and XN directly).
+type host struct {
+	*posix.System
+	pers Personality
 }
+
+// SpawnProc implements Machine.
+func (m host) SpawnProc(name string, uid uint16, main func(unix.Proc)) EnvHandle {
+	return m.Spawn(name, uid, main)
+}
+
+// Kern implements Machine.
+func (m host) Kern() *kernel.Kernel { return m.K }
+
+// Disk implements Machine.
+func (m host) Disk() *disk.Disk { return m.K.Disk }
+
+// Crash implements Machine.
+func (m host) Crash(at sim.Time) disk.Image { return m.K.Crash(at) }
+
+// RootFS implements Machine.
+func (m host) RootFS() *cffs.FS { return m.FS }
+
+// FSSpec implements Machine.
+func (m host) FSSpec() (string, cffs.Config) { return m.FS.Name, m.FS.Cfg }
+
+// Close implements Machine.
+func (m host) Close() { m.K.Release() }
+
+// Xok is a Machine running Xok/ExOS, protected or not.
+type Xok struct{ host }
 
 // Name implements Machine.
 func (m Xok) Name() string { return "Xok/ExOS" }
 
-// SpawnProc implements Machine.
-func (m Xok) SpawnProc(name string, uid uint16, main func(unix.Proc)) EnvHandle {
-	return m.S.Spawn(name, uid, main)
-}
-
-// Run implements Machine.
-func (m Xok) Run() { m.S.Run() }
-
-// Now implements Machine.
-func (m Xok) Now() sim.Time { return m.S.Now() }
-
-// Stats implements Machine.
-func (m Xok) Stats() *sim.Stats { return m.S.Stats() }
-
-// Kern implements Machine.
-func (m Xok) Kern() *kernel.Kernel { return m.S.K }
-
-// Disk implements Machine.
-func (m Xok) Disk() *disk.Disk { return m.S.K.Disk }
-
-// Crash implements Machine.
-func (m Xok) Crash(at sim.Time) disk.Image { return m.S.K.Crash(at) }
-
-// FSSpec implements Machine.
-func (m Xok) FSSpec() (string, cffs.Config) { return "cffs", cffs.DefaultConfig() }
-
-// Close implements Machine.
-func (m Xok) Close() { m.S.K.Release() }
-
-// BSD wraps a BSD system as a Machine.
-type BSD struct {
-	S *bsdos.System
-}
+// BSD is a Machine running one of the BSD models.
+type BSD struct{ host }
 
 // Name implements Machine.
-func (m BSD) Name() string { return m.S.Variant.String() }
-
-// SpawnProc implements Machine.
-func (m BSD) SpawnProc(name string, uid uint16, main func(unix.Proc)) EnvHandle {
-	return m.S.Spawn(name, uid, main)
-}
-
-// Run implements Machine.
-func (m BSD) Run() { m.S.Run() }
-
-// Now implements Machine.
-func (m BSD) Now() sim.Time { return m.S.Now() }
-
-// Stats implements Machine.
-func (m BSD) Stats() *sim.Stats { return m.S.Stats() }
-
-// Kern implements Machine.
-func (m BSD) Kern() *kernel.Kernel { return m.S.K }
-
-// Disk implements Machine.
-func (m BSD) Disk() *disk.Disk { return m.S.K.Disk }
-
-// Crash implements Machine.
-func (m BSD) Crash(at sim.Time) disk.Image { return m.S.K.Crash(at) }
-
-// FSSpec implements Machine.
-func (m BSD) FSSpec() (string, cffs.Config) { return "ffs", m.S.FSCfg }
-
-// Close implements Machine.
-func (m BSD) Close() { m.S.K.Release() }
+func (m BSD) Name() string { return m.pers.String() }

@@ -1,11 +1,6 @@
 package machine
 
-import (
-	"fmt"
-
-	"xok/internal/bsdos"
-	"xok/internal/exos"
-)
+import "xok/internal/posix"
 
 // Snapshot is a frozen machine of any personality, taken at a
 // quiescent point (all processes exited, event queue drained —
@@ -19,8 +14,7 @@ import (
 // images).
 type Snapshot struct {
 	pers Personality
-	xok  *exos.Snapshot
-	bsd  *bsdos.Snapshot
+	sn   *posix.Snapshot
 }
 
 // Personality reports which system the snapshot came from.
@@ -30,47 +24,23 @@ func (s *Snapshot) Personality() Personality { return s.pers }
 // fabric can only be snapshotted while the fabric is quiesced — no
 // in-flight packets or timers anywhere on the shared engine — and the
 // fork runs standalone (its own clock, no NIC).
-func (m Xok) Snapshot() (*Snapshot, error) {
-	pers := XokExOS
-	if m.S.X.FreeCost {
-		pers = XokUnprotected
-	}
-	sn, err := m.S.Snapshot()
+func (m host) Snapshot() (*Snapshot, error) {
+	sn, err := m.System.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{pers: pers, xok: sn}, nil
-}
-
-// Snapshot implements Machine, with the same fabric rules as Xok's.
-func (m BSD) Snapshot() (*Snapshot, error) {
-	var pers Personality
-	switch m.S.Variant {
-	case bsdos.FreeBSD:
-		pers = FreeBSD
-	case bsdos.OpenBSD:
-		pers = OpenBSD
-	case bsdos.OpenBSDCFFS:
-		pers = OpenBSDCFFS
-	}
-	sn, err := m.S.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{pers: pers, bsd: sn}, nil
+	return &Snapshot{pers: m.pers, sn: sn}, nil
 }
 
 // Fork builds a new machine continuing from the snapshot. Safe to call
 // concurrently on one snapshot — forks share the frozen state
 // read-only and copy pages/blocks up privately on first write.
 func Fork(s *Snapshot) Machine {
-	switch {
-	case s.xok != nil:
-		return Xok{S: exos.Fork(s.xok)}
-	case s.bsd != nil:
-		return BSD{S: bsdos.Fork(s.bsd)}
+	h := host{posix.Fork(s.sn), s.pers}
+	if s.pers == XokExOS || s.pers == XokUnprotected {
+		return Xok{h}
 	}
-	panic(fmt.Sprintf("machine: empty snapshot (personality %v)", s.pers))
+	return BSD{h}
 }
 
 // Release returns the snapshot's frozen page and block buffers to the
@@ -78,11 +48,4 @@ func Fork(s *Snapshot) Machine {
 // are closed; snapshots taken later on the same machine (whose layers
 // chain over this one) must be released no earlier than this one's
 // forks are done too.
-func (s *Snapshot) Release() {
-	if s.xok != nil {
-		s.xok.Release()
-	}
-	if s.bsd != nil {
-		s.bsd.Release()
-	}
-}
+func (s *Snapshot) Release() { s.sn.Release() }

@@ -1,8 +1,10 @@
 // Package ostest provides OS-personality conformance checks and
 // microbenchmark drivers shared by the ExOS and BSD test suites and by
 // the paper-reproduction benches (Table 2, Section 7.1). Both
-// personalities must behave identically at the unix.Proc level — only
-// their costs differ.
+// personalities run the one unix.Proc implementation in
+// internal/posix, so they behave identically by construction and only
+// their costs differ; these checks cover that implementation and each
+// personality's pipes, which are its own.
 package ostest
 
 import (

@@ -1,4 +1,4 @@
-package exos
+package posix
 
 import (
 	"sort"
@@ -10,9 +10,9 @@ import (
 // The mount table (Section 5.2.1): "UNIX allows different file systems
 // to be attached to its hierarchical name space. ExOS duplicates this
 // functionality by maintaining a currently unprotected shared mount
-// table that maps directories from one file system to another." The
-// table is shared state, so mutations pay the protection calls when
-// Protect is on.
+// table that maps directories from one file system to another." Every
+// personality resolves paths through it; the BSD models simply mount
+// nothing.
 
 type mount struct {
 	prefix string
@@ -53,12 +53,4 @@ func (s *System) resolve(path string) (*cffs.FS, string) {
 		}
 	}
 	return s.FS, path
-}
-
-// resolve2 maps two paths (rename) and reports whether they live on
-// the same file system.
-func (s *System) resolve2(a, b string) (*cffs.FS, string, string, bool) {
-	fsA, ra := s.resolve(a)
-	fsB, rb := s.resolve(b)
-	return fsA, ra, rb, fsA == fsB
 }

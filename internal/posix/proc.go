@@ -1,15 +1,14 @@
-package exos
+package posix
 
 import (
-	"xok/internal/cap"
 	"xok/internal/cffs"
 	"xok/internal/kernel"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
 
-// Proc is one UNIX process under ExOS: unix.Proc implemented as
-// library code in the process's own environment.
+// Proc is one UNIX process: unix.Proc over the system's file systems,
+// charged as its Personality says.
 type Proc struct {
 	s   *System
 	e   *kernel.Env
@@ -28,21 +27,15 @@ const (
 	kindPipeW
 )
 
+// file is an open-file object. Fork shares it between parent and
+// child, offset included.
 type file struct {
 	kind fileKind
 	fs   *cffs.FS
 	ref  cffs.Ref
-	path string
 	off  int64
-	pipe *pipe
+	pipe Pipe
 }
-
-// Errors. The canonical unix values: every personality must return
-// identical errno values for identical misuse (internal/difftest
-// compares them by identity across personalities).
-var (
-	ErrBadFD = unix.ErrBadFD
-)
 
 var _ unix.Proc = (*Proc)(nil)
 
@@ -50,13 +43,10 @@ var _ unix.Proc = (*Proc)(nil)
 // bypass the UNIX layer — the whole point of an exokernel).
 func (p *Proc) Env() *kernel.Env { return p.e }
 
-// Sys returns the system this process runs on.
-func (p *Proc) Sys() *System { return p.s }
-
-// Getpid is a protected procedure call into the library — no kernel
-// crossing (Section 7.1: 100 cycles vs 270 on OpenBSD).
+// Getpid is the trivial call of Section 7.1: a procedure call into
+// ExOS (100 cycles), a trap on OpenBSD (270).
 func (p *Proc) Getpid() int {
-	p.e.LibCall(sim.CostGetpidWork)
+	p.s.pers.Enter(p.e, CallGetpid)
 	return p.pid
 }
 
@@ -70,8 +60,7 @@ func (p *Proc) Compute(c sim.Time) { p.e.Use(c) }
 func (p *Proc) Now() sim.Time { return p.s.K.Now() }
 
 func (p *Proc) allocFD(f *file) unix.FD {
-	// The fd table is shared global state (Section 5.2.1).
-	p.s.sharedWrite(p.e)
+	p.s.pers.SharedWrite(p.e)
 	fd := p.nextFD
 	p.nextFD++
 	p.fds[fd] = f
@@ -81,13 +70,14 @@ func (p *Proc) allocFD(f *file) unix.FD {
 func (p *Proc) lookupFD(fd unix.FD) (*file, error) {
 	f, ok := p.fds[fd]
 	if !ok {
-		return nil, ErrBadFD
+		return nil, unix.ErrBadFD
 	}
 	return f, nil
 }
 
 // Open opens an existing file.
 func (p *Proc) Open(path string) (unix.FD, error) {
+	p.s.pers.Enter(p.e, CallOpen)
 	fs, rel := p.s.resolve(path)
 	ref, in, err := fs.Lookup(p.e, rel)
 	if err != nil {
@@ -96,11 +86,12 @@ func (p *Proc) Open(path string) (unix.FD, error) {
 	if in.Kind == cffs.KindDir {
 		return -1, cffs.ErrIsDir
 	}
-	return p.allocFD(&file{kind: kindFile, fs: fs, ref: ref, path: rel}), nil
+	return p.allocFD(&file{kind: kindFile, fs: fs, ref: ref}), nil
 }
 
 // Create makes (or truncates-by-recreating) a file and opens it.
 func (p *Proc) Create(path string, mode uint32) (unix.FD, error) {
+	p.s.pers.Enter(p.e, CallCreate)
 	fs, rel := p.s.resolve(path)
 	if _, _, err := fs.Lookup(p.e, rel); err == nil {
 		if err := fs.Unlink(p.e, rel); err != nil {
@@ -111,7 +102,7 @@ func (p *Proc) Create(path string, mode uint32) (unix.FD, error) {
 	if err != nil {
 		return -1, err
 	}
-	return p.allocFD(&file{kind: kindFile, fs: fs, ref: ref, path: rel}), nil
+	return p.allocFD(&file{kind: kindFile, fs: fs, ref: ref}), nil
 }
 
 // Read reads from the descriptor's current offset.
@@ -120,9 +111,10 @@ func (p *Proc) Read(fd unix.FD, buf []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	p.s.pers.Enter(p.e, CallRead)
 	switch f.kind {
 	case kindPipeR:
-		return f.pipe.read(p.e, buf)
+		return f.pipe.Read(p.e, buf)
 	case kindPipeW:
 		return 0, unix.ErrBadFD // read from write end
 	}
@@ -137,9 +129,10 @@ func (p *Proc) Write(fd unix.FD, buf []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	p.s.pers.Enter(p.e, CallWrite)
 	switch f.kind {
 	case kindPipeW:
-		return f.pipe.write(p.e, buf)
+		return f.pipe.Write(p.e, buf)
 	case kindPipeR:
 		return 0, unix.ErrBadFD // write to read end
 	}
@@ -157,7 +150,7 @@ func (p *Proc) Seek(fd unix.FD, off int64, whence int) (int64, error) {
 	if f.kind != kindFile {
 		return 0, unix.ErrSeekPipe
 	}
-	p.e.LibCall(20)
+	p.s.pers.Enter(p.e, CallSeek)
 	pos := f.off
 	switch whence {
 	case unix.SeekSet:
@@ -191,16 +184,18 @@ func (p *Proc) Close(fd unix.FD) error {
 	if err != nil {
 		return err
 	}
-	p.s.sharedWrite(p.e)
+	p.s.pers.Enter(p.e, CallClose)
+	p.s.pers.SharedWrite(p.e)
 	delete(p.fds, fd)
 	if f.pipe != nil {
-		f.pipe.closeEnd(p.e, f.kind == kindPipeW)
+		f.pipe.ends().closeEnd(p.e, f.kind == kindPipeW)
 	}
 	return nil
 }
 
 // Stat returns file metadata.
 func (p *Proc) Stat(path string) (unix.Stat, error) {
+	p.s.pers.Enter(p.e, CallStat)
 	fs, rel := p.s.resolve(path)
 	in, err := fs.Stat(p.e, rel)
 	if err != nil {
@@ -214,12 +209,14 @@ func (p *Proc) Stat(path string) (unix.Stat, error) {
 
 // Mkdir creates a directory.
 func (p *Proc) Mkdir(path string, mode uint32) error {
+	p.s.pers.Enter(p.e, CallMkdir)
 	fs, rel := p.s.resolve(path)
 	return fs.Mkdir(p.e, rel, uint32(p.uid), uint32(p.uid), mode)
 }
 
 // Readdir lists a directory.
 func (p *Proc) Readdir(path string) ([]unix.DirEnt, error) {
+	p.s.pers.Enter(p.e, CallReaddir)
 	fs, rel := p.s.resolve(path)
 	ents, err := fs.Readdir(p.e, rel)
 	if err != nil {
@@ -235,84 +232,77 @@ func (p *Proc) Readdir(path string) ([]unix.DirEnt, error) {
 
 // Unlink removes a file.
 func (p *Proc) Unlink(path string) error {
+	p.s.pers.Enter(p.e, CallUnlink)
 	fs, rel := p.s.resolve(path)
 	return fs.Unlink(p.e, rel)
 }
 
 // Rmdir removes an empty directory.
 func (p *Proc) Rmdir(path string) error {
+	p.s.pers.Enter(p.e, CallRmdir)
 	fs, rel := p.s.resolve(path)
 	return fs.Rmdir(p.e, rel)
 }
 
 // Rename renames a file. Cross-mount renames are rejected (EXDEV).
 func (p *Proc) Rename(oldPath, newPath string) error {
-	fs, ra, rb, same := p.s.resolve2(oldPath, newPath)
-	if !same {
+	p.s.pers.Enter(p.e, CallRename)
+	fsA, ra := p.s.resolve(oldPath)
+	fsB, rb := p.s.resolve(newPath)
+	if fsA != fsB {
 		return unix.ErrXDev
 	}
-	return fs.Rename(p.e, ra, rb)
+	return fsA.Rename(p.e, ra, rb)
 }
 
 // Chmod changes permission bits.
 func (p *Proc) Chmod(path string, mode uint32) error {
+	p.s.pers.Enter(p.e, CallChmod)
 	fs, rel := p.s.resolve(path)
 	return fs.Chmod(p.e, rel, mode)
 }
 
 // Symlink creates a symbolic link.
 func (p *Proc) Symlink(target, path string) error {
+	p.s.pers.Enter(p.e, CallSymlink)
 	fs, rel := p.s.resolve(path)
 	return fs.Symlink(p.e, target, rel, uint32(p.uid), uint32(p.uid))
 }
 
 // Sync flushes all mounted file systems (they share one XN, so one
 // pass covers everything).
-func (p *Proc) Sync() error { return p.s.FS.Sync(p.e) }
+func (p *Proc) Sync() error {
+	p.s.pers.Enter(p.e, CallSync)
+	return p.s.FS.Sync(p.e)
+}
 
-// Pipe creates a pipe pair using the configured trust level.
+// Pipe creates a pipe pair of the personality's kind.
 func (p *Proc) Pipe() (unix.FD, unix.FD, error) {
-	pi := newPipe(p.s, p.e, p.s.Cfg.SharedMemPipes)
+	p.s.pers.Enter(p.e, CallPipe)
+	pi := p.s.pers.Pipe(p.e)
+	ends := pi.ends()
+	ends.readers, ends.writers = 1, 1
 	r := p.allocFD(&file{kind: kindPipeR, pipe: pi})
 	w := p.allocFD(&file{kind: kindPipeW, pipe: pi})
 	return r, w, nil
 }
 
-// Spawn forks and execs a child process. ExOS fork scans the page
-// table marking pages copy-on-write through batched system calls
-// (~6 ms, Section 6.2); exec overlays a demand-loaded image.
+// Spawn forks and execs a child process running f. The child inherits
+// the parent's descriptors, sharing the open-file objects and offsets.
 func (p *Proc) Spawn(name string, f func(unix.Proc)) (unix.Handle, error) {
 	p.s.K.Stats.Inc(sim.CtrForks)
-	p.s.sharedWrite(p.e) // process map update
-	// Batched PTE updates: a handful of traps cover the scan.
-	p.e.Syscalls(8)
-	p.e.Use(sim.CostForkExOS + sim.CostExec)
-	pid := p.s.nextPid
-	p.s.nextPid++
-	uid := p.uid
-	s := p.s
-	// Fork semantics: the child inherits the parent's descriptors
-	// (sharing the open-file objects and offsets).
+	p.s.pers.SharedWrite(p.e) // process map update
+	p.s.pers.Fork(p.e)
+	pid := p.s.nextPID()
 	inherited := make(map[unix.FD]*file, len(p.fds))
 	for fd, fl := range p.fds {
 		inherited[fd] = fl
 		if fl.pipe != nil {
-			fl.pipe.addRef(fl.kind == kindPipeW)
+			fl.pipe.ends().addRef(fl.kind == kindPipeW)
 		}
 	}
-	nextFD := p.nextFD
-	env := s.K.Spawn(name, func(e *kernel.Env) {
-		e.Creds = cap.UnixCreds(uid)
-		// The child's early COW faults (stack/data pages the fork
-		// call itself was using were already copied eagerly).
-		e.Use(4 * sim.CostCOWFault)
-		child := &Proc{s: s, e: e, pid: pid, uid: uid, fds: inherited, nextFD: nextFD}
-		s.procs[pid] = child
-		f(child)
-		child.closeAll()
-		delete(s.procs, pid)
-	})
-	return &procHandle{parent: p, env: env}, nil
+	env := p.s.start(name, p.uid, pid, inherited, p.nextFD, f)
+	return &Handle{parent: p, env: env}, nil
 }
 
 // closeAll releases every descriptor at process exit (UNIX closes a
@@ -325,22 +315,7 @@ func (p *Proc) closeAll() {
 		}
 		delete(p.fds, fd)
 		if f.pipe != nil {
-			f.pipe.closeEnd(p.e, f.kind == kindPipeW)
+			f.pipe.ends().closeEnd(p.e, f.kind == kindPipeW)
 		}
 	}
 }
-
-type procHandle struct {
-	parent *Proc
-	env    *kernel.Env
-}
-
-// Wait blocks the parent until the child exits (wait4 semantics).
-func (h *procHandle) Wait() {
-	h.parent.e.Syscall(200)
-	h.parent.e.WaitFor(h.env)
-}
-
-// Env exposes the child's environment (the workload launcher's
-// wait-any needs it).
-func (h *procHandle) Env() *kernel.Env { return h.env }

@@ -1,4 +1,4 @@
-package exos
+package posix
 
 import (
 	"errors"
@@ -26,11 +26,11 @@ const (
 const ipcKindSignal = 0x516
 
 // ErrNoProcess reports a kill to a nonexistent pid.
-var ErrNoProcess = errors.New("exos: no such process")
+var ErrNoProcess = errors.New("posix: no such process")
 
-// Kill sends a signal to the process with the given pid. The process
-// map (shared state) is consulted; with Protect on that read is free
-// but the IPC send is a system call.
+// Kill sends a signal to the process with the given pid. Reading the
+// process map is free (only writes to it pay SharedWrite); the IPC
+// send is a system call.
 func (p *Proc) Kill(pid int, sig int) error {
 	target, ok := p.s.procs[pid]
 	if !ok {

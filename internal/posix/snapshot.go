@@ -1,4 +1,4 @@
-package exos
+package posix
 
 import (
 	"fmt"
@@ -8,22 +8,21 @@ import (
 	"xok/internal/xn"
 )
 
-// Snapshot is a frozen ExOS machine: kernel state (engine clock,
+// Snapshot is a frozen machine: kernel state (engine clock,
 // copy-on-write memory and disk, tracer, fault streams), XN
 // bookkeeping, the root file system plus every mount, the process-id
-// counter and the build options. Mount-table aliases survive forking:
+// counter and the personality. Mount-table aliases survive forking:
 // each distinct *cffs.FS is frozen once and mounts reference it by
 // index, so a file system mounted at two prefixes stays one file
 // system in every fork.
 type Snapshot struct {
 	k       *kernel.Snapshot
 	x       *xn.Snapshot
-	cfg     Config
+	pers    Personality
 	nextPid int
 
-	fss     []*cffs.Frozen // index 0 is the root FS
-	mounts  []frozenMount
-	tracked []*cffs.FS // the live FS pointers fss was built from (alias lookup)
+	fss    []*cffs.Frozen // index 0 is the root FS
+	mounts []frozenMount
 }
 
 type frozenMount struct {
@@ -35,7 +34,7 @@ type frozenMount struct {
 // quiescent: every process has exited and the event queue has drained.
 func (s *System) Snapshot() (*Snapshot, error) {
 	if len(s.procs) != 0 {
-		return nil, fmt.Errorf("exos: snapshot with %d live processes", len(s.procs))
+		return nil, fmt.Errorf("posix: snapshot with %d live processes", len(s.procs))
 	}
 	ks, err := s.K.Snapshot()
 	if err != nil {
@@ -45,14 +44,18 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sn := &Snapshot{k: ks, x: xs, cfg: s.Cfg, nextPid: s.nextPid}
+	if s.FS == nil {
+		return nil, fmt.Errorf("posix: snapshot before mkfs completed")
+	}
+	sn := &Snapshot{k: ks, x: xs, pers: s.pers, nextPid: s.nextPid}
+	var tracked []*cffs.FS // the live FS each entry of fss froze
 	freeze := func(fs *cffs.FS) int {
-		for i, seen := range sn.tracked {
+		for i, seen := range tracked {
 			if seen == fs {
 				return i
 			}
 		}
-		sn.tracked = append(sn.tracked, fs)
+		tracked = append(tracked, fs)
 		sn.fss = append(sn.fss, fs.Freeze())
 		return len(sn.fss) - 1
 	}
@@ -68,20 +71,16 @@ func (s *System) Snapshot() (*Snapshot, error) {
 func Fork(sn *Snapshot) *System {
 	k := kernel.Fork(sn.k)
 	x := xn.ForkXN(sn.x, k)
-	cfg := sn.cfg
-	cfg.Trace = k.Trace
-	cfg.Faults = k.Faults
-	cfg.Eng = nil
-	sys := &System{K: k, X: x, Cfg: cfg, nextPid: sn.nextPid, procs: make(map[int]*Proc)}
+	s := &System{K: k, X: x, pers: sn.pers, nextPid: sn.nextPid, procs: make(map[int]*Proc)}
 	fss := make([]*cffs.FS, len(sn.fss))
 	for i, fz := range sn.fss {
 		fss[i] = fz.Thaw(x)
 	}
-	sys.FS = fss[0]
+	s.FS = fss[0]
 	for _, m := range sn.mounts {
-		sys.mounts = append(sys.mounts, mount{prefix: m.prefix, fs: fss[m.fs]})
+		s.mounts = append(s.mounts, mount{prefix: m.prefix, fs: fss[m.fs]})
 	}
-	return sys
+	return s
 }
 
 // Release returns the snapshot's frozen buffers to the shared pool.

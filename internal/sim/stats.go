@@ -73,8 +73,6 @@ const (
 	CtrDiskWrites    = "disk_writes"    // block writes issued
 	CtrDiskSeeks     = "disk_seeks"     // non-sequential head moves
 	CtrSyncWrites    = "sync_writes"    // synchronous metadata writes
-	CtrPageFaults    = "page_faults"    // all faults
-	CtrCOWFaults     = "cow_faults"     // copy-on-write faults
 	CtrPacketsTx     = "packets_tx"     // frames transmitted
 	CtrPacketsRx     = "packets_rx"     // frames received
 	CtrBytesCopied   = "bytes_copied"   // CPU copy traffic

@@ -1,7 +1,9 @@
 // Package unix defines the POSIX-flavored process interface that the
 // simulated applications (internal/apps) are written against. The same
 // application binaries — cp, gzip, pax, gcc, diff, ... — run unmodified
-// on every OS personality in the repository:
+// on every OS personality in the repository, through one
+// implementation of this interface, internal/posix. The personalities
+// supply only what the calls cost:
 //
 //   - internal/exos: the ExOS library operating system on Xok, where
 //     these calls are unprivileged library code;
@@ -27,8 +29,7 @@ type FD int
 // the corresponding misuse, so the same program observes the same
 // errno on Xok/ExOS and on the BSD models — the paper's systems differ
 // in cost, never in semantics. internal/difftest's cross-personality
-// fuzzer compares errors by identity and flags any personality that
-// invents its own.
+// fuzzer compares errors by identity and flags any value that differs.
 var (
 	// ErrBadFD is EBADF: the descriptor is closed, was never open, or
 	// names the wrong end of a pipe for the operation.

@@ -119,17 +119,6 @@ type ClusterResult struct {
 	Digest uint64
 }
 
-// clusterFS reaches the machine's root file system.
-func clusterFS(m machine.Machine) *cffs.FS {
-	switch s := m.(type) {
-	case machine.Xok:
-		return s.S.FS
-	case machine.BSD:
-		return s.S.FS
-	}
-	return nil
-}
-
 // clusterProfile maps the server personality onto a Figure-3 stack
 // cost profile.
 func clusterProfile(p machine.Personality) netsim.StackConfig {
@@ -143,7 +132,7 @@ func clusterProfile(p machine.Personality) netsim.StackConfig {
 // stageClusterDocs creates one document per request class on the
 // machine.
 func stageClusterDocs(m machine.Machine, classes []netsim.RequestClass) error {
-	fs := clusterFS(m)
+	fs := m.RootFS()
 	var stageErr error
 	m.Kern().Spawn("stage", func(e *kernel.Env) {
 		e.Creds = cap.UnixCreds(0)
@@ -259,7 +248,7 @@ func Cluster(cfg ClusterConfig) (ClusterResult, error) {
 		if err := stageClusterDocs(m, classes); err != nil {
 			return ClusterResult{}, fmt.Errorf("cluster: stage server %d: %w", i, err)
 		}
-		handler := clusterHandler(clusterFS(m), classes)
+		handler := clusterHandler(m.RootFS(), classes)
 		nic := att.NIC
 		m.Kern().Spawn(fmt.Sprintf("httpd%d", i), func(e *kernel.Env) {
 			e.Creds = cap.UnixCreds(0)

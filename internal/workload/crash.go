@@ -120,7 +120,7 @@ func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
 		// Aggressive flush-behind: the workload emits many small
 		// synchronous writes instead of a few giant batches, giving the
 		// sweep dense crash-point coverage.
-		m.(machine.Xok).S.X.FlushBehind = 16
+		m.(machine.Xok).X.FlushBehind = 16
 		return m, p
 	}
 

@@ -28,7 +28,7 @@ func XCPCopy(m machine.Machine, cold, useXCP bool) (sim.Time, error) {
 	if !ok {
 		return 0, fmt.Errorf("xcp: %s has no XN to copy through", m.Name())
 	}
-	s := x.S
+	s := x.System
 	pairs := make([][2]string, xcpFiles)
 	for i := range pairs {
 		pairs[i] = [2]string{fmt.Sprintf("/s%d", i), fmt.Sprintf("/d%d", i)}
