@@ -4,8 +4,13 @@ GO ?= go
 
 all: check
 
+# perfbench is its own module, which the root ./... skips: build and
+# vet it too, so an internal API change that breaks the benchmark fails
+# here. Its one package is a command, so the binary is discarded rather
+# than left in the source tree.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build -o /dev/null ./...
 
 fmt:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -13,6 +18,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

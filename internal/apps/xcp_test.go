@@ -8,6 +8,7 @@ import (
 	"xok/internal/cap"
 	"xok/internal/exos"
 	"xok/internal/kernel"
+	"xok/internal/posix"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
@@ -16,7 +17,7 @@ import (
 // The files are written in interleaved chunks so their blocks are
 // fragmented across the disk — the layout where sorted schedules pay
 // off (real multi-file trees accumulate exactly this interleaving).
-func stageFiles(t *testing.T, s *exos.System, n, size int) [][2]string {
+func stageFiles(t *testing.T, s *posix.System, n, size int) [][2]string {
 	t.Helper()
 	pairs := make([][2]string, n)
 	s.Spawn("stage", 0, func(p unix.Proc) {
@@ -53,7 +54,7 @@ func stageFiles(t *testing.T, s *exos.System, n, size int) [][2]string {
 }
 
 // evictAll recycles every clean buffer so the next run starts cold.
-func evictAll(s *exos.System) {
+func evictAll(s *posix.System) {
 	s.K.Spawn("evict", func(e *kernel.Env) {
 		e.Creds = cap.UnixCreds(0)
 		_ = s.FS.Sync(e)
@@ -69,7 +70,7 @@ func evictAll(s *exos.System) {
 // runXCP copies the pairs with XCP, returning the program's elapsed
 // time (measured at process exit, like the paper; background flushes
 // continue afterwards).
-func runXCP(t *testing.T, s *exos.System, pairs [][2]string) sim.Time {
+func runXCP(t *testing.T, s *posix.System, pairs [][2]string) sim.Time {
 	t.Helper()
 	start := s.Now()
 	var end sim.Time
@@ -86,7 +87,7 @@ func runXCP(t *testing.T, s *exos.System, pairs [][2]string) sim.Time {
 
 // runCP copies the pairs with the plain UNIX cp, measured at process
 // exit.
-func runCP(t *testing.T, s *exos.System, pairs [][2]string) sim.Time {
+func runCP(t *testing.T, s *posix.System, pairs [][2]string) sim.Time {
 	t.Helper()
 	start := s.Now()
 	var end sim.Time
@@ -191,7 +192,7 @@ func TestXCPFactorThreeOnDisk(t *testing.T) {
 }
 
 // warm faults all source files into the cache.
-func warm(t *testing.T, s *exos.System, pairs [][2]string) {
+func warm(t *testing.T, s *posix.System, pairs [][2]string) {
 	t.Helper()
 	s.Spawn("warm", 0, func(p unix.Proc) {
 		for _, pr := range pairs {

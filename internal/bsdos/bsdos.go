@@ -61,14 +61,8 @@ func (v Variant) String() string {
 // FreeBSD beating OpenBSD under load).
 const openBSDCachePages = 800
 
-// System is one booted BSD machine.
-type System struct {
-	*posix.System
-	Variant Variant
-}
-
 // Boot builds the machine on hw and formats its file system.
-func Boot(v Variant, hw posix.Hardware) *System {
+func Boot(v Variant, hw posix.Hardware) *posix.System {
 	s := posix.New(v.String(), sim.CostTrapBSD, hw, traps{})
 	s.X.FreeCost = true // in-kernel FS: no protection-boundary charging
 	if v == OpenBSD || v == OpenBSDCFFS {
@@ -79,7 +73,7 @@ func Boot(v Variant, hw posix.Hardware) *System {
 		fsCfg = cffs.DefaultConfig()
 	}
 	s.Mkfs("bsd-mkfs", "ffs", fsCfg)
-	return &System{System: s, Variant: v}
+	return s
 }
 
 // trapWork is each call's in-kernel work beyond the trap itself:

@@ -9,7 +9,7 @@ import (
 	"xok/internal/unix"
 )
 
-func runner(v Variant) (ostest.RunFunc, *System) {
+func runner(v Variant) (ostest.RunFunc, *posix.System) {
 	s := Boot(v, posix.Hardware{})
 	return func(main func(unix.Proc)) {
 		s.Spawn("test", 0, main)

@@ -9,9 +9,9 @@
 // The pool is a plain sync.Pool, safe for concurrent use from the
 // worker goroutines of internal/parallel. Ownership discipline is the
 // caller's: a buffer must be Put at most once, and never used after.
-// The teardown entry points that honor this are kernel.(*Kernel).
-// Release and the Close method of machine.Machine — both only called
-// by harnesses that are finished with the whole machine.
+// The teardown entry point that honors this is kernel.(*Kernel).
+// Release, which machine.Machine's Close calls — only by harnesses that
+// are finished with the whole machine.
 package bufpool
 
 import (

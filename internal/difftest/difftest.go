@@ -502,24 +502,23 @@ func (o *Options) forkProgram(sn *machine.Snapshot, persName string, steps []Ste
 // consumes (Close), and captures the Result.
 func (o *Options) finishProgram(m machine.Machine, persName string, steps []Step, keep []int, prefixes []string) *Result {
 	res := &Result{}
-	m.SpawnProc("fuzz", 0, func(p unix.Proc) {
+	m.Spawn("fuzz", 0, func(p unix.Proc) {
 		o.execute(p, persName, steps, keep, prefixes, res)
 	})
 	m.Run()
-	m.SpawnProc("observe", 0, func(p unix.Proc) {
+	m.Spawn("observe", 0, func(p unix.Proc) {
 		observe(p, "", 0, &res.Tree, make([]byte, 8192))
 	})
 	m.Run()
-	m.SpawnProc("syncer", 0, func(p unix.Proc) { _ = p.Sync() })
+	m.Spawn("syncer", 0, func(p unix.Proc) { _ = p.Sync() })
 	m.Run()
 	res.Cycles = m.Now()
-	res.Digest = m.Kern().Trace.Digest() // nil-safe: untraced runs fold to the offset basis
+	res.Digest = m.K.Trace.Digest() // nil-safe: untraced runs fold to the offset basis
 	img := m.Crash(m.Now())
-	fsName, fsCfg := m.FSSpec()
 	// AuditImage consumes img; Close returns the machine's page frames
 	// and media blocks to the shared pool. Together they make a seed ×
 	// personality cell ~allocation-neutral at steady state.
-	res.Audit = cffs.AuditImage(img, o.DiskBlocks, fsName, fsCfg)
+	res.Audit = cffs.AuditImage(img, o.DiskBlocks, m.FS.Name, m.FS.Cfg)
 	m.Close()
 	return res
 }

@@ -146,19 +146,8 @@ func WithFaults(p *fault.Plan) Option {
 	return func(d *Disk) { d.faults = p }
 }
 
-// WithTrace attaches a tracer at construction: each spindle becomes a
-// trace lane and every request gets queue and service spans plus
-// latency-histogram samples. Option order does not matter — lanes are
-// named once the spindle count is final.
-func WithTrace(tr *trace.Tracer, pid int64) Option {
-	return func(d *Disk) {
-		d.tr = tr
-		d.trPID = pid
-	}
-}
-
 // New returns a disk with nblocks 4-KB blocks: a single spindle unless
-// WithStriping says otherwise, silent unless WithTrace, fault-free
+// WithStriping says otherwise, silent until SetTrace, fault-free
 // unless WithFaults.
 func New(eng *sim.Engine, stats *sim.Stats, nblocks int64, opts ...Option) *Disk {
 	d := &Disk{
@@ -172,14 +161,12 @@ func New(eng *sim.Engine, stats *sim.Stats, nblocks int64, opts ...Option) *Disk
 	for _, opt := range opts {
 		opt(d)
 	}
-	if d.tr.Enabled() {
-		d.SetTrace(d.tr, d.trPID)
-	}
 	return d
 }
 
-// SetTrace attaches a tracer after construction (prefer WithTrace). A
-// nil tracer turns tracing off.
+// SetTrace attaches a tracer: each spindle becomes a trace lane and
+// every request gets queue and service spans plus latency-histogram
+// samples. A nil tracer turns tracing off.
 func (d *Disk) SetTrace(tr *trace.Tracer, pid int64) {
 	d.tr = tr
 	d.trPID = pid
@@ -212,16 +199,6 @@ func (d *Disk) physOf(b BlockNo) BlockNo {
 
 // NumBlocks returns the media size in blocks.
 func (d *Disk) NumBlocks() int64 { return d.nblocks }
-
-// QueueLen reports how many requests are waiting (excluding those in
-// service). Exposed information.
-func (d *Disk) QueueLen() int {
-	n := 0
-	for i := range d.spindles {
-		n += len(d.spindles[i].queue)
-	}
-	return n
-}
 
 // Submit queues a request. The driver keeps the queue in CSCAN order,
 // so large schedules submitted together are serviced in near-optimal

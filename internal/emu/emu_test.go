@@ -12,7 +12,7 @@ import (
 	"xok/internal/unix"
 )
 
-func runEmulated(main func(unix.Proc)) *exos.System {
+func runEmulated(main func(unix.Proc)) *posix.System {
 	s := exos.Boot(exos.Config{})
 	s.Spawn("emu", 0, func(p unix.Proc) {
 		main(Emulate(p))

@@ -45,18 +45,13 @@ type Config struct {
 	SharedMemPipes bool
 }
 
-// System is one booted Xok/ExOS machine.
-type System struct {
-	*posix.System
-}
-
 // Boot builds the machine: Xok kernel, XN, and a fresh C-FFS volume,
 // ready to spawn UNIX processes.
-func Boot(cfg Config) *System {
+func Boot(cfg Config) *posix.System {
 	s := posix.New("xok", sim.CostTrapXok, cfg.Hardware,
 		libOS{protect: cfg.Protect, sharedPipes: cfg.SharedMemPipes})
 	s.Mkfs("exos-mkfs", "cffs", cffs.DefaultConfig())
-	return &System{s}
+	return s
 }
 
 // libOS is what ExOS charges in the UNIX process layer.

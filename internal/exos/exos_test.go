@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"xok/internal/ostest"
+	"xok/internal/posix"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
 
-func runner(cfg Config) (ostest.RunFunc, *System) {
+func runner(cfg Config) (ostest.RunFunc, *posix.System) {
 	s := Boot(cfg)
 	return func(main func(unix.Proc)) {
 		s.Spawn("test", 0, main)

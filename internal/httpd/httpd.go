@@ -150,8 +150,7 @@ func Measure(kind Kind, docSize int, o Opts) (Result, error) {
 	}
 	m := machine.MustNew(machine.Config{Personality: p, Trace: o.Trace})
 	defer m.Close()
-	k := m.Kern()
-	fs := m.RootFS()
+	k, fs := m.K, m.FS
 
 	// Stage the document tree. NCSA-style servers resolve a deeper
 	// path per request; Harvest and Cheetah keep flat object stores
@@ -293,19 +292,3 @@ func makeHandler(kind Kind, fs *cffs.FS) netsim.Handler {
 
 // Figure3Sizes are the x-axis document sizes.
 var Figure3Sizes = []int{0, 100, 1024, 10240, 102400}
-
-// Figure3 measures every server at every size, serially and untraced
-// (core.Bench.Figure3 is the parallel, traceable entry point).
-func Figure3(clients int, duration sim.Time) ([]Result, error) {
-	var out []Result
-	for _, kind := range Kinds() {
-		for _, size := range Figure3Sizes {
-			r, err := Measure(kind, size, Opts{Clients: clients, Duration: duration})
-			if err != nil {
-				return nil, fmt.Errorf("%v@%d: %w", kind, size, err)
-			}
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}

@@ -91,13 +91,3 @@ func (e *Env) RegionFree(id RegionID) error {
 	delete(k.regions, id)
 	return nil
 }
-
-// RegionSize returns a region's size without charging time (exposed
-// information; tests use it too).
-func (k *Kernel) RegionSize(id RegionID) (int, error) {
-	r, ok := k.regions[id]
-	if !ok {
-		return 0, ErrRegionUnknown
-	}
-	return len(r.data), nil
-}

@@ -187,7 +187,7 @@ func measureCharges(t *testing.T, pers Personality) map[string]charge {
 	defer m.Close()
 	st := m.Stats()
 	got := map[string]charge{}
-	m.SpawnProc("charges", 0, func(p unix.Proc) {
+	m.Spawn("charges", 0, func(p unix.Proc) {
 		fds := map[string]unix.FD{}
 		for _, s := range chargeScript {
 			before := charge{p.Now(), st.Get(sim.CtrSyscalls), st.Get(sim.CtrLibCalls), st.Get(sim.CtrProtCalls)}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"xok/internal/bsdos"
-	"xok/internal/cffs"
 	"xok/internal/disk"
 	"xok/internal/exos"
 	"xok/internal/fault"
@@ -97,53 +96,15 @@ type Config struct {
 	Net *netsim.Attachment
 }
 
-// EnvHandle identifies a spawned process.
-type EnvHandle interface {
-	Env() *kernel.Env
-}
-
-// Machine abstracts over the OS personalities.
-type Machine interface {
-	// Name labels the system as the paper does ("Xok/ExOS", ...).
-	Name() string
-	// SpawnProc starts a UNIX process.
-	SpawnProc(name string, uid uint16, main func(unix.Proc)) EnvHandle
-	// Run drains the machine.
-	Run()
-	// Now returns virtual time.
-	Now() sim.Time
-	// Stats returns the counter registry.
-	Stats() *sim.Stats
-	// Kern returns the kernel.
-	Kern() *kernel.Kernel
-	// Disk returns the machine's disk (nil if configured without one).
-	Disk() *disk.Disk
-	// Crash cuts power at virtual time at: events run to that instant,
-	// the surviving disk image (including torn in-flight writes when
-	// the fault plan arms them) is captured, and the machine is dead.
-	Crash(at sim.Time) disk.Image
-	// RootFS returns the root file system, for servers and
-	// experiments that stage files below the UNIX surface.
-	RootFS() *cffs.FS
-	// FSSpec returns the root file system's registry name and
-	// structural profile — what cffs.AuditImage needs to re-attach a
-	// crash image of this machine forensically.
-	FSSpec() (string, cffs.Config)
-	// Snapshot freezes the machine at a quiescent point (all processes
-	// exited, event queue drained) into a forkable checkpoint; see
-	// Snapshot and Fork. The machine keeps running afterwards
-	// (copy-on-write). Errors if the machine is not quiescent — for a
-	// fabric-attached machine that includes any in-flight packet or
-	// timer on the shared engine.
-	Snapshot() (*Snapshot, error)
-	// Close releases the machine for good: environment goroutines are
-	// killed and the page-frame and disk-block buffers go back to the
-	// shared pool (kernel.Release). This is the reset path that lets
-	// run-per-cell harnesses (difftest's seed × personality grid, the
-	// crash sweep) boot hundreds of machines without hundreds of
-	// machines' worth of heap churn. The machine must not be used —
-	// not even inspected — afterwards.
-	Close()
+// Machine is one booted system under test: the UNIX process layer
+// (kernel, XN, root file system, processes), whose Run, Now, Stats and
+// Spawn it promotes, and the personality it booted as. The embedded
+// System is reachable for experiments that go below the UNIX surface
+// (XCP drives the file cache and XN directly; servers stage documents
+// on FS).
+type Machine struct {
+	*posix.System
+	pers Personality
 }
 
 // Personalities lists every personality, in the paper's order. Cross-
@@ -158,7 +119,7 @@ func New(cfg Config) (Machine, error) {
 	var eng *sim.Engine
 	if cfg.Net != nil {
 		if cfg.Net.Topology == nil {
-			return nil, fmt.Errorf("machine: Net attachment without a topology")
+			return Machine{}, fmt.Errorf("machine: Net attachment without a topology")
 		}
 		eng = cfg.Net.Topology.Engine()
 	}
@@ -171,10 +132,10 @@ func New(cfg Config) (Machine, error) {
 		Faults:     cfg.Faults,
 		Eng:        eng,
 	}
-	var m Machine
+	var s *posix.System
 	switch cfg.Personality {
 	case XokExOS, XokUnprotected:
-		s := exos.Boot(exos.Config{
+		s = exos.Boot(exos.Config{
 			Hardware:       hw,
 			Protect:        cfg.Personality == XokExOS,
 			SharedMemPipes: cfg.SharedMemPipes,
@@ -182,10 +143,9 @@ func New(cfg Config) (Machine, error) {
 		if cfg.Personality == XokUnprotected {
 			s.X.FreeCost = true
 		}
-		m = Xok{host{s.System, cfg.Personality}}
 	case FreeBSD, OpenBSD, OpenBSDCFFS:
 		if cfg.SharedMemPipes {
-			return nil, fmt.Errorf("machine: %s has no shared-memory pipes", cfg.Personality)
+			return Machine{}, fmt.Errorf("machine: %s has no shared-memory pipes", cfg.Personality)
 		}
 		var v bsdos.Variant
 		switch cfg.Personality {
@@ -196,16 +156,17 @@ func New(cfg Config) (Machine, error) {
 		case OpenBSDCFFS:
 			v = bsdos.OpenBSDCFFS
 		}
-		m = BSD{host{bsdos.Boot(v, hw).System, cfg.Personality}}
+		s = bsdos.Boot(v, hw)
 	default:
-		return nil, fmt.Errorf("machine: unknown personality %d", int(cfg.Personality))
+		return Machine{}, fmt.Errorf("machine: unknown personality %d", int(cfg.Personality))
 	}
+	m := Machine{s, cfg.Personality}
 	if cfg.Net != nil {
 		name := cfg.Net.Name
 		if name == "" {
 			name = m.Name()
 		}
-		cfg.Net.Host = cfg.Net.Topology.AttachKernel(name, m.Kern())
+		cfg.Net.Host = cfg.Net.Topology.AttachKernel(name, m.K)
 		cfg.Net.NIC = cfg.Net.Topology.NIC(cfg.Net.Host)
 	}
 	return m, nil
@@ -224,52 +185,36 @@ func MustNew(cfg Config) Machine {
 // a fresh uid-0 process and drains the machine.
 func Runner(m Machine) ostest.RunFunc {
 	return func(main func(unix.Proc)) {
-		m.SpawnProc("t", 0, main)
+		m.Spawn("t", 0, main)
 		m.Run()
 	}
 }
 
-// host is the part of a Machine every personality shares: the UNIX
-// process layer, whose Run, Now and Stats it promotes, and the
-// personality it booted as. The embedded System is reachable for
-// experiments that go below the UNIX surface (XCP drives the file
-// cache and XN directly).
-type host struct {
-	*posix.System
-	pers Personality
+// Name labels the system as the paper does: "Xok/ExOS" whether or not
+// protection is on, the personality's own name otherwise.
+func (m Machine) Name() string {
+	if m.pers == XokUnprotected {
+		return XokExOS.String()
+	}
+	return m.pers.String()
 }
 
-// SpawnProc implements Machine.
-func (m host) SpawnProc(name string, uid uint16, main func(unix.Proc)) EnvHandle {
-	return m.Spawn(name, uid, main)
-}
+// Personality reports which system the machine booted as.
+func (m Machine) Personality() Personality { return m.pers }
 
-// Kern implements Machine.
-func (m host) Kern() *kernel.Kernel { return m.K }
+// Kern returns the kernel; it is the same as m.K.
+func (m Machine) Kern() *kernel.Kernel { return m.K }
 
-// Disk implements Machine.
-func (m host) Disk() *disk.Disk { return m.K.Disk }
+// Crash cuts power at virtual time at: events run to that instant, the
+// surviving disk image (including torn in-flight writes when the fault
+// plan arms them) is captured, and the machine is dead.
+func (m Machine) Crash(at sim.Time) disk.Image { return m.K.Crash(at) }
 
-// Crash implements Machine.
-func (m host) Crash(at sim.Time) disk.Image { return m.K.Crash(at) }
-
-// RootFS implements Machine.
-func (m host) RootFS() *cffs.FS { return m.FS }
-
-// FSSpec implements Machine.
-func (m host) FSSpec() (string, cffs.Config) { return m.FS.Name, m.FS.Cfg }
-
-// Close implements Machine.
-func (m host) Close() { m.K.Release() }
-
-// Xok is a Machine running Xok/ExOS, protected or not.
-type Xok struct{ host }
-
-// Name implements Machine.
-func (m Xok) Name() string { return "Xok/ExOS" }
-
-// BSD is a Machine running one of the BSD models.
-type BSD struct{ host }
-
-// Name implements Machine.
-func (m BSD) Name() string { return m.pers.String() }
+// Close releases the machine for good: environment goroutines are
+// killed and the page-frame and disk-block buffers go back to the
+// shared pool (kernel.Release). This is the reset path that lets
+// run-per-cell harnesses (difftest's seed × personality grid, the
+// crash sweep) boot hundreds of machines without hundreds of machines'
+// worth of heap churn. The machine must not be used — not even
+// inspected — afterwards.
+func (m Machine) Close() { m.K.Release() }

@@ -8,16 +8,29 @@ import (
 )
 
 func TestNewBootsEveryPersonality(t *testing.T) {
+	names := map[Personality]string{
+		XokExOS:        "Xok/ExOS",
+		XokUnprotected: "Xok/ExOS",
+		FreeBSD:        "FreeBSD",
+		OpenBSD:        "OpenBSD",
+		OpenBSDCFFS:    "OpenBSD/C-FFS",
+	}
 	for _, p := range []Personality{XokExOS, XokUnprotected, FreeBSD, OpenBSD, OpenBSDCFFS} {
 		m, err := New(Config{Personality: p, DiskBlocks: 1 << 15})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
-		if m.Kern() == nil || m.Disk() == nil || m.Stats() == nil {
+		if m.K == nil || m.K.Disk == nil || m.FS == nil || m.Stats() == nil {
 			t.Fatalf("%v: accessors returned nil", p)
 		}
+		if got := m.Name(); got != names[p] {
+			t.Errorf("%v: Name() = %q, want %q", p, got, names[p])
+		}
+		if got := m.Personality(); got != p {
+			t.Errorf("%v: Personality() = %v", p, got)
+		}
 		ok := false
-		m.SpawnProc("probe", 0, func(pr unix.Proc) {
+		m.Spawn("probe", 0, func(pr unix.Proc) {
 			if _, err := pr.Create("/probe", 6); err == nil {
 				ok = true
 			}
@@ -26,6 +39,20 @@ func TestNewBootsEveryPersonality(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v: file system not usable", p)
 		}
+		sn, err := m.Snapshot()
+		if err != nil {
+			t.Fatalf("%v: snapshot: %v", p, err)
+		}
+		f := Fork(sn)
+		if got := f.Name(); got != names[p] {
+			t.Errorf("%v: fork's Name() = %q, want %q", p, got, names[p])
+		}
+		if got := f.Personality(); got != p {
+			t.Errorf("%v: fork's Personality() = %v", p, got)
+		}
+		f.Close()
+		m.Close()
+		sn.Release()
 	}
 }
 
@@ -47,10 +74,10 @@ func TestConfigThreadsGeometryAndFaults(t *testing.T) {
 		StripeUnit:  32,
 		Faults:      plan,
 	})
-	if m.Kern().Faults != plan {
+	if m.K.Faults != plan {
 		t.Error("fault plan not threaded to the kernel")
 	}
-	if got := m.Disk().Spindles(); got != 2 {
+	if got := m.K.Disk.Spindles(); got != 2 {
 		t.Errorf("spindles = %d, want 2", got)
 	}
 	img := m.Crash(m.Now() + 1000)

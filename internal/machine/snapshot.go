@@ -17,14 +17,14 @@ type Snapshot struct {
 	sn   *posix.Snapshot
 }
 
-// Personality reports which system the snapshot came from.
-func (s *Snapshot) Personality() Personality { return s.pers }
-
-// Snapshot implements Machine. A machine attached to a shared network
-// fabric can only be snapshotted while the fabric is quiesced — no
-// in-flight packets or timers anywhere on the shared engine — and the
-// fork runs standalone (its own clock, no NIC).
-func (m host) Snapshot() (*Snapshot, error) {
+// Snapshot freezes the machine at a quiescent point (all processes
+// exited, event queue drained) into a forkable checkpoint. The machine
+// keeps running afterwards (copy-on-write). Errors if the machine is
+// not quiescent. A machine attached to a shared network fabric can
+// only be snapshotted while the fabric is quiesced — no in-flight
+// packets or timers anywhere on the shared engine — and the fork runs
+// standalone (its own clock, no NIC).
+func (m Machine) Snapshot() (*Snapshot, error) {
 	sn, err := m.System.Snapshot()
 	if err != nil {
 		return nil, err
@@ -35,13 +35,7 @@ func (m host) Snapshot() (*Snapshot, error) {
 // Fork builds a new machine continuing from the snapshot. Safe to call
 // concurrently on one snapshot — forks share the frozen state
 // read-only and copy pages/blocks up privately on first write.
-func Fork(s *Snapshot) Machine {
-	h := host{posix.Fork(s.sn), s.pers}
-	if s.pers == XokExOS || s.pers == XokUnprotected {
-		return Xok{h}
-	}
-	return BSD{h}
-}
+func Fork(s *Snapshot) Machine { return Machine{posix.Fork(s.sn), s.pers} }
 
 // Release returns the snapshot's frozen page and block buffers to the
 // shared pool. Only legal once the snapshotted machine and every fork

@@ -57,9 +57,6 @@ type NIC struct {
 	hdrBuf [9]byte // rx filter-match scratch
 }
 
-// Host returns the NIC's host id in the topology.
-func (nic *NIC) Host() HostID { return nic.host.id }
-
 // deliverPkt is the NIC receive path (the NIC is the sink of every
 // client->server path): interrupt, packet filter, enqueue on the
 // owner's ring, wake the server.

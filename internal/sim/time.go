@@ -37,9 +37,6 @@ func FromMillis(ms float64) Time { return Time(ms * CPUHz / 1e3) }
 // FromSeconds converts seconds of simulated time to cycles.
 func FromSeconds(s float64) Time { return Time(s * CPUHz) }
 
-// Nanos reports t in simulated nanoseconds.
-func (t Time) Nanos() float64 { return float64(t) * 1e9 / CPUHz }
-
 // Micros reports t in simulated microseconds.
 func (t Time) Micros() float64 { return float64(t) * 1e6 / CPUHz }
 

@@ -132,9 +132,9 @@ func clusterProfile(p machine.Personality) netsim.StackConfig {
 // stageClusterDocs creates one document per request class on the
 // machine.
 func stageClusterDocs(m machine.Machine, classes []netsim.RequestClass) error {
-	fs := m.RootFS()
+	fs := m.FS
 	var stageErr error
-	m.Kern().Spawn("stage", func(e *kernel.Env) {
+	m.K.Spawn("stage", func(e *kernel.Env) {
 		e.Creds = cap.UnixCreds(0)
 		if err := fs.Mkdir(e, "/docs", 0, 0, 7); err != nil {
 			stageErr = err
@@ -248,9 +248,9 @@ func Cluster(cfg ClusterConfig) (ClusterResult, error) {
 		if err := stageClusterDocs(m, classes); err != nil {
 			return ClusterResult{}, fmt.Errorf("cluster: stage server %d: %w", i, err)
 		}
-		handler := clusterHandler(m.RootFS(), classes)
+		handler := clusterHandler(m.FS, classes)
 		nic := att.NIC
-		m.Kern().Spawn(fmt.Sprintf("httpd%d", i), func(e *kernel.Env) {
+		m.K.Spawn(fmt.Sprintf("httpd%d", i), func(e *kernel.Env) {
 			e.Creds = cap.UnixCreds(0)
 			nic.Serve(e, profile, handler, 0) // serve forever
 		})

@@ -116,7 +116,7 @@ func TestMachinesShareFabricClock(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		if m.Kern().Eng != topo.Engine() {
+		if m.K.Eng != topo.Engine() {
 			t.Fatalf("machine %d booted on its own engine, not the fabric's", i)
 		}
 		if atts[i].NIC == nil {

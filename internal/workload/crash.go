@@ -120,7 +120,7 @@ func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
 		// Aggressive flush-behind: the workload emits many small
 		// synchronous writes instead of a few giant batches, giving the
 		// sweep dense crash-point coverage.
-		m.(machine.Xok).X.FlushBehind = 16
+		m.X.FlushBehind = 16
 		return m, p
 	}
 
@@ -209,7 +209,7 @@ func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
 			}
 			_ = serr // the probe already validated the workload
 		}
-		m.SpawnProc(segs[k].name, 0, func(p unix.Proc) { _ = segs[k].body(p) })
+		m.Spawn(segs[k].name, 0, func(p unix.Proc) { _ = segs[k].body(p) })
 		img := m.Crash(at)
 		// AuditImage consumes img; Close recycles the crashed machine's
 		// buffers for the next trial's boot.

@@ -235,7 +235,7 @@ func GlobalPerf(m machine.Machine, pool []JobKind, total, maxConc int, seed uint
 
 	// Stage all inputs (untimed), each job in its own directory.
 	var err error
-	m.SpawnProc("stage", 0, func(p unix.Proc) {
+	m.Spawn("stage", 0, func(p unix.Proc) {
 		for i, k := range seq {
 			dir := fmt.Sprintf("/g%03d", i)
 			if e := p.Mkdir(dir, 7); e != nil && err == nil {
@@ -262,7 +262,7 @@ func GlobalPerf(m machine.Machine, pool []JobKind, total, maxConc int, seed uint
 
 	// The launcher is itself a process (the driving shell): its spawns
 	// pay the personality's fork+exec price.
-	m.SpawnProc("launcher", 0, func(p unix.Proc) {
+	m.Spawn("launcher", 0, func(p unix.Proc) {
 		type running struct {
 			idx int
 			env *kernel.Env

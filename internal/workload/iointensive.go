@@ -65,7 +65,7 @@ func IOIntensive(m machine.Machine) (IOResult, error) {
 
 	var err error
 	// Setup: stage /lcc.tgz (untimed).
-	m.SpawnProc("setup", 0, func(p unix.Proc) {
+	m.Spawn("setup", 0, func(p unix.Proc) {
 		if e := apps.WriteFile(p, "/lcc.tgz", compressed); e != nil && err == nil {
 			err = e
 		}

@@ -50,7 +50,7 @@ func MAB(m machine.Machine) (MABResult, error) {
 	var err error
 	// Stage the source tree (untimed, like the benchmark's pristine
 	// source directory).
-	m.SpawnProc("mab-setup", 0, func(p unix.Proc) {
+	m.Spawn("mab-setup", 0, func(p unix.Proc) {
 		if e := apps.WriteTree(p, "/mabsrc", spec); e != nil && err == nil {
 			err = e
 		}

@@ -5,7 +5,11 @@
 // (Figures 4 and 5), the Section 7.2 copy comparison, and the
 // crash-point enumeration harness. Each takes a machine.Machine — one
 // of the systems under test, booted by the caller with machine.New —
-// and returns measured virtual times.
+// and returns measured virtual times. The harnesses run UNIX programs
+// through the machine's Spawn; the few that go below the UNIX surface
+// (XCP's eviction and copy, the crash sweep's flush-behind, the
+// cluster's document staging) use the kernel, XN and root file system
+// the machine's embedded posix.System holds.
 package workload
 
 import (
@@ -34,7 +38,7 @@ func SystemConfigs() []machine.Config {
 // virtual time. Errors inside are collected into errp.
 func exec(m machine.Machine, name string, main func(unix.Proc) error, errp *error) sim.Time {
 	start := m.Now()
-	m.SpawnProc(name, 0, func(p unix.Proc) {
+	m.Spawn(name, 0, func(p unix.Proc) {
 		if err := main(p); err != nil && *errp == nil {
 			*errp = fmt.Errorf("%s: %s: %w", m.Name(), name, err)
 		}

@@ -44,7 +44,7 @@ func runSegments(m machine.Machine, segs []mabSegment, from, to int) error {
 // normalized.
 func mediaHash(t *testing.T, m machine.Machine) uint64 {
 	t.Helper()
-	img := m.Disk().Snapshot()
+	img := m.K.Disk.Snapshot()
 	blocks := make([]disk.BlockNo, 0, len(img))
 	for b := range img {
 		blocks = append(blocks, b)
@@ -87,7 +87,7 @@ func uninterruptedMAB(t *testing.T, pers machine.Personality, plan *fault.Plan, 
 	if err := runSegments(m, segs, 0, len(segs)); err != nil {
 		t.Fatalf("%v: uninterrupted run: %v", pers, err)
 	}
-	return mabRunOutcome{digest: m.Kern().Trace.Digest(), cycles: m.Now(), media: mediaHash(t, m)}
+	return mabRunOutcome{digest: m.K.Trace.Digest(), cycles: m.Now(), media: mediaHash(t, m)}
 }
 
 // forkedMAB runs segments up to cut, snapshots, forks, and finishes on
@@ -109,7 +109,7 @@ func forkedMAB(t *testing.T, pers machine.Personality, plan *fault.Plan, segs []
 	if err := runSegments(f, segs, cut, len(segs)); err != nil {
 		t.Fatalf("%v: forked run: %v", pers, err)
 	}
-	return mabRunOutcome{digest: f.Kern().Trace.Digest(), cycles: f.Now(), media: mediaHash(t, f)}
+	return mabRunOutcome{digest: f.K.Trace.Digest(), cycles: f.Now(), media: mediaHash(t, f)}
 }
 
 func checkReplayEquivalence(t *testing.T, plan *fault.Plan) {
@@ -165,7 +165,7 @@ func TestSnapshotForkIsCopyOnWrite(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(10, func() {
 		f := machine.Fork(snap)
-		if n := f.Disk().CowCopies(); n != 0 {
+		if n := f.K.Disk.CowCopies(); n != 0 {
 			t.Errorf("fork with zero writes copied %d disk blocks", n)
 		}
 		f.Close()
@@ -188,7 +188,7 @@ func TestSnapshotForkIsCopyOnWrite(t *testing.T) {
 	}
 	// The sync flushes metadata updates (inodes, directories, the free
 	// bitmap) onto blocks frozen in the snapshot — those must copy up.
-	if f.Disk().CowCopies() == 0 {
+	if f.K.Disk.CowCopies() == 0 {
 		t.Error("forked run wrote the tree but copied no blocks — writes are landing in frozen state")
 	}
 }
@@ -287,7 +287,7 @@ func TestSnapshotFabricRequiresQuiescentEngine(t *testing.T) {
 
 	f := machine.Fork(snap)
 	defer f.Close()
-	if f.Kern().Eng == topo.Engine() {
+	if f.K.Eng == topo.Engine() {
 		t.Fatal("fork shares the fabric engine; forks must run standalone")
 	}
 	var ferr error

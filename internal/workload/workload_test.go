@@ -142,7 +142,7 @@ func TestCksumJobChecksStagedBytes(t *testing.T) {
 	}
 	m := boot(t, machine.XokExOS)
 	var clean, corrupt error
-	m.SpawnProc("cksum", 0, func(p unix.Proc) {
+	m.Spawn("cksum", 0, func(p unix.Proc) {
 		if clean = p.Mkdir("/j", 7); clean != nil {
 			return
 		}
@@ -180,5 +180,30 @@ func TestGlobalPerfPool2ConcurrencyHelpsXok(t *testing.T) {
 	t.Logf("pool2: xok=%v fbsd=%v", xok.Total, fbsd.Total)
 	if xok.Total >= fbsd.Total {
 		t.Errorf("Xok (%v) should beat FreeBSD (%v) on the pool-2 mix", xok.Total, fbsd.Total)
+	}
+}
+
+// XCPCopy goes below the UNIX surface to XN, which only the Xok
+// personalities have: a BSD machine is refused before anything is
+// staged, and the unprotected Xok machine copies like the protected one.
+func TestXCPCopyNeedsXok(t *testing.T) {
+	for _, p := range []machine.Personality{machine.FreeBSD, machine.OpenBSD, machine.OpenBSDCFFS} {
+		m := boot(t, p)
+		booted := m.Now()
+		if _, err := XCPCopy(m, false, true); err == nil {
+			t.Errorf("%v: XCPCopy ran without XN", p)
+		}
+		if m.Now() != booted {
+			t.Errorf("%v: rejected copy still ran from %v to %v", p, booted, m.Now())
+		}
+	}
+	for _, useXCP := range []bool{false, true} {
+		d, err := XCPCopy(boot(t, machine.XokUnprotected), true, useXCP)
+		if err != nil {
+			t.Fatalf("unprotected, xcp=%v: %v", useXCP, err)
+		}
+		if d <= 0 {
+			t.Errorf("unprotected, xcp=%v: copy took %v", useXCP, d)
+		}
 	}
 }

@@ -24,11 +24,9 @@ const (
 // false) or with XCP. The result is the copy's elapsed virtual time,
 // from spawning the copying process to its exit.
 func XCPCopy(m machine.Machine, cold, useXCP bool) (sim.Time, error) {
-	x, ok := m.(machine.Xok)
-	if !ok {
+	if p := m.Personality(); p != machine.XokExOS && p != machine.XokUnprotected {
 		return 0, fmt.Errorf("xcp: %s has no XN to copy through", m.Name())
 	}
-	s := x.System
 	pairs := make([][2]string, xcpFiles)
 	for i := range pairs {
 		pairs[i] = [2]string{fmt.Sprintf("/s%d", i), fmt.Sprintf("/d%d", i)}
@@ -60,27 +58,27 @@ func XCPCopy(m machine.Machine, cold, useXCP bool) (sim.Time, error) {
 		return 0, err
 	}
 	if cold {
-		s.K.Spawn("evict", func(e *kernel.Env) {
+		m.K.Spawn("evict", func(e *kernel.Env) {
 			e.Creds = cap.UnixCreds(0)
 			for {
-				if _, ok := s.X.RecycleLRU(e); !ok {
+				if _, ok := m.X.RecycleLRU(e); !ok {
 					return
 				}
 			}
 		})
-		s.Run()
+		m.Run()
 	}
 
-	start := s.Now()
+	start := m.Now()
 	var end sim.Time
 	if useXCP {
-		s.K.Spawn("xcp", func(e *kernel.Env) {
+		m.K.Spawn("xcp", func(e *kernel.Env) {
 			e.Creds = cap.UnixCreds(0)
-			err = apps.XCP(e, s.FS, pairs)
-			end = s.Now()
+			err = apps.XCP(e, m.FS, pairs)
+			end = m.Now()
 		})
 	} else {
-		s.Spawn("cp", 0, func(p unix.Proc) {
+		m.Spawn("cp", 0, func(p unix.Proc) {
 			for _, pr := range pairs {
 				if err = apps.Cp(p, pr[0], pr[1]); err != nil {
 					return
@@ -89,7 +87,7 @@ func XCPCopy(m machine.Machine, cold, useXCP bool) (sim.Time, error) {
 			end = p.Now()
 		})
 	}
-	s.Run()
+	m.Run()
 	if err != nil {
 		return 0, fmt.Errorf("%s: copy: %w", m.Name(), err)
 	}

@@ -7,16 +7,17 @@ import (
 	"xok/internal/cap"
 	"xok/internal/exos"
 	"xok/internal/kernel"
+	"xok/internal/posix"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
 
-func boot(t *testing.T) *exos.System {
+func boot(t *testing.T) *posix.System {
 	t.Helper()
 	return exos.Boot(exos.Config{})
 }
 
-func runEnv(t *testing.T, s *exos.System, body func(e *kernel.Env) error) {
+func runEnv(t *testing.T, s *posix.System, body func(e *kernel.Env) error) {
 	t.Helper()
 	s.K.Spawn("xio", func(e *kernel.Env) {
 		e.Creds = cap.UnixCreds(0)
@@ -27,7 +28,7 @@ func runEnv(t *testing.T, s *exos.System, body func(e *kernel.Env) error) {
 	s.Run()
 }
 
-func stageDoc(t *testing.T, s *exos.System, path string, size int) {
+func stageDoc(t *testing.T, s *posix.System, path string, size int) {
 	t.Helper()
 	s.Spawn("stage", 0, func(p unix.Proc) {
 		data := make([]byte, size)
