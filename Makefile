@@ -101,9 +101,10 @@ examples:
 check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-smoke examples perf-sanity
 
 # Wall-clock benchmark baseline, committed as BENCH_sim.json so engine
-# or harness regressions show up as a diff. Two tiers: the engine
-# micro-benchmarks run at the default benchtime (they are the ns/op +
-# allocs/op numbers the fast path is judged on); the end-to-end
+# or harness regressions show up as a diff. Two tiers: the engine and
+# kernel micro-benchmarks run at the default benchtime (they are the
+# ns/op + allocs/op numbers the fast path is judged on: the kernel's
+# pair times a Use on the parked path and burned inline); the end-to-end
 # experiment benchmarks (MAB, difftest serial-vs-parallel, crash
 # serial-vs-parallel) each run their full campaign once, -benchtime=1x.
 # Raw `go test` output passes through on stderr; stdout carries the
@@ -115,6 +116,7 @@ BenchmarkEngineStepAfterArg16,BenchmarkEngineStepAfterArg1024,\
 BenchmarkEngineScheduleCancel,BenchmarkEngineScheduleCancelWheel,\
 BenchmarkEngineTimersHeap65536,BenchmarkEngineTimersWheel65536,\
 BenchmarkEngineTimersHeap1M,BenchmarkEngineTimersWheel1M,\
+BenchmarkKernelHandoff,BenchmarkKernelUseRunAhead,\
 BenchmarkMAB/Xok-ExOS,BenchmarkMAB/FreeBSD,\
 BenchmarkDifftest100Serial,BenchmarkDifftest100Parallel4,\
 BenchmarkDifftest100SnapshotSerial,BenchmarkDifftest100SnapshotParallel4,\
@@ -124,6 +126,7 @@ BenchmarkClusterSerial,BenchmarkClusterParallel4,BenchmarkClusterConns100k
 
 bench:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/sim/ && \
+	   $(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchmem ./internal/kernel/ && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkMAB$$|BenchmarkDifftest100|BenchmarkCrashSweep|BenchmarkCluster' -benchmem -benchtime=1x . ; } \
 	  | $(GO) run ./cmd/benchjson -expect '$(BENCH_EXPECT)' > BENCH_sim.json
 	@echo "wrote BENCH_sim.json"

@@ -122,8 +122,19 @@ func (e *Env) park(msg parkMsg) {
 // Use charges c cycles of CPU to this environment. The scheduler burns
 // them in quantum slices, interleaved with other runnable
 // environments; the call returns when they have elapsed.
+//
+// When nothing else is owed, the charge fits in what is left of the
+// slice (or the environment is in a critical section) and
+// sim.Engine.RunAhead accepts it, Use burns the charge without
+// parking; the package comment says why that is exact.
 func (e *Env) Use(c sim.Time) {
 	if c == 0 {
+		return
+	}
+	k := e.k
+	if k.current == e && e.burst == 0 && !e.dying &&
+		(c < e.sliceLeft || e.inCritical) && k.Eng.RunAhead(c) {
+		e.burned(c)
 		return
 	}
 	e.park(parkMsg{kind: parkUse, n: c})

@@ -107,7 +107,8 @@ func TestEnvPanicReachesRun(t *testing.T) {
 }
 
 // A steady-state Use round trip — park, burn the grant, resume —
-// allocates nothing.
+// allocates nothing. The loop drives Step by hand, so it measures the
+// parked path: the engine never runs ahead outside Run and RunUntil.
 func TestUseHandoffAllocs(t *testing.T) {
 	k := newXok()
 	defer k.Shutdown()
@@ -126,7 +127,9 @@ func TestUseHandoffAllocs(t *testing.T) {
 
 // BenchmarkKernelHandoff times one Use round trip of a single
 // environment: the switch into its coroutine, the park back and the
-// engine event that burns the cycle.
+// engine event that burns the cycle. The loop drives Step by hand, so
+// every Use takes this parked path; BenchmarkKernelUseRunAhead times
+// the inline burn Run gives the same loop.
 func BenchmarkKernelHandoff(b *testing.B) {
 	k := newXok()
 	defer k.Shutdown()

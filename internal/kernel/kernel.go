@@ -16,6 +16,20 @@
 // environments, so CPU contention, context-switch overhead and
 // time-slice preemption are modelled faithfully and deterministically.
 //
+// A charge usually burns without leaving the coroutine. Use parks only
+// when the scheduler could do something else before the charge ends:
+// when cycles are already owed (an interrupt stole them), when the
+// charge reaches the end of the slice outside a critical section, or
+// when sim.Engine.RunAhead refuses because an event is queued at or
+// before the charge's end or the end lies past the running RunUntil's
+// bound. Otherwise the burn event the parked path would schedule is
+// the very next event the engine would fire, nothing can be scheduled
+// ahead of it in between, and RunAhead advances the clock and counts
+// that event in place: the same clock, event count, CPU accounting and
+// event order, with no coroutine switch and no queued event. A loop
+// that drives Engine.Step by hand never runs ahead, and so always
+// takes the parked path.
+//
 // The same Kernel type also serves as the substrate for the monolithic
 // BSD personalities (internal/bsdos): Config selects the trap cost and
 // scheduling quantum, while the OS personalities built on top decide
@@ -381,15 +395,20 @@ func (k *Kernel) rotate(e *Env) {
 // scheduler burns its cycles).
 func burnGrantArg(a any) {
 	e := a.(*Env)
-	grant := e.grant
-	e.burst -= grant
+	e.burst -= e.grant
+	e.burned(e.grant)
+	e.k.step(e)
+}
+
+// burned books grant cycles of CPU, burned on the parked path or inline
+// by Use, against e's lifetime use and its slice.
+func (e *Env) burned(grant sim.Time) {
 	e.cpuUsed += grant
 	if e.sliceLeft >= grant {
 		e.sliceLeft -= grant
 	} else {
 		e.sliceLeft = 0
 	}
-	e.k.step(e)
 }
 
 // resume switches to e's coroutine and processes the park message it

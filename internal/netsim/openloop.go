@@ -85,26 +85,43 @@ type OpenPool struct {
 	ClassDone  []int
 	ClassBytes []int64
 
-	// arrivals holds every pre-drawn arrival; each is scheduled via
-	// AtArg with a pointer into this slice, so a million-connection
-	// launch plan costs one allocation, not one closure per arrival.
+	// arrivals holds every pre-drawn arrival, in time order, and next
+	// indexes the one whose event is pending. Only that one is on the
+	// engine: each arrival schedules its successor when it fires, so a
+	// million-connection launch plan costs one allocation and one
+	// pending event, not one closure or queue node per arrival. Arrival
+	// i fires under stamp seq0+i, reserved when the plan was drawn, so
+	// it ties with other events exactly as if it had been queued then.
 	arrivals []arrival
+	next     int
+	seq0     uint64
 	// series holds the precomputed "http.<class>" histogram names.
 	series []string
 }
 
 // arrival is one pre-drawn connection arrival.
 type arrival struct {
-	p    *OpenPool
+	at   sim.Time
 	port uint32
 	ci   int32
 }
 
-// launchArrival opens the arrival's connection (the scheduled event's
-// body; package-level for alloc-free scheduling).
+// launchArrival schedules the pool's following arrival, then opens the
+// connection of the one due now (the scheduled event's body;
+// package-level for alloc-free scheduling).
 func launchArrival(a any) {
-	ar := a.(*arrival)
-	ar.p.launch(ar.port, int(ar.ci))
+	p := a.(*OpenPool)
+	ar := p.arrivals[p.next]
+	p.next++
+	p.scheduleNext()
+	p.launch(ar.port, int(ar.ci))
+}
+
+// scheduleNext puts the pool's next arrival, if any, on the engine.
+func (p *OpenPool) scheduleNext() {
+	if p.next < len(p.arrivals) {
+		p.t.eng.AtArgReserved(p.arrivals[p.next].at, p.seq0+uint64(p.next), launchArrival, p)
+	}
 }
 
 // defaultClasses is the single-class fallback mix.
@@ -161,10 +178,11 @@ func (t *Topology) OpenLoop(cfg OpenLoopConfig) *OpenPool {
 				ci++
 			}
 		}
-		p.arrivals[i] = arrival{p: p, port: port, ci: int32(ci)}
+		p.arrivals[i] = arrival{at: at, port: port, ci: int32(ci)}
 		port++
-		t.eng.AtArg(at, launchArrival, &p.arrivals[i])
 	}
+	p.seq0 = t.eng.Reserve(cfg.Conns)
+	p.scheduleNext()
 	return p
 }
 

@@ -189,7 +189,8 @@ func TestLeastConnFollowsReleases(t *testing.T) {
 
 // twoHopServe runs a small open-loop load across a two-hop 15ms+15ms
 // path (static RTT ~60ms — right at the legacy RTO floor, which
-// without RTT adaptation retransmits every exchange).
+// without RTT adaptation retransmits every exchange). The plan puts
+// one arrival on the engine, not all 20: each schedules the next.
 func twoHopServe(t *testing.T, loss int) (*OpenPool, *kernel.Kernel) {
 	t.Helper()
 	k := kernel.New(kernel.Config{Name: "far", MemPages: 512})
@@ -204,10 +205,14 @@ func twoHopServe(t *testing.T, loss int) (*OpenPool, *kernel.Kernel) {
 		e.Creds = cap.UnixCreds(0)
 		tp.NIC(srv).Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 4000 }, 0)
 	})
+	pending := k.Eng.Pending()
 	pool := tp.OpenLoop(OpenLoopConfig{
 		From: client, Target: srv, Conns: 20, Rate: 200,
 		Classes: []RequestClass{{Name: "doc", DocSize: 4000, Weight: 1}},
 	})
+	if n := k.Eng.Pending() - pending; n != 1 {
+		t.Errorf("the open-loop plan queued %d events, want 1", n)
+	}
 	k.Eng.Run()
 	return pool, k
 }

@@ -54,6 +54,25 @@ type node struct {
 // four-child scan stays within one cache line of the slice — the
 // event queue is the hottest host-side structure in the simulator.
 //
+// RunAhead lets the code an event runs skip scheduling an event it
+// would only wait for: RunAhead(d) advances the clock to now+d exactly
+// as if an event scheduled now for now+d had fired next. It counts one
+// dispatched event and calls the event hook with the new time, so
+// Dispatched, the global meters and a tracer's event count read the
+// same as on the scheduled path. It refuses (reports false and changes
+// nothing) unless that event really would be the next one popped:
+//   - some queued event, in the heap or the wheel, is at or before
+//     now+d (a tie loses: the queued event carries the older seq);
+//   - now+d lies past the bound of the running RunUntil, so a crash
+//     point or a deadline stops the clock where it always did;
+//   - no Run or RunUntil is running, so a caller driving Step by hand
+//     still sees one event per Step.
+//
+// RunAhead takes no seq stamp where the scheduled event would have
+// taken one. That keeps every other event's relative order: the stamp
+// would only have ordered that event against events scheduled after
+// it, and none of them can fire before it.
+//
 // Engine is not safe for concurrent use; the simulation guarantees
 // that only one goroutine touches it at a time (the kernel runs each
 // environment as a coroutine of the host goroutine, see
@@ -71,6 +90,8 @@ type Engine struct {
 	heapOnly bool          // pure-heap reference mode, set only by tests before scheduling
 	fired    int64         // events dispatched since the last meter flush
 	flushed  int64         // events already published to the global meter
+	running  bool          // inside Run or RunUntil; see RunAhead
+	horizon  Time          // the running RunUntil's bound (max for Run)
 }
 
 // Dispatched returns the total events this engine has fired since it
@@ -106,6 +127,12 @@ func (e *Engine) SetEventHook(h func(at Time)) { e.hook = h }
 // timer wheel, everything else to the heap. The (at, seq) stamp is
 // fixed here, so the filing decision can never affect pop order.
 func (e *Engine) schedule(t Time) *node {
+	e.seq++
+	return e.scheduleSeq(t, e.seq-1)
+}
+
+// scheduleSeq is schedule with the FIFO stamp given.
+func (e *Engine) scheduleSeq(t Time, seq uint64) *node {
 	if t < e.now {
 		t = e.now
 	}
@@ -117,8 +144,7 @@ func (e *Engine) schedule(t Time) *node {
 		n = &node{}
 	}
 	n.at = t
-	n.seq = e.seq
-	e.seq++
+	n.seq = seq
 	if !e.wheelAdd(n) {
 		e.push(n)
 	}
@@ -169,6 +195,29 @@ func (e *Engine) AfterArg(d Time, fn func(any), arg any) Event {
 // steady state.
 func (e *Engine) AtArg(t Time, fn func(any), arg any) Event {
 	n := e.schedule(t)
+	n.fnArg = fn
+	n.arg = arg
+	return Event{n, n.gen}
+}
+
+// Reserve sets aside the FIFO stamps of n events that will be
+// scheduled later, and returns the first. AtArgReserved(t, first+i, ...)
+// then files the i-th so that among events at t it fires exactly where
+// it would have had it been scheduled at the reservation. That holds
+// as long as it is filed before any event at t stamped after it has
+// fired: for instance by an event at or before t that was itself
+// stamped earlier, which is how a chain of pre-drawn arrivals files
+// each successor from its predecessor (netsim.OpenLoop) instead of
+// queueing them all up front.
+func (e *Engine) Reserve(n int) uint64 {
+	first := e.seq
+	e.seq += uint64(n)
+	return first
+}
+
+// AtArgReserved is AtArg under a stamp obtained from Reserve.
+func (e *Engine) AtArgReserved(t Time, seq uint64, fn func(any), arg any) Event {
+	n := e.scheduleSeq(t, seq)
 	n.fnArg = fn
 	n.arg = arg
 	return Event{n, n.gen}
@@ -225,8 +274,41 @@ func (e *Engine) peek() (Time, bool) {
 	return e.heap[0].at, true
 }
 
+// RunAhead advances the clock by d as if an event scheduled now for
+// now+d were the next to fire, and reports whether it could (see the
+// contract on Engine).
+func (e *Engine) RunAhead(d Time) bool {
+	t := e.now + d
+	if !e.running || t > e.horizon {
+		return false
+	}
+	if at, ok := e.peek(); ok && at <= t {
+		return false
+	}
+	e.now = t
+	e.fired++
+	if e.hook != nil {
+		e.hook(t)
+	}
+	return true
+}
+
+// enter marks a Run or RunUntil with horizon t as running and returns
+// the state it replaces; the deferred leave restores it, so a nested or
+// panicking run leaves RunAhead's view of the enclosing one intact.
+func (e *Engine) enter(t Time) (running bool, horizon Time) {
+	running, horizon = e.running, e.horizon
+	e.running, e.horizon = true, t
+	return running, horizon
+}
+
+func (e *Engine) leave(running bool, horizon Time) {
+	e.running, e.horizon = running, horizon
+}
+
 // Run processes events until the queue is empty.
 func (e *Engine) Run() {
+	defer e.leave(e.enter(^Time(0)))
 	for e.Step() {
 	}
 	e.flushMeter()
@@ -235,6 +317,7 @@ func (e *Engine) Run() {
 // RunUntil processes events with timestamps <= t, then advances the
 // clock to exactly t (if it isn't already past it).
 func (e *Engine) RunUntil(t Time) {
+	defer e.leave(e.enter(t))
 	for {
 		at, ok := e.peek()
 		if !ok || at > t {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -402,4 +403,26 @@ func TestEngineHandleZeroValue(t *testing.T) {
 		t.Fatal("zero Event has a timestamp")
 	}
 	e.Cancel(ev) // must not panic
+}
+
+// An event filed late under a reserved stamp ties with the events
+// scheduled after the reservation exactly as if it had been queued at
+// the reservation: first among them, after those stamped before it.
+func TestEngineReservedStampKeepsFIFO(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	note := func(a any) { order = append(order, a.(string)) }
+	e.AtArg(50, note, "before")
+	first := e.Reserve(2)
+	e.AtArg(50, note, "after")
+	e.AtArg(10, func(any) {
+		e.AtArgReserved(50, first+1, note, "reserved 1")
+		e.AtArgReserved(50, first, note, "reserved 0")
+	}, nil)
+	e.AtArg(50, note, "later")
+	e.Run()
+	want := []string{"before", "reserved 0", "reserved 1", "after", "later"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
 }

@@ -3,7 +3,7 @@ package sim
 import "math/bits"
 
 // Hierarchical timer wheel: the engine's scheduling backend for the
-// far-future/bulk-timer regime (RTOs, open-loop arrival pre-draws).
+// far-future/bulk-timer regime (RTOs, open-loop arrivals).
 //
 // The 4-ary heap is exact but costs O(log n) per operation, and with
 // 100k+ pending timers the log — and the cache misses under it — is
