@@ -121,4 +121,4 @@ func (traps) Fork(e *kernel.Env) {
 func (traps) ForkChild(*kernel.Env) {}
 
 // Pipe allocates the kernel pipe object.
-func (traps) Pipe(*kernel.Env) posix.Pipe { return &bsdPipe{buf: make([]byte, pipeCapacity)} }
+func (traps) Pipe(*kernel.Env) posix.Pipe { return &bsdPipe{} }

@@ -21,7 +21,7 @@ const costPipeWakeup = 8 * sim.Microsecond
 type bsdPipe struct {
 	posix.PipeEnds
 
-	buf        []byte
+	buf        []byte // the kernel buffer, allocated on the first write
 	count      int64
 	rpos, wpos int
 }
@@ -54,6 +54,9 @@ func (p *bsdPipe) Write(e *kernel.Env, data []byte) (int, error) {
 			chunk = space
 		}
 		// Copy user -> kernel buffer.
+		if p.buf == nil {
+			p.buf = make([]byte, pipeCapacity)
+		}
 		for c := chunk; c > 0; {
 			seg := c
 			if p.wpos+seg > pipeCapacity {

@@ -15,13 +15,27 @@ import (
 // is deterministic for a given image, so same-seed crash runs digest
 // identically.
 //
-// AuditImage takes ownership of img: the blocks are mounted in place on
-// the forensic machine (no deep copy) and recycled with it when the
-// audit finishes. Callers that need the image afterwards must pass a
-// copy.
-func AuditImage(img disk.Image, diskBlocks int64, fsName string, fsCfg Config) []string {
+// The forensic disk adopts the image's frozen media (no copy) on a
+// fresh arm and queue, and writes what the audit changes into its own
+// overlay; the caller keeps the image and releases it afterwards.
+func AuditImage(ci *disk.CrashImage, diskBlocks int64, fsName string, fsCfg Config) []string {
 	k := kernel.New(kernel.Config{Name: "audit", MemPages: 4096, DiskSize: diskBlocks})
-	k.Disk.RestoreOwned(img)
+	k.Disk.AdoptCrash(ci)
+	return audit(k, fsName, fsCfg)
+}
+
+// AuditFlat is AuditImage over a flattened image restored whole onto
+// the forensic disk: the reference the crash hand-off is tested
+// against. The caller keeps img.
+func AuditFlat(img disk.Image, diskBlocks int64, fsName string, fsCfg Config) []string {
+	k := kernel.New(kernel.Config{Name: "audit", MemPages: 4096, DiskSize: diskBlocks})
+	k.Disk.Restore(img)
+	return audit(k, fsName, fsCfg)
+}
+
+// audit mounts k's disk, runs the checks and releases k.
+func audit(k *kernel.Kernel, fsName string, fsCfg Config) []string {
+	defer k.Release()
 	x, err := xn.Mount(k)
 	if err != nil {
 		return []string{"mount: " + err.Error()}
@@ -43,6 +57,5 @@ func AuditImage(img disk.Image, diskBlocks int64, fsName string, fsCfg Config) [
 		errs = append(errs, report.Errors...)
 	})
 	k.Run()
-	k.Release()
 	return errs
 }

@@ -594,3 +594,46 @@ func TestSlotRoundTripProperty(t *testing.T) {
 		}
 	}
 }
+
+// A lookup the name cache answers allocates nothing: it needs only the
+// path's last component, and the slot's name is compared in place.
+func TestCachedLookupAllocs(t *testing.T) {
+	w := newWorld(t, DefaultConfig())
+	w.run(t, "lookup", func(e *kernel.Env) error {
+		if err := w.fs.Mkdir(e, "/dir", 0, 0, 7); err != nil {
+			return err
+		}
+		if _, err := w.fs.Create(e, "/dir/file.txt", 0, 0, 6); err != nil {
+			return err
+		}
+		const path = "/dir/./file.txt/"
+		want, _, err := w.fs.LookupNoFollow(e, path) // fills the cache
+		if err != nil {
+			return err
+		}
+		var got Ref
+		var in Inode
+		allocs := testing.AllocsPerRun(100, func() {
+			got, in, err = w.fs.LookupNoFollow(e, path)
+		})
+		if err != nil || got != want || in.Name != "file.txt" {
+			return fmt.Errorf("cached lookup = %+v %q %v, want %+v \"file.txt\"", got, in.Name, err, want)
+		}
+		if allocs != 0 {
+			t.Errorf("cached lookup: %v allocs, want 0", allocs)
+		}
+		return nil
+	})
+}
+
+func TestLastComp(t *testing.T) {
+	for _, path := range []string{"", "/", "//", "/.", "./.", "a", "/a", "a/", "/a/b", "/a/b/", "/a/./b/.", "/a//b", "a/.", "/a/../b"} {
+		want := ""
+		if c := split(path); len(c) > 0 {
+			want = c[len(c)-1]
+		}
+		if got := lastComp(path); got != want {
+			t.Errorf("lastComp(%q) = %q, want %q", path, got, want)
+		}
+	}
+}

@@ -132,15 +132,38 @@ func SlotOff(i int) int { return SlotsOff + i*SlotSize }
 
 // DecodeSlot parses the slot at block offset off.
 func DecodeSlot(blk []byte, i int) Inode {
+	in := decodeSlotFields(blk, i)
+	in.Name = string(slotName(blk, i))
+	return in
+}
+
+// decodeSlotNamed parses slot i only if it is in use under name, and
+// then without allocating: the returned Inode's Name is name itself.
+func decodeSlotNamed(blk []byte, i int, name string) (Inode, bool) {
+	if blk[SlotOff(i)+soUsed] == 0 || string(slotName(blk, i)) != name {
+		return Inode{}, false
+	}
+	in := decodeSlotFields(blk, i)
+	in.Name = name
+	return in, true
+}
+
+// slotName returns the name bytes of slot i (aliasing blk).
+func slotName(blk []byte, i int) []byte {
 	s := blk[SlotOff(i):]
-	var in Inode
-	in.Used = s[soUsed] != 0
-	in.Kind = s[soKind]
 	n := int(s[soNameLen])
 	if n > MaxNameLen {
 		n = MaxNameLen
 	}
-	in.Name = string(s[soName : soName+n])
+	return s[soName : soName+n]
+}
+
+// decodeSlotFields parses every field of slot i except its name.
+func decodeSlotFields(blk []byte, i int) Inode {
+	s := blk[SlotOff(i):]
+	var in Inode
+	in.Used = s[soUsed] != 0
+	in.Kind = s[soKind]
 	in.UID = binary.LittleEndian.Uint32(s[soUID:])
 	in.GID = binary.LittleEndian.Uint32(s[soGID:])
 	in.Mode = binary.LittleEndian.Uint32(s[soMode:])

@@ -312,6 +312,19 @@ func split(path string) []string {
 	return out
 }
 
+// lastComp returns the last of split(path)'s components, or "" when it
+// has none, without allocating.
+func lastComp(path string) string {
+	for j := len(path); j > 0; {
+		i := strings.LastIndexByte(path[:j], '/') + 1
+		if c := path[i:j]; c != "" && c != "." {
+			return c
+		}
+		j = i - 1
+	}
+	return ""
+}
+
 // findEntry scans a directory chain for name. Returns the ref and
 // inode.
 func (fs *FS) findEntry(e *kernel.Env, head, parent disk.BlockNo, name string) (Ref, Inode, error) {
@@ -378,15 +391,13 @@ func (fs *FS) walkDir(e *kernel.Env, path string) (disk.BlockNo, string, error) 
 // resolving a symbolic link in the final component (the lstat/unlink/
 // rename view of the namespace).
 func (fs *FS) LookupNoFollow(e *kernel.Env, path string) (Ref, Inode, error) {
-	comps := split(path)
 	if r, ok := fs.nameCache[path]; ok {
 		if fs.X.Cached(r.Dir) {
-			data := fs.dirData(r.Dir)
-			in := DecodeSlot(data, r.Slot)
 			// A slot can be recycled for a different name after
 			// unlink+create; the name check keeps a stale cache entry
 			// from resurrecting the old path.
-			if in.Used && len(comps) > 0 && in.Name == comps[len(comps)-1] {
+			name := lastComp(path)
+			if in, ok := decodeSlotNamed(fs.dirData(r.Dir), r.Slot, name); ok && name != "" {
 				e.LibCall(50)
 				// Same name can reoccupy the slot after unlink+create;
 				// hand out the current incarnation, not the cached one.
@@ -457,7 +468,7 @@ func (fs *FS) ReadLink(e *kernel.Env, ref Ref, in Inode) (string, error) {
 
 // Stat returns the inode for path.
 func (fs *FS) Stat(e *kernel.Env, path string) (Inode, error) {
-	if len(split(path)) == 0 {
+	if lastComp(path) == "" {
 		return Inode{Used: true, Kind: KindDir, Name: "/"}, nil
 	}
 	_, in, err := fs.Lookup(e, path)
@@ -699,9 +710,8 @@ func (fs *FS) Mkdir(e *kernel.Env, path string, uid, gid, mode uint32) error {
 
 // Readdir lists the entries of the directory at path.
 func (fs *FS) Readdir(e *kernel.Env, path string) ([]Inode, error) {
-	comps := split(path)
 	head := fs.Root
-	if len(comps) > 0 {
+	if lastComp(path) != "" {
 		_, in, err := fs.Lookup(e, path)
 		if err != nil {
 			return nil, err
@@ -761,7 +771,7 @@ func (fs *FS) Symlink(e *kernel.Env, target, path string, uid, gid uint32) error
 func (fs *FS) Chmod(e *kernel.Env, path string, mode uint32) error {
 	modeB := make([]byte, 4)
 	binary.LittleEndian.PutUint32(modeB, mode)
-	if len(split(path)) == 0 {
+	if lastComp(path) == "" {
 		if err := fs.ensureDir(e, fs.Root, xn.NoParent); err != nil {
 			return err
 		}

@@ -27,8 +27,10 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"xok/internal/cffs"
+	"xok/internal/disk"
 	"xok/internal/fault"
 	"xok/internal/machine"
 	"xok/internal/parallel"
@@ -221,13 +223,45 @@ type execState struct {
 	buf   []byte             // reusable read/write payload scratch
 }
 
-// scratch returns an n-byte payload buffer, reused across steps: the
-// kernel layers copy payloads in and out, never retaining the slice.
+// execStates recycles executor state, payload scratch included, from
+// one program to the next (per worker goroutine, through sync.Pool).
+var execStates = sync.Pool{New: func() any {
+	return &execState{
+		fds:   make(map[int]unix.FD),
+		pipes: make(map[int]*pipeModel),
+		wEnd:  make(map[int]bool),
+	}
+}}
+
+// recycle empties st's tables and returns it, with its scratch, to
+// execStates. Call only once no process of the program can run again.
+func (st *execState) recycle() {
+	clear(st.fds)
+	clear(st.pipes)
+	clear(st.wEnd)
+	execStates.Put(st)
+}
+
+// scratch returns an n-byte payload buffer, reused across steps and
+// programs: the kernel layers copy payloads in and out, never retaining
+// the slice.
 func (st *execState) scratch(n int) []byte {
 	if cap(st.buf) < n {
 		st.buf = make([]byte, n)
 	}
 	return st.buf[:n]
+}
+
+// fillPayload writes a write step's payload, fill + i%7 at byte i: the
+// first period byte by byte, then the pattern copied over itself in
+// doubling runs.
+func fillPayload(buf []byte, fill byte) {
+	for i := 0; i < len(buf) && i < 7; i++ {
+		buf[i] = fill + byte(i)
+	}
+	for n := 7; n < len(buf); n *= 2 {
+		copy(buf[n:], buf[:n])
+	}
 }
 
 // fnv1a folds bytes into an FNV-1a hash (the repo's standard digest).
@@ -252,15 +286,11 @@ func stepPrefixes(steps []Step, keep []int) []string {
 	return out
 }
 
-// execute runs the kept steps of a program inside proc p, recording
-// one canonical outcome line per step. prefixes must come from
-// stepPrefixes(steps, keep).
-func (o *Options) execute(p unix.Proc, persona string, steps []Step, keep []int, prefixes []string, res *Result) {
-	st := &execState{
-		fds:   make(map[int]unix.FD),
-		pipes: make(map[int]*pipeModel),
-		wEnd:  make(map[int]bool),
-	}
+// execute runs the kept steps of a program inside proc p on the empty
+// executor state st, recording one canonical outcome line per step.
+// prefixes must come from stepPrefixes(steps, keep).
+func (o *Options) execute(p unix.Proc, st *execState, persona string, steps []Step, keep []int, prefixes []string, res *Result) {
+	res.Outcomes = make([]string, 0, len(keep))
 	for j, i := range keep {
 		out := st.step(p, steps[i])
 		if o.mutate != nil {
@@ -310,9 +340,7 @@ func (st *execState) step(p unix.Proc, s Step) string {
 			return "SKIP(would block)"
 		}
 		buf := st.scratch(s.Size)
-		for i := range buf {
-			buf[i] = s.Fill + byte(i%7)
-		}
+		fillPayload(buf, s.Fill)
 		n, err := p.Write(st.fd(s.FD), buf)
 		if pm := st.pipes[s.FD]; pm != nil && st.wEnd[s.FD] && err == nil {
 			pm.fill += n
@@ -501,26 +529,38 @@ func (o *Options) forkProgram(sn *machine.Snapshot, persName string, steps []Ste
 // namespace walk, a sync, the crash image audit — on m, which it
 // consumes (Close), and captures the Result.
 func (o *Options) finishProgram(m machine.Machine, persName string, steps []Step, keep []int, prefixes []string) *Result {
+	res, ci := o.runToCrash(m, persName, steps, keep, prefixes)
+	// The audit reads the crash image in place; Close and Release then
+	// return the machine's page frames and media blocks to the shared
+	// pool, which keeps a seed × personality cell ~allocation-neutral
+	// at steady state.
+	res.Audit = cffs.AuditImage(ci, o.DiskBlocks, m.FS.Name, m.FS.Cfg)
+	m.Close()
+	ci.Release()
+	return res
+}
+
+// runToCrash runs the fuzz program, the namespace walk and a sync on m,
+// then cuts its power at that instant. It returns the Result without
+// its audit, and the crash image, which the caller audits and releases
+// after closing m.
+func (o *Options) runToCrash(m machine.Machine, persName string, steps []Step, keep []int, prefixes []string) (*Result, *disk.CrashImage) {
 	res := &Result{}
+	st := execStates.Get().(*execState)
 	m.Spawn("fuzz", 0, func(p unix.Proc) {
-		o.execute(p, persName, steps, keep, prefixes, res)
+		o.execute(p, st, persName, steps, keep, prefixes, res)
 	})
 	m.Run()
 	m.Spawn("observe", 0, func(p unix.Proc) {
-		observe(p, "", 0, &res.Tree, make([]byte, 8192))
+		observe(p, "", 0, &res.Tree, st.scratch(8192))
 	})
 	m.Run()
 	m.Spawn("syncer", 0, func(p unix.Proc) { _ = p.Sync() })
 	m.Run()
+	st.recycle()
 	res.Cycles = m.Now()
 	res.Digest = m.K.Trace.Digest() // nil-safe: untraced runs fold to the offset basis
-	img := m.Crash(m.Now())
-	// AuditImage consumes img; Close returns the machine's page frames
-	// and media blocks to the shared pool. Together they make a seed ×
-	// personality cell ~allocation-neutral at steady state.
-	res.Audit = cffs.AuditImage(img, o.DiskBlocks, m.FS.Name, m.FS.Cfg)
-	m.Close()
-	return res
+	return res, m.Crash(m.Now())
 }
 
 // bootSnapshots boots each personality once to its post-boot quiescent

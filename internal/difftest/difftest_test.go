@@ -245,3 +245,16 @@ func TestGenerateStable(t *testing.T) {
 	}
 	t.Logf("program digest %#x", h)
 }
+
+// fillPayload writes the byte-by-byte pattern at every length.
+func TestFillPayload(t *testing.T) {
+	for _, n := range []int{0, 1, 6, 7, 8, 13, 14, 15, 100, 4096, 65537} {
+		buf := make([]byte, n)
+		fillPayload(buf, 0xF3)
+		for i, b := range buf {
+			if b != 0xF3+byte(i%7) {
+				t.Fatalf("len %d: byte %d = %#x, want %#x", n, i, b, 0xF3+byte(i%7))
+			}
+		}
+	}
+}

@@ -82,7 +82,7 @@ type spindle struct {
 	// filled under; it is fixed while the queue is non-empty.
 	queue []*Request
 	fifo  bool
-	cur   *Request // the request in service (CrashImage's torn writes)
+	cur   *Request // the request in service (Crash's torn writes)
 }
 
 // Disk is the drive (or striped drive set) plus its driver queues.
@@ -140,7 +140,7 @@ func WithStriping(n int, stripeUnit int64) Option {
 }
 
 // WithFaults attaches a fault plan: read media errors (Request.Err)
-// and torn writes in CrashImage. A nil plan is the default — no
+// and torn writes in Crash's image. A nil plan is the default — no
 // injection, one nil check per request.
 func WithFaults(p *fault.Plan) Option {
 	return func(d *Disk) { d.faults = p }
@@ -538,22 +538,25 @@ func (d *Disk) PokeBlock(b BlockNo, data []byte) {
 	d.writeMedia(b, data)
 }
 
-// Image is a disk's media contents at one instant — what Snapshot and
-// CrashImage return and Restore transplants into a fresh machine.
+// Image is a disk's media contents at one instant, flattened into one
+// self-contained block map: what Snapshot and CrashImage.Flatten return
+// and Restore transplants into a fresh machine.
 type Image = map[BlockNo][]byte
 
 // Snapshot deep-copies the media contents at this instant. Requests
 // still in the driver queue are NOT reflected — exactly the state a
-// power failure would leave. Crash tests transplant the snapshot into
-// a fresh machine with Restore.
-func (d *Disk) Snapshot() Image {
-	// Flatten the frozen layers (deepest first, so newer layers win)
-	// under the live overlay into one self-contained image.
+// power failure would leave. Tests transplant the snapshot into a
+// fresh machine with Restore.
+func (d *Disk) Snapshot() Image { return flatten(d.base, d.store) }
+
+// flatten deep-copies the frozen layers under base (deepest first, so
+// newer layers win) and then top into one self-contained image.
+func flatten(base *cowLayer, top Image) Image {
 	var layers []*cowLayer
-	for l := d.base; l != nil; l = l.parent {
+	for l := base; l != nil; l = l.parent {
 		layers = append(layers, l)
 	}
-	out := make(Image, len(d.store))
+	out := make(Image, len(top))
 	put := func(b BlockNo, blk []byte) {
 		cp, ok := out[b]
 		if !ok {
@@ -567,24 +570,22 @@ func (d *Disk) Snapshot() Image {
 			put(b, blk)
 		}
 	}
-	for b, blk := range d.store {
+	for b, blk := range top {
 		put(b, blk)
 	}
 	return out
 }
 
-// CrashImage is the media contents a power failure at this instant
-// would leave. Without a fault plan (or with TornWrites off) it equals
-// Snapshot: queued and in-flight requests vanish, media is whole-block
-// consistent. With TornWrites armed, a write that is mid-transfer has
-// its already-transferred whole blocks applied, plus the transferred
-// byte prefix of the block under the head — the torn-write case
-// recovery code must survive.
-func (d *Disk) CrashImage() Image {
-	img := d.Snapshot()
+// tornWrites is the media a power failure at this instant tears: for
+// each write in mid-transfer, its already-transferred whole blocks,
+// plus the block under the head with the transferred byte prefix
+// written over its current contents. Nil unless the fault plan arms
+// torn writes.
+func (d *Disk) tornWrites() Image {
 	if !d.faults.Torn() {
-		return img
+		return nil
 	}
+	var torn Image
 	now := d.eng.Now()
 	for i := range d.spindles {
 		r := d.spindles[i].cur
@@ -598,6 +599,9 @@ func (d *Disk) CrashImage() Image {
 		if elapsed <= pre {
 			continue
 		}
+		if torn == nil {
+			torn = make(Image)
+		}
 		xfer := elapsed - pre
 		full := int(xfer / sim.DiskTransferPerBlock)
 		if full > r.Count {
@@ -606,10 +610,7 @@ func (d *Disk) CrashImage() Image {
 		for j := 0; j < full; j++ {
 			blk := bufpool.GetDirty()
 			copy(blk, r.Pages[j])
-			if old, ok := img[r.Block+BlockNo(j)]; ok {
-				bufpool.Put(old)
-			}
-			img[r.Block+BlockNo(j)] = blk
+			torn[r.Block+BlockNo(j)] = blk
 		}
 		if full < r.Count {
 			frac := xfer - sim.Time(full)*sim.DiskTransferPerBlock
@@ -617,20 +618,19 @@ func (d *Disk) CrashImage() Image {
 			if nbytes > 0 {
 				b := r.Block + BlockNo(full)
 				blk := bufpool.Get()
-				if old, ok := img[b]; ok {
+				if old, ok := d.lookup(b); ok {
 					copy(blk, old)
-					bufpool.Put(old)
 				}
 				copy(blk[:nbytes], r.Pages[full])
-				img[b] = blk
+				torn[b] = blk
 			}
 		}
 	}
-	return img
+	return torn
 }
 
-// Restore replaces the media contents with a deep copy of a snapshot;
-// the caller keeps ownership of snap.
+// Restore replaces the media contents with a deep copy of a flattened
+// image; the caller keeps ownership of snap.
 func (d *Disk) Restore(snap Image) {
 	for _, blk := range d.store {
 		bufpool.Put(blk)
@@ -646,24 +646,12 @@ func (d *Disk) Restore(snap Image) {
 	}
 }
 
-// RestoreOwned is Restore without the copy: the disk takes ownership
-// of snap and of every block buffer in it. The caller must not touch
-// snap afterwards — the buffers are recycled by the next Restore or by
-// Recycle. This is the crash-audit fast path: a crash image is
-// transplanted into the audit machine exactly once and then discarded.
-func (d *Disk) RestoreOwned(snap Image) {
-	for _, blk := range d.store {
-		bufpool.Put(blk)
-	}
-	d.base = nil
-	d.store = snap
-}
-
 // Recycle returns every media block to the buffer pool and leaves the
 // disk empty. Call only when the machine is finished for good:
 // teardown-for-reuse, not an operation the simulation models.
-// Frozen snapshot layers are not recycled here: their buffers belong
-// to the checkpoints that froze them (Checkpoint.Release).
+// Frozen layers are not recycled here: their buffers belong to the
+// checkpoints and crash images that froze them (Checkpoint.Release,
+// CrashImage.Release).
 func (d *Disk) Recycle() {
 	for _, blk := range d.store {
 		bufpool.Put(blk)
@@ -672,8 +660,8 @@ func (d *Disk) Recycle() {
 	d.base = nil
 }
 
-// RecycleImage returns a detached crash image's buffers to the pool —
-// for callers that audited an image they own and are done with it.
+// RecycleImage returns a flattened image's buffers to the pool — for
+// callers that own the image and are done with it.
 func RecycleImage(img Image) {
 	for _, blk := range img {
 		bufpool.Put(blk)

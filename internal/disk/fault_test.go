@@ -90,7 +90,7 @@ func TestCrashImageTornWrite(t *testing.T) {
 		// Head starts at block 0, so service is controller overhead +
 		// transfer only. Stop mid-transfer of block 2 (half-way in).
 		eng.RunUntil(sim.DiskControllerOverhead + sim.DiskTransferPerBlock*5/2)
-		return d.CrashImage()
+		return d.Crash().Flatten()
 	}
 
 	// Without torn writes armed, the in-flight request must vanish.
@@ -120,4 +120,65 @@ func TestCrashImageTornWrite(t *testing.T) {
 	if _, ok := img[3]; ok {
 		t.Fatal("block 3 appeared although never transferred")
 	}
+}
+
+// Crash freezes the overlay over the checkpoint layers in place: the
+// image flattens to the media a power failure leaves (torn blocks
+// included), a disk that adopts it reads exactly that media from its
+// own fresh arm, and writes after the crash — by the adopting disk or
+// the crashed one — leave the image untouched.
+func TestCrashOverCheckpointLayers(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(eng, nil, 1024, WithFaults(&fault.Plan{TornWrites: true}))
+	d.PokeBlock(1, pattern(1))
+	d.PokeBlock(2, pattern(2))
+	d.PokeBlock(6, pattern(6)) // the torn block's old contents
+	// A timed write leaves the arm at block 4, so the write below is
+	// sequential; an adopting disk must not inherit the arm.
+	d.Submit(&Request{Write: true, Block: 3, Count: 1, Pages: [][]byte{pattern(3)}})
+	eng.Run()
+	cp := d.Checkpoint()
+	d.PokeBlock(2, pattern(0x22)) // copied up into the overlay
+	pages := [][]byte{pattern(0x44), pattern(0x55), pattern(0x66), pattern(0x77)}
+	d.Submit(&Request{Write: true, Block: 4, Count: 4, Pages: pages})
+	eng.RunUntil(eng.Now() + sim.DiskControllerOverhead + sim.DiskTransferPerBlock*5/2)
+	ci := d.Crash()
+
+	torn := pattern(6) // half transferred over the old contents
+	copy(torn[:sim.DiskBlockSize/2], pattern(0x66))
+	want := map[BlockNo][]byte{1: pattern(1), 2: pattern(0x22), 3: pattern(3), 4: pattern(0x44), 5: pattern(0x55), 6: torn}
+	check := func(what string, read func(BlockNo) ([]byte, bool)) {
+		t.Helper()
+		for b := BlockNo(0); b < 16; b++ {
+			got, ok := read(b)
+			w, wok := want[b]
+			if ok != wok || !bytes.Equal(got, w) {
+				t.Errorf("%s: block %d present=%v, want present=%v and the crash-time media", what, b, ok, wok)
+			}
+		}
+	}
+	flat := ci.Flatten()
+	check("flattened image", func(b BlockNo) ([]byte, bool) { blk, ok := flat[b]; return blk, ok })
+
+	a := New(sim.NewEngine(), nil, 1024)
+	a.AdoptCrash(ci)
+	check("adopting disk", a.lookup)
+	if a.spindles[0].head != 0 {
+		t.Errorf("adopting disk's arm at %d, want a fresh disk's 0", a.spindles[0].head)
+	}
+	a.PokeBlock(1, pattern(0xA1))
+	a.PokeBlock(6, pattern(0xA6))
+	d.PokeBlock(3, pattern(0xD3))
+	again := ci.Flatten()
+	check("image after writes to both disks", func(b BlockNo) ([]byte, bool) { blk, ok := again[b]; return blk, ok })
+	if got := a.PeekBlock(1); got[0] != 0xA1 {
+		t.Error("adopting disk lost its own write")
+	}
+
+	a.Recycle()
+	d.Recycle()
+	RecycleImage(flat)
+	RecycleImage(again)
+	ci.Release()
+	cp.Release()
 }

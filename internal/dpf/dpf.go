@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Cmp is one comparison: width bytes at offset, big-endian (network
@@ -71,16 +70,26 @@ func (c Cmp) match(pkt []byte) bool {
 	return v&c.Mask == c.Value&c.Mask
 }
 
-// normalize sorts comparisons for canonical equality checks.
+// normalized returns the comparisons sorted by (offset, width) for
+// canonical equality checks. Filters carry a handful of comparisons,
+// so an insertion sort of the copy in place does it without the
+// swapper and closure sort.Slice allocates. sort.Slice is the same
+// insertion sort on up to 12 elements, so the order is unchanged.
 func (f *Filter) normalized() []Cmp {
 	out := append([]Cmp(nil), f.Cmps...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Offset != out[j].Offset {
-			return out[i].Offset < out[j].Offset
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && cmpLess(out[j], out[j-1]); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
 		}
-		return out[i].Width < out[j].Width
-	})
+	}
 	return out
+}
+
+func cmpLess(a, b Cmp) bool {
+	if a.Offset != b.Offset {
+		return a.Offset < b.Offset
+	}
+	return a.Width < b.Width
 }
 
 // cmpsEqual reports whether two normalized comparison lists are

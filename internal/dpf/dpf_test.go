@@ -151,3 +151,39 @@ func TestDeterministicTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// Installing a connection's filter allocates only what the filter
+// keeps: the normalized copy of its comparisons, its entry and its
+// bucket. Sorting the comparisons allocates nothing.
+func TestInsertAllocs(t *testing.T) {
+	e := NewEngine()
+	if _, err := e.Insert(&Filter{Cmps: []Cmp{Eq16(0, 80), Eq16(2, 1)}}, "seed"); err != nil {
+		t.Fatal(err)
+	}
+	// Comparisons out of order, so normalizing has to sort them.
+	f := &Filter{Cmps: []Cmp{Eq16(2, 5555), Eq16(0, 80)}}
+	allocs := testing.AllocsPerRun(100, func() {
+		id, err := e.Insert(f, "conn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Errorf("Insert+Remove of a keyed filter: %v allocs, want 3 (comparisons, entry, bucket)", allocs)
+	}
+}
+
+func TestNormalizedOrder(t *testing.T) {
+	f := &Filter{Cmps: []Cmp{Eq8(4, 6), Eq16(2, 1), {Offset: 2, Width: 1, Mask: 0xff, Value: 9}, Eq16(0, 80)}}
+	got := f.normalized()
+	want := []Cmp{Eq16(0, 80), {Offset: 2, Width: 1, Mask: 0xff, Value: 9}, Eq16(2, 1), Eq8(4, 6)}
+	if !cmpsEqual(got, want) {
+		t.Fatalf("normalized = %v, want %v", got, want)
+	}
+	if f.Cmps[0] != Eq8(4, 6) {
+		t.Fatal("normalized reordered the filter's own comparisons")
+	}
+}

@@ -29,7 +29,7 @@ type pipe struct {
 	posix.PipeEnds
 	shared bool
 
-	buf    []byte // shared-memory variant storage
+	buf    []byte // shared-memory variant storage, allocated on the first write
 	region kernel.RegionID
 
 	count      int64 // bytes buffered; watched by wakeup predicates
@@ -41,7 +41,6 @@ type pipe struct {
 func newPipe(e *kernel.Env, shared bool) *pipe {
 	p := &pipe{shared: shared}
 	if shared {
-		p.buf = make([]byte, pipeCapacity)
 		e.LibCall(sim.CopyCost(64)) // set up the shared mapping
 	} else {
 		p.region = e.RegionCreate(pipeCapacity, cap.Root(true))
@@ -63,6 +62,9 @@ func (p *pipe) moveIn(e *kernel.Env, src []byte) {
 			seg = pipeCapacity - p.wpos
 		}
 		if p.shared {
+			if p.buf == nil {
+				p.buf = make([]byte, pipeCapacity)
+			}
 			copy(p.buf[p.wpos:], src[:seg])
 			e.Use(sim.CopyCost(seg))
 			e.Kernel().Stats.Add(sim.CtrBytesCopied, int64(seg))

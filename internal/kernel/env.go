@@ -45,11 +45,11 @@ type Env struct {
 	// x86, Section 5.1).
 	PT *mem.PageTable
 
-	// The body's coroutine (see start): next resumes it, stop unwinds
-	// it, and yield, called from inside the body, parks it.
-	next  func() (parkMsg, bool)
-	stop  func()
-	yield func(parkMsg) bool
+	// co is the coroutine running the body (see start); nil once the
+	// body has exited and the coroutine has been recycled. next is
+	// co.next, the call that resumes the body.
+	co   *coro
+	next func() (parkMsg, bool)
 
 	burst     sim.Time // CPU cycles owed before code continues
 	grant     sim.Time // size of the in-flight burn slice (see burnGrantArg)
@@ -92,8 +92,9 @@ func (e *Env) CPUUsed() sim.Time { return e.cpuUsed }
 func (e *Env) TraceLane() int64 { return 100 + int64(e.id) }
 
 // exit terminates the environment from inside its own code by
-// unwinding the body. The coroutine swallows the poison and ends, and
-// the scheduler retires the environment and wakes any WaitFor-ers.
+// unwinding the body. The coroutine swallows the poison and reports
+// the exit, and the scheduler retires the environment, wakes any
+// WaitFor-ers and recycles the coroutine.
 func (e *Env) exit() {
 	e.dying = true
 	panic(errKilled)
@@ -113,7 +114,7 @@ func (e *Env) live() {
 // park hands the CPU to the scheduler and returns when resumed.
 func (e *Env) park(msg parkMsg) {
 	e.live()
-	if !e.yield(msg) {
+	if !e.co.yield(msg) {
 		e.dying = true
 		panic(errKilled)
 	}

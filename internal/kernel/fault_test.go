@@ -10,6 +10,7 @@ import (
 )
 
 func TestEnvKillMidSyscall(t *testing.T) {
+	stopFreeCoros()
 	base := envGoroutines()
 	plan := &fault.Plan{KillSyscallNth: 3, KillEnv: "victim"}
 	k := New(Config{Name: "xok", MemPages: 256, Faults: plan})
@@ -46,6 +47,7 @@ func TestEnvKillMidSyscall(t *testing.T) {
 	if !unwound {
 		t.Error("kill did not unwind the victim's body")
 	}
+	stopFreeCoros()
 	if g := envGoroutines() - base; g != 0 {
 		t.Errorf("%d env goroutines left after every env exited", g)
 	}
@@ -83,7 +85,7 @@ func TestCrashCapturesMediaNotInFlight(t *testing.T) {
 	k.Disk.PokeBlock(1, durable)
 	page := bytes.Repeat([]byte{0xEE}, sim.DiskBlockSize)
 	k.Disk.Submit(&disk.Request{Write: true, Block: 2, Count: 1, Pages: [][]byte{page}})
-	img := k.Crash(10) // long before the write's service completes
+	img := k.Crash(10).Flatten() // long before the write's service completes
 	if !bytes.Equal(img[1], durable) {
 		t.Error("durable block missing from crash image")
 	}

@@ -18,6 +18,20 @@ func envGoroutines() int {
 	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("created by iter.Pull"))
 }
 
+// stopFreeCoros stops every idle coroutine on the free list, so that
+// envGoroutines counts only the coroutines of live environments. Tests
+// that count goroutines call it before taking their base and after
+// teardown.
+func stopFreeCoros() {
+	freeCoros.Lock()
+	list := freeCoros.list
+	freeCoros.list = nil
+	freeCoros.Unlock()
+	for _, c := range list {
+		c.stop()
+	}
+}
+
 // spin spawns an environment that charges one cycle per iteration
 // forever, counting its completed Use round trips in *n.
 func spin(k *Kernel, n *int) {
@@ -41,6 +55,7 @@ func TestShutdownUnwindsEveryEnvState(t *testing.T) {
 		{"Release", (*Kernel).Release},
 	} {
 		t.Run(teardown.name, func(t *testing.T) {
+			stopFreeCoros()
 			base := envGoroutines()
 			k := New(Config{Name: "xok", MemPages: 256, DiskSize: 128})
 			unwound := 0
@@ -75,6 +90,7 @@ func TestShutdownUnwindsEveryEnvState(t *testing.T) {
 			if unwound != 3 {
 				t.Errorf("%d of 3 started bodies unwound", unwound)
 			}
+			stopFreeCoros()
 			if g := envGoroutines() - base; g != 0 {
 				t.Errorf("%d env goroutines left after %s", g, teardown.name)
 			}
@@ -82,9 +98,37 @@ func TestShutdownUnwindsEveryEnvState(t *testing.T) {
 	}
 }
 
+// A crash in the middle of a charge the scheduler is burning unwinds
+// that environment too, and its pending burn event, should the engine
+// run on, resumes nothing.
+func TestCrashUnwindsBurningEnv(t *testing.T) {
+	stopFreeCoros()
+	base := envGoroutines()
+	k := New(Config{Name: "xok", MemPages: 256, DiskSize: 128})
+	unwound, resumed := false, false
+	k.Spawn("burner", func(e *Env) {
+		defer func() { unwound = true }()
+		e.Use(1_000_000)
+		resumed = true
+	})
+	k.Crash(1000)
+	if !unwound || k.current != nil {
+		t.Errorf("crash unwound the burning env's body: %v; left it current: %v", unwound, k.current != nil)
+	}
+	stopFreeCoros()
+	if g := envGoroutines() - base; g != 0 {
+		t.Errorf("%d env goroutines left after the crash", g)
+	}
+	k.Run()
+	if resumed {
+		t.Error("the burn event resumed a crashed env")
+	}
+}
+
 // A panic in an environment body other than the kernel's own kill
 // reaches the caller of Run, where it can be recovered.
 func TestEnvPanicReachesRun(t *testing.T) {
+	stopFreeCoros()
 	base := envGoroutines()
 	k := newXok()
 	k.Spawn("bystander", func(e *Env) { e.Block() })
@@ -101,6 +145,7 @@ func TestEnvPanicReachesRun(t *testing.T) {
 		t.Fatalf("Run recovered %v, want the body's panic \"boom\"", got)
 	}
 	k.Shutdown()
+	stopFreeCoros()
 	if g := envGoroutines() - base; g != 0 {
 		t.Errorf("%d env goroutines left after Shutdown", g)
 	}

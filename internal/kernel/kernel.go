@@ -16,6 +16,14 @@
 // environments, so CPU contention, context-switch overhead and
 // time-slice preemption are modelled faithfully and deterministically.
 //
+// Coroutines outlive their environments. A body that returns, or that
+// the fault plan kills, reports its exit and parks its coroutine on a
+// package-wide free list (at most maxFreeCoros; any beyond are
+// stopped), and the next Spawn on any machine, on any worker, runs its
+// body there: the goroutine and the stack it has grown are reused
+// rather than created and grown again. A coroutine that Shutdown or
+// Release unwinds ends, as does one whose body panicked.
+//
 // A charge usually burns without leaving the coroutine. Use parks only
 // when the scheduler could do something else before the charge ends:
 // when cycles are already owed (an interrupt stole them), when the
@@ -111,6 +119,7 @@ type Kernel struct {
 	runq     []*Env // runnable, round-robin order (live: runq[runqHead:])
 	runqHead int    // index of the queue front within runq
 	current  *Env
+	inBody   *Env   // the environment whose body resume is running
 	sleeprs  []*Env // predicate sleepers, in sleep order
 
 	dispatchPending bool
@@ -191,6 +200,7 @@ const (
 	parkUse parkKind = iota
 	parkBlock
 	parkYieldTo
+	parkExit // the body returned or was killed; the coroutine is idle
 )
 
 // Spawn creates an environment running body and makes it runnable.
@@ -412,11 +422,19 @@ func (e *Env) burned(grant sim.Time) {
 }
 
 // resume switches to e's coroutine and processes the park message it
-// yields back; a body that returned or unwound yields none and exits.
+// yields back. A body that returned or was killed reports its exit;
+// its environment retires and the idle coroutine is recycled.
 func (k *Kernel) resume(e *Env) {
+	k.inBody = e
 	msg, ok := e.next()
-	if !ok {
+	k.inBody = nil
+	if !ok || msg.kind == parkExit {
+		co := e.co
+		e.co, e.next = nil, nil
 		k.retire(e)
+		if ok {
+			co.recycle()
+		}
 		return
 	}
 	switch msg.kind {
@@ -469,28 +487,41 @@ func (k *Kernel) Run() { k.Eng.Run() }
 func (k *Kernel) RunUntil(t sim.Time) { k.Eng.RunUntil(t) }
 
 // Crash cuts the machine's power at virtual time at: events run to
-// that instant, the surviving disk image is captured (including torn
-// in-flight writes when the fault plan arms them), and every
-// environment dies. The returned image is what a fresh machine
-// remounts — the crash-recovery path of Section 4.4.
-func (k *Kernel) Crash(at sim.Time) disk.Image {
+// that instant, the surviving media is frozen (including torn in-flight
+// writes when the fault plan arms them), and every environment dies.
+// The returned image is what a fresh machine remounts — the
+// crash-recovery path of Section 4.4 — and is nil without a disk.
+// Freezing is O(1): the image is the disk's live overlay frozen over
+// the layers of the snapshot the machine was forked from, so a recovery
+// audit starts from the state the snapshot already holds. The caller
+// owns the image and releases it (disk.CrashImage.Release) once every
+// audit of it has finished and the machine itself is released.
+func (k *Kernel) Crash(at sim.Time) *disk.CrashImage {
 	k.RunUntil(at)
-	var img disk.Image
+	var ci *disk.CrashImage
 	if k.Disk != nil {
-		img = k.Disk.CrashImage()
+		ci = k.Disk.Crash()
 	}
 	k.Shutdown()
-	return img
+	return ci
 }
 
-// Shutdown unwinds every live environment's coroutine. Call when a
-// test or benchmark finishes with environments still blocked.
+// Shutdown unwinds every live environment's coroutine, the current
+// one's too when the scheduler is burning its cycles (a crash or a
+// RunUntil bound cut the burn short): only a body that is executing
+// (Shutdown called from inside it, or one whose panic left Run) is
+// skipped. Call when a test or benchmark finishes with environments
+// still blocked.
 func (k *Kernel) Shutdown() {
 	for _, e := range k.envs {
-		if e.state != envDead && e.state != envRunning {
-			e.state = envDead
-			e.stop()
+		if e.state == envDead || e == k.inBody {
+			continue
 		}
+		if e == k.current {
+			k.current = nil // a pending burn event must not resume it
+		}
+		e.state = envDead
+		e.co.stop()
 	}
 }
 
@@ -499,11 +530,15 @@ func (k *Kernel) Shutdown() {
 // boots from recycled storage instead of fresh heap. The machine is
 // unusable afterwards (Mem is nil, the disk is empty) — any late
 // access fails loudly instead of silently corrupting pooled buffers.
-// Only call from harnesses that own the machine outright and are done
-// with every reference into it, including disk images obtained via
-// Snapshot (copies — safe) and crash images already handed off.
+// A private engine's timer wheel goes back to a pool for the next
+// machine's engine. Only call from harnesses that own the machine
+// outright and are done with every reference into it. A crash image
+// stays valid: its frozen media is owned by the image, not the disk.
 func (k *Kernel) Release() {
 	k.Shutdown()
+	if k.cfg.Eng == nil {
+		k.Eng.ReleaseWheel()
+	}
 	if k.Mem != nil {
 		k.Mem.Recycle()
 		k.Mem = nil

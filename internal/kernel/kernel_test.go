@@ -328,6 +328,49 @@ func TestSoftwareRegions(t *testing.T) {
 	k.Run()
 }
 
+// A region's storage is allocated on its first write: before that it
+// reads as zeros, costs no host memory, and forks as unwritten; after
+// it, a fork gets its own copy.
+func TestRegionAllocatedOnFirstWrite(t *testing.T) {
+	k := newXok()
+	owner := cap.New(true, 1, 7)
+	var fresh, written RegionID
+	k.Spawn("owner", func(e *Env) {
+		e.Creds = cap.Credentials{owner}
+		fresh = e.RegionCreate(64, owner)
+		written = e.RegionCreate(64, owner)
+		buf := []byte{1, 2, 3, 4}
+		if err := e.RegionRead(fresh, 60, buf); err != nil || string(buf) != "\x00\x00\x00\x00" {
+			t.Errorf("unwritten region read %v, %v; want zeros", buf, err)
+		}
+		if err := e.RegionRead(fresh, 61, buf); err != ErrRegionBounds {
+			t.Errorf("unwritten region bounds err = %v", err)
+		}
+		if err := e.RegionWrite(written, 0, []byte("abcd")); err != nil {
+			t.Errorf("write: %v", err)
+		}
+	})
+	k.Run()
+	if k.regions[fresh].data != nil {
+		t.Error("unwritten region has storage")
+	}
+	sn, err := k.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Fork(sn)
+	if f.regions[fresh].data != nil || f.regions[fresh].size != 64 {
+		t.Errorf("fork of an unwritten region: %d bytes of storage, size %d", len(f.regions[fresh].data), f.regions[fresh].size)
+	}
+	f.regions[written].data[0] = 'z'
+	if k.regions[written].data[0] != 'a' {
+		t.Error("fork shares a written region's storage")
+	}
+	f.Shutdown()
+	k.Shutdown()
+	sn.Release()
+}
+
 func TestRegionProtection(t *testing.T) {
 	k := newXok()
 	owner := cap.New(true, 1, 7)

@@ -15,9 +15,22 @@ import (
 // RegionID names a software region.
 type RegionID int
 
+// region is one software region. Its storage is allocated on the
+// first write: until then the region reads as zeros, and a region that
+// is never written (a pipe nobody writes to) costs no host memory.
 type region struct {
-	data  []byte
+	size  int
+	data  []byte // nil until the first write, then size bytes
 	guard cap.Capability
+}
+
+// clone copies the region for a snapshot or a fork.
+func (r *region) clone() region {
+	c := *r
+	if r.data != nil {
+		c.data = append([]byte(nil), r.data...)
+	}
+	return c
 }
 
 // Region errors.
@@ -33,7 +46,7 @@ func (e *Env) RegionCreate(size int, guard cap.Capability) RegionID {
 	k := e.k
 	id := k.nextRegion
 	k.nextRegion++
-	k.regions[id] = &region{data: make([]byte, size), guard: guard}
+	k.regions[id] = &region{size: size, guard: guard}
 	e.Syscall(sim.Time(size) / 64) // zeroing, amortized
 	return id
 }
@@ -50,8 +63,11 @@ func (e *Env) RegionWrite(id RegionID, off int, buf []byte) error {
 	if !e.Creds.Grants(r.guard, true) {
 		return ErrRegionDenied
 	}
-	if off < 0 || off+len(buf) > len(r.data) {
+	if off < 0 || off+len(buf) > r.size {
 		return ErrRegionBounds
+	}
+	if r.data == nil {
+		r.data = make([]byte, r.size)
 	}
 	copy(r.data[off:], buf)
 	k.Stats.Add(sim.CtrBytesCopied, int64(len(buf)))
@@ -69,10 +85,14 @@ func (e *Env) RegionRead(id RegionID, off int, buf []byte) error {
 	if !e.Creds.Grants(r.guard, false) {
 		return ErrRegionDenied
 	}
-	if off < 0 || off+len(buf) > len(r.data) {
+	if off < 0 || off+len(buf) > r.size {
 		return ErrRegionBounds
 	}
-	copy(buf, r.data[off:])
+	if r.data == nil {
+		clear(buf)
+	} else {
+		copy(buf, r.data[off:])
+	}
 	k.Stats.Add(sim.CtrBytesCopied, int64(len(buf)))
 	return nil
 }

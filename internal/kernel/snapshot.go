@@ -67,7 +67,7 @@ func (k *Kernel) Snapshot() (*Snapshot, error) {
 		faults:     k.Faults.Fork(),
 	}
 	for id, r := range k.regions {
-		s.regions[id] = region{data: append([]byte(nil), r.data...), guard: r.guard}
+		s.regions[id] = r.clone()
 	}
 	if k.Disk != nil {
 		s.disk = k.Disk.Checkpoint()
@@ -101,7 +101,8 @@ func Fork(s *Snapshot) *Kernel {
 		regions:    make(map[RegionID]*region, len(s.regions)),
 	}
 	for id, r := range s.regions {
-		k.regions[id] = &region{data: append([]byte(nil), r.data...), guard: r.guard}
+		c := r.clone()
+		k.regions[id] = &c
 	}
 	if cfg.DiskSize > 0 {
 		opts := []disk.Option{disk.WithFaults(pl)}

@@ -207,8 +207,10 @@ func (m Machine) Kern() *kernel.Kernel { return m.K }
 
 // Crash cuts power at virtual time at: events run to that instant, the
 // surviving disk image (including torn in-flight writes when the fault
-// plan arms them) is captured, and the machine is dead.
-func (m Machine) Crash(at sim.Time) disk.Image { return m.K.Crash(at) }
+// plan arms them) is frozen, and the machine is dead. The caller
+// releases the image after auditing it and closing the machine (see
+// kernel.Kernel.Crash).
+func (m Machine) Crash(at sim.Time) *disk.CrashImage { return m.K.Crash(at) }
 
 // Close releases the machine for good: environment goroutines are
 // killed and the page-frame and disk-block buffers go back to the

@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Hierarchical timer wheel: the engine's scheduling backend for the
 // far-future/bulk-timer regime (RTOs, open-loop arrivals).
@@ -175,13 +178,30 @@ func (e *Engine) wheelAdd(n *node) bool {
 	}
 	w := e.wheel
 	if w == nil {
-		w = &wheel{}
+		w = wheelPool.Get().(*wheel)
 		e.wheel = w
 	}
 	if w.count == 0 {
 		w.reset(e.now)
 	}
 	return w.place(n)
+}
+
+// wheelPool holds the empty wheels of released engines (about 10 KB
+// each), so a harness that builds an engine per machine does not
+// allocate a wheel per machine.
+var wheelPool = sync.Pool{New: func() any { return new(wheel) }}
+
+// ReleaseWheel hands an empty timer wheel back to the pool for the
+// next engine; a wheel still holding events stays with the engine. The
+// engine stays usable (its next far-future event takes a wheel from
+// the pool again), but callers release it as teardown, when no more
+// events will be scheduled on it.
+func (e *Engine) ReleaseWheel() {
+	if w := e.wheel; w != nil && w.count == 0 {
+		e.wheel = nil
+		wheelPool.Put(w)
+	}
 }
 
 // wheelFeed pulls level-(l+1) slots down whenever level l's cursor has

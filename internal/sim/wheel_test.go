@@ -81,7 +81,35 @@ func runWheelTrace(seed int64, ops int, wheelOn bool) []wheelFire {
 	for e.Pending() > 0 && len(fired) < ops*4 {
 		e.Step()
 	}
+	// Later seeds' engines take this wheel from the pool, cursors left
+	// where this run moved them.
+	e.ReleaseWheel()
 	return fired
+}
+
+// ReleaseWheel pools only an empty wheel: one still holding events
+// stays with its engine, which keeps firing them in order.
+func TestReleaseWheelKeepsQueuedEvents(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	e.After(wheelMinDefer*4, func() { fired = append(fired, e.Now()) })
+	e.ReleaseWheel()
+	if e.wheel == nil || e.wheel.count != 1 {
+		t.Fatal("ReleaseWheel took a wheel that holds an event")
+	}
+	e.Run()
+	if len(fired) != 1 || fired[0] != wheelMinDefer*4 {
+		t.Fatalf("fired %v, want one event at %d", fired, wheelMinDefer*4)
+	}
+	e.ReleaseWheel()
+	if e.wheel != nil {
+		t.Fatal("ReleaseWheel kept an empty wheel")
+	}
+	e.After(wheelMinDefer*4, func() { fired = append(fired, e.Now()) })
+	e.Run()
+	if len(fired) != 2 || fired[1] != wheelMinDefer*8 {
+		t.Fatalf("after release fired %v, want a second event at %d", fired, wheelMinDefer*8)
+	}
 }
 
 // TestWheelPopOrderMatchesHeap is the tentpole's pinned contract: for

@@ -7,6 +7,7 @@ import (
 
 	"xok/internal/apps"
 	"xok/internal/cffs"
+	"xok/internal/disk"
 	"xok/internal/fault"
 	"xok/internal/machine"
 	"xok/internal/parallel"
@@ -99,6 +100,16 @@ func crashSegments(spec apps.TreeSpec) []mabSegment {
 
 // CrashEnumerate runs the sweep on a Xok/ExOS machine.
 func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
+	return crashEnumerate(cfg, auditCrash)
+}
+
+// auditCrash is the sweep's recovery audit of one crash image.
+func auditCrash(ci *disk.CrashImage, diskBlocks int64) []string {
+	return cffs.AuditImage(ci, diskBlocks, "cffs", cffs.DefaultConfig())
+}
+
+// crashEnumerate is CrashEnumerate with the per-point audit given.
+func crashEnumerate(cfg CrashConfig, audit func(ci *disk.CrashImage, diskBlocks int64) []string) (CrashResult, error) {
 	plan := cfg.Plan
 	if plan == nil {
 		plan = &fault.Plan{Seed: 1, TornWrites: true}
@@ -210,11 +221,12 @@ func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
 			_ = serr // the probe already validated the workload
 		}
 		m.Spawn(segs[k].name, 0, func(p unix.Proc) { _ = segs[k].body(p) })
-		img := m.Crash(at)
-		// AuditImage consumes img; Close recycles the crashed machine's
-		// buffers for the next trial's boot.
-		viols := cffs.AuditImage(img, cfg.DiskBlocks, "cffs", cffs.DefaultConfig())
+		ci := m.Crash(at)
+		// Close and Release recycle the crashed machine's buffers for
+		// the next trial.
+		viols := audit(ci, cfg.DiskBlocks)
 		m.Close()
+		ci.Release()
 		return CrashPoint{At: at, Violations: viols}
 	})
 

@@ -1,9 +1,14 @@
 package workload
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
+	"xok/internal/cffs"
+	"xok/internal/disk"
 	"xok/internal/fault"
+	"xok/internal/sim"
 )
 
 // TestCrashEnumerationMAB is the headline recovery check: crash the
@@ -123,5 +128,56 @@ func TestCrashSnapshotMatchesFromBoot(t *testing.T) {
 			t.Fatalf("snapshot parallel=%d: digest %#x boundaries %d points %d, from-boot digest %#x boundaries %d points %d",
 				workers, got.Digest, got.Boundaries, len(got.Points), ref.Digest, ref.Boundaries, len(ref.Points))
 		}
+	}
+}
+
+// TestCrashHandoffMatchesFlatAudit: at every crash point of the sweep,
+// with torn writes armed and without faults, from boot and forked from
+// segment snapshots, a disk that adopts the crash image reads the same
+// media as the flattened image holds, and auditing the crash image in
+// place gives the same violations as auditing it flattened
+// (cffs.AuditFlat, the reference).
+func TestCrashHandoffMatchesFlatAudit(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		plan     *fault.Plan
+		snapshot bool
+	}{
+		{"42:torn", &fault.Plan{Seed: 42, TornWrites: true}, true},
+		{"42:torn/from-boot", &fault.Plan{Seed: 42, TornWrites: true}, false},
+		{"no-faults", &fault.Plan{Seed: 42}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checked := 0
+			audit := func(ci *disk.CrashImage, blocks int64) []string {
+				got := auditCrash(ci, blocks)
+				img := ci.Flatten()
+				d := disk.New(sim.NewEngine(), nil, blocks)
+				d.AdoptCrash(ci)
+				for b, blk := range img {
+					if !bytes.Equal(d.ViewBlock(b), blk) {
+						t.Errorf("crash point %d: block %d differs from the flattened image", checked, b)
+					}
+				}
+				d.Recycle()
+				want := cffs.AuditFlat(img, blocks, "cffs", cffs.DefaultConfig())
+				disk.RecycleImage(img)
+				if !slices.Equal(got, want) {
+					t.Errorf("crash point %d: audit %q from the crash image, %q flattened", checked, got, want)
+				}
+				checked++
+				return got
+			}
+			res, err := crashEnumerate(CrashConfig{Plan: tc.plan, MaxPoints: 1 << 20, Snapshot: tc.snapshot}, audit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if checked != res.Boundaries || checked == 0 {
+				t.Fatalf("checked %d crash points of %d boundaries", checked, res.Boundaries)
+			}
+			if res.Violations() != 0 {
+				t.Errorf("%d of %d crash points failed recovery", res.Violations(), len(res.Points))
+			}
+		})
 	}
 }
