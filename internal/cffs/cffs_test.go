@@ -626,6 +626,69 @@ func TestCachedLookupAllocs(t *testing.T) {
 	})
 }
 
+// A read served from the cache allocates nothing: the slot decodes
+// without its name and the extent list goes into a stack buffer.
+func TestCachedReadAtAllocs(t *testing.T) {
+	w := newWorld(t, DefaultConfig())
+	w.run(t, "read", func(e *kernel.Env) error {
+		ref, err := w.fs.Create(e, "/doc", 0, 0, 6)
+		if err != nil {
+			return err
+		}
+		want := pattern(3*sim.DiskBlockSize+100, 7)
+		if _, err := w.fs.WriteAt(e, ref, 0, want); err != nil {
+			return err
+		}
+		buf := make([]byte, len(want))
+		var n int
+		allocs := testing.AllocsPerRun(100, func() {
+			n, err = w.fs.ReadAt(e, ref, 0, buf)
+		})
+		if err != nil || n != len(want) || !bytes.Equal(buf, want) {
+			return fmt.Errorf("cached ReadAt = %d, %v; content match %v", n, err, bytes.Equal(buf, want))
+		}
+		if allocs != 0 {
+			t.Errorf("cached ReadAt: %v allocs, want 0", allocs)
+		}
+		return nil
+	})
+}
+
+// Overwriting bytes inside a file's already-allocated, cached blocks
+// allocates once: the extent list the owns-udf run of the size/mtime
+// Modify returns, which the directory block's registry entry keeps (a
+// snapshot may share the one it replaces, so it is not reused). The
+// slot image is encoded on the stack, and XN's acl-uf bytes and shadow
+// copy come from pooled scratch.
+func TestWriteAtAllocatedBlockAllocs(t *testing.T) {
+	w := newWorld(t, DefaultConfig())
+	w.run(t, "write", func(e *kernel.Env) error {
+		ref, err := w.fs.Create(e, "/doc", 0, 0, 6)
+		if err != nil {
+			return err
+		}
+		if _, err := w.fs.WriteAt(e, ref, 0, pattern(2*sim.DiskBlockSize, 1)); err != nil {
+			return err
+		}
+		data := pattern(1000, 9)
+		var n int
+		allocs := testing.AllocsPerRun(100, func() {
+			n, err = w.fs.WriteAt(e, ref, sim.DiskBlockSize-300, data)
+		})
+		if err != nil || n != len(data) {
+			return fmt.Errorf("WriteAt = %d, %v", n, err)
+		}
+		if allocs != 1 && !raceEnabled {
+			t.Errorf("WriteAt into allocated blocks: %v allocs, want 1 (the owns-udf result)", allocs)
+		}
+		got := make([]byte, len(data))
+		if _, err := w.fs.ReadAt(e, ref, sim.DiskBlockSize-300, got); err != nil || !bytes.Equal(got, data) {
+			return fmt.Errorf("read back after overwrite: %v, match %v", err, bytes.Equal(got, data))
+		}
+		return nil
+	})
+}
+
 func TestLastComp(t *testing.T) {
 	for _, path := range []string{"", "/", "//", "/.", "./.", "a", "/a", "a/", "/a/b", "/a/b/", "/a/./b/.", "/a//b", "a/.", "/a/../b"} {
 		want := ""

@@ -24,10 +24,19 @@ import (
 // to ErrStale so I/O through a dead descriptor fails deterministically
 // instead of reading — or corrupting — whatever reused the blocks.
 func (fs *FS) RefInode(e *kernel.Env, ref Ref) (Inode, error) {
+	in, err := fs.refSlot(e, ref)
+	if err == nil {
+		in.Name = string(slotName(fs.dirData(ref.Dir), ref.Slot))
+	}
+	return in, err
+}
+
+// refSlot is RefInode without the name, so it allocates nothing.
+func (fs *FS) refSlot(e *kernel.Env, ref Ref) (Inode, error) {
 	if err := fs.ensureDir(e, ref.Dir, xn.NoParent); err != nil {
 		return Inode{}, ErrStale
 	}
-	in := DecodeSlot(fs.dirData(ref.Dir), ref.Slot)
+	in := decodeSlotFields(fs.dirData(ref.Dir), ref.Slot)
 	if !in.Used || in.Gen != ref.Gen {
 		return Inode{}, ErrStale
 	}
@@ -36,19 +45,24 @@ func (fs *FS) RefInode(e *kernel.Env, ref Ref) (Inode, error) {
 
 // decodeIndirect parses an indirect block's extent table.
 func decodeIndirect(data []byte) []Extent {
-	n := int(binary.LittleEndian.Uint32(data[0:]))
-	if n > IndMaxEntries {
-		n = IndMaxEntries
-	}
-	out := make([]Extent, 0, n)
-	for i := 0; i < n; i++ {
+	return appendIndirect(make([]Extent, 0, indirectLen(data)), data)
+}
+
+// indirectLen is the entry count of an indirect block's table.
+func indirectLen(data []byte) int {
+	return min(int(binary.LittleEndian.Uint32(data[0:])), IndMaxEntries)
+}
+
+// appendIndirect appends an indirect block's extent table to dst.
+func appendIndirect(dst []Extent, data []byte) []Extent {
+	for i := range indirectLen(data) {
 		off := IndEntriesOff + i*IndEntrySize
-		out = append(out, Extent{
+		dst = append(dst, Extent{
 			Start: binary.LittleEndian.Uint64(data[off:]),
 			Count: binary.LittleEndian.Uint32(data[off+8:]),
 		})
 	}
-	return out
+	return dst
 }
 
 // blockCount sums an extent list.
@@ -81,23 +95,30 @@ func (fs *FS) ensureIndCached(e *kernel.Env, ref Ref, ind disk.BlockNo) error {
 // FileExtents returns the file's full extent list in order (direct
 // then indirect). Exposed for zero-touch consumers like XCP.
 func (fs *FS) FileExtents(e *kernel.Env, ref Ref) ([]Extent, error) {
+	return fs.appendExtents(e, nil, ref)
+}
+
+// appendExtents appends the file's extent list to dst, as FileExtents
+// returns it. A caller passing a stack array's slice with room for
+// the direct extents lists a file without an indirect block without
+// allocating.
+func (fs *FS) appendExtents(e *kernel.Env, dst []Extent, ref Ref) ([]Extent, error) {
 	if err := fs.ensureDir(e, ref.Dir, xn.NoParent); err != nil {
 		return nil, err
 	}
-	in := DecodeSlot(fs.dirData(ref.Dir), ref.Slot)
-	var out []Extent
+	in := decodeSlotFields(fs.dirData(ref.Dir), ref.Slot)
 	for _, ext := range in.Ext {
 		if ext.Count > 0 {
-			out = append(out, ext)
+			dst = append(dst, ext)
 		}
 	}
 	if in.Ind != 0 {
 		if err := fs.ensureIndCached(e, ref, disk.BlockNo(in.Ind)); err != nil {
 			return nil, err
 		}
-		out = append(out, decodeIndirect(fs.X.PageData(disk.BlockNo(in.Ind)))...)
+		dst = appendIndirect(dst, fs.X.PageData(disk.BlockNo(in.Ind)))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // blockAt maps a file block index to its disk block.
@@ -130,7 +151,7 @@ func (fs *FS) ReadAt(e *kernel.Env, ref Ref, off int64, buf []byte) (int, error)
 	if off < 0 {
 		return 0, ErrInvalOp
 	}
-	in, err := fs.RefInode(e, ref)
+	in, err := fs.refSlot(e, ref)
 	if err != nil {
 		return 0, err
 	}
@@ -141,7 +162,8 @@ func (fs *FS) ReadAt(e *kernel.Env, ref Ref, off int64, buf []byte) (int, error)
 	if off+int64(len(buf)) > size {
 		buf = buf[:size-off]
 	}
-	exts, err := fs.FileExtents(e, ref)
+	var extBuf [DirectExtents]Extent
+	exts, err := fs.appendExtents(e, extBuf[:0], ref)
 	if err != nil {
 		return 0, err
 	}
@@ -205,21 +227,21 @@ func (fs *FS) ReadAt(e *kernel.Env, ref Ref, off int64, buf []byte) (int, error)
 	return n, nil
 }
 
-// appendExtentMods builds the slot modification that records a new or
-// extended direct extent. Returns nil if no direct slot can take it.
-func appendDirectMods(in Inode, ref Ref, start disk.BlockNo, count uint32) ([]xn.Mod, bool) {
+// extendDirect records a new or extended direct extent in the inode.
+// Returns false if no direct slot can take it.
+func extendDirect(in Inode, start disk.BlockNo, count uint32) (Inode, bool) {
 	for i := 0; i < DirectExtents; i++ {
 		ext := in.Ext[i]
 		if ext.Count > 0 && ext.Start+uint64(ext.Count) == uint64(start) {
 			in.Ext[i].Count += count
-			return []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(in)}}, true
+			return in, true
 		}
 		if ext.Count == 0 {
 			in.Ext[i] = Extent{Start: uint64(start), Count: count}
-			return []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(in)}}, true
+			return in, true
 		}
 	}
-	return nil, false
+	return in, false
 }
 
 // growFile allocates `need` more blocks for the file, co-locating near
@@ -230,7 +252,8 @@ func (fs *FS) growFile(e *kernel.Env, ref Ref, in Inode, need uint32) (Inode, er
 		// Refresh the slot image: earlier loop iterations (and any
 		// sharer) may have changed it.
 		in = DecodeSlot(fs.dirData(ref.Dir), ref.Slot)
-		exts, err := fs.FileExtents(e, ref)
+		var extBuf [DirectExtents]Extent
+		exts, err := fs.appendExtents(e, extBuf[:0], ref)
 		if err != nil {
 			return in, err
 		}
@@ -259,8 +282,10 @@ func (fs *FS) growFile(e *kernel.Env, ref Ref, in Inode, need uint32) (Inode, er
 			run++
 		}
 
-		if mods, ok := appendDirectMods(in, ref, start, run); ok {
-			if err := fs.X.Alloc(e, ref.Dir, mods,
+		if ni, ok := extendDirect(in, start, run); ok {
+			var img [SlotSize]byte
+			if err := fs.X.Alloc(e, ref.Dir,
+				[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: encodeSlotInto(img[:], ni, ni.Name)}},
 				udf.Extent{Start: int64(start), Count: int64(run), Type: int64(fs.DataT)}); err != nil {
 				return in, err
 			}
@@ -273,8 +298,9 @@ func (fs *FS) growFile(e *kernel.Env, ref Ref, in Inode, need uint32) (Inode, er
 				}
 				ni := in
 				ni.Ind = uint64(ib)
+				var img [SlotSize]byte
 				if err := fs.X.Alloc(e, ref.Dir,
-					[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(ni)}},
+					[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: encodeSlotInto(img[:], ni, ni.Name)}},
 					udf.Extent{Start: int64(ib), Count: 1, Type: int64(fs.IndT)}); err != nil {
 					return in, err
 				}
@@ -291,10 +317,10 @@ func (fs *FS) growFile(e *kernel.Env, ref Ref, in Inode, need uint32) (Inode, er
 			table := decodeIndirect(fs.X.PageData(ind))
 			// Merge with the last entry when contiguous.
 			if n := len(table); n > 0 && table[n-1].Start+uint64(table[n-1].Count) == uint64(start) {
-				cnt := make([]byte, 4)
-				binary.LittleEndian.PutUint32(cnt, table[n-1].Count+run)
+				var cnt [4]byte
+				binary.LittleEndian.PutUint32(cnt[:], table[n-1].Count+run)
 				off := IndEntriesOff + (n-1)*IndEntrySize + 8
-				if err := fs.X.Alloc(e, ind, []xn.Mod{{Off: off, Bytes: cnt}},
+				if err := fs.X.Alloc(e, ind, []xn.Mod{{Off: off, Bytes: cnt[:]}},
 					udf.Extent{Start: int64(start), Count: int64(run), Type: int64(fs.DataT)}); err != nil {
 					return in, err
 				}
@@ -302,14 +328,14 @@ func (fs *FS) growFile(e *kernel.Env, ref Ref, in Inode, need uint32) (Inode, er
 				if len(table) >= IndMaxEntries {
 					return in, ErrFileLimit
 				}
-				entry := make([]byte, IndEntrySize)
+				var entry [IndEntrySize]byte
 				binary.LittleEndian.PutUint64(entry[0:], uint64(start))
 				binary.LittleEndian.PutUint32(entry[8:], run)
-				cnt := make([]byte, 4)
-				binary.LittleEndian.PutUint32(cnt, uint32(len(table)+1))
+				var cnt [4]byte
+				binary.LittleEndian.PutUint32(cnt[:], uint32(len(table)+1))
 				mods := []xn.Mod{
-					{Off: IndEntriesOff + len(table)*IndEntrySize, Bytes: entry},
-					{Off: 0, Bytes: cnt},
+					{Off: IndEntriesOff + len(table)*IndEntrySize, Bytes: entry[:]},
+					{Off: 0, Bytes: cnt[:]},
 				}
 				if err := fs.X.Alloc(e, ind, mods,
 					udf.Extent{Start: int64(start), Count: int64(run), Type: int64(fs.DataT)}); err != nil {
@@ -346,7 +372,8 @@ func (fs *FS) Preallocate(e *kernel.Env, ref Ref, size int64) error {
 	}
 	if int64(in.Size) < size {
 		in.Size = uint32(size)
-		if err := fs.X.Modify(e, ref.Dir, []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(in)}}); err != nil {
+		var img [SlotSize]byte
+		if err := fs.X.Modify(e, ref.Dir, []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: encodeSlotInto(img[:], in, in.Name)}}); err != nil {
 			return err
 		}
 	}
@@ -364,10 +391,14 @@ func (fs *FS) WriteAt(e *kernel.Env, ref Ref, off int64, data []byte) (int, erro
 	if len(data) == 0 {
 		return 0, nil
 	}
-	in, err := fs.RefInode(e, ref)
+	in, err := fs.refSlot(e, ref)
 	if err != nil {
 		return 0, err
 	}
+	// The slot's name as of this decode, for the size/mtime re-encode
+	// at the end, copied rather than made a string.
+	var nameBuf [MaxNameLen]byte
+	name := append(nameBuf[:0], slotName(fs.dirData(ref.Dir), ref.Slot)...)
 	if in.Kind != KindFile {
 		return 0, ErrIsDir
 	}
@@ -376,7 +407,8 @@ func (fs *FS) WriteAt(e *kernel.Env, ref Ref, off int64, data []byte) (int, erro
 		return 0, ErrFileLimit
 	}
 
-	exts, err := fs.FileExtents(e, ref)
+	var extBuf [DirectExtents]Extent
+	exts, err := fs.appendExtents(e, extBuf[:0], ref)
 	if err != nil {
 		return 0, err
 	}
@@ -387,7 +419,8 @@ func (fs *FS) WriteAt(e *kernel.Env, ref Ref, off int64, data []byte) (int, erro
 		if err != nil {
 			return 0, err
 		}
-		exts, err = fs.FileExtents(e, ref)
+		name = append(nameBuf[:0], in.Name...)
+		exts, err = fs.appendExtents(e, extBuf[:0], ref)
 		if err != nil {
 			return 0, err
 		}
@@ -477,7 +510,8 @@ func (fs *FS) WriteAt(e *kernel.Env, ref Ref, off int64, data []byte) (int, erro
 		in.Size = uint32(end)
 	}
 	in.MTime = uint32(fs.X.K.Now().Seconds())
-	if err := fs.X.Modify(e, ref.Dir, []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(in)}}); err != nil {
+	var img [SlotSize]byte
+	if err := fs.X.Modify(e, ref.Dir, []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: encodeSlotInto(img[:], in, name)}}); err != nil {
 		return n, err
 	}
 	return n, nil
@@ -501,17 +535,18 @@ func (fs *FS) Unlink(e *kernel.Env, path string) error {
 		}
 		table := decodeIndirect(fs.X.PageData(ind))
 		for i := len(table) - 1; i >= 0; i-- {
-			cnt := make([]byte, 4)
-			binary.LittleEndian.PutUint32(cnt, uint32(i))
-			if err := fs.X.Dealloc(e, ind, []xn.Mod{{Off: 0, Bytes: cnt}},
+			var cnt [4]byte
+			binary.LittleEndian.PutUint32(cnt[:], uint32(i))
+			if err := fs.X.Dealloc(e, ind, []xn.Mod{{Off: 0, Bytes: cnt[:]}},
 				udf.Extent{Start: int64(table[i].Start), Count: int64(table[i].Count), Type: int64(fs.DataT)}); err != nil {
 				return err
 			}
 		}
 		ni := in
 		ni.Ind = 0
+		var img [SlotSize]byte
 		if err := fs.X.Dealloc(e, ref.Dir,
-			[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(ni)}},
+			[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: encodeSlotInto(img[:], ni, ni.Name)}},
 			udf.Extent{Start: int64(ind), Count: 1, Type: int64(fs.IndT)}); err != nil {
 			return err
 		}
@@ -524,15 +559,17 @@ func (fs *FS) Unlink(e *kernel.Env, path string) error {
 		ext := in.Ext[i]
 		ni := in
 		ni.Ext[i] = Extent{}
+		var img [SlotSize]byte
 		if err := fs.X.Dealloc(e, ref.Dir,
-			[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(ni)}},
+			[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: encodeSlotInto(img[:], ni, ni.Name)}},
 			udf.Extent{Start: int64(ext.Start), Count: int64(ext.Count), Type: int64(fs.DataT)}); err != nil {
 			return err
 		}
 		in = ni
 	}
+	var zero [SlotSize]byte
 	if err := fs.X.Modify(e, ref.Dir,
-		[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: make([]byte, SlotSize)}}); err != nil {
+		[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: zero[:]}}); err != nil {
 		return err
 	}
 	delete(fs.nameCache, path) // implicit name-cache update
@@ -586,8 +623,9 @@ func (fs *FS) Rmdir(e *kernel.Env, path string) error {
 	ni.Used = false
 	ni.Name = ""
 	ni.Kind = 0
+	var img [SlotSize]byte
 	if err := fs.X.Dealloc(e, ref.Dir,
-		[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(ni)}},
+		[]xn.Mod{{Off: SlotOff(ref.Slot), Bytes: encodeSlotInto(img[:], ni, ni.Name)}},
 		udf.Extent{Start: int64(head), Count: 1, Type: int64(fs.DirT)}); err != nil {
 		return err
 	}

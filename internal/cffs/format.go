@@ -181,16 +181,25 @@ func decodeSlotFields(blk []byte, i int) Inode {
 
 // EncodeSlot serializes an inode into a fresh 128-byte slot image.
 func EncodeSlot(in Inode) []byte {
-	s := make([]byte, SlotSize)
+	return encodeSlotInto(make([]byte, SlotSize), in, in.Name)
+}
+
+// encodeSlotInto serializes in under name (in.Name is not read) into
+// s, SlotSize bytes overwritten entirely, and returns s: EncodeSlot's
+// image in a buffer the caller owns, typically an array on its stack,
+// with the name as a string or as bytes aliasing a slot.
+func encodeSlotInto[N string | []byte](s []byte, in Inode, name N) []byte {
+	s = s[:SlotSize]
+	clear(s)
 	if in.Used {
 		s[soUsed] = 1
 	}
 	s[soKind] = in.Kind
-	if len(in.Name) > MaxNameLen {
+	if len(name) > MaxNameLen {
 		panic("cffs: name too long")
 	}
-	s[soNameLen] = byte(len(in.Name))
-	copy(s[soName:], in.Name)
+	s[soNameLen] = byte(len(name))
+	copy(s[soName:], name)
 	binary.LittleEndian.PutUint32(s[soUID:], in.UID)
 	binary.LittleEndian.PutUint32(s[soGID:], in.GID)
 	binary.LittleEndian.PutUint32(s[soMode:], in.Mode)

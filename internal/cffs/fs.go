@@ -657,7 +657,8 @@ func (fs *FS) Create(e *kernel.Env, path string, uid, gid, mode uint32) (Ref, er
 		MTime: uint32(fs.X.K.Now().Seconds()),
 		Gen:   fs.nextGen(),
 	}
-	if err := fs.X.Modify(e, blk, []xn.Mod{{Off: SlotOff(slot), Bytes: EncodeSlot(in)}}); err != nil {
+	var img [SlotSize]byte
+	if err := fs.X.Modify(e, blk, []xn.Mod{{Off: SlotOff(slot), Bytes: encodeSlotInto(img[:], in, in.Name)}}); err != nil {
 		return Ref{}, err
 	}
 	ref := Ref{Dir: blk, Slot: slot, Gen: in.Gen}
@@ -695,7 +696,8 @@ func (fs *FS) Mkdir(e *kernel.Env, path string, uid, gid, mode uint32) error {
 		Gen:   fs.nextGen(),
 	}
 	in.Ext[0] = Extent{Start: uint64(nb), Count: 1}
-	if err := fs.X.Alloc(e, blk, []xn.Mod{{Off: SlotOff(slot), Bytes: EncodeSlot(in)}},
+	var img [SlotSize]byte
+	if err := fs.X.Alloc(e, blk, []xn.Mod{{Off: SlotOff(slot), Bytes: encodeSlotInto(img[:], in, in.Name)}},
 		udf.Extent{Start: int64(nb), Count: 1, Type: int64(fs.DirT)}); err != nil {
 		return err
 	}
@@ -757,7 +759,8 @@ func (fs *FS) Symlink(e *kernel.Env, target, path string, uid, gid uint32) error
 	}
 	in := DecodeSlot(fs.dirData(ref.Dir), ref.Slot)
 	in.Kind = KindLink
-	if err := fs.X.Modify(e, ref.Dir, []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(in)}}); err != nil {
+	var img [SlotSize]byte
+	if err := fs.X.Modify(e, ref.Dir, []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: encodeSlotInto(img[:], in, in.Name)}}); err != nil {
 		return err
 	}
 	fs.syncMeta(e, ref.Dir)
@@ -769,7 +772,8 @@ func (fs *FS) Symlink(e *kernel.Env, target, path string, uid, gid uint32) error
 // mode is also mirrored into every block header of its chain, which is
 // where the acl-udf reads it.
 func (fs *FS) Chmod(e *kernel.Env, path string, mode uint32) error {
-	modeB := make([]byte, 4)
+	var modeBuf [4]byte
+	modeB := modeBuf[:]
 	binary.LittleEndian.PutUint32(modeB, mode)
 	if lastComp(path) == "" {
 		if err := fs.ensureDir(e, fs.Root, xn.NoParent); err != nil {
@@ -786,7 +790,8 @@ func (fs *FS) Chmod(e *kernel.Env, path string, mode uint32) error {
 		return err
 	}
 	in.Mode = mode
-	if err := fs.X.Modify(e, ref.Dir, []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(in)}}); err != nil {
+	var img [SlotSize]byte
+	if err := fs.X.Modify(e, ref.Dir, []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: encodeSlotInto(img[:], in, in.Name)}}); err != nil {
 		return err
 	}
 	if in.Kind == KindDir {
@@ -832,7 +837,8 @@ func (fs *FS) Rename(e *kernel.Env, oldPath, newPath string) error {
 		return ErrExists
 	}
 	in.Name = newName
-	if err := fs.X.Modify(e, ref.Dir, []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: EncodeSlot(in)}}); err != nil {
+	var img [SlotSize]byte
+	if err := fs.X.Modify(e, ref.Dir, []xn.Mod{{Off: SlotOff(ref.Slot), Bytes: encodeSlotInto(img[:], in, in.Name)}}); err != nil {
 		return err
 	}
 	delete(fs.nameCache, oldPath) // implicit name-cache update

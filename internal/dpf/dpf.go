@@ -43,8 +43,11 @@ func Eq32(off int, v uint32) Cmp { return Cmp{off, 4, 0xFFFFFFFF, v} }
 
 // Match reports whether the filter accepts pkt. A comparison beyond
 // the packet's end fails.
-func (f *Filter) Match(pkt []byte) bool {
-	for _, c := range f.Cmps {
+func (f *Filter) Match(pkt []byte) bool { return matchAll(f.Cmps, pkt) }
+
+// matchAll reports whether every comparison accepts pkt.
+func matchAll(cmps []Cmp, pkt []byte) bool {
+	for _, c := range cmps {
 		if !c.match(pkt) {
 			return false
 		}
@@ -70,13 +73,14 @@ func (c Cmp) match(pkt []byte) bool {
 	return v&c.Mask == c.Value&c.Mask
 }
 
-// normalized returns the comparisons sorted by (offset, width) for
-// canonical equality checks. Filters carry a handful of comparisons,
-// so an insertion sort of the copy in place does it without the
-// swapper and closure sort.Slice allocates. sort.Slice is the same
-// insertion sort on up to 12 elements, so the order is unchanged.
-func (f *Filter) normalized() []Cmp {
-	out := append([]Cmp(nil), f.Cmps...)
+// normalizeInto overwrites dst with cmps sorted by (offset, width) for
+// canonical equality checks, reusing dst's storage. Filters carry a
+// handful of comparisons, so an insertion sort of the copy in place
+// does it without the swapper and closure sort.Slice allocates.
+// sort.Slice is the same insertion sort on up to 12 elements, so the
+// order is unchanged.
+func normalizeInto(dst, cmps []Cmp) []Cmp {
+	out := append(dst[:0], cmps...)
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && cmpLess(out[j], out[j-1]); j-- {
 			out[j], out[j-1] = out[j-1], out[j]
@@ -122,30 +126,48 @@ type ID int
 // the same effect by merging filters into a prefix trie with hash
 // tables at disjunction points; the shape index is that idea flattened
 // onto this engine's conjunction-only filter language.
+//
+// The engine keeps no reference to the caller's Filter: an entry holds
+// its own normalized copy of the comparisons, inline for the short
+// filters a TCP stack installs per connection, and entries recycle
+// through a freelist. Installing and removing a connection's filter
+// at steady state allocates nothing.
 type Engine struct {
 	next    ID
 	entries map[ID]*entry
 	shapes  []*shape
+	free    *entry // recycled entries, linked through next
 }
+
+// inlineCmps is how many comparisons an entry stores without a heap
+// slice (a per-connection TCP filter has two).
+const inlineCmps = 4
 
 type entry struct {
 	id    ID
-	f     *Filter
 	owner any
-	norm  []Cmp  // normalized comparisons (the duplicate-check identity)
-	key   uint64 // folded masked values (keyed shapes)
-	sh    *shape
+	// norm is the normalized comparisons: the duplicate-check identity
+	// and, under an unkeyed shape, the match program. It aliases
+	// inline unless the filter is longer than inlineCmps.
+	norm   []Cmp
+	inline [inlineCmps]Cmp
+	key    uint64 // folded masked values (keyed shapes)
+	sh     *shape
+	// next is the following entry of a keyed bucket's chain while
+	// installed, and of the engine's freelist once removed.
+	next *entry
 }
 
 // shape is one comparison layout and the filters installed under it.
 type shape struct {
 	cmps []Cmp // normalized, values zeroed; masks and layout only
 	// keyed shapes (total compared width <= 8 bytes) index entries by
-	// the folded masked comparison values; wider shapes fall back to a
-	// linear list. Bucket/list order is ascending ID (append order —
-	// IDs only grow), so the oldest filter is always first.
+	// the folded masked comparison values: each bucket is a chain
+	// through entry.next whose head the map holds. Wider shapes fall
+	// back to a linear list. Chain/list order is ascending ID (append
+	// order — IDs only grow), so the oldest filter is always first.
 	keyed   bool
-	buckets map[uint64][]*entry
+	buckets map[uint64]*entry
 	list    []*entry
 }
 
@@ -213,7 +235,7 @@ func (e *Engine) shapeFor(norm []Cmp) *shape {
 	}
 	sh := &shape{cmps: cmps, keyed: width <= 8}
 	if sh.keyed {
-		sh.buckets = make(map[uint64][]*entry)
+		sh.buckets = make(map[uint64]*entry)
 	}
 	e.shapes = append(e.shapes, sh)
 	return sh
@@ -227,13 +249,10 @@ func (sh *shape) lookup(pkt []byte) *entry {
 		if !ok {
 			return nil
 		}
-		if b := sh.buckets[key]; len(b) > 0 {
-			return b[0]
-		}
-		return nil
+		return sh.buckets[key]
 	}
 	for _, ent := range sh.list {
-		if ent.f.Match(pkt) {
+		if matchAll(ent.norm, pkt) {
 			return ent
 		}
 	}
@@ -257,7 +276,8 @@ func NewEngine() *Engine {
 // environment or a protocol control block). The verification mirrors
 // the kernel's anti-theft check: an exact duplicate of an installed
 // filter is rejected, because the kernel could not decide which
-// application the packet belongs to.
+// application the packet belongs to. The engine copies what it needs:
+// the caller may reuse or change f as soon as Insert returns.
 func (e *Engine) Insert(f *Filter, owner any) (ID, error) {
 	if f == nil || len(f.Cmps) == 0 {
 		return 0, ErrEmpty
@@ -270,30 +290,37 @@ func (e *Engine) Insert(f *Filter, owner any) (ID, error) {
 			return 0, fmt.Errorf("%w: offset %d", ErrBadCmp, c.Offset)
 		}
 	}
-	norm := f.normalized()
-	sh := e.shapeFor(norm)
-	ent := &entry{f: f, owner: owner, norm: norm, sh: sh}
+	ent := e.newEntry()
+	ent.norm = normalizeInto(ent.norm, f.Cmps)
+	sh := e.shapeFor(ent.norm)
+	var tail *entry // keyed: the bucket's newest entry
 	if sh.keyed {
-		ent.key = shapeKey(norm)
-		for _, other := range sh.buckets[ent.key] {
-			if cmpsEqual(other.norm, norm) {
+		ent.key = shapeKey(ent.norm)
+		for other := sh.buckets[ent.key]; other != nil; other = other.next {
+			if cmpsEqual(other.norm, ent.norm) {
+				e.freeEntry(ent)
 				return 0, ErrDuplicate
 			}
+			tail = other
 		}
 	} else {
 		for _, other := range sh.list {
-			if cmpsEqual(other.norm, norm) {
+			if cmpsEqual(other.norm, ent.norm) {
+				e.freeEntry(ent)
 				return 0, ErrDuplicate
 			}
 		}
 	}
-	ent.id = e.next
+	ent.id, ent.owner, ent.sh = e.next, owner, sh
 	e.next++
 	e.entries[ent.id] = ent
-	if sh.keyed {
-		sh.buckets[ent.key] = append(sh.buckets[ent.key], ent)
-	} else {
+	switch {
+	case !sh.keyed:
 		sh.list = append(sh.list, ent)
+	case tail == nil:
+		sh.buckets[ent.key] = ent
+	default:
+		tail.next = ent
 	}
 	return ent.id, nil
 }
@@ -307,16 +334,44 @@ func (e *Engine) Remove(id ID) error {
 	delete(e.entries, id)
 	sh := ent.sh
 	if sh.keyed {
-		b := removeEntry(sh.buckets[ent.key], ent)
-		if len(b) == 0 {
+		head := sh.buckets[ent.key]
+		switch {
+		case head != ent:
+			prev := head
+			for prev.next != ent {
+				prev = prev.next
+			}
+			prev.next = ent.next
+		case ent.next == nil:
 			delete(sh.buckets, ent.key)
-		} else {
-			sh.buckets[ent.key] = b
+		default:
+			sh.buckets[ent.key] = ent.next
 		}
 	} else {
 		sh.list = removeEntry(sh.list, ent)
 	}
+	e.freeEntry(ent)
 	return nil
+}
+
+// newEntry takes an entry from the freelist, or makes one whose norm
+// starts out on its inline storage.
+func (e *Engine) newEntry() *entry {
+	ent := e.free
+	if ent == nil {
+		ent = &entry{}
+		ent.norm = ent.inline[:0]
+		return ent
+	}
+	e.free, ent.next = ent.next, nil
+	return ent
+}
+
+// freeEntry returns an uninstalled entry to the freelist. Its norm
+// storage (inline, or a longer filter's heap slice) is kept for reuse.
+func (e *Engine) freeEntry(ent *entry) {
+	*ent = entry{norm: ent.norm[:0], next: e.free}
+	e.free = ent
 }
 
 // removeEntry deletes ent from s preserving order.

@@ -24,12 +24,18 @@ const pathHalf = 4
 // event callbacks with no simulated-CPU accounting — the paper
 // saturates the server from multiple client hosts).
 //
-// Conn objects are deliberately NOT pooled: in-flight duplicate or
-// lost-in-transit packets keep *Conn references alive after
-// completion, so a recycled connection would let a late segment act
-// on an unrelated connection's state. The scale pass pools what
-// cycles fast — packets, transit records, timer nodes — and keeps the
-// connection itself a plain allocation.
+// Conns recycle through the fabric's freelist, but only once nothing
+// can reach them: the client is done (completion cancelled its timer),
+// the server retired the connection (RTO cancelled, filter removed),
+// the balancer slot is given back, and no Packet naming the Conn is
+// still live — in flight, duplicated, queued in a server inbox or
+// being processed. Each Packet counts once from xmit (or the RTO
+// marker) until its last reference is released, so a late duplicate
+// segment keeps its Conn out of the freelist until it is gone. Any
+// other ending — a client deadline give-up, a server stopped with
+// packets still queued, a crash — leaves the Conn to the garbage
+// collector. A freed Conn is marked, and a packet or timer that
+// reaches one panics rather than act on a recycled connection.
 type Conn struct {
 	t       *Topology
 	fwd     []hop // client -> server path (through the balancer, if any)
@@ -90,6 +96,28 @@ type Conn struct {
 	srvAcked    int
 	srvDone     bool
 	rto         sim.Event
+
+	// pkts counts the live Packets naming this connection; freed marks
+	// a Conn on the fabric's freelist.
+	pkts  int
+	freed bool
+}
+
+// retired reports whether both ends are finished with the connection
+// and nothing else holds it open; with no live packet left, it can go
+// back to the freelist.
+func (c *Conn) retired() bool {
+	return c.owner == nil && !c.ctimer.Pending() &&
+		c.srvDone && !c.rto.Pending() && !c.hasFilter && !c.lbHeld
+}
+
+// mustLive panics when a packet or timer reaches a recycled Conn: the
+// lifetime rule above makes that unreachable, so reaching it means a
+// reference escaped the packet count.
+func (c *Conn) mustLive() {
+	if c.freed {
+		panic("netsim: packet or timer reached a recycled Conn")
+	}
 }
 
 // clientRTO is the floor of the client-side retransmission timeout:
@@ -223,6 +251,7 @@ func (c *Conn) armTimer() {
 // re-arming a timer never allocates a closure).
 func clientTimerFire(a any) {
 	c := a.(*Conn)
+	c.mustLive()
 	c.ctimer = sim.Event{}
 	if c.owner == nil || (c.deadline > 0 && c.t.eng.Now() >= c.deadline) {
 		return
@@ -285,6 +314,7 @@ func (c *Conn) sendAck() {
 // segment synchronously, so the reference drops as soon as
 // clientDeliver returns.
 func (c *Conn) deliverPkt(pkt *Packet) {
+	c.mustLive()
 	c.clientDeliver(pkt)
 	c.t.release(pkt)
 }

@@ -33,7 +33,9 @@ type StackConfig struct {
 }
 
 // Handler produces the response body length for a request and performs
-// the server's file system work in the server environment.
+// the server's file system work in the server environment. The Conn is
+// valid only until the handler returns: the fabric recycles it once the
+// exchange ends, so a handler must not keep it.
 type Handler func(e *kernel.Env, conn *Conn) int
 
 // flagRetransmit is an internal inbox marker: the RTO timer fired.
@@ -109,6 +111,10 @@ type Stack struct {
 	inHead  int
 	rg      ring // shared filter owner: one ring per stack, not per conn
 	handler Handler
+	// connFilter is the scratch a connection's filter is built in; the
+	// filter engine copies it on Insert.
+	connFilter dpf.Filter
+	connCmps   [2]dpf.Cmp
 
 	// stopAt ends the server loop at a deadline; 0 serves forever
 	// (the loop exits only when the machine shuts down).
@@ -167,6 +173,7 @@ func (s *Stack) loop() {
 			return
 		}
 		c := pkt.Conn
+		c.mustLive()
 		switch {
 		case pkt.Flags&flagRetransmit != 0:
 			s.retransmit(c)
@@ -200,11 +207,9 @@ func (s *Stack) acceptConn(c *Conn) {
 	}
 	c.srvAccepted = true
 	s.env.Use(s.cfg.PerConn)
-	f := &dpf.Filter{Cmps: []dpf.Cmp{
-		dpf.Eq32(0, ServerPort),
-		dpf.Eq32(4, c.clientPort),
-	}}
-	id, err := s.nic.DPF.Insert(f, &s.rg)
+	s.connCmps = [2]dpf.Cmp{dpf.Eq32(0, ServerPort), dpf.Eq32(4, c.clientPort)}
+	s.connFilter.Cmps = s.connCmps[:]
+	id, err := s.nic.DPF.Insert(&s.connFilter, &s.rg)
 	if err == nil {
 		c.filterID = id
 		c.hasFilter = true
@@ -287,6 +292,7 @@ func (s *Stack) armRTO(c *Conn) {
 // through the connection's backend NIC — the same stack armRTO ran on.
 func rtoFire(a any) {
 	c := a.(*Conn)
+	c.mustLive()
 	c.rto = sim.Event{}
 	s := c.backend.stack
 	if s == nil || c.srvDone || s.expired() {
@@ -294,6 +300,7 @@ func rtoFire(a any) {
 	}
 	mp := s.nic.t.newPacket()
 	mp.Flags, mp.Conn, mp.refs = flagRetransmit, c, 1
+	c.pkts++
 	s.inbox = append(s.inbox, mp)
 	s.nic.K.Wake(s.env)
 }

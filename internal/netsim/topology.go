@@ -242,6 +242,10 @@ type Topology struct {
 	freePkts []*Packet
 	// freeTransits recycles the per-hop delivery records the same way.
 	freeTransits []*transit
+	// freeConns recycles connections whose lifetime has ended (see
+	// Conn); connsRecycled counts the Conns put there.
+	freeConns     []*Conn
+	connsRecycled int64
 }
 
 // NewTopology builds an empty fabric on a fresh event engine.
@@ -455,12 +459,33 @@ func (t *Topology) newPacket() *Packet {
 	return &Packet{}
 }
 
-// release drops one pending delivery; the last one frees the packet.
+// release drops one pending delivery; the last one frees the packet,
+// and the last live packet of a retired connection frees the Conn.
 func (t *Topology) release(p *Packet) {
 	p.refs--
-	if p.refs == 0 {
-		t.freePkts = append(t.freePkts, p)
+	if p.refs != 0 {
+		return
 	}
+	t.freePkts = append(t.freePkts, p)
+	if c := p.Conn; c != nil {
+		c.pkts--
+		if c.pkts == 0 && c.retired() {
+			*c = Conn{freed: true}
+			t.freeConns = append(t.freeConns, c)
+			t.connsRecycled++
+		}
+	}
+}
+
+// newConn returns a zeroed Conn from the fabric's freelist.
+func (t *Topology) newConn() *Conn {
+	if k := len(t.freeConns); k > 0 {
+		c := t.freeConns[k-1]
+		t.freeConns = t.freeConns[:k-1]
+		c.freed = false
+		return c
+	}
+	return &Conn{}
 }
 
 // newTransit returns a zeroed delivery record from the fabric's
@@ -488,13 +513,18 @@ func (t *Topology) freeTransit(tr *transit) {
 // a tail-dropped one (full queue) consumes nothing. A duplicated
 // segment is sent twice back to back. Each copy carries one
 // reference; a lost or dropped copy releases it, a delivered copy
-// passes it to the sink, which owns it from then on.
+// passes it to the sink, which owns it from then on. From here until
+// its last reference goes, the packet counts toward its Conn's live
+// packets.
 func (t *Topology) xmit(path []hop, pkt *Packet, to sink) {
 	copies := 1
 	if t.Faults.DupSegment() {
 		copies = 2
 	}
 	pkt.refs = copies
+	if c := pkt.Conn; c != nil {
+		c.pkts++
+	}
 	for i := 0; i < copies; i++ {
 		t.forward(path, 0, pkt, to)
 	}
@@ -530,14 +560,10 @@ func (t *Topology) forward(path []hop, i int, pkt *Packet, to sink) {
 // backend by its policy at connection-open time (an L4 balancer's
 // connection table) and forwards every packet as an ordinary hop.
 func (t *Topology) openConn(from, target HostID, port uint32, docSize int, deadline sim.Time) *Conn {
-	c := &Conn{
-		t:          t,
-		clientPort: port,
-		expect:     responseHeader + docSize,
-		started:    t.eng.Now(),
-		deadline:   deadline,
-		reqDocLen:  docSize,
-	}
+	c := t.newConn()
+	c.t, c.clientPort = t, port
+	c.expect, c.reqDocLen = responseHeader+docSize, docSize
+	c.started, c.deadline = t.eng.Now(), deadline
 	// Paths build into the connection's inline buffer (half each way);
 	// a route deeper than pathHalf hops spills to the heap. The cluster
 	// fabric is two hops (client -> balancer -> server).

@@ -127,3 +127,23 @@ func TestMachinesShareFabricClock(t *testing.T) {
 		t.Error("both machines attached to the same host id")
 	}
 }
+
+// TestClusterOverloadCellPinned: one server offered ten times what it
+// can serve, so its RTOs fire while requests queue behind each other
+// (hundreds of retransmits, duplicate segments racing recycled
+// connections). The cell completes every connection with exactly the
+// completions, retransmits, engine events and latency digest it had
+// when every connection was a fresh allocation — recycling Conns and
+// filter entries is invisible to the simulation.
+func TestClusterOverloadCellPinned(t *testing.T) {
+	r, err := workload.Cluster(workload.ClusterConfig{Servers: 1, Conns: 4000, Rate: 40000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Completed != 4000 || r.Retransmits != 850 || r.Drops != 0 ||
+		r.EngineEvents != 1101396 || r.Digest != 0x874f816b72dbc60f {
+		t.Fatalf("overload cell: completed=%d retransmits=%d drops=%d events=%d digest=%#x, "+
+			"want 4000, 850, 0, 1101396, 0x874f816b72dbc60f",
+			r.Completed, r.Retransmits, r.Drops, r.EngineEvents, r.Digest)
+	}
+}

@@ -387,7 +387,7 @@ func TestModifyRacingRemovalOfItsBlock(t *testing.T) {
 			})
 			f.k.Spawn("remover", func(e *kernel.Env) {
 				e.Creds = cap.UnixCreds(0)
-				for !f.x.modScratchBusy { // wait until the Modify is between its owns-udf runs
+				for f.x.trials == 0 { // wait until the Modify is between its owns-udf runs
 					if modified {
 						t.Error("Modify finished before the removal could start")
 						return

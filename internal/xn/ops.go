@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"xok/internal/cap"
 	"xok/internal/disk"
@@ -32,19 +33,28 @@ func applyMods(data []byte, mods []Mod) error {
 	return nil
 }
 
-// modsToAux serializes a modification for acl-uf consumption:
-// repeated (off:le32, len:le32, bytes).
-func modsToAux(mods []Mod) []byte {
-	var out []byte
+// appendModsAux appends the acl-uf serialization of a modification to
+// dst: repeated (off:le32, len:le32, bytes).
+func appendModsAux(dst []byte, mods []Mod) []byte {
 	for _, m := range mods {
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(m.Off))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(m.Bytes)))
-		out = append(out, hdr[:]...)
-		out = append(out, m.Bytes...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Off))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Bytes)))
+		dst = append(dst, m.Bytes...)
 	}
-	return out
+	return dst
 }
+
+// metaScratch is one mutateMeta call's working storage: the acl-uf
+// serialization of the modification and the shadow copy of the block
+// it is trial-applied to. Each call takes its own from metaScratches
+// and holds it to the end, across the parks its UDF charges make, so
+// an env that enters mutateMeta meanwhile gets another; a forked XN
+// draws on the same pool instead of growing buffers of its own.
+type metaScratch struct {
+	aux, shadow []byte
+}
+
+var metaScratches = sync.Pool{New: func() any { return new(metaScratch) }}
 
 // getPage obtains a physical page for buffer-cache use, recycling the
 // LRU buffer when the cache cap (MaxCachePages; the OpenBSD
@@ -556,7 +566,10 @@ func (x *XN) mutateMeta(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remov
 		return nil, ErrNoTemplate
 	}
 	data := x.M.Data(en.Page)
-	okAcl, err := x.runAcl(e, t, data, modsToAux(mods), op)
+	sc := metaScratches.Get().(*metaScratch)
+	defer metaScratches.Put(sc)
+	sc.aux = appendModsAux(sc.aux[:0], mods)
+	okAcl, err := x.runAcl(e, t, data, sc.aux, op)
 	if err != nil {
 		return nil, err
 	}
@@ -567,21 +580,15 @@ func (x *XN) mutateMeta(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remov
 	if err != nil {
 		return nil, err
 	}
-	// Trial-apply into the shared scratch when no other env holds it.
-	// Charging (runOwns below) parks this goroutine, so a second env can
-	// enter mutateMeta while we are mid-flight; that rare interleaving
-	// falls back to a private buffer instead of clobbering ours.
-	var tmp []byte
-	if !x.modScratchBusy {
-		if len(x.modScratch) < len(data) {
-			x.modScratch = make([]byte, len(data))
-		}
-		tmp = x.modScratch[:len(data)]
-		x.modScratchBusy = true
-		defer func() { x.modScratchBusy = false }()
-	} else {
-		tmp = make([]byte, len(data))
+	// Trial-apply into the shadow copy. Charging (chargeUDF below)
+	// parks this goroutine, so a second env can enter mutateMeta while
+	// we are mid-flight; trials counts the envs at this stage.
+	if len(sc.shadow) < len(data) {
+		sc.shadow = make([]byte, len(data))
 	}
+	tmp := sc.shadow[:len(data)]
+	x.trials++
+	defer func() { x.trials-- }()
 	copy(tmp, data)
 	if err := applyMods(tmp, mods); err != nil {
 		return nil, err

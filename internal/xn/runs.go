@@ -35,8 +35,9 @@ type runScratch struct {
 	edge     [2]ownRun // an add or remove extent's runs
 }
 
-// takeRuns lends out XN's run scratch, under the same reentrancy rule
-// as modScratch: a caller that finds it held gets a private one.
+// takeRuns lends out XN's run scratch. Charging parks the borrower,
+// so another env can arrive while it is held: a caller that finds it
+// held gets a private one.
 // Release with releaseRuns.
 func (x *XN) takeRuns() *runScratch {
 	if x.runsBusy {

@@ -56,7 +56,7 @@ func (x *XN) Snapshot() (*Snapshot, error) {
 	if x.catFlushHold != 0 {
 		return nil, fmt.Errorf("xn: snapshot with catalogue flush suspended (%d holds)", x.catFlushHold)
 	}
-	if x.modScratchBusy {
+	if x.trials != 0 {
 		return nil, fmt.Errorf("xn: snapshot from inside a metadata modification")
 	}
 	s := &Snapshot{

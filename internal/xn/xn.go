@@ -193,16 +193,12 @@ type XN struct {
 	// are asynchronous but dirty data does not accumulate unboundedly).
 	FlushBehind int
 
-	// modScratch is the reusable shadow-copy buffer mutateMeta uses to
-	// trial-apply a modification before owns-udf re-verification, sized
-	// to the largest metadata block seen. modScratchBusy marks it held
-	// across a charging park (see mutateMeta); a re-entering env then
-	// allocates privately rather than sharing.
-	modScratch     []byte
-	modScratchBusy bool
+	// trials counts the envs inside mutateMeta between trial-applying
+	// a modification and committing it (see mutateMeta).
+	trials int
 
 	// runs is the reusable scratch of the ownership comparisons
-	// (runs.go), lent out under the same rule as modScratch.
+	// (runs.go), lent to one caller at a time (see takeRuns).
 	runs     runScratch
 	runsBusy bool
 
