@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet test race crash fuzz-smoke race-parallel perf-sanity cluster-smoke snapshot-smoke examples check bench
+.PHONY: all build fmt vet test race crash fuzz-smoke race-parallel perf-sanity cluster-smoke snapshot-smoke examples check bench reach
 
 all: check
 
@@ -105,8 +105,8 @@ check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-
 # kernel micro-benchmarks run at the default benchtime (they are the
 # ns/op + allocs/op numbers the fast path is judged on: the kernel's
 # pair times a Use on the parked path and burned inline); the end-to-end
-# experiment benchmarks (MAB, difftest serial-vs-parallel, crash
-# serial-vs-parallel) each run their full campaign once, -benchtime=1x.
+# experiment benchmarks (MAB, difftest serial-vs-parallel and
+# boot-vs-fork, crash serial-vs-parallel) each run their full campaign once, -benchtime=1x.
 # Raw `go test` output passes through on stderr; stdout carries the
 # JSON (see cmd/benchjson). The -expect list makes a silently vanished
 # benchmark (renamed, paniced, filtered out) fail the run instead of
@@ -120,7 +120,6 @@ BenchmarkKernelHandoff,BenchmarkKernelUseRunAhead,\
 BenchmarkMAB/Xok-ExOS,BenchmarkMAB/FreeBSD,\
 BenchmarkDifftest100Serial,BenchmarkDifftest100Parallel4,\
 BenchmarkDifftest100SnapshotSerial,BenchmarkDifftest100SnapshotParallel4,\
-BenchmarkCrashSweepSerial,BenchmarkCrashSweepParallel4,\
 BenchmarkCrashSweepSnapshotSerial,BenchmarkCrashSweepSnapshotParallel4,\
 BenchmarkClusterSerial,BenchmarkClusterParallel4,BenchmarkClusterConns100k
 
@@ -130,3 +129,25 @@ bench:
 	   $(GO) test -run '^$$' -bench 'BenchmarkMAB$$|BenchmarkDifftest100|BenchmarkCrashSweep|BenchmarkCluster' -benchmem -benchtime=1x . ; } \
 	  | $(GO) run ./cmd/benchjson -expect '$(BENCH_EXPECT)' > BENCH_sim.json
 	@echo "wrote BENCH_sim.json"
+
+# Reachability report: the functions no experiment runs. xok-bench and
+# the four examples are built with coverage over every package, the
+# experiment set below runs into a scratch GOCOVERDIR with its output
+# discarded, and every function `go tool covdata func` reports at 0.0%
+# is printed. It is a starting list for simplicity work (test-only
+# helpers show up too), not a gate, so `check` does not run it.
+REACH_RUNS = '-run all' '-run figure4 -full' '-run crash -faults 42:torn' \
+	'-run difftest -faults 42:kill=60,killenv=fuzz,torn' '-run cluster -hist'
+REACH_EXAMPLES = quickstart customfs webserver xcp
+
+reach:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && mkdir "$$dir/cov" && \
+	$(GO) build -cover -coverpkg=./... -o "$$dir/xok-bench" ./cmd/xok-bench && \
+	for e in $(REACH_EXAMPLES); do \
+		$(GO) build -cover -coverpkg=./... -o "$$dir/$$e" ./examples/$$e || exit 1; \
+		GOCOVERDIR="$$dir/cov" "$$dir/$$e" > /dev/null 2>&1 || { echo "examples/$$e failed"; exit 1; }; \
+	done && \
+	for args in $(REACH_RUNS); do \
+		GOCOVERDIR="$$dir/cov" "$$dir/xok-bench" $$args > /dev/null 2>&1 || { echo "xok-bench $$args failed"; exit 1; }; \
+	done && \
+	$(GO) tool covdata func -i="$$dir/cov" | awk '$$NF == "0.0%" { print; n++ } END { print n+0, "functions no experiment reaches" }'

@@ -67,7 +67,6 @@ var (
 	baseFlag     = flag.Uint64("base", 1, "difftest: first seed (seed i = base+i)")
 	replayFlag   = flag.String("replay", "", "difftest: replay one seed:steps:keep token instead of fuzzing")
 	parallelFlag = flag.Int("parallel", 0, "worker count for independent simulated machines (0 = one per CPU, 1 = serial); stdout is byte-identical at any setting")
-	snapshotFlag = flag.Bool("snapshot", true, "fork repeated runs from machine snapshots instead of re-booting (-run crash and -run difftest); stdout is byte-identical either way")
 	serversFlag  = flag.Int("servers", 4, "cluster: backend machine count")
 	connsFlag    = flag.Int("conns", 2000, "cluster: open-loop connection arrivals per cell")
 	rateFlag     = flag.Float64("rate", 0, "cluster: offered arrivals per virtual second (0 = default)")
@@ -325,7 +324,7 @@ func diffFuzz() {
 		BaseSeed: *baseFlag,
 		Log:      os.Stdout,
 		Parallel: bench.Parallel,
-		Snapshot: *snapshotFlag,
+		Snapshot: true,
 	}
 	if *faultsFlag != "" {
 		plan, err := fault.Parse(*faultsFlag)
@@ -386,7 +385,7 @@ func crash() {
 	header("Crash-point enumeration (Section 4.4 recovery)")
 	fmt.Println("paper: XN's reachability scan rebuilds the free map after any crash;")
 	fmt.Println("C-FFS metadata stays consistent without ordered cleanup")
-	cfg := workload.CrashConfig{Parallel: bench.Parallel, Snapshot: *snapshotFlag}
+	cfg := workload.CrashConfig{Parallel: bench.Parallel}
 	if *faultsFlag != "" {
 		plan, err := fault.Parse(*faultsFlag)
 		if err != nil {

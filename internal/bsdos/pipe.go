@@ -7,17 +7,15 @@ import (
 	"xok/internal/unix"
 )
 
+// costPipeWakeup is the tsleep/wakeup + scheduler-queue overhead per
+// blocking handoff, beyond the generic context switch.
+const costPipeWakeup = 8 * sim.Microsecond
+
 // bsdPipe is the in-kernel 4.4BSD pipe: every transfer is a system
 // call that copies between the user buffer and a kernel buffer, and
 // blocking goes through the kernel sleep queue (tsleep/wakeup), which
 // costs a full reschedule. Table 2 reports 34 us / 160 us for the 1-B
 // and 8-KB latencies on OpenBSD.
-const pipeCapacity = 16384
-
-// costPipeWakeup is the tsleep/wakeup + scheduler-queue overhead per
-// blocking handoff, beyond the generic context switch.
-const costPipeWakeup = 8 * sim.Microsecond
-
 type bsdPipe struct {
 	posix.PipeEnds
 
@@ -38,7 +36,7 @@ func (p *bsdPipe) Write(e *kernel.Env, data []byte) (int, error) {
 		if p.RClosed() {
 			return n, unix.ErrPipe
 		}
-		space := pipeCapacity - int(p.count)
+		space := posix.PipeCapacity - int(p.count)
 		if space == 0 {
 			p.WriterWaiting = e
 			e.Use(costPipeWakeup)
@@ -55,15 +53,15 @@ func (p *bsdPipe) Write(e *kernel.Env, data []byte) (int, error) {
 		}
 		// Copy user -> kernel buffer.
 		if p.buf == nil {
-			p.buf = make([]byte, pipeCapacity)
+			p.buf = make([]byte, posix.PipeCapacity)
 		}
 		for c := chunk; c > 0; {
 			seg := c
-			if p.wpos+seg > pipeCapacity {
-				seg = pipeCapacity - p.wpos
+			if p.wpos+seg > posix.PipeCapacity {
+				seg = posix.PipeCapacity - p.wpos
 			}
 			copy(p.buf[p.wpos:], data[n:n+seg])
-			p.wpos = (p.wpos + seg) % pipeCapacity
+			p.wpos = (p.wpos + seg) % posix.PipeCapacity
 			c -= seg
 			n += seg
 		}
@@ -99,11 +97,11 @@ func (p *bsdPipe) Read(e *kernel.Env, buf []byte) (int, error) {
 	// Copy kernel buffer -> user.
 	for c, off := chunk, 0; c > 0; {
 		seg := c
-		if p.rpos+seg > pipeCapacity {
-			seg = pipeCapacity - p.rpos
+		if p.rpos+seg > posix.PipeCapacity {
+			seg = posix.PipeCapacity - p.rpos
 		}
 		copy(buf[off:off+seg], p.buf[p.rpos:])
-		p.rpos = (p.rpos + seg) % pipeCapacity
+		p.rpos = (p.rpos + seg) % posix.PipeCapacity
 		c -= seg
 		off += seg
 	}

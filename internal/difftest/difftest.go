@@ -34,6 +34,7 @@ import (
 	"xok/internal/fault"
 	"xok/internal/machine"
 	"xok/internal/parallel"
+	"xok/internal/posix"
 	"xok/internal/sim"
 	"xok/internal/trace"
 	"xok/internal/unix"
@@ -201,10 +202,6 @@ func errno(err error) string {
 // any real table, so every personality answers EBADF.
 const badFD = unix.FD(1 << 30)
 
-// pipeCapacity mirrors the (identical) exos and bsdos ring sizes; the
-// executor models pipe fill with it to skip would-block operations.
-const pipeCapacity = 16384
-
 // pipeModel tracks one pipe's executor-side state. Because a program
 // is a single process holding both ends, an operation that would block
 // can never be woken — the executor must skip it, deterministically,
@@ -336,7 +333,7 @@ func (st *execState) step(p unix.Proc, s Step) string {
 		return fmt.Sprintf("%d,%s,h=%x", n, errno(err), fnv1a(0, buf[:n]))
 	case OpWrite:
 		if pm := st.pipes[s.FD]; pm != nil && st.wEnd[s.FD] &&
-			pm.rOpen && s.Size > pipeCapacity-pm.fill {
+			pm.rOpen && s.Size > posix.PipeCapacity-pm.fill {
 			return "SKIP(would block)"
 		}
 		buf := st.scratch(s.Size)

@@ -23,8 +23,6 @@ import (
 //
 // Both use directed yields for the handoff.
 
-const pipeCapacity = 16384
-
 type pipe struct {
 	posix.PipeEnds
 	shared bool
@@ -43,7 +41,7 @@ func newPipe(e *kernel.Env, shared bool) *pipe {
 	if shared {
 		e.LibCall(sim.CopyCost(64)) // set up the shared mapping
 	} else {
-		p.region = e.RegionCreate(pipeCapacity, cap.Root(true))
+		p.region = e.RegionCreate(posix.PipeCapacity, cap.Root(true))
 		pr, err := wkpred.Compile(wkpred.Cmp(wkpred.GT, wkpred.Load(&p.count), wkpred.Const(0)))
 		if err != nil {
 			panic("exos: pipe predicate: " + err.Error())
@@ -58,12 +56,12 @@ func newPipe(e *kernel.Env, shared bool) *pipe {
 func (p *pipe) moveIn(e *kernel.Env, src []byte) {
 	for len(src) > 0 {
 		seg := len(src)
-		if p.wpos+seg > pipeCapacity {
-			seg = pipeCapacity - p.wpos
+		if p.wpos+seg > posix.PipeCapacity {
+			seg = posix.PipeCapacity - p.wpos
 		}
 		if p.shared {
 			if p.buf == nil {
-				p.buf = make([]byte, pipeCapacity)
+				p.buf = make([]byte, posix.PipeCapacity)
 			}
 			copy(p.buf[p.wpos:], src[:seg])
 			e.Use(sim.CopyCost(seg))
@@ -74,7 +72,7 @@ func (p *pipe) moveIn(e *kernel.Env, src []byte) {
 				panic("exos: pipe region write: " + err.Error())
 			}
 		}
-		p.wpos = (p.wpos + seg) % pipeCapacity
+		p.wpos = (p.wpos + seg) % posix.PipeCapacity
 		src = src[seg:]
 	}
 }
@@ -83,8 +81,8 @@ func (p *pipe) moveIn(e *kernel.Env, src []byte) {
 func (p *pipe) moveOut(e *kernel.Env, dst []byte) {
 	for len(dst) > 0 {
 		seg := len(dst)
-		if p.rpos+seg > pipeCapacity {
-			seg = pipeCapacity - p.rpos
+		if p.rpos+seg > posix.PipeCapacity {
+			seg = posix.PipeCapacity - p.rpos
 		}
 		if p.shared {
 			copy(dst[:seg], p.buf[p.rpos:])
@@ -96,7 +94,7 @@ func (p *pipe) moveOut(e *kernel.Env, dst []byte) {
 				panic("exos: pipe region read: " + err.Error())
 			}
 		}
-		p.rpos = (p.rpos + seg) % pipeCapacity
+		p.rpos = (p.rpos + seg) % posix.PipeCapacity
 		dst = dst[seg:]
 	}
 }
@@ -110,7 +108,7 @@ func (p *pipe) Write(e *kernel.Env, data []byte) (int, error) {
 		if p.RClosed() {
 			return n, unix.ErrPipe
 		}
-		space := pipeCapacity - int(p.count)
+		space := posix.PipeCapacity - int(p.count)
 		if space == 0 {
 			// Queue full: the reader must do work — yield to it, or
 			// block until a read drains the queue.

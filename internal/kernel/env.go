@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"xok/internal/cap"
-	"xok/internal/mem"
 	"xok/internal/sim"
 	"xok/internal/wkpred"
 )
@@ -40,10 +39,6 @@ type Env struct {
 	// Creds are the capabilities this environment presents on system
 	// calls. Exported state, set by the libOS at process setup.
 	Creds cap.Credentials
-
-	// PT is the environment's page table (mutated via system calls on
-	// x86, Section 5.1).
-	PT *mem.PageTable
 
 	// co is the coroutine running the body (see start); nil once the
 	// body has exited and the coroutine has been recycled. next is

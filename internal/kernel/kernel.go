@@ -212,7 +212,6 @@ func (k *Kernel) Spawn(name string, body func(*Env)) *Env {
 		id:    k.nextEnv,
 		name:  name,
 		state: envBlocked, // makeRunnable queues it below
-		PT:    mem.NewPageTable(),
 	}
 	k.nextEnv++
 	k.envs[e.id] = e

@@ -1,5 +1,4 @@
-// Package mem models the physical memory of the simulated machine and
-// the per-environment page tables Xok maintains.
+// Package mem models the physical memory of the simulated machine.
 //
 // Exokernel principles visible here (Section 3.1):
 //
@@ -13,11 +12,9 @@
 // Because the x86 defines the page-table format and refills the TLB in
 // hardware, applications cannot own their page tables on Xok; they
 // mutate mappings through (batched) system calls instead (Section 5.1).
-// The PageTable type models exactly the state those calls maintain,
-// including the software-only PTE bits ExOS uses to implement
-// copy-on-write (Section 9.3: "Xok lets libOSes use the software-only
-// bits of page tables, greatly simplifying the implementation of copy
-// on write").
+// No experiment reads a virtual mapping, so none is kept: the model
+// charges the cost of the calls and copy-on-write faults (sim.Cost*)
+// and tracks physical pages only.
 package mem
 
 import (

@@ -178,37 +178,6 @@ func TestLRUVictim(t *testing.T) {
 	}
 }
 
-func TestPageTable(t *testing.T) {
-	pt := NewPageTable()
-	pt.Map(10, PTE{Phys: 3, Writable: true})
-	pt.Map(11, PTE{Phys: 4, Soft: SoftCOW})
-	if pt.Len() != 2 {
-		t.Fatalf("len = %d", pt.Len())
-	}
-	e, ok := pt.Lookup(11)
-	if !ok || e.Phys != 4 || e.Soft&SoftCOW == 0 {
-		t.Fatalf("lookup = %+v, %v", e, ok)
-	}
-	old, ok := pt.Unmap(10)
-	if !ok || old.Phys != 3 {
-		t.Fatalf("unmap = %+v, %v", old, ok)
-	}
-	if _, ok := pt.Lookup(10); ok {
-		t.Fatal("entry survived unmap")
-	}
-	if _, ok := pt.Unmap(10); ok {
-		t.Fatal("double unmap reported ok")
-	}
-	n := 0
-	pt.Range(func(VPN, PTE) { n++ })
-	if n != 1 {
-		t.Fatalf("Range visited %d entries, want 1", n)
-	}
-	if len(pt.VPNs()) != 1 {
-		t.Fatal("VPNs length mismatch")
-	}
-}
-
 // TestFreeListOrderMatchesExplicitList drives Alloc, Free and
 // AllocSpecific at random and checks every allocation against the free
 // list spelled out in full (built n-1, ..., 0, freed frames pushed on

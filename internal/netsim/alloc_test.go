@@ -25,7 +25,7 @@ func TestPacketSendPathSteadyStateAllocs(t *testing.T) {
 	a := tp.AddHost("a")
 	b := tp.AddHost("b")
 	tp.Link(a, b, LinkSpec{})
-	path := tp.appendPath(nil, a, b)
+	path := []hop{tp.hopTo(a, b)}
 	to := &releaseSink{tp: tp}
 
 	send := func() {

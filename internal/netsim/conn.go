@@ -16,8 +16,8 @@ type connOwner interface {
 }
 
 // pathHalf is the hop capacity of each half of a connection's inline
-// path buffer; deeper routes spill to the heap.
-const pathHalf = 4
+// path buffer: client -> balancer -> server is the longest path.
+const pathHalf = 2
 
 // Conn is one HTTP/1.0 connection: server-side state plus the scripted
 // client endpoint (clients are other hosts; their logic runs in
@@ -81,13 +81,6 @@ type Conn struct {
 	unacked   int       // data segments since last client ACK
 	reqDocLen int
 
-	// Round-trip estimation. staticRTT is the path's propagation +
-	// serialization bound computed at open; rttEst only ever rises,
-	// lifted by the measured handshake RTT (monotone, so timer values
-	// are deterministic and never shrink mid-connection).
-	staticRTT sim.Time
-	rttEst    sim.Time
-
 	// Server-side retransmission state (the merged file cache /
 	// retransmission pool holds the data; nothing is re-read or
 	// re-copied on a retransmit).
@@ -120,46 +113,11 @@ func (c *Conn) mustLive() {
 	}
 }
 
-// clientRTO is the floor of the client-side retransmission timeout:
-// shorter than the server's RTO so a stalled handshake restarts
-// before the server's timer would have a say.
+// clientRTO is the client-side retransmission timeout: shorter than
+// the server's RTO so a stalled handshake restarts before the
+// server's timer would have a say. On a LAN's sub-millisecond round
+// trip a fixed timer is all the fabric needs.
 const clientRTO = 60 * sim.Millisecond
-
-// adaptiveRTTMin gates measured-RTT timer scaling: a path whose
-// static round trip is at least this long gets timeouts derived from
-// the measured RTT (a fixed 60/80-ms timer under a comparable path
-// RTT fires spuriously and livelocks lossy multi-hop paths in
-// retransmission storms). LAN-scale paths keep the fixed floors — at
-// a sub-millisecond RTT the floor already dominates, and inflating it
-// with congestion-queueing samples would only slow loss recovery.
-const adaptiveRTTMin = 10 * sim.Millisecond
-
-// adaptive reports whether this connection's path is long enough for
-// measured-RTT timeouts.
-func (c *Conn) adaptive() bool { return c.staticRTT >= adaptiveRTTMin }
-
-// clientTimeout is the client retransmission timeout: the legacy
-// 60-ms floor, or 3x the path RTT estimate when the path is long.
-func (c *Conn) clientTimeout() sim.Time {
-	if c.adaptive() {
-		if v := 3 * c.rttEst; v > clientRTO {
-			return v
-		}
-	}
-	return clientRTO
-}
-
-// serverTimeout is the server RTO: the legacy 80-ms floor, or 4x the
-// path RTT estimate when the path is long (the server waits out a
-// full client-timer cycle before going back-N).
-func (c *Conn) serverTimeout() sim.Time {
-	if c.adaptive() {
-		if v := 4 * c.rttEst; v > RTO {
-			return v
-		}
-	}
-	return RTO
-}
 
 // Class returns the request-class index the connection was opened
 // with (open-loop pools tag connections; handlers pick the document).
@@ -175,12 +133,6 @@ func (c *Conn) clientDeliver(pkt *Packet) {
 			return // duplicate SYN-ACK
 		}
 		c.gotSynAck = true
-		// The handshake measures the path once: SYN out to SYN-ACK
-		// back. The estimate only rises (Karn-style caution: a dup
-		// SYN-ACK never produces a second, ambiguous sample).
-		if s := c.t.eng.Now() - c.started; s > c.rttEst {
-			c.rttEst = s
-		}
 		c.sendRequest()
 		return
 	}
@@ -244,7 +196,7 @@ func (c *Conn) sendRequest() {
 // whatever the exchange is missing and re-arms.
 func (c *Conn) armTimer() {
 	c.t.eng.Cancel(c.ctimer)
-	c.ctimer = c.t.eng.AfterArg(c.clientTimeout(), clientTimerFire, c)
+	c.ctimer = c.t.eng.AfterArg(clientRTO, clientTimerFire, c)
 }
 
 // clientTimerFire is the client timer's firing body (package-level so

@@ -1,6 +1,6 @@
 // Package netsim models the paper's network environment for the HTTP
-// experiments (Section 7.3) and its cluster-scale extension: hosts
-// joined by links with real bandwidth, latency and queue bounds
+// experiments (Section 7.3) and its cluster-scale extension: a LAN of
+// hosts joined by links with real bandwidth and queue bounds
 // (Topology), machines attached at NICs, and an optional
 // load-balancer node spreading connections over several servers.
 // Packets occupy link bandwidth for their wire time, arrivals
@@ -19,8 +19,8 @@
 //
 // Load comes in two shapes: the closed-loop ClientPool of Figure 3
 // (each client reissues as soon as its response lands) and the
-// open-loop OpenPool (arrivals follow a Poisson or uniform process
-// regardless of completions — the cluster experiment's offered load).
+// open-loop OpenPool (Poisson arrivals regardless of completions —
+// the cluster experiment's offered load).
 package netsim
 
 import (
@@ -73,9 +73,4 @@ func (p *Packet) HeaderInto(buf []byte) []byte {
 	binary.BigEndian.PutUint32(buf[4:], p.SrcPort)
 	buf[8] = p.Flags
 	return buf[:9]
-}
-
-// Header renders the match bytes into a fresh slice.
-func (p *Packet) Header() []byte {
-	return p.HeaderInto(make([]byte, 9))
 }

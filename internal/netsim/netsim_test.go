@@ -139,7 +139,7 @@ func (s *nowSink) deliverPkt(*Packet) { *s.at = s.eng.Now() }
 func TestWireTimeSerializesLink(t *testing.T) {
 	tp := NewTopology()
 	eng := tp.Engine()
-	l := &link{bps: sim.LinkBandwidthBps, latency: sim.LinkLatency}
+	l := &link{bps: sim.LinkBandwidthBps}
 	var first, second sim.Time
 	send := func(at *sim.Time) {
 		tr := tp.newTransit()
@@ -162,7 +162,7 @@ func TestWireTimeSerializesLink(t *testing.T) {
 
 func TestPacketHeaderMatchesFilters(t *testing.T) {
 	p := &Packet{SrcPort: 5555, DstPort: 80, Flags: FlagSYN}
-	h := p.Header()
+	h := p.HeaderInto(make([]byte, 16))
 	want := []byte{0, 0, 0, 80, 0, 0, 0x15, 0xB3, FlagSYN}
 	if len(h) != len(want) {
 		t.Fatalf("header = %v, want %v", h, want)

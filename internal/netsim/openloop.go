@@ -7,18 +7,6 @@ import (
 	"xok/internal/trace"
 )
 
-// Arrival selects the open-loop arrival process.
-type Arrival int
-
-// The arrival processes.
-const (
-	// ArrivalPoisson spaces arrivals exponentially around the mean
-	// rate (memoryless offered load, the default).
-	ArrivalPoisson Arrival = iota
-	// ArrivalUniform spaces arrivals exactly 1/rate apart.
-	ArrivalUniform
-)
-
 // RequestClass is one stratum of an open-loop workload mix: a name
 // (its latency series appears as "http.<Name>"), a document size, and
 // a selection weight.
@@ -29,11 +17,11 @@ type RequestClass struct {
 }
 
 // OpenLoopConfig describes an open-loop client population: Conns
-// connection arrivals at Rate per virtual second, launched from host
-// From against Target (a NIC host or a load balancer), regardless of
-// how fast completions come back — unlike the closed-loop ClientPool,
-// a slow server here grows its backlog instead of throttling the
-// offered load.
+// Poisson connection arrivals at Rate per virtual second, launched
+// from host From against Target (a NIC host or a load balancer),
+// regardless of how fast completions come back — unlike the
+// closed-loop ClientPool, a slow server here grows its backlog
+// instead of throttling the offered load.
 type OpenLoopConfig struct {
 	From   HostID
 	Target HostID
@@ -42,8 +30,6 @@ type OpenLoopConfig struct {
 	Conns int
 	// Rate is the mean arrival rate per virtual second.
 	Rate float64
-	// Arrival picks the spacing process (default Poisson).
-	Arrival Arrival
 	// Seed drives arrival spacing and class selection (0 = 1).
 	Seed uint64
 
@@ -160,16 +146,12 @@ func (t *Topology) OpenLoop(cfg OpenLoopConfig) *OpenPool {
 	at := p.Started
 	port := uint32(10000)
 	for i := 0; i < cfg.Conns; i++ {
-		switch cfg.Arrival {
-		case ArrivalUniform:
-			at += sim.Time(perArrival)
-		default:
-			u := rng.Float64()
-			for u == 0 {
-				u = rng.Float64()
-			}
-			at += sim.Time(-math.Log(u) * perArrival)
+		// Exponential gaps: memoryless offered load.
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
 		}
+		at += sim.Time(-math.Log(u) * perArrival)
 		ci := 0
 		if totalW > 1 {
 			w := rng.Intn(totalW)

@@ -41,19 +41,16 @@ type Handler func(e *kernel.Env, conn *Conn) int
 // flagRetransmit is an internal inbox marker: the RTO timer fired.
 const flagRetransmit uint8 = 0x80
 
-// RTO is the floor of the server retransmission timeout. Connections
-// on high-latency paths scale it from the measured round-trip time
-// instead (see Conn.serverTimeout).
+// RTO is the server retransmission timeout.
 const RTO = 80 * sim.Millisecond
 
 // NIC is a machine's interface on the fabric: the receive path
 // charges the machine's CPU for the interrupt and packet filter, and
 // the server stack transmits from here.
 type NIC struct {
-	t    *Topology
-	host *host
-	K    *kernel.Kernel
-	DPF  *dpf.Engine
+	t   *Topology
+	K   *kernel.Kernel
+	DPF *dpf.Engine
 
 	stack  *Stack
 	hdrBuf [9]byte // rx filter-match scratch
@@ -284,7 +281,7 @@ func (s *Stack) sendFrom(c *Conn, from int, first bool) {
 func (s *Stack) armRTO(c *Conn) {
 	eng := s.nic.t.eng
 	eng.Cancel(c.rto)
-	c.rto = eng.AfterArg(c.serverTimeout(), rtoFire, c)
+	c.rto = eng.AfterArg(RTO, rtoFire, c)
 }
 
 // rtoFire is the RTO firing body (package-level so the dominant

@@ -82,38 +82,27 @@ func (p Policy) String() string {
 	return "policy?"
 }
 
-// LinkSpec describes one full-duplex link. The zero value is a stock
-// Ethernet: sim.LinkBandwidthBps, sim.LinkLatency, unbounded queue,
-// lossless.
+// LinkSpec describes one full-duplex LAN link; every link adds the
+// same one-way sim.LinkLatency. The zero value is a stock Ethernet:
+// sim.LinkBandwidthBps with an unbounded queue.
 type LinkSpec struct {
 	// BandwidthBps is the link speed in bits/second (0 = the default
 	// 100-Mbit Ethernet).
 	BandwidthBps uint64
-	// Latency is the one-way propagation+switch delay (0 = the
-	// default sim.LinkLatency).
-	Latency sim.Time
 	// Queue bounds the per-direction transmit backlog, in full-size
 	// frames; a frame arriving at a link whose backlog exceeds it is
 	// tail-dropped (counted in Topology.Drops). 0 = unbounded, the
 	// legacy behavior.
 	Queue int
-	// LossRate drops roughly one in LossRate frames on this link
-	// only, from a per-link deterministic stream (0 = lossless). The
-	// fault plan's loss channel applies on top.
-	LossRate int
 }
 
-// link is one full-duplex wire between two hosts. Direction 0 is
-// a-to-b, direction 1 is b-to-a; each direction serializes frames
-// against its own transmit horizon.
+// link is one full-duplex wire between two hosts. Direction 0 runs
+// from the first host given to Topology.Link, direction 1 back; each
+// direction serializes frames against its own transmit horizon.
 type link struct {
-	a, b    HostID
-	bps     uint64
-	latency sim.Time
-	queue   int
-	loss    int
-	lossRNG *sim.RNG
-	busy    [2]sim.Time
+	bps   uint64
+	queue int
+	busy  [2]sim.Time
 }
 
 // wire is the serialization time of payload bytes plus TCP/IP headers
@@ -143,7 +132,7 @@ func (l *link) transmit(dir int, payload int, tr *transit) {
 	}
 	tx := l.wire(payload)
 	l.busy[dir] = start + tx
-	eng.AtArg(start+tx+l.latency, transitArrive, tr)
+	eng.AtArg(start+tx+sim.LinkLatency, transitArrive, tr)
 }
 
 // hop is one directed traversal of a link.
@@ -152,35 +141,66 @@ type hop struct {
 	dir int
 }
 
-type hostKind uint8
-
-const (
-	kindHost hostKind = iota // plain traffic source/sink (clients)
-	kindNIC                  // a machine's network interface
-	kindLB                   // load balancer / switch
-)
-
-type host struct {
-	id   HostID
-	name string
-	kind hostKind
-	nic  *NIC
-	lb   *lbState
-	adj  []adjEntry // links out of this host, insertion order
+// trunkSet is the parallel links from one host to one adjacent peer,
+// with the rotation cursor that spreads successive connections across
+// them (the paper's server has three Ethernets; clients round-robin
+// over them).
+type trunkSet struct {
+	peer HostID
+	hops []hop
+	rr   int
 }
 
-type adjEntry struct {
-	peer HostID
-	l    *link
+// next returns the set's next link in rotation (one call per
+// connection gives the per-connection link round-robin).
+func (ts *trunkSet) next() hop {
+	h := ts.hops[ts.rr%len(ts.hops)]
+	ts.rr++
+	return h
+}
+
+// host is one node: a plain traffic source/sink (clients), a
+// machine's network interface (nic set) or a load balancer (lb set).
+type host struct {
+	id     HostID
+	name   string
+	nic    *NIC
+	lb     *lbState
+	trunks []*trunkSet // links out of this host, one set per peer, in first-link order
+}
+
+// trunkTo returns the host's trunk set toward peer, nil if none.
+func (h *host) trunkTo(peer HostID) *trunkSet {
+	for _, ts := range h.trunks {
+		if ts.peer == peer {
+			return ts
+		}
+	}
+	return nil
 }
 
 // lbState is a load balancer's connection table.
 type lbState struct {
 	policy   Policy
-	backends []HostID // NIC hosts directly linked, insertion order
-	active   []int    // connections currently open per backend
-	assigned []int64  // total connections ever assigned per backend
+	backends []*trunkSet // trunks to the NIC hosts directly linked, insertion order
+	active   []int       // connections currently open per backend
+	assigned []int64     // total connections ever assigned per backend
 	rr       int
+}
+
+// freeze fixes the balancer's backend set at its first connection:
+// the trunks to its directly linked NIC hosts, in link-insertion order.
+func (l *lbState) freeze(t *Topology, h *host) {
+	for _, ts := range h.trunks {
+		if t.hosts[ts.peer].nic != nil {
+			l.backends = append(l.backends, ts)
+		}
+	}
+	if len(l.backends) == 0 {
+		panic("netsim: load balancer has no NIC backends")
+	}
+	l.active = make([]int, len(l.backends))
+	l.assigned = make([]int64, len(l.backends))
 }
 
 // pick chooses a backend for a new connection and records it open.
@@ -202,30 +222,18 @@ func (l *lbState) pick() int {
 	return i
 }
 
-type pairKey struct{ a, b HostID }
-
-// trunkSet is the parallel links between one ordered host pair, with
-// the rotation cursor that spreads successive connections across them
-// (the paper's server has three Ethernets; clients round-robin over
-// them).
-type trunkSet struct {
-	hops []hop
-	rr   int
-}
-
-// Topology is a network fabric: hosts joined by links, with machines
+// Topology is a LAN fabric: hosts joined by links, with machines
 // (kernels) attached at NIC hosts and optional load-balancer nodes
-// spreading connections over a cluster. All hosts share one event
-// engine and therefore one virtual clock.
+// spreading connections over a cluster. A connection's path is one
+// hop to an adjacent NIC host, or two through an adjacent balancer.
+// All hosts share one event engine and therefore one virtual clock.
 //
-// Everything is deterministic: routing is BFS over hosts in insertion
-// order, parallel links rotate per connection, balancer policies
-// break ties by index, and every loss/duplication decision comes from
-// a seeded stream.
+// Everything is deterministic: parallel links rotate per connection,
+// balancer policies break ties by index, and every loss/duplication
+// decision comes from the fault plan's seeded streams.
 type Topology struct {
 	eng   *sim.Engine
 	hosts []*host
-	links []*link
 
 	// Faults is the fabric's deterministic fault plan (nil = none):
 	// segment loss, duplication and reordering channels.
@@ -233,9 +241,6 @@ type Topology struct {
 
 	// Drops counts frames tail-dropped at a full link queue.
 	Drops int64
-
-	paths  map[pairKey][]HostID
-	trunks map[pairKey]*trunkSet
 
 	// freePkts recycles Packet objects: a saturated run sends hundreds
 	// of thousands of segments whose lifetime is a few events.
@@ -256,22 +261,15 @@ func NewTopology() *Topology {
 // NewTopologyOn builds an empty fabric on an existing engine —
 // machines attached later must already run on the same engine.
 func NewTopologyOn(eng *sim.Engine) *Topology {
-	return &Topology{
-		eng:    eng,
-		paths:  make(map[pairKey][]HostID),
-		trunks: make(map[pairKey]*trunkSet),
-	}
+	return &Topology{eng: eng}
 }
 
 // Engine returns the fabric's event engine. Machines joining the
 // fabric boot with kernel.Config.Eng set to it.
 func (t *Topology) Engine() *sim.Engine { return t.eng }
 
-// Now returns the fabric's virtual time.
-func (t *Topology) Now() sim.Time { return t.eng.Now() }
-
-func (t *Topology) addHost(name string, kind hostKind) *host {
-	h := &host{id: HostID(len(t.hosts)), name: name, kind: kind}
+func (t *Topology) addHost(name string) *host {
+	h := &host{id: HostID(len(t.hosts)), name: name}
 	t.hosts = append(t.hosts, h)
 	return h
 }
@@ -280,7 +278,7 @@ func (t *Topology) addHost(name string, kind hostKind) *host {
 // behind it (client populations live here — the paper saturates the
 // server from client hosts whose CPU is not modelled).
 func (t *Topology) AddHost(name string) HostID {
-	return t.addHost(name, kindHost).id
+	return t.addHost(name).id
 }
 
 // AttachKernel adds a NIC host for an already-booted machine. The
@@ -290,8 +288,8 @@ func (t *Topology) AttachKernel(name string, k *kernel.Kernel) HostID {
 	if k.Eng != t.eng {
 		panic("netsim: AttachKernel: kernel is not on the topology's engine")
 	}
-	h := t.addHost(name, kindNIC)
-	h.nic = &NIC{t: t, host: h, K: k, DPF: dpf.NewEngine()}
+	h := t.addHost(name)
+	h.nic = &NIC{t: t, K: k, DPF: dpf.NewEngine()}
 	return h.id
 }
 
@@ -301,7 +299,7 @@ func (t *Topology) AttachKernel(name string, k *kernel.Kernel) HostID {
 // spread over them by the policy, and their packets traverse it as an
 // ordinary forwarding hop.
 func (t *Topology) LoadBalancer(policy Policy) HostID {
-	h := t.addHost("lb", kindLB)
+	h := t.addHost("lb")
 	h.lb = &lbState{policy: policy}
 	return h.id
 }
@@ -321,25 +319,20 @@ func (t *Topology) Link(a, b HostID, spec LinkSpec) {
 	if spec.BandwidthBps == 0 {
 		spec.BandwidthBps = sim.LinkBandwidthBps
 	}
-	if spec.Latency == 0 {
-		spec.Latency = sim.LinkLatency
+	l := &link{bps: spec.BandwidthBps, queue: spec.Queue}
+	t.addTrunk(a, b, hop{l: l, dir: 0})
+	t.addTrunk(b, a, hop{l: l, dir: 1})
+}
+
+// addTrunk adds one directed hop to from's trunk set toward to.
+func (t *Topology) addTrunk(from, to HostID, h hop) {
+	fh := t.hosts[from]
+	ts := fh.trunkTo(to)
+	if ts == nil {
+		ts = &trunkSet{peer: to}
+		fh.trunks = append(fh.trunks, ts)
 	}
-	l := &link{
-		a: a, b: b,
-		bps: spec.BandwidthBps, latency: spec.Latency,
-		queue: spec.Queue, loss: spec.LossRate,
-	}
-	if l.loss > 0 {
-		// Per-link stream, seeded by position so adding links never
-		// perturbs another link's decisions.
-		l.lossRNG = sim.NewRNG(0x11bead ^ uint64(len(t.links)+1)*0x9e3779b97f4a7c15)
-	}
-	t.links = append(t.links, l)
-	t.hosts[a].adj = append(t.hosts[a].adj, adjEntry{peer: b, l: l})
-	t.hosts[b].adj = append(t.hosts[b].adj, adjEntry{peer: a, l: l})
-	// Routes and trunk sets may be stale now; recompute lazily.
-	clear(t.paths)
-	clear(t.trunks)
+	ts.hops = append(ts.hops, h)
 }
 
 // Assignments reports how many connections a balancer has assigned to
@@ -352,81 +345,14 @@ func (t *Topology) Assignments(lb HostID) []int64 {
 	return append([]int64(nil), h.lb.assigned...)
 }
 
-// hostPath returns the host sequence from -> to (inclusive), cached.
-// BFS in host/link insertion order makes it deterministic; equal-cost
-// choices resolve to the earliest-added route.
-func (t *Topology) hostPath(from, to HostID) []HostID {
-	key := pairKey{from, to}
-	if p, ok := t.paths[key]; ok {
-		return p
+// hopTo returns the next of the parallel links from one host to an
+// adjacent one; hosts with no link between them panic, naming both.
+func (t *Topology) hopTo(from, to HostID) hop {
+	ts := t.hosts[from].trunkTo(to)
+	if ts == nil {
+		panic("netsim: no link from " + t.hosts[from].name + " to " + t.hosts[to].name)
 	}
-	parent := make([]HostID, len(t.hosts))
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[from] = from
-	queue := []HostID{from}
-	for len(queue) > 0 && parent[to] == -1 {
-		h := queue[0]
-		queue = queue[1:]
-		for _, ae := range t.hosts[h].adj {
-			if parent[ae.peer] == -1 {
-				parent[ae.peer] = h
-				queue = append(queue, ae.peer)
-			}
-		}
-	}
-	if parent[to] == -1 {
-		panic("netsim: no path from " + t.hosts[from].name + " to " + t.hosts[to].name)
-	}
-	var rev []HostID
-	for h := to; h != from; h = parent[h] {
-		rev = append(rev, h)
-	}
-	rev = append(rev, from)
-	path := make([]HostID, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		path = append(path, rev[i])
-	}
-	t.paths[key] = path
-	return path
-}
-
-// trunkFor returns the directed trunk set between adjacent hosts.
-func (t *Topology) trunkFor(a, b HostID) *trunkSet {
-	key := pairKey{a, b}
-	if ts, ok := t.trunks[key]; ok {
-		return ts
-	}
-	ts := &trunkSet{}
-	for _, ae := range t.hosts[a].adj {
-		if ae.peer != b {
-			continue
-		}
-		dir := 0
-		if ae.l.a != a {
-			dir = 1
-		}
-		ts.hops = append(ts.hops, hop{l: ae.l, dir: dir})
-	}
-	if len(ts.hops) == 0 {
-		panic("netsim: hosts not adjacent")
-	}
-	t.trunks[key] = ts
-	return ts
-}
-
-// appendPath appends the hop sequence from -> to onto dst, rotating
-// each pair's parallel trunks one step (one call per connection gives
-// the legacy per-connection link round-robin).
-func (t *Topology) appendPath(dst []hop, from, to HostID) []hop {
-	hp := t.hostPath(from, to)
-	for i := 0; i+1 < len(hp); i++ {
-		ts := t.trunkFor(hp[i], hp[i+1])
-		dst = append(dst, ts.hops[ts.rr%len(ts.hops)])
-		ts.rr++
-	}
-	return dst
+	return ts.next()
 }
 
 // appendReverse appends fwd's links walked the other way onto dst.
@@ -435,17 +361,6 @@ func appendReverse(dst, fwd []hop) []hop {
 		dst = append(dst, hop{l: fwd[i].l, dir: 1 - fwd[i].dir})
 	}
 	return dst
-}
-
-// pathRTT is the static round-trip estimate of a path: twice the
-// propagation plus one full-size frame's serialization per hop each
-// way. Connections seed their RTT estimator with it.
-func pathRTT(path []hop) sim.Time {
-	var oneWay sim.Time
-	for _, h := range path {
-		oneWay += h.l.latency + h.l.wire(MSS)
-	}
-	return 2 * oneWay
 }
 
 // newPacket returns a zeroed Packet from the fabric's freelist.
@@ -506,9 +421,8 @@ func (t *Topology) freeTransit(tr *transit) {
 }
 
 // xmit puts one segment on the wire along a path of hops, applying
-// the fault decisions: loss (per-link LossRate or the fault plan),
-// duplication and reordering (fault plan only, the latter on the
-// final hop so successors can overtake). A lost segment still
+// the fault plan's decisions: loss, duplication and reordering (the
+// latter on the final hop so successors can overtake). A lost segment still
 // consumes its wire time — the frame went out, it just never arrives;
 // a tail-dropped one (full queue) consumes nothing. A duplicated
 // segment is sent twice back to back. Each copy carries one
@@ -531,15 +445,12 @@ func (t *Topology) xmit(path []hop, pkt *Packet, to sink) {
 }
 
 // forward sends one copy across hop i; its transit record recurses to
-// i+1 on arrival. Fault decisions draw in a fixed order (link loss,
-// plan loss, plan reorder) at every hop, at send time.
+// i+1 on arrival. Fault decisions draw in a fixed order (loss, then
+// reorder) at every hop, at send time.
 func (t *Topology) forward(path []hop, i int, pkt *Packet, to sink) {
 	h := path[i]
 	last := i == len(path)-1
-	lost := h.l.loss > 0 && h.l.lossRNG.Intn(h.l.loss) == 0
-	if t.Faults.DropSegment() {
-		lost = true
-	}
+	lost := t.Faults.DropSegment()
 	var delay sim.Time
 	if last && t.Faults.ReorderSegment() {
 		delay = 2 * sim.WireTime(sim.EthernetMTU+ipTCPHeader)
@@ -556,57 +467,35 @@ func (t *Topology) forward(path []hop, i int, pkt *Packet, to sink) {
 }
 
 // openConn builds a connection from a client host to a server: either
-// directly to a NIC host, or to a load balancer, which picks a
-// backend by its policy at connection-open time (an L4 balancer's
-// connection table) and forwards every packet as an ordinary hop.
+// directly to an adjacent NIC host, or to an adjacent load balancer,
+// which picks a backend by its policy at connection-open time (an L4
+// balancer's connection table) and forwards every packet as an
+// ordinary hop. Both paths fit the connection's inline buffer.
 func (t *Topology) openConn(from, target HostID, port uint32, docSize int, deadline sim.Time) *Conn {
 	c := t.newConn()
 	c.t, c.clientPort = t, port
 	c.expect, c.reqDocLen = responseHeader+docSize, docSize
 	c.started, c.deadline = t.eng.Now(), deadline
-	// Paths build into the connection's inline buffer (half each way);
-	// a route deeper than pathHalf hops spills to the heap. The cluster
-	// fabric is two hops (client -> balancer -> server).
-	fwd := c.pathBuf[:0:pathHalf]
-	dst := target
-	if th := t.hosts[target]; th.kind == kindLB {
-		lb := th.lb
+	c.pathBuf[0] = t.hopTo(from, target)
+	hops := 1
+	dst := t.hosts[target]
+	if lb := dst.lb; lb != nil {
 		if lb.backends == nil {
-			// Freeze the backend set: NIC hosts directly linked, in
-			// link-insertion order.
-			seen := make(map[HostID]bool)
-			for _, ae := range th.adj {
-				if t.hosts[ae.peer].kind == kindNIC && !seen[ae.peer] {
-					seen[ae.peer] = true
-					lb.backends = append(lb.backends, ae.peer)
-				}
-			}
-			if len(lb.backends) == 0 {
-				panic("netsim: load balancer has no NIC backends")
-			}
-			lb.active = make([]int, len(lb.backends))
-			lb.assigned = make([]int64, len(lb.backends))
+			lb.freeze(t, dst)
 		}
 		idx := lb.pick()
 		c.lbRef, c.lbIdx, c.lbHeld = lb, idx, true
-		dst = lb.backends[idx]
-		fwd = t.appendPath(fwd, from, target)
-		fwd = t.appendPath(fwd, target, dst)
-	} else {
-		fwd = t.appendPath(fwd, from, target)
+		ts := lb.backends[idx]
+		c.pathBuf[1] = ts.next()
+		hops = 2
+		dst = t.hosts[ts.peer]
 	}
-	c.fwd = fwd
-	if t.hosts[dst].nic == nil {
-		panic("netsim: connection target " + t.hosts[dst].name + " has no NIC")
+	if dst.nic == nil {
+		panic("netsim: connection target " + dst.name + " has no NIC")
 	}
-	c.backend = t.hosts[dst].nic
-	if len(fwd) <= pathHalf {
-		c.rev = appendReverse(c.pathBuf[pathHalf:pathHalf:2*pathHalf], fwd)
-	} else {
-		c.rev = appendReverse(make([]hop, 0, len(fwd)), fwd)
-	}
-	c.staticRTT = pathRTT(c.fwd)
-	c.rttEst = c.staticRTT
+	c.backend = dst.nic
+	c.fwd = c.pathBuf[:hops:hops]
+	c.rev = appendReverse(c.pathBuf[pathHalf:pathHalf:2*pathHalf], c.fwd)
 	// Default trace sink: the backend machine's tracer (pools may
 	// override with their own).
 	c.sink = c.backend.K.Trace

@@ -2,6 +2,10 @@ package posix
 
 import "xok/internal/kernel"
 
+// PipeCapacity is the byte size of every personality's pipe ring: a
+// write blocks once this many bytes wait unread.
+const PipeCapacity = 16384
+
 // Pipe is one personality's pipe: its buffer, its copy charges and how
 // a blocked end waits. The descriptor bookkeeping every pipe shares
 // comes from embedding PipeEnds.

@@ -30,8 +30,6 @@ type ClusterConfig struct {
 	Rate float64
 	// Policy spreads connections over the backends.
 	Policy netsim.Policy
-	// Arrival picks the spacing process (default Poisson).
-	Arrival netsim.Arrival
 	// Seed drives arrival spacing and the class mix (default 1).
 	Seed uint64
 	// Personality is the server OS (default Xok/ExOS, serving with
@@ -267,7 +265,7 @@ func Cluster(cfg ClusterConfig) (ClusterResult, error) {
 	pool := topo.OpenLoop(netsim.OpenLoopConfig{
 		From: clients, Target: lb,
 		Conns: cfg.Conns, Rate: cfg.Rate,
-		Arrival: cfg.Arrival, Seed: cfg.Seed,
+		Seed:    cfg.Seed,
 		Classes: classes,
 		Trace:   latTr, TracePID: pid,
 	})

@@ -20,13 +20,14 @@ import (
 // that a reachability scan rebuilds the free map and C-FFS needs no
 // ordered cleanup. The harness tests that claim systematically instead
 // of at one arbitrary instant: a probe run of the MAB file workload
-// records every synchronous-write completion, then the workload is
-// re-run once per sampled boundary, power is cut one cycle BEFORE the
-// write completes (so the fault plan can tear the in-flight transfer),
-// and the surviving image must remount, pass fsck, and satisfy XN's
-// ownership invariants. Because every fault decision comes from the
-// plan's seeded streams, two sweeps with the same plan produce
-// bit-identical outcome digests.
+// records every synchronous-write completion and leaves a machine
+// snapshot at every workload segment boundary; then, once per sampled
+// boundary, a trial forks from the snapshot nearest below it, power is
+// cut one cycle BEFORE the write completes (so the fault plan can tear
+// the in-flight transfer), and the surviving image must remount, pass
+// fsck, and satisfy XN's ownership invariants. Because every fault
+// decision comes from the plan's seeded streams, two sweeps with the
+// same plan produce bit-identical outcome digests.
 
 // CrashConfig parameterizes a crash-enumeration sweep.
 type CrashConfig struct {
@@ -44,19 +45,10 @@ type CrashConfig struct {
 	DiskBlocks int64
 
 	// Parallel bounds the worker pool for the per-point trials; <= 1
-	// runs them serially. Every trial boots its own machine under its
-	// own plan clone, so trials are independent; results keep boundary
+	// runs them serially. Every trial forks its own machine, plan
+	// included, so trials are independent; results keep boundary
 	// order, and the outcome digest is identical at any worker count.
 	Parallel int
-
-	// Snapshot turns on the fork-based fast path: the probe run leaves
-	// a machine snapshot at every workload segment boundary, and each
-	// crash trial forks from the snapshot nearest below its crash
-	// point instead of re-running the workload from boot. Replay
-	// equivalence (forks continue bit-identically) guarantees the
-	// boundary list, per-point audits and outcome digest are the same
-	// with the flag on or off — only host wall-clock changes.
-	Snapshot bool
 }
 
 // CrashPoint is one enumerated crash trial.
@@ -87,10 +79,10 @@ func (r CrashResult) Violations() int {
 // crashSegments is the MAB file activity cut into quiescent segments
 // (one process each, machine drained between): staging, the five
 // phases, and a final sync. Power can be cut at any instant — the
-// crash trial runs whole segments up to the one containing the crash
-// point, then cuts power mid-segment. Segment boundaries are also
-// where the fork fast path snapshots: goroutine stacks cannot be
-// captured, so a snapshot needs a drained machine.
+// crash trial starts at the segment containing the crash point, then
+// cuts power mid-segment. Segment boundaries are where the probe
+// snapshots: goroutine stacks cannot be captured, so a snapshot needs
+// a drained machine.
 func crashSegments(spec apps.TreeSpec) []mabSegment {
 	return append(mabSegmentList(spec), mabSegment{
 		name: "crash-sync",
@@ -100,7 +92,7 @@ func crashSegments(spec apps.TreeSpec) []mabSegment {
 
 // CrashEnumerate runs the sweep on a Xok/ExOS machine.
 func CrashEnumerate(cfg CrashConfig) (CrashResult, error) {
-	return crashEnumerate(cfg, auditCrash)
+	return crashEnumerate(cfg, false, auditCrash)
 }
 
 // auditCrash is the sweep's recovery audit of one crash image.
@@ -109,7 +101,11 @@ func auditCrash(ci *disk.CrashImage, diskBlocks int64) []string {
 }
 
 // crashEnumerate is CrashEnumerate with the per-point audit given.
-func crashEnumerate(cfg CrashConfig, audit func(ci *disk.CrashImage, diskBlocks int64) []string) (CrashResult, error) {
+// fromBoot starts every trial by booting and replaying the workload up
+// to its crash segment instead of forking: replay equivalence makes
+// the sweep identical either way, and the tests keep it as the
+// reference the forks are compared against.
+func crashEnumerate(cfg CrashConfig, fromBoot bool, audit func(ci *disk.CrashImage, diskBlocks int64) []string) (CrashResult, error) {
 	plan := cfg.Plan
 	if plan == nil {
 		plan = &fault.Plan{Seed: 1, TornWrites: true}
@@ -137,10 +133,9 @@ func crashEnumerate(cfg CrashConfig, audit func(ci *disk.CrashImage, diskBlocks 
 
 	// Probe run: record every write-completion boundary while the
 	// workload runs to completion, segment by segment. segStarts[i] is
-	// the virtual time segment i began at; with Snapshot on, snaps[i]
-	// freezes the machine at that same instant, so a crash trial can
-	// fork straight to the start of the segment containing its crash
-	// point.
+	// the virtual time segment i began at and snaps[i] freezes the
+	// machine at that same instant, so a crash trial can fork straight
+	// to the start of the segment containing its crash point.
 	spec := mabTree()
 	segs := crashSegments(spec)
 	probe, pp := boot()
@@ -151,28 +146,23 @@ func crashEnumerate(cfg CrashConfig, audit func(ci *disk.CrashImage, diskBlocks 
 		}
 	})
 	segStarts := make([]sim.Time, len(segs))
-	var snaps []*machine.Snapshot
-	if cfg.Snapshot {
-		snaps = make([]*machine.Snapshot, len(segs))
-		defer func() {
-			for _, sn := range snaps {
-				if sn != nil {
-					sn.Release()
-				}
+	snaps := make([]*machine.Snapshot, len(segs))
+	defer func() {
+		for _, sn := range snaps {
+			if sn != nil {
+				sn.Release()
 			}
-		}()
-	}
+		}
+	}()
 	var werr error
 	for i, seg := range segs {
 		segStarts[i] = probe.Now()
-		if cfg.Snapshot {
-			sn, err := probe.Snapshot()
-			if err != nil {
-				probe.Close()
-				return CrashResult{}, fmt.Errorf("crash probe snapshot: %w", err)
-			}
-			snaps[i] = sn
+		sn, err := probe.Snapshot()
+		if err != nil {
+			probe.Close()
+			return CrashResult{}, fmt.Errorf("crash probe snapshot: %w", err)
 		}
+		snaps[i] = sn
 		exec(probe, seg.name, seg.body, &werr)
 		if werr != nil {
 			probe.Close()
@@ -207,18 +197,18 @@ func crashEnumerate(cfg CrashConfig, audit func(ci *disk.CrashImage, diskBlocks 
 			k = 0
 		}
 		var m machine.Machine
-		if cfg.Snapshot {
-			// Fork to the start of segment k. Concurrent trials fork from
-			// one snapshot safely: it is read-only, pages and blocks are
-			// copy-on-write.
-			m = machine.Fork(snaps[k])
-		} else {
+		if fromBoot {
 			var serr error
 			m, _ = boot()
 			for _, seg := range segs[:k] {
 				exec(m, seg.name, seg.body, &serr)
 			}
 			_ = serr // the probe already validated the workload
+		} else {
+			// Fork to the start of segment k. Concurrent trials fork from
+			// one snapshot safely: it is read-only, pages and blocks are
+			// copy-on-write.
+			m = machine.Fork(snaps[k])
 		}
 		m.Spawn(segs[k].name, 0, func(p unix.Proc) { _ = segs[k].body(p) })
 		ci := m.Crash(at)

@@ -100,30 +100,29 @@ func TestCrashParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCrashSnapshotMatchesFromBoot: the fork-based fast path (trials
-// fork from the segment-boundary snapshot nearest their crash point)
+// TestCrashSnapshotMatchesFromBoot: the sweep's forked trials (each
+// forks from the segment-boundary snapshot nearest its crash point)
 // must reproduce the from-boot sweep exactly — same boundaries, same
 // crash instants, same audit findings, same digest — serially and
 // with trials forking concurrently from shared snapshots.
 func TestCrashSnapshotMatchesFromBoot(t *testing.T) {
-	mk := func(snapshot bool, workers int) CrashResult {
-		res, err := CrashEnumerate(CrashConfig{
+	mk := func(fromBoot bool, workers int) CrashResult {
+		res, err := crashEnumerate(CrashConfig{
 			Plan:      &fault.Plan{Seed: 42, TornWrites: true},
 			MaxPoints: 8,
 			Parallel:  workers,
-			Snapshot:  snapshot,
-		})
+		}, fromBoot, auditCrash)
 		if err != nil {
-			t.Fatalf("snapshot=%v parallel=%d: %v", snapshot, workers, err)
+			t.Fatalf("fromBoot=%v parallel=%d: %v", fromBoot, workers, err)
 		}
 		return res
 	}
-	ref := mk(false, 1)
+	ref := mk(true, 1)
 	if ref.Violations() != 0 {
 		t.Fatalf("from-boot sweep: %d crash points failed recovery", ref.Violations())
 	}
 	for _, workers := range []int{1, 4} {
-		got := mk(true, workers)
+		got := mk(false, workers)
 		if got.Digest != ref.Digest || got.Boundaries != ref.Boundaries || len(got.Points) != len(ref.Points) {
 			t.Fatalf("snapshot parallel=%d: digest %#x boundaries %d points %d, from-boot digest %#x boundaries %d points %d",
 				workers, got.Digest, got.Boundaries, len(got.Points), ref.Digest, ref.Boundaries, len(ref.Points))
@@ -141,11 +140,11 @@ func TestCrashHandoffMatchesFlatAudit(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		plan     *fault.Plan
-		snapshot bool
+		fromBoot bool
 	}{
-		{"42:torn", &fault.Plan{Seed: 42, TornWrites: true}, true},
-		{"42:torn/from-boot", &fault.Plan{Seed: 42, TornWrites: true}, false},
-		{"no-faults", &fault.Plan{Seed: 42}, true},
+		{"42:torn", &fault.Plan{Seed: 42, TornWrites: true}, false},
+		{"42:torn/from-boot", &fault.Plan{Seed: 42, TornWrites: true}, true},
+		{"no-faults", &fault.Plan{Seed: 42}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checked := 0
@@ -168,7 +167,7 @@ func TestCrashHandoffMatchesFlatAudit(t *testing.T) {
 				checked++
 				return got
 			}
-			res, err := crashEnumerate(CrashConfig{Plan: tc.plan, MaxPoints: 1 << 20, Snapshot: tc.snapshot}, audit)
+			res, err := crashEnumerate(CrashConfig{Plan: tc.plan, MaxPoints: 1 << 20}, tc.fromBoot, audit)
 			if err != nil {
 				t.Fatal(err)
 			}

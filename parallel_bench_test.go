@@ -39,13 +39,12 @@ func BenchmarkDifftest100Parallel4(b *testing.B) { benchDifftest(b, 4, false) }
 func BenchmarkDifftest100SnapshotSerial(b *testing.B)    { benchDifftest(b, 1, true) }
 func BenchmarkDifftest100SnapshotParallel4(b *testing.B) { benchDifftest(b, 4, true) }
 
-func benchCrashSweep(b *testing.B, workers int, snapshot bool) {
+func benchCrashSweep(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		res, err := workload.CrashEnumerate(workload.CrashConfig{
 			Plan:      &fault.Plan{Seed: 42, TornWrites: true},
 			MaxPoints: 12,
 			Parallel:  workers,
-			Snapshot:  snapshot,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -56,13 +55,10 @@ func benchCrashSweep(b *testing.B, workers int, snapshot bool) {
 	}
 }
 
-func BenchmarkCrashSweepSerial(b *testing.B)    { benchCrashSweep(b, 1, false) }
-func BenchmarkCrashSweepParallel4(b *testing.B) { benchCrashSweep(b, 4, false) }
-
-// Snapshot variants: crash trials fork from the probe's segment
-// snapshots instead of re-running the workload prefix from boot.
-func BenchmarkCrashSweepSnapshotSerial(b *testing.B)    { benchCrashSweep(b, 1, true) }
-func BenchmarkCrashSweepSnapshotParallel4(b *testing.B) { benchCrashSweep(b, 4, true) }
+// Crash trials always fork from the probe's segment snapshots, so
+// unlike difftest the sweep has no from-boot twin to pair these with.
+func BenchmarkCrashSweepSnapshotSerial(b *testing.B)    { benchCrashSweep(b, 1) }
+func BenchmarkCrashSweepSnapshotParallel4(b *testing.B) { benchCrashSweep(b, 4) }
 
 func benchCluster(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
