@@ -96,9 +96,10 @@ examples:
 # parallel harness is race-clean, the
 # crash-enumeration sweep re-runs, the differential fuzz smoke
 # campaign comes back clean, the cluster runs end to end, snapshot
-# forking reproduces boot runs bit-exactly, the examples run, and the
+# forking reproduces boot runs bit-exactly, the examples run, every
+# function is reached by an experiment or allowlisted (reach), and the
 # parallel harness is not slower than serial.
-check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-smoke examples perf-sanity
+check: build fmt vet race race-parallel crash fuzz-smoke cluster-smoke snapshot-smoke examples reach perf-sanity
 
 # Wall-clock benchmark baseline, committed as BENCH_sim.json so engine
 # or harness regressions show up as a diff. Two tiers: the engine and
@@ -130,15 +131,22 @@ bench:
 	  | $(GO) run ./cmd/benchjson -expect '$(BENCH_EXPECT)' > BENCH_sim.json
 	@echo "wrote BENCH_sim.json"
 
-# Reachability report: the functions no experiment runs. xok-bench and
+# Reachability gate: every function is either run by an experiment or
+# listed, with a one-line reason, in reach-allowlist.txt. xok-bench and
 # the four examples are built with coverage over every package, the
-# experiment set below runs into a scratch GOCOVERDIR with its output
-# discarded, and every function `go tool covdata func` reports at 0.0%
-# is printed. It is a starting list for simplicity work (test-only
-# helpers show up too), not a gate, so `check` does not run it.
+# runs below go into a scratch GOCOVERDIR with their output discarded,
+# and `go tool covdata func` gives each function's coverage. It fails on
+#   - a function at 0.0% that the allowlist does not name;
+#   - an allowlist entry that is now reached or no longer exists, so
+#     the list can only shrink;
+#   - a package with non-test Go files that neither xok-bench nor an
+#     example links, since coverage cannot see such a package at all;
+#     REACH_TOOLS names the standalone tools exempt from this.
 REACH_RUNS = '-run all' '-run figure4 -full' '-run crash -faults 42:torn' \
-	'-run difftest -faults 42:kill=60,killenv=fuzz,torn' '-run cluster -hist'
+	'-run difftest -faults 42:kill=60,killenv=fuzz,torn' '-run cluster -hist' \
+	"-run cluster -parallel 1 -trace $$dir/trace.json"
 REACH_EXAMPLES = quickstart customfs webserver xcp
+REACH_TOOLS = xok/cmd/benchjson xok/cmd/udfasm
 
 reach:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && mkdir "$$dir/cov" && \
@@ -150,4 +158,21 @@ reach:
 	for args in $(REACH_RUNS); do \
 		GOCOVERDIR="$$dir/cov" "$$dir/xok-bench" $$args > /dev/null 2>&1 || { echo "xok-bench $$args failed"; exit 1; }; \
 	done && \
-	$(GO) tool covdata func -i="$$dir/cov" | awk '$$NF == "0.0%" { print; n++ } END { print n+0, "functions no experiment reaches" }'
+	$(GO) tool covdata func -i="$$dir/cov" | \
+		awk '$$NF == "0.0%" { p = $$1; sub(/\/[^\/]*$$/, "", p); sub(/^xok\//, "", p); print p, $$2 }' | \
+		sort -u > "$$dir/unreached" && \
+	awk '!/^#/ && NF && NF < 3 { print "reach-allowlist.txt:" NR ": no reason given"; bad = 1 } END { exit bad }' \
+		reach-allowlist.txt && \
+	awk '!/^#/ && NF { print $$1, $$2 }' reach-allowlist.txt | sort -u > "$$dir/listed" && \
+	$(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | sort > "$$dir/pkgs" && \
+	{ $(GO) list -deps ./cmd/xok-bench $(REACH_EXAMPLES:%=./examples/%); printf '%s\n' $(REACH_TOOLS); } | \
+		sort -u > "$$dir/linked" && \
+	fail=0 && \
+	for check in "unreached and not in reach-allowlist.txt:-23 unreached listed" \
+		"in reach-allowlist.txt but reached or gone:-13 unreached listed" \
+		"linked by no experiment binary:-23 pkgs linked"; do \
+		set -- $${check#*:}; out=$$(comm $$1 "$$dir/$$2" "$$dir/$$3"); \
+		if [ -n "$$out" ]; then echo "$${check%%:*}:"; echo "$$out" | sed 's/^/  /'; fail=1; fi; \
+	done && \
+	{ [ $$fail = 1 ] || echo "$$(wc -l < "$$dir/unreached") functions no experiment reaches, each in reach-allowlist.txt"; \
+	  exit $$fail; }

@@ -33,12 +33,8 @@ var cffsVariants = []struct {
 // unpackDelete is the measured workload: unpack a ~1.3-MB archive into
 // a tree, sync, delete the tree.
 func unpackDelete(b *testing.B, cfg cffs.Config, flushBehind int, fifo bool) sim.Time {
-	return unpackDeleteSpindles(b, cfg, flushBehind, fifo, 1)
-}
-
-func unpackDeleteSpindles(b *testing.B, cfg cffs.Config, flushBehind int, fifo bool, spindles int) sim.Time {
 	b.Helper()
-	k := kernel.New(kernel.Config{Name: "abl", MemPages: 8192, DiskSize: 65536, Spindles: spindles})
+	k := kernel.New(kernel.Config{Name: "abl", MemPages: 8192, DiskSize: 65536})
 	k.Disk.FIFO = fifo
 	x := xn.New(k)
 	x.FlushBehind = flushBehind
@@ -162,21 +158,6 @@ func BenchmarkAblationFlushBehind(b *testing.B) {
 			var t sim.Time
 			for i := 0; i < b.N; i++ {
 				t = unpackDelete(b, cffs.DefaultConfig(), fb, false)
-			}
-			b.ReportMetric(t.Millis(), "vms/workload")
-		})
-	}
-}
-
-// BenchmarkAblationRAID runs the FFS-profile workload (synchronous
-// metadata writes = lots of small disk I/O) on 1-, 2- and 4-spindle
-// RAID-0 sets (Section 4.6's RAID as a storage substrate).
-func BenchmarkAblationRAID(b *testing.B) {
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("spindles=%d", n), func(b *testing.B) {
-			var t sim.Time
-			for i := 0; i < b.N; i++ {
-				t = unpackDeleteSpindles(b, cffs.FFSConfig(), 512, false, n)
 			}
 			b.ReportMetric(t.Millis(), "vms/workload")
 		})

@@ -29,15 +29,6 @@ type TreeSpec struct {
 	Files []FileSpec
 }
 
-// TotalBytes sums the file sizes.
-func (t TreeSpec) TotalBytes() int {
-	n := 0
-	for _, f := range t.Files {
-		n += f.Size
-	}
-	return n
-}
-
 // LccTree synthesizes a tree with the lcc distribution's footprint:
 // ~250 source files in ~20 directories totalling ~3.5 MB, whose pax
 // archive is ~3.6 MB and whose gzipped archive is ~1.1 MB (Table 1:

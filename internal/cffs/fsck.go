@@ -27,9 +27,6 @@ func (r *FsckReport) errorf(format string, args ...any) {
 	r.Errors = append(r.Errors, fmt.Sprintf(format, args...))
 }
 
-// Ok reports a clean volume.
-func (r *FsckReport) Ok() bool { return len(r.Errors) == 0 }
-
 // Fsck checks the whole tree rooted at fs.Root.
 func (fs *FS) Fsck(e *kernel.Env) (*FsckReport, error) {
 	r := &FsckReport{}

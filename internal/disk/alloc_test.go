@@ -9,12 +9,8 @@ import (
 // TestWritePathSteadyStateAllocs pins the steady-state allocation count
 // of the hot block-write path: Submit + service + DMA of one 4-KB block
 // that already exists on the media. This is the path every C-FFS sync
-// write and crash-enumeration trial hammers; before the pooling pass it
-// allocated a fresh 4-KB media block per first-touch and assorted
-// per-request garbage. The remaining per-op allocations are the
-// single-spindle split slice ([]*Request{r}) and pickNext's sort
-// machinery — the media block itself, the request, and the completion
-// timer must all be reuse/alloc-free.
+// write and crash-enumeration trial hammers: the media block, the
+// request, the queue and the completion timer must all be reused.
 func TestWritePathSteadyStateAllocs(t *testing.T) {
 	eng, _, d := newDisk()
 	page := make([]byte, sim.DiskBlockSize)
@@ -28,10 +24,9 @@ func TestWritePathSteadyStateAllocs(t *testing.T) {
 	}
 	write() // first touch allocates the media block; steady state must not
 
-	avg := testing.AllocsPerRun(200, write)
-	// 2 = the single-spindle split slice + pickNext's sort machinery. A
-	// fresh 4-KB block or per-request closure on this path shows up as +1.
-	if avg > 2 {
-		t.Fatalf("steady-state disk write path: %.1f allocs/op, want <= 2", avg)
+	// A fresh 4-KB block or per-request closure on this path shows up
+	// as +1.
+	if avg := testing.AllocsPerRun(200, write); avg > 0 {
+		t.Fatalf("steady-state disk write path: %.1f allocs/op, want 0", avg)
 	}
 }

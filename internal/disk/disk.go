@@ -55,7 +55,6 @@ type Request struct {
 	// the crash image instead.
 	Err error
 
-	pos      BlockNo // physical position on its spindle, set when queued
 	queuedAt sim.Time
 	svcStart sim.Time // when the spindle began servicing this request
 	seekT    sim.Time // seek component of the service time
@@ -65,41 +64,35 @@ type Request struct {
 	// startNext so the package-level completeArg callback can find its
 	// way back without a per-request closure.
 	svcDisk *Disk
-	svcSp   *spindle
 }
 
-// spindle is one physical drive: its own head, queue and service
-// loop. A single-spindle Disk is the paper's configuration; striped
-// configurations (RAID-0, Section 4.6's "range of file systems ...
-// RAID") fan logical blocks across several spindles.
+// spindle is the physical drive: its head, queue and service loop.
 type spindle struct {
-	idx  int
 	head BlockNo
 	busy bool
-	// queue holds the waiting requests in service order: by physical
-	// position (arrival order among equal positions) for CSCAN, or in
-	// arrival order when fifo. fifo is the discipline the queue was
+	// queue holds the waiting requests in service order: by block
+	// (arrival order among equal blocks) for CSCAN, or in arrival
+	// order when fifo. fifo is the discipline the queue was
 	// filled under; it is fixed while the queue is non-empty.
 	queue []*Request
 	fifo  bool
 	cur   *Request // the request in service (Crash's torn writes)
 }
 
-// Disk is the drive (or striped drive set) plus its driver queues.
+// Disk is the drive plus its driver queue.
 type Disk struct {
 	eng     *sim.Engine
 	stats   *sim.Stats
 	nblocks int64
 
-	spindles   []spindle
-	stripeUnit int64 // blocks per stripe unit (striped configs)
+	sp spindle
 
 	// FIFO disables the driver's CSCAN sorting and services requests
 	// in arrival order — an ablation knob for measuring what the
 	// scheduler is worth (the bench ablations use it). Set it before
-	// the first Submit: each spindle's queue is kept in the order of
-	// the mode it was filled under, and the driver panics if FIFO
-	// changes while requests are queued.
+	// the first Submit: the queue is kept in the order of the mode it
+	// was filled under, and the driver panics if FIFO changes while
+	// requests are queued.
 	FIFO bool
 
 	tr    *trace.Tracer // span/histogram sink; nil = tracing off
@@ -118,27 +111,6 @@ type Disk struct {
 // Option configures a Disk at construction (functional options).
 type Option func(*Disk)
 
-// WithStriping builds the disk as a RAID-0 set: the logical space
-// striped across n spindles in stripeUnit-block units (default 16).
-// The logical block interface is unchanged; requests are split at
-// stripe boundaries and serviced by the owning spindles in parallel
-// (Section 4.6's "range of file systems ... RAID").
-func WithStriping(n int, stripeUnit int64) Option {
-	return func(d *Disk) {
-		if n < 1 {
-			n = 1
-		}
-		if stripeUnit < 1 {
-			stripeUnit = 16
-		}
-		d.spindles = make([]spindle, n)
-		for i := range d.spindles {
-			d.spindles[i].idx = i
-		}
-		d.stripeUnit = stripeUnit
-	}
-}
-
 // WithFaults attaches a fault plan: read media errors (Request.Err)
 // and torn writes in Crash's image. A nil plan is the default — no
 // injection, one nil check per request.
@@ -146,17 +118,14 @@ func WithFaults(p *fault.Plan) Option {
 	return func(d *Disk) { d.faults = p }
 }
 
-// New returns a disk with nblocks 4-KB blocks: a single spindle unless
-// WithStriping says otherwise, silent until SetTrace, fault-free
-// unless WithFaults.
+// New returns a disk with nblocks 4-KB blocks, silent until SetTrace
+// and fault-free unless WithFaults.
 func New(eng *sim.Engine, stats *sim.Stats, nblocks int64, opts ...Option) *Disk {
 	d := &Disk{
-		eng:        eng,
-		stats:      stats,
-		nblocks:    nblocks,
-		spindles:   make([]spindle, 1),
-		stripeUnit: nblocks,
-		store:      make(map[BlockNo][]byte),
+		eng:     eng,
+		stats:   stats,
+		nblocks: nblocks,
+		store:   make(map[BlockNo][]byte),
 	}
 	for _, opt := range opts {
 		opt(d)
@@ -164,38 +133,20 @@ func New(eng *sim.Engine, stats *sim.Stats, nblocks int64, opts ...Option) *Disk
 	return d
 }
 
-// SetTrace attaches a tracer: each spindle becomes a trace lane and
+// SetTrace attaches a tracer: the spindle becomes a trace lane and
 // every request gets queue and service spans plus latency-histogram
 // samples. A nil tracer turns tracing off.
 func (d *Disk) SetTrace(tr *trace.Tracer, pid int64) {
 	d.tr = tr
 	d.trPID = pid
 	if tr.Enabled() {
-		for i := range d.spindles {
-			tr.NameLane(pid, d.laneOf(i), fmt.Sprintf("disk spindle %d", i))
-		}
+		tr.NameLane(pid, diskLane, "disk spindle 0")
 	}
 }
 
-// laneOf maps a spindle index to its trace lane (TID). Lanes 1..n are
-// the spindles; the kernel's environments use 100+.
-func (d *Disk) laneOf(spindle int) int64 { return int64(1 + spindle) }
-
-// Spindles reports the number of physical drives in the set.
-func (d *Disk) Spindles() int { return len(d.spindles) }
-
-// spindleOf maps a logical block to its owning spindle.
-func (d *Disk) spindleOf(b BlockNo) int {
-	return int((int64(b) / d.stripeUnit) % int64(len(d.spindles)))
-}
-
-// physOf maps a logical block to its position on the owning spindle's
-// platter (consecutive stripe units interleave across spindles but are
-// contiguous within each one).
-func (d *Disk) physOf(b BlockNo) BlockNo {
-	n := int64(len(d.spindles))
-	return BlockNo((int64(b)/(d.stripeUnit*n))*d.stripeUnit + int64(b)%d.stripeUnit)
-}
+// diskLane is the spindle's trace lane (TID); the kernel's
+// environments use 100+.
+const diskLane = 1
 
 // NumBlocks returns the media size in blocks.
 func (d *Disk) NumBlocks() int64 { return d.nblocks }
@@ -221,88 +172,32 @@ func (d *Disk) Submit(r *Request) {
 			d.stats.Add(sim.CtrDiskReads, int64(r.Count))
 		}
 	}
-	// Split at stripe boundaries; each piece goes to its spindle. The
-	// original Done fires when the last piece completes.
-	pieces := d.split(r)
-	for _, pc := range pieces {
-		sp := &d.spindles[d.spindleOf(pc.Block)]
-		d.enqueue(sp, pc)
-		if !sp.busy {
-			d.startNext(sp)
-		}
+	d.enqueue(r)
+	if !d.sp.busy {
+		d.startNext()
 	}
 }
 
-// split cuts a request at stripe-unit boundaries, wiring a countdown
-// completion so the caller sees one Done.
-func (d *Disk) split(r *Request) []*Request {
-	if len(d.spindles) == 1 {
-		return []*Request{r}
-	}
-	var pieces []*Request
-	b := r.Block
-	remaining := r.Count
-	idx := 0
-	for remaining > 0 {
-		unitEnd := (int64(b)/d.stripeUnit + 1) * d.stripeUnit
-		n := int(unitEnd - int64(b))
-		if n > remaining {
-			n = remaining
-		}
-		var pages [][]byte
-		if r.Pages != nil {
-			pages = r.Pages[idx : idx+n]
-		}
-		pieces = append(pieces, &Request{
-			Write: r.Write, Block: b, Count: n, Pages: pages,
-			queuedAt: r.queuedAt,
-		})
-		b += BlockNo(n)
-		idx += n
-		remaining -= n
-	}
-	if len(pieces) == 1 {
-		pieces[0].Done = r.Done
-		return pieces
-	}
-	outstanding := len(pieces)
-	for _, pc := range pieces {
-		pc.Done = func(done *Request) {
-			if done.Err != nil && r.Err == nil {
-				r.Err = done.Err // first piece error wins
-			}
-			outstanding--
-			if outstanding == 0 && r.Done != nil {
-				r.Done(r)
-			}
-		}
-	}
-	return pieces
-}
-
-// enqueue adds r to sp's queue in service order. In CSCAN mode that is
-// by physical position, after any request already queued at the same
-// position: exactly the order a stable sort of the arrival sequence
-// gives. Positions are spindle-local and *physical* (physOf), like the
-// head: logical block numbers interleave across spindles and are ~n
-// times larger than any physical position, so an elevator comparing
-// them with the head would pick requests behind it on a striped set.
-func (d *Disk) enqueue(sp *spindle, r *Request) {
+// enqueue adds r to the queue in service order. In CSCAN mode that is
+// by block, after any request already queued at the same block:
+// exactly the order a stable sort of the arrival sequence gives.
+func (d *Disk) enqueue(r *Request) {
+	sp := &d.sp
 	if len(sp.queue) == 0 {
 		sp.fifo = d.FIFO
 	}
-	r.pos = d.physOf(r.Block)
 	i := len(sp.queue)
 	if !sp.fifo {
-		i = sort.Search(len(sp.queue), func(i int) bool { return sp.queue[i].pos > r.pos })
+		i = sort.Search(len(sp.queue), func(i int) bool { return sp.queue[i].Block > r.Block })
 	}
 	sp.queue = slices.Insert(sp.queue, i, r)
 }
 
-// pickNext removes and returns the CSCAN-next request for a spindle:
-// the lowest position at or beyond the head, wrapping to the lowest
-// overall (the head of the queue in FIFO mode).
-func (d *Disk) pickNext(sp *spindle) *Request {
+// pickNext removes and returns the CSCAN-next request: the lowest
+// block at or beyond the head, wrapping to the lowest overall (the
+// head of the queue in FIFO mode).
+func (d *Disk) pickNext() *Request {
+	sp := &d.sp
 	if len(sp.queue) == 0 {
 		return nil
 	}
@@ -311,7 +206,7 @@ func (d *Disk) pickNext(sp *spindle) *Request {
 	}
 	i := 0
 	if !sp.fifo {
-		i = sort.Search(len(sp.queue), func(i int) bool { return sp.queue[i].pos >= sp.head })
+		i = sort.Search(len(sp.queue), func(i int) bool { return sp.queue[i].Block >= sp.head })
 		if i == len(sp.queue) {
 			i = 0 // wrap
 		}
@@ -321,25 +216,18 @@ func (d *Disk) pickNext(sp *spindle) *Request {
 	return r
 }
 
-// serviceTime computes the positional cost of r given a spindle's
-// head (positions in spindle-local physical space). The seek and
-// rotation components are recorded on the request so completion spans
-// can attribute them.
-func (d *Disk) serviceTime(sp *spindle, r *Request) sim.Time {
+// serviceTime computes the positional cost of r given the head. The
+// seek and rotation components are recorded on the request so
+// completion spans can attribute them.
+func (d *Disk) serviceTime(r *Request) sim.Time {
 	t := sim.DiskControllerOverhead
 	r.seekT, r.rotT = 0, 0
-	pos := d.physOf(r.Block)
-	if pos != sp.head {
-		dist := int64(pos - sp.head)
+	if r.Block != d.sp.head {
+		dist := int64(r.Block - d.sp.head)
 		if dist < 0 {
 			dist = -dist
 		}
-		// The seek curve is calibrated against one *platter*: each
-		// spindle of a striped set holds nblocks/n of the logical
-		// space. (Calibrating against the total used to make every
-		// spindle behave as if its platter were n times its real size,
-		// systematically underestimating seeks on striped sets.)
-		r.seekT = seekTime(dist, d.spindleBlocks())
+		r.seekT = seekTime(dist, d.nblocks)
 		r.rotT = sim.DiskRotationPeriod / 2 // average rotational latency
 		t += r.seekT + r.rotT
 		if d.stats != nil {
@@ -348,15 +236,6 @@ func (d *Disk) serviceTime(sp *spindle, r *Request) sim.Time {
 	}
 	t += sim.DiskTransferPerBlock * sim.Time(r.Count)
 	return t
-}
-
-// spindleBlocks is the capacity of one physical drive in the set.
-func (d *Disk) spindleBlocks() int64 {
-	per := d.nblocks / int64(len(d.spindles))
-	if per < 1 {
-		per = 1
-	}
-	return per
 }
 
 // seekTime is the classic a + b*sqrt(distance) seek curve, calibrated
@@ -372,8 +251,9 @@ func seekTime(distBlocks, nblocks int64) sim.Time {
 	return sim.DiskSeekMin + sim.Time(float64(sim.DiskSeekAvg-sim.DiskSeekMin)*frac)
 }
 
-func (d *Disk) startNext(sp *spindle) {
-	r := d.pickNext(sp)
+func (d *Disk) startNext() {
+	sp := &d.sp
+	r := d.pickNext()
 	if r == nil {
 		sp.busy = false
 		sp.cur = nil
@@ -382,8 +262,8 @@ func (d *Disk) startNext(sp *spindle) {
 	sp.busy = true
 	sp.cur = r
 	r.svcStart = d.eng.Now()
-	t := d.serviceTime(sp, r)
-	r.svcDisk, r.svcSp = d, sp
+	t := d.serviceTime(r)
+	r.svcDisk = d
 	d.eng.AfterArg(t, completeArg, r)
 }
 
@@ -392,11 +272,11 @@ func (d *Disk) startNext(sp *spindle) {
 // highest-volume timer source after the scheduler).
 func completeArg(a any) {
 	r := a.(*Request)
-	r.svcDisk.complete(r.svcSp, r)
+	r.svcDisk.complete(r)
 }
 
-func (d *Disk) complete(sp *spindle, r *Request) {
-	sp.cur = nil
+func (d *Disk) complete(r *Request) {
+	d.sp.cur = nil
 	if !r.Write && d.faults.ReadError() {
 		// The drive could not read the sectors: no data transfers, the
 		// completion carries the error.
@@ -425,12 +305,12 @@ func (d *Disk) complete(sp *spindle, r *Request) {
 		// observer (the crash-enumeration harness collects these).
 		d.faults.NoteWrite(d.eng.Now(), int64(r.Block), r.Count)
 	}
-	sp.head = d.physOf(r.Block) + BlockNo(r.Count)
+	d.sp.head = r.Block + BlockNo(r.Count)
 	if d.tr.Enabled() {
-		d.traceRequest(sp, r)
+		d.traceRequest(r)
 	}
 	done := r.Done
-	d.startNext(sp) // keep the spindle busy before running the callback
+	d.startNext() // keep the spindle busy before running the callback
 	if done != nil {
 		done(r)
 	}
@@ -439,9 +319,9 @@ func (d *Disk) complete(sp *spindle, r *Request) {
 // traceRequest emits the queue and service spans for a completed
 // request, with the positional breakdown (seek vs. rotation vs.
 // transfer) as span args, and feeds the latency histograms.
-func (d *Disk) traceRequest(sp *spindle, r *Request) {
+func (d *Disk) traceRequest(r *Request) {
 	now := d.eng.Now()
-	lane := d.laneOf(sp.idx)
+	lane := int64(diskLane)
 	op := "read"
 	if r.Write {
 		op = "write"
@@ -585,45 +465,39 @@ func (d *Disk) tornWrites() Image {
 	if !d.faults.Torn() {
 		return nil
 	}
-	var torn Image
-	now := d.eng.Now()
-	for i := range d.spindles {
-		r := d.spindles[i].cur
-		if r == nil || !r.Write || r.Pages == nil {
-			continue
-		}
-		// Positioning (controller overhead, seek, rotation) precedes
-		// any media transfer; only time past it moves data.
-		pre := sim.DiskControllerOverhead + r.seekT + r.rotT
-		elapsed := now - r.svcStart
-		if elapsed <= pre {
-			continue
-		}
-		if torn == nil {
-			torn = make(Image)
-		}
-		xfer := elapsed - pre
-		full := int(xfer / sim.DiskTransferPerBlock)
-		if full > r.Count {
-			full = r.Count
-		}
-		for j := 0; j < full; j++ {
-			blk := bufpool.GetDirty()
-			copy(blk, r.Pages[j])
-			torn[r.Block+BlockNo(j)] = blk
-		}
-		if full < r.Count {
-			frac := xfer - sim.Time(full)*sim.DiskTransferPerBlock
-			nbytes := int(int64(frac) * sim.DiskBlockSize / int64(sim.DiskTransferPerBlock))
-			if nbytes > 0 {
-				b := r.Block + BlockNo(full)
-				blk := bufpool.Get()
-				if old, ok := d.lookup(b); ok {
-					copy(blk, old)
-				}
-				copy(blk[:nbytes], r.Pages[full])
-				torn[b] = blk
+	r := d.sp.cur
+	if r == nil || !r.Write || r.Pages == nil {
+		return nil
+	}
+	// Positioning (controller overhead, seek, rotation) precedes any
+	// media transfer; only time past it moves data.
+	pre := sim.DiskControllerOverhead + r.seekT + r.rotT
+	elapsed := d.eng.Now() - r.svcStart
+	if elapsed <= pre {
+		return nil
+	}
+	torn := make(Image)
+	xfer := elapsed - pre
+	full := int(xfer / sim.DiskTransferPerBlock)
+	if full > r.Count {
+		full = r.Count
+	}
+	for j := 0; j < full; j++ {
+		blk := bufpool.GetDirty()
+		copy(blk, r.Pages[j])
+		torn[r.Block+BlockNo(j)] = blk
+	}
+	if full < r.Count {
+		frac := xfer - sim.Time(full)*sim.DiskTransferPerBlock
+		nbytes := int(int64(frac) * sim.DiskBlockSize / int64(sim.DiskTransferPerBlock))
+		if nbytes > 0 {
+			b := r.Block + BlockNo(full)
+			blk := bufpool.Get()
+			if old, ok := d.lookup(b); ok {
+				copy(blk, old)
 			}
+			copy(blk[:nbytes], r.Pages[full])
+			torn[b] = blk
 		}
 	}
 	return torn

@@ -246,3 +246,44 @@ func TestSubmitValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestSnapshotExcludesQueued pins the documented power-failure
+// semantics: a Snapshot taken while writes sit in the driver queue (or
+// in service — DMA happens at completion) must not reflect them.
+func TestSnapshotExcludesQueued(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(eng, sim.NewStats(), 1<<16)
+	page := func(v byte) [][]byte {
+		p := make([]byte, sim.DiskBlockSize)
+		p[0] = v
+		return [][]byte{p}
+	}
+	// Block 5 is durably on media before the "power failure".
+	d.Submit(&Request{Write: true, Block: 5, Count: 1, Pages: page(0xAA)})
+	eng.Run()
+	// Block 6 goes into service immediately, block 7 waits in the
+	// driver queue.
+	d.Submit(&Request{Write: true, Block: 6, Count: 1, Pages: page(0xBB)})
+	d.Submit(&Request{Write: true, Block: 7, Count: 1, Pages: page(0xCC)})
+
+	snap := d.Snapshot()
+	if got := snap[5]; got == nil || got[0] != 0xAA {
+		t.Fatal("snapshot lost a completed write")
+	}
+	if _, ok := snap[6]; ok {
+		t.Fatal("snapshot reflects an in-service write")
+	}
+	if _, ok := snap[7]; ok {
+		t.Fatal("snapshot reflects a queued write")
+	}
+
+	// The snapshot is a deep copy: finishing the queued I/O afterwards
+	// must not leak into it, while the live media does see the writes.
+	eng.Run()
+	if d.PeekBlock(6)[0] != 0xBB || d.PeekBlock(7)[0] != 0xCC {
+		t.Fatal("queued writes never reached media")
+	}
+	if _, ok := snap[6]; ok {
+		t.Fatal("snapshot aliases live media")
+	}
+}

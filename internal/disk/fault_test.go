@@ -42,19 +42,6 @@ func TestReadMediaErrorInjection(t *testing.T) {
 	}
 }
 
-func TestStripedReadErrorPropagates(t *testing.T) {
-	eng := sim.NewEngine()
-	d := New(eng, nil, 1024,
-		WithStriping(2, 1),
-		WithFaults(&fault.Plan{Seed: 3, ReadErrRate: 1}))
-	var got *Request
-	d.Submit(&Request{Block: 0, Count: 4, Done: func(r *Request) { got = r }})
-	eng.Run()
-	if got == nil || got.Err != fault.ErrMedia {
-		t.Fatalf("striped parent err = %v, want ErrMedia", got.Err)
-	}
-}
-
 func TestWriteBoundaryObserver(t *testing.T) {
 	eng := sim.NewEngine()
 	plan := &fault.Plan{}
@@ -163,8 +150,8 @@ func TestCrashOverCheckpointLayers(t *testing.T) {
 	a := New(sim.NewEngine(), nil, 1024)
 	a.AdoptCrash(ci)
 	check("adopting disk", a.lookup)
-	if a.spindles[0].head != 0 {
-		t.Errorf("adopting disk's arm at %d, want a fresh disk's 0", a.spindles[0].head)
+	if a.sp.head != 0 {
+		t.Errorf("adopting disk's arm at %d, want a fresh disk's 0", a.sp.head)
 	}
 	a.PokeBlock(1, pattern(0xA1))
 	a.PokeBlock(6, pattern(0xA6))

@@ -8,29 +8,27 @@ import (
 	"xok/internal/sim"
 )
 
-// The reference scheduler is the driver as it was before each
-// spindle's queue was kept in physical order: Submit appends, and every
-// pick stable-sorts the whole queue by physical position and takes the
-// first request at or beyond the head, wrapping to the lowest. It runs
-// on a Disk of its own for geometry and timing (split, physOf,
-// serviceTime) but never calls Submit, startNext or complete.
+// The reference scheduler is the driver as it was before its queue was
+// kept in block order: Submit appends, and every pick stable-sorts the
+// whole queue by block and takes the first request at or beyond the
+// head, wrapping to the lowest. It runs on a Disk of its own for
+// geometry and timing (serviceTime) but never calls Submit, startNext
+// or complete.
 type refDisk struct {
 	*Disk
-	wraps int // picks that wrapped past the highest queued position
+	wraps int // picks that wrapped past the highest queued block
 }
 
 func (d *refDisk) submit(r *Request) {
 	r.queuedAt = d.eng.Now()
-	for _, pc := range d.split(r) {
-		sp := &d.spindles[d.spindleOf(pc.Block)]
-		sp.queue = append(sp.queue, pc)
-		if !sp.busy {
-			d.start(sp)
-		}
+	d.sp.queue = append(d.sp.queue, r)
+	if !d.sp.busy {
+		d.start()
 	}
 }
 
-func (d *refDisk) pick(sp *spindle) *Request {
+func (d *refDisk) pick() *Request {
+	sp := &d.sp
 	if len(sp.queue) == 0 {
 		return nil
 	}
@@ -40,11 +38,11 @@ func (d *refDisk) pick(sp *spindle) *Request {
 		return r
 	}
 	sort.SliceStable(sp.queue, func(i, j int) bool {
-		return d.physOf(sp.queue[i].Block) < d.physOf(sp.queue[j].Block)
+		return sp.queue[i].Block < sp.queue[j].Block
 	})
 	idx := -1
 	for i, r := range sp.queue {
-		if d.physOf(r.Block) >= sp.head {
+		if r.Block >= sp.head {
 			idx = i
 			break
 		}
@@ -58,17 +56,17 @@ func (d *refDisk) pick(sp *spindle) *Request {
 	return r
 }
 
-func (d *refDisk) start(sp *spindle) {
-	r := d.pick(sp)
+func (d *refDisk) start() {
+	r := d.pick()
 	if r == nil {
-		sp.busy = false
+		d.sp.busy = false
 		return
 	}
-	sp.busy = true
-	d.eng.After(d.serviceTime(sp, r), func() {
-		sp.head = d.physOf(r.Block) + BlockNo(r.Count)
+	d.sp.busy = true
+	d.eng.After(d.serviceTime(r), func() {
+		d.sp.head = r.Block + BlockNo(r.Count)
 		done := r.Done
-		d.start(sp)
+		d.start()
 		if done != nil {
 			done(r)
 		}
@@ -84,8 +82,8 @@ type completion struct {
 // orderTrial drives one random schedule of requests through submit (a
 // real Disk's or the reference's) on eng and returns the completions in
 // the order Done fired. Requests land on a few hot blocks (so
-// duplicates queue together), span stripe units, arrive in bursts at
-// one instant and while spindles are busy, and some completions submit
+// duplicates queue together), arrive in bursts at one instant and
+// while the spindle is busy, and some completions submit
 // a follow-up request from inside Done.
 func orderTrial(seed uint64, eng *sim.Engine, nblocks int64, submit func(*Request)) []completion {
 	rng := sim.NewRNG(seed)
@@ -132,41 +130,38 @@ func orderTrial(seed uint64, eng *sim.Engine, nblocks int64, submit func(*Reques
 	return out
 }
 
-// TestQueueOrderMatchesReference checks that a spindle queue kept in
-// physical order services exactly as the sort-every-pick reference:
-// the same Done order at the same virtual times, and the same seek
-// count, on 1, 2 and 4 spindles, in CSCAN and FIFO mode.
+// TestQueueOrderMatchesReference checks that a queue kept in block
+// order services exactly as the sort-every-pick reference: the same
+// Done order at the same virtual times, and the same seek count, in
+// CSCAN and FIFO mode.
 func TestQueueOrderMatchesReference(t *testing.T) {
 	const nblocks = 4096
 	wraps := 0
-	for _, spindles := range []int{1, 2, 4} {
-		for seed := uint64(1); seed <= 12; seed++ {
-			fifo := seed%4 == 0
-			name := fmt.Sprintf("spindles=%d/seed=%d/fifo=%v", spindles, seed, fifo)
-			opts := []Option{WithStriping(spindles, int64(4+12*(seed%2)))}
+	for seed := uint64(1); seed <= 12; seed++ {
+		fifo := seed%4 == 0
+		name := fmt.Sprintf("seed=%d/fifo=%v", seed, fifo)
 
-			eng, st := sim.NewEngine(), sim.NewStats()
-			d := New(eng, st, nblocks, opts...)
-			d.FIFO = fifo
-			got := orderTrial(seed, eng, nblocks, d.Submit)
+		eng, st := sim.NewEngine(), sim.NewStats()
+		d := New(eng, st, nblocks)
+		d.FIFO = fifo
+		got := orderTrial(seed, eng, nblocks, d.Submit)
 
-			refEng, refSt := sim.NewEngine(), sim.NewStats()
-			ref := &refDisk{Disk: New(refEng, refSt, nblocks, opts...)}
-			ref.FIFO = fifo
-			want := orderTrial(seed, refEng, nblocks, ref.submit)
-			wraps += ref.wraps
+		refEng, refSt := sim.NewEngine(), sim.NewStats()
+		ref := &refDisk{Disk: New(refEng, refSt, nblocks)}
+		ref.FIFO = fifo
+		want := orderTrial(seed, refEng, nblocks, ref.submit)
+		wraps += ref.wraps
 
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d completions, reference %d", name, len(got), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d completions, reference %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: completion %d is %+v, reference %+v", name, i, got[i], want[i])
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: completion %d is %+v, reference %+v", name, i, got[i], want[i])
-				}
-			}
-			if a, b := st.Get(sim.CtrDiskSeeks), refSt.Get(sim.CtrDiskSeeks); a != b {
-				t.Fatalf("%s: %d seeks, reference %d", name, a, b)
-			}
+		}
+		if a, b := st.Get(sim.CtrDiskSeeks), refSt.Get(sim.CtrDiskSeeks); a != b {
+			t.Fatalf("%s: %d seeks, reference %d", name, a, b)
 		}
 	}
 	if wraps == 0 {

@@ -21,13 +21,13 @@ type cowLayer struct {
 }
 
 // Checkpoint is frozen disk state: the media as a layer chain plus the
-// per-spindle head positions and the scheduler mode. The checkpoint
+// head position and the scheduler mode. The checkpoint
 // owns the buffers of the one layer it froze (earlier layers belong to
 // earlier checkpoints); Release returns them to bufpool.
 type Checkpoint struct {
-	base  *cowLayer
-	heads []BlockNo
-	fifo  bool
+	base *cowLayer
+	head BlockNo
+	fifo bool
 }
 
 // Checkpoint freezes the live overlay and returns the disk's snapshot
@@ -39,27 +39,17 @@ func (d *Disk) Checkpoint() *Checkpoint {
 	l := &cowLayer{store: d.store, parent: d.base}
 	d.base = l
 	d.store = make(map[BlockNo][]byte)
-	cp := &Checkpoint{base: l, fifo: d.FIFO, heads: make([]BlockNo, len(d.spindles))}
-	for i := range d.spindles {
-		cp.heads[i] = d.spindles[i].head
-	}
-	return cp
+	return &Checkpoint{base: l, fifo: d.FIFO, head: d.sp.head}
 }
 
-// Adopt attaches a freshly built disk (same geometry options as the
-// checkpointed one) to a checkpoint: media reads resolve through the
-// frozen layers and the arm positions continue where the snapshot left
-// them. Safe to call for many forks of one checkpoint, concurrently —
+// Adopt attaches a freshly built disk to a checkpoint: media reads
+// resolve through the frozen layers and the arm continues where the
+// snapshot left it. Safe to call for many forks of one checkpoint, concurrently —
 // the frozen layers are only read.
 func (d *Disk) Adopt(cp *Checkpoint) {
-	if len(cp.heads) != len(d.spindles) {
-		panic("disk: Adopt with mismatched spindle count")
-	}
 	d.base = cp.base
 	d.FIFO = cp.fifo
-	for i := range d.spindles {
-		d.spindles[i].head = cp.heads[i]
-	}
+	d.sp.head = cp.head
 }
 
 // Release returns the checkpoint's frozen layer to the buffer pool.
@@ -109,7 +99,7 @@ func (d *Disk) Crash() *CrashImage {
 // AdoptCrash attaches a freshly built disk to a crash image's media:
 // reads resolve through its frozen layers and the torn blocks are
 // copied into the live overlay. Only the media carries over; the arm
-// positions and the queue are a fresh disk's. A crash image may be
+// position and the queue are a fresh disk's. A crash image may be
 // adopted any number of times, concurrently.
 func (d *Disk) AdoptCrash(ci *CrashImage) {
 	d.base = ci.base

@@ -36,16 +36,11 @@ type Filter struct {
 	Cmps []Cmp
 }
 
-// Eq8/Eq16/Eq32 are comparison constructors.
-func Eq8(off int, v uint8) Cmp   { return Cmp{off, 1, 0xFF, uint32(v)} }
-func Eq16(off int, v uint16) Cmp { return Cmp{off, 2, 0xFFFF, uint32(v)} }
+// Eq32 compares the 4 bytes at off with v.
 func Eq32(off int, v uint32) Cmp { return Cmp{off, 4, 0xFFFFFFFF, v} }
 
-// Match reports whether the filter accepts pkt. A comparison beyond
-// the packet's end fails.
-func (f *Filter) Match(pkt []byte) bool { return matchAll(f.Cmps, pkt) }
-
-// matchAll reports whether every comparison accepts pkt.
+// matchAll reports whether every comparison accepts pkt. A comparison
+// beyond the packet's end fails.
 func matchAll(cmps []Cmp, pkt []byte) bool {
 	for _, c := range cmps {
 		if !c.match(pkt) {
@@ -383,9 +378,6 @@ func removeEntry(s []*entry, ent *entry) []*entry {
 	}
 	return s
 }
-
-// Len reports how many filters are installed.
-func (e *Engine) Len() int { return len(e.entries) }
 
 // Dispatch finds the owner for pkt: the matching filter with the most
 // comparisons (most specific) wins; ties break by lowest ID (oldest

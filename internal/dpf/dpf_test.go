@@ -5,6 +5,10 @@ import (
 	"testing"
 )
 
+// Eq8 and Eq16 compare the 1 and 2 bytes at off with v.
+func Eq8(off int, v uint8) Cmp   { return Cmp{off, 1, 0xFF, uint32(v)} }
+func Eq16(off int, v uint16) Cmp { return Cmp{off, 2, 0xFFFF, uint32(v)} }
+
 // makeUDPPacket builds a tiny pseudo-header: [dstPort(2) srcPort(2)
 // proto(1) payload...]. The tests only need deterministic bytes, not a
 // real IP stack.
@@ -72,8 +76,8 @@ func TestRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Len() != 1 {
-		t.Fatalf("len = %d", e.Len())
+	if len(e.entries) != 1 {
+		t.Fatalf("len = %d", len(e.entries))
 	}
 	if err := e.Remove(id); err != nil {
 		t.Fatal(err)
@@ -309,7 +313,7 @@ func TestUnkeyedDispatchMatchesLinearScan(t *testing.T) {
 		var wantID ID
 		wantLen := -1
 		for _, in := range live {
-			if in.f.Match(p) && (len(in.f.Cmps) > wantLen || (len(in.f.Cmps) == wantLen && in.id < wantID)) {
+			if matchAll(in.f.Cmps, p) && (len(in.f.Cmps) > wantLen || (len(in.f.Cmps) == wantLen && in.id < wantID)) {
 				wantID, wantLen = in.id, len(in.f.Cmps)
 			}
 		}

@@ -73,20 +73,11 @@ type Plan struct {
 	KillSyscallNth int
 	KillEnv        string
 
-	// CrashAt is the virtual time at which harnesses cut the machine's
-	// power (Kernel.Crash). 0 = no scheduled crash. The plan itself
-	// does not act on it; it travels here so one "seed:spec" string
-	// describes the whole failure scenario.
-	CrashAt sim.Time
-
 	syscalls int
 	killed   bool
 	rngs     map[string]*sim.RNG
 	onWrite  func(at sim.Time, block int64, count int)
 }
-
-// Enabled reports whether any faults can fire. Nil-safe.
-func (p *Plan) Enabled() bool { return p != nil }
 
 // rng returns the named channel's private stream, derived from the
 // plan seed and the channel name (FNV-1a) so channels are independent.
@@ -196,7 +187,6 @@ func (p *Plan) Clone() *Plan {
 		ReorderRate:    p.ReorderRate,
 		KillSyscallNth: p.KillSyscallNth,
 		KillEnv:        p.KillEnv,
-		CrashAt:        p.CrashAt,
 	}
 }
 
@@ -236,7 +226,6 @@ func (p *Plan) Fork() *Plan {
 //	torn        torn (partially-transferred) writes in crash images
 //	kill=N      kill an environment at its Nth syscall
 //	killenv=S   restrict the kill to env names containing S
-//	crash=D     machine crash at virtual time D (e.g. 250ms, 1.5s)
 //
 // "1234" alone (no colon) is a seed with no faults armed — useful for
 // harnesses that inject their own schedule, like crash enumeration.
@@ -283,12 +272,6 @@ func Parse(s string) (*Plan, error) {
 				err = fmt.Errorf("fault: killenv needs a value")
 			}
 			p.KillEnv = val
-		case "crash":
-			if !hasVal {
-				err = fmt.Errorf("fault: crash needs a duration")
-			} else {
-				p.CrashAt, err = sim.ParseTime(val)
-			}
 		default:
 			err = fmt.Errorf("fault: unknown knob %q", key)
 		}
@@ -320,9 +303,6 @@ func (p *Plan) String() string {
 	add("kill", p.KillSyscallNth)
 	if p.KillEnv != "" {
 		knobs = append(knobs, "killenv="+p.KillEnv)
-	}
-	if p.CrashAt > 0 {
-		knobs = append(knobs, "crash="+p.CrashAt.String())
 	}
 	sort.Strings(knobs)
 	if len(knobs) == 0 {

@@ -8,7 +8,7 @@ import (
 
 func TestNilPlanIsInert(t *testing.T) {
 	var p *Plan
-	if p.Enabled() || p.ReadError() || p.Torn() || p.DropSegment() ||
+	if p.ReadError() || p.Torn() || p.DropSegment() ||
 		p.DupSegment() || p.ReorderSegment() || p.KillNow("x") || p.Killed() {
 		t.Fatal("nil plan injected a fault")
 	}
@@ -103,31 +103,9 @@ func TestParseRoundTrip(t *testing.T) {
 	if p2, err := Parse("0x10"); err != nil || p2.Seed != 16 {
 		t.Fatalf("hex seed: %+v, %v", p2, err)
 	}
-	if p3, err := Parse("9:crash=250ms"); err != nil || p3.CrashAt != 250*sim.Millisecond {
-		t.Fatalf("crash knob: %+v, %v", p3, err)
-	}
-	for _, bad := range []string{"", "x:loss=1", "1:frob=2", "1:loss", "1:torn=1", "1:crash=xx"} {
+	for _, bad := range []string{"", "x:loss=1", "1:frob=2", "1:loss", "1:torn=1"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
-	}
-}
-
-func TestParseTime(t *testing.T) {
-	cases := map[string]sim.Time{
-		"250ms": 250 * sim.Millisecond,
-		"1.5s":  sim.FromSeconds(1.5),
-		"80us":  80 * sim.Microsecond,
-		"1000":  1000,
-		"500cy": 500,
-	}
-	for in, want := range cases {
-		got, err := sim.ParseTime(in)
-		if err != nil || got != want {
-			t.Errorf("ParseTime(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := sim.ParseTime("12abc"); err == nil {
-		t.Error("ParseTime accepted garbage")
 	}
 }

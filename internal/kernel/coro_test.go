@@ -136,11 +136,11 @@ func TestFreeCorosBounded(t *testing.T) {
 		t.Fatalf("%d env goroutines for %d blocked envs", g, envs)
 	}
 	for id := EnvID(0); id < envs; id++ {
-		k.Wake(k.Env(id))
+		k.Wake(k.envs[id])
 	}
 	k.Run()
-	if k.LiveEnvs() != 0 {
-		t.Fatalf("%d envs still live", k.LiveEnvs())
+	if k.liveEnvs != 0 {
+		t.Fatalf("%d envs still live", k.liveEnvs)
 	}
 	if n, _ := freeCoroCount(nil); n != maxFreeCoros {
 		t.Errorf("free list holds %d coroutines, want the bound %d", n, maxFreeCoros)
@@ -171,8 +171,8 @@ func TestFreeCorosSharedAcrossWorkers(t *testing.T) {
 					})
 				}
 				k.Run()
-				if sum != 6 || k.LiveEnvs() != 0 {
-					t.Errorf("machine ran bodies summing %d with %d live envs, want 6 and 0", sum, k.LiveEnvs())
+				if sum != 6 || k.liveEnvs != 0 {
+					t.Errorf("machine ran bodies summing %d with %d live envs, want 6 and 0", sum, k.liveEnvs)
 				}
 				k.Release()
 			}

@@ -106,25 +106,3 @@ func TestManyEnvironmentsDeterministic(t *testing.T) {
 		t.Fatalf("12-env schedule nondeterministic: %v vs %v", a, b)
 	}
 }
-
-func TestIPCPendingExposed(t *testing.T) {
-	k := newXok()
-	var target *Env
-	target = k.Spawn("t", func(e *Env) {
-		e.Block()
-		if e.IPCPending() != 2 {
-			t.Errorf("pending = %d, want 2", e.IPCPending())
-		}
-		e.IPCTryRecv()
-		e.IPCTryRecv()
-		if _, ok := e.IPCTryRecv(); ok {
-			t.Error("empty queue returned a message")
-		}
-	})
-	k.Spawn("s", func(e *Env) {
-		e.Use(100)
-		e.IPCSend(target, IPCMsg{Kind: 1})
-		e.IPCSend(target, IPCMsg{Kind: 2})
-	})
-	k.Run()
-}

@@ -53,11 +53,8 @@ type Env struct {
 	pred      *wkpred.Pred
 	timeout   sim.Event
 
-	inCritical bool
-	dying      bool   // the body is unwinding; see live
-	exitWait   []*Env // environments waiting for this one to exit
-
-	ipcQ []IPCMsg
+	dying    bool   // the body is unwinding; see live
+	exitWait []*Env // environments waiting for this one to exit
 
 	// Local is scratch space for the libOS running in this environment
 	// (ExOS hangs its per-process state here).
@@ -66,9 +63,6 @@ type Env struct {
 
 // ID returns the environment number.
 func (e *Env) ID() EnvID { return e.id }
-
-// Name returns the spawn label (debugging aid).
-func (e *Env) Name() string { return e.name }
 
 // Kernel returns the kernel this environment runs on.
 func (e *Env) Kernel() *Kernel { return e.k }
@@ -82,8 +76,8 @@ func (e *Env) Dead() bool { return e.state == envDead }
 func (e *Env) CPUUsed() sim.Time { return e.cpuUsed }
 
 // TraceLane is this environment's lane (TID) in the machine's tracer.
-// Lanes 100+ belong to environments; the disk's spindles use 1..n and
-// the HTTP connections 10000+.
+// Lanes 100+ belong to environments; the disk's spindle uses 1 and the
+// HTTP connections 10000+.
 func (e *Env) TraceLane() int64 { return 100 + int64(e.id) }
 
 // exit terminates the environment from inside its own code by
@@ -120,16 +114,15 @@ func (e *Env) park(msg parkMsg) {
 // environments; the call returns when they have elapsed.
 //
 // When nothing else is owed, the charge fits in what is left of the
-// slice (or the environment is in a critical section) and
-// sim.Engine.RunAhead accepts it, Use burns the charge without
-// parking; the package comment says why that is exact.
+// slice and sim.Engine.RunAhead accepts it, Use burns the charge
+// without parking; the package comment says why that is exact.
 func (e *Env) Use(c sim.Time) {
 	if c == 0 {
 		return
 	}
 	k := e.k
 	if k.current == e && e.burst == 0 && !e.dying &&
-		(c < e.sliceLeft || e.inCritical) && k.Eng.RunAhead(c) {
+		c < e.sliceLeft && k.Eng.RunAhead(c) {
 		e.burned(c)
 		return
 	}
@@ -249,30 +242,4 @@ func (e *Env) WaitAnyOf(targets []*Env) {
 		}
 		e.park(parkMsg{kind: parkBlock})
 	}
-}
-
-// BeginCritical enters a robust critical section by disabling software
-// interrupts (Section 3.3: "inexpensive critical sections ...
-// eliminates the need to trust other processes"). While in a critical
-// section the environment is not preempted at slice end.
-func (e *Env) BeginCritical() {
-	e.inCritical = true
-	e.Use(20) // disable software interrupts: a couple of stores
-}
-
-// EndCritical leaves the critical section.
-func (e *Env) EndCritical() {
-	e.inCritical = false
-	e.Use(20)
-}
-
-// Sleep parks until the given virtual duration elapses.
-func (e *Env) Sleep(d sim.Time) {
-	e.live()
-	target := e.k.Eng.Now() + d
-	e.timeout = e.k.Eng.At(target, func() {
-		e.timeout = sim.Event{}
-		e.k.makeRunnable(e)
-	})
-	e.park(parkMsg{kind: parkBlock})
 }

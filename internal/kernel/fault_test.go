@@ -60,8 +60,8 @@ func TestEnvKillMidSyscall(t *testing.T) {
 	if !plan.Killed() {
 		t.Error("plan did not latch the kill")
 	}
-	if k.LiveEnvs() != 0 {
-		t.Errorf("LiveEnvs = %d after drain", k.LiveEnvs())
+	if k.liveEnvs != 0 {
+		t.Errorf("LiveEnvs = %d after drain", k.liveEnvs)
 	}
 }
 

@@ -73,15 +73,17 @@ func TestShutdownUnwindsEveryEnvState(t *testing.T) {
 			})
 			k.Spawn("sleep", func(e *Env) {
 				defer func() { unwound++ }()
-				e.Sleep(sim.FromMillis(1000))
+				at := sim.FromMillis(1000)
+				p, _ := wkpred.Compile(wkpred.Cmp(wkpred.GE, wkpred.Clock(), wkpred.Const(int64(at))))
+				e.SleepOn(p, at)
 				t.Error("sleeper resumed after teardown")
 			})
 			k.RunUntil(sim.FromMillis(1))
 			k.Spawn("unstarted", func(e *Env) {
 				t.Error("never-started env ran at teardown")
 			})
-			if k.LiveEnvs() != 4 {
-				t.Fatalf("live = %d, want 4", k.LiveEnvs())
+			if k.liveEnvs != 4 {
+				t.Fatalf("live = %d, want 4", k.liveEnvs)
 			}
 			if g := envGoroutines() - base; g != 4 {
 				t.Fatalf("%d new env goroutines with 4 envs", g)

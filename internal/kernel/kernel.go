@@ -1,8 +1,8 @@
 // Package kernel implements the simulated Xok exokernel: environments
 // (the hardware-specific state needed to run a process, Section 5.1),
 // a round-robin time-sliced CPU scheduler with explicit slice
-// start/end upcalls, directed yields, wakeup-predicate sleeping,
-// software regions, robust critical sections, and IPC.
+// start/end upcalls, directed yields, wakeup-predicate sleeping and
+// software regions.
 //
 // # Execution model
 //
@@ -27,7 +27,7 @@
 // A charge usually burns without leaving the coroutine. Use parks only
 // when the scheduler could do something else before the charge ends:
 // when cycles are already owed (an interrupt stole them), when the
-// charge reaches the end of the slice outside a critical section, or
+// charge reaches the end of the slice, or
 // when sim.Engine.RunAhead refuses because an event is queued at or
 // before the charge's end or the end lies past the running RunUntil's
 // bound. Otherwise the burn event the parked path would schedule is
@@ -61,11 +61,6 @@ type Config struct {
 	Quantum  sim.Time // scheduler time slice
 	MemPages int      // physical memory size in pages
 	DiskSize int64    // disk size in blocks (0 = no disk)
-
-	// Spindles > 1 builds the disk as a RAID-0 stripe set
-	// (StripeUnit blocks per unit; default 16).
-	Spindles   int
-	StripeUnit int64
 
 	// Trace attaches an observability tracer to this machine. Nil —
 	// the default — turns tracing off at the cost of one nil check
@@ -149,18 +144,14 @@ func New(cfg Config) *Kernel {
 	k := &Kernel{
 		Eng:     eng,
 		Stats:   st,
-		Mem:     mem.New(cfg.MemPages, st),
+		Mem:     mem.New(cfg.MemPages),
 		Faults:  cfg.Faults,
 		cfg:     cfg,
 		envs:    make(map[EnvID]*Env),
 		regions: make(map[RegionID]*region),
 	}
 	if cfg.DiskSize > 0 {
-		opts := []disk.Option{disk.WithFaults(cfg.Faults)}
-		if cfg.Spindles > 1 {
-			opts = append(opts, disk.WithStriping(cfg.Spindles, cfg.StripeUnit))
-		}
-		k.Disk = disk.New(eng, st, cfg.DiskSize, opts...)
+		k.Disk = disk.New(eng, st, cfg.DiskSize, disk.WithFaults(cfg.Faults))
 	}
 	tr := cfg.Trace
 	if tr.Enabled() {
@@ -223,12 +214,6 @@ func (k *Kernel) Spawn(name string, body func(*Env)) *Env {
 	k.makeRunnable(e)
 	return e
 }
-
-// Env returns the environment with the given id, or nil.
-func (k *Kernel) Env(id EnvID) *Env { return k.envs[id] }
-
-// LiveEnvs reports how many environments have not exited.
-func (k *Kernel) LiveEnvs() int { return k.liveEnvs }
 
 func (k *Kernel) makeRunnable(e *Env) {
 	if e.state == envDead {
@@ -363,7 +348,7 @@ func (k *Kernel) step(e *Env) {
 	}
 	if e.burst > 0 {
 		grant := e.burst
-		if !e.inCritical && grant > e.sliceLeft {
+		if grant > e.sliceLeft {
 			grant = e.sliceLeft
 		}
 		if grant == 0 { // slice expired with work left
@@ -374,7 +359,7 @@ func (k *Kernel) step(e *Env) {
 		k.Eng.AfterArg(grant, burnGrantArg, e)
 		return
 	}
-	if e.sliceLeft == 0 && !e.inCritical {
+	if e.sliceLeft == 0 {
 		k.rotate(e)
 		return
 	}
@@ -554,9 +539,4 @@ func (k *Kernel) ChargeInterrupt(c sim.Time) {
 	if k.current != nil {
 		k.current.burst += c
 	}
-}
-
-// String identifies the kernel.
-func (k *Kernel) String() string {
-	return fmt.Sprintf("kernel(%s)", k.cfg.Name)
 }

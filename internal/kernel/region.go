@@ -96,18 +96,3 @@ func (e *Env) RegionRead(id RegionID, off int, buf []byte) error {
 	k.Stats.Add(sim.CtrBytesCopied, int64(len(buf)))
 	return nil
 }
-
-// RegionFree releases a region.
-func (e *Env) RegionFree(id RegionID) error {
-	k := e.k
-	r, ok := k.regions[id]
-	e.Syscall(0)
-	if !ok {
-		return ErrRegionUnknown
-	}
-	if !e.Creds.Grants(r.guard, true) {
-		return ErrRegionDenied
-	}
-	delete(k.regions, id)
-	return nil
-}

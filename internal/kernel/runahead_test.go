@@ -33,10 +33,10 @@ type runAheadOutcome struct {
 
 // runAheadScenario boots a traced machine whose environments meet the
 // scheduler in every way a Use can: charges below, equal to and above
-// the quantum, critical sections, engine timers at and just before the
-// end of a charge, Block/Wake, predicate sleeps with a deadline, plain
-// sleeps, a charge that ends its slice exactly and one made while an
-// interrupt's cycles are owed. drive runs the machine; the outcome is read afterwards.
+// the quantum, engine timers at and just before the end of a charge,
+// Block/Wake, predicate sleeps with a deadline, a Block ended by an
+// engine timer's Wake, a charge that ends its slice exactly and one
+// made while an interrupt's cycles are owed. drive runs the machine; the outcome is read afterwards.
 func runAheadScenario(drive func(*Kernel)) runAheadOutcome {
 	tr := trace.New()
 	k := New(Config{Name: "xok", MemPages: 256, Trace: tr})
@@ -57,17 +57,6 @@ func runAheadScenario(drive func(*Kernel)) runAheadOutcome {
 			e.Syscalls(3)
 			e.LibCall(40)
 			note("sizes", "done")
-		}),
-		k.Spawn("critical", func(e *Env) {
-			e.Use(q / 5)
-			e.BeginCritical()
-			e.Use(q / 3)
-			e.Use(q)
-			e.Use(2*q + 11)
-			note("critical", "inside")
-			e.EndCritical()
-			e.Use(100)
-			note("critical", "done")
 		}),
 		k.Spawn("timers", func(e *Env) {
 			for _, c := range []sim.Time{1000, 5000, q / 2} {
@@ -100,7 +89,8 @@ func runAheadScenario(drive func(*Kernel)) runAheadOutcome {
 			clock, _ := wkpred.Compile(wkpred.Cmp(wkpred.GE, wkpred.Clock(), wkpred.Const(at)))
 			e.SleepOn(clock, sim.Time(at))
 			note("sleepers", "deadline")
-			e.Sleep(777)
+			k.Eng.At(k.Now()+777, func() { k.Wake(e) })
+			e.Block()
 			e.Use(3)
 			note("sleepers", "done")
 		}),
@@ -113,7 +103,7 @@ func runAheadScenario(drive func(*Kernel)) runAheadOutcome {
 			note("exact", "done")
 		}),
 	}
-	blocked = envs[3]
+	blocked = envs[2]
 	for _, e := range envs {
 		countResumes(e, &out.resumes)
 	}
@@ -156,8 +146,8 @@ func TestUseRunAheadMatchesParked(t *testing.T) {
 	if !slices.Equal(inline.log, parked.log) {
 		t.Errorf("observations inline:\n%v\nparked:\n%v", inline.log, parked.log)
 	}
-	if len(parked.log) != 28 {
-		t.Errorf("%d observations, want 28: a body stopped early", len(parked.log))
+	if len(parked.log) != 26 {
+		t.Errorf("%d observations, want 26: a body stopped early", len(parked.log))
 	}
 	if inline.resumes >= parked.resumes {
 		t.Errorf("%d resumes inline, %d parked: no Use ran ahead", inline.resumes, parked.resumes)

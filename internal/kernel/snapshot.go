@@ -92,7 +92,7 @@ func Fork(s *Snapshot) *Kernel {
 	k := &Kernel{
 		Eng:        eng,
 		Stats:      st,
-		Mem:        s.mem.Fork(st),
+		Mem:        s.mem.Fork(),
 		Faults:     pl,
 		cfg:        cfg,
 		nextEnv:    s.nextEnv,
@@ -105,11 +105,7 @@ func Fork(s *Snapshot) *Kernel {
 		k.regions[id] = &c
 	}
 	if cfg.DiskSize > 0 {
-		opts := []disk.Option{disk.WithFaults(pl)}
-		if cfg.Spindles > 1 {
-			opts = append(opts, disk.WithStriping(cfg.Spindles, cfg.StripeUnit))
-		}
-		k.Disk = disk.New(eng, st, cfg.DiskSize, opts...)
+		k.Disk = disk.New(eng, st, cfg.DiskSize, disk.WithFaults(pl))
 		k.Disk.Adopt(s.disk)
 	}
 	if tr.Enabled() {

@@ -74,11 +74,6 @@ type Config struct {
 	DiskBlocks int64
 	MemPages   int
 
-	// Spindles > 1 builds the volume as a RAID-0 stripe set of that
-	// many disks, StripeUnit blocks per unit (0 = 16).
-	Spindles   int
-	StripeUnit int64
-
 	// Trace attaches an observability sink (nil = the package default
 	// installed by tools like xok-bench -trace, else off).
 	Trace *trace.Tracer
@@ -126,8 +121,6 @@ func New(cfg Config) (Machine, error) {
 	hw := posix.Hardware{
 		DiskBlocks: cfg.DiskBlocks,
 		MemPages:   cfg.MemPages,
-		Spindles:   cfg.Spindles,
-		StripeUnit: cfg.StripeUnit,
 		Trace:      cfg.Trace,
 		Faults:     cfg.Faults,
 		Eng:        eng,

@@ -70,15 +70,13 @@ func TestConfigThreadsGeometryAndFaults(t *testing.T) {
 	m := MustNew(Config{
 		Personality: XokExOS,
 		DiskBlocks:  1 << 15,
-		Spindles:    2,
-		StripeUnit:  32,
 		Faults:      plan,
 	})
 	if m.K.Faults != plan {
 		t.Error("fault plan not threaded to the kernel")
 	}
-	if got := m.K.Disk.Spindles(); got != 2 {
-		t.Errorf("spindles = %d, want 2", got)
+	if got := m.K.Disk.NumBlocks(); got != 1<<15 {
+		t.Errorf("disk blocks = %d, want %d", got, 1<<15)
 	}
 	img := m.Crash(m.Now() + 1000)
 	if img == nil {

@@ -1,36 +1,29 @@
 package mem
 
-import (
-	"xok/internal/bufpool"
-	"xok/internal/sim"
-)
+import "xok/internal/bufpool"
 
 // Snap is frozen physical-memory state: the page-frame metadata array,
-// the free list, and the LRU clock, with every materialized frame
-// buffer marked shared. Frames are copy-on-write from here on — the
-// snapshotted machine and every fork copy a frozen buffer up into a
-// private one on first access (see Data), so a fork costs the metadata
-// arrays, not the resident set.
+// with every materialized frame buffer marked shared. Frames are
+// copy-on-write from here on — the snapshotted machine and every fork
+// copy a frozen buffer up into a private one on first access (see
+// Data), so a fork costs the metadata array, not the resident set.
 //
 // A Snap owns exactly the buffers it froze (those not already frozen
 // by an earlier snapshot); Release returns them to bufpool once no
 // machine forked from the snapshot can touch them again. Forking from
 // one Snap is safe from concurrent goroutines: forks only read it.
 type Snap struct {
-	pages    []page // the frames below fresh; the rest are zero
-	npages   int
-	freeList []PageNo
-	fresh    int
-	useClock uint64
-	owned    [][]byte // buffers this snapshot froze; returned on Release
+	pages  []page // the frames below fresh; the rest are zero
+	npages int
+	fresh  int
+	owned  [][]byte // buffers this snapshot froze; returned on Release
 }
 
 // Freeze captures m's current state and flips every materialized frame
 // buffer to copy-on-write. m keeps running afterwards — its first
 // write (or read) of a frozen frame copies the buffer up.
 func (m *PhysMem) Freeze() *Snap {
-	s := &Snap{npages: len(m.pages), fresh: m.fresh, useClock: m.useClock}
-	s.freeList = append([]PageNo(nil), m.freeList...)
+	s := &Snap{npages: len(m.pages), fresh: m.fresh}
 	touched := m.pages[:m.fresh]
 	for i := range touched {
 		pg := &touched[i]
@@ -45,17 +38,10 @@ func (m *PhysMem) Freeze() *Snap {
 
 // Fork builds a new PhysMem continuing from the snapshot. All frames
 // with data start shared (copy-on-write against the frozen buffers).
-func (s *Snap) Fork(stats *sim.Stats) *PhysMem {
-	m := shell(s.npages, stats)
-	m.useClock = s.useClock
+func (s *Snap) Fork() *PhysMem {
+	m := shell(s.npages)
 	m.fresh = s.fresh
 	copy(m.pages, s.pages)
-	if cap(m.freeList) >= len(s.freeList) {
-		m.freeList = m.freeList[:len(s.freeList)]
-	} else {
-		m.freeList = make([]PageNo, len(s.freeList))
-	}
-	copy(m.freeList, s.freeList)
 	return m
 }
 
@@ -68,5 +54,4 @@ func (s *Snap) Release() {
 	}
 	s.owned = nil
 	s.pages = nil
-	s.freeList = nil
 }

@@ -33,11 +33,6 @@ type Hardware struct {
 	DiskBlocks int64
 	MemPages   int
 
-	// Spindles > 1 builds the volume as a RAID-0 stripe set of that
-	// many disks, StripeUnit blocks per unit (see kernel.Config).
-	Spindles   int
-	StripeUnit int64
-
 	// Trace and Faults are handed straight to the kernel: the
 	// observability sink and the deterministic fault plan (both nil by
 	// default, costing one nil check per decision point).
@@ -121,15 +116,13 @@ func New(name string, trap sim.Time, hw Hardware, pers Personality) *System {
 		hw.MemPages = 16384
 	}
 	k := kernel.New(kernel.Config{
-		Name:       name,
-		TrapCost:   trap,
-		MemPages:   hw.MemPages,
-		DiskSize:   hw.DiskBlocks,
-		Spindles:   hw.Spindles,
-		StripeUnit: hw.StripeUnit,
-		Trace:      hw.Trace,
-		Faults:     hw.Faults,
-		Eng:        hw.Eng,
+		Name:     name,
+		TrapCost: trap,
+		MemPages: hw.MemPages,
+		DiskSize: hw.DiskBlocks,
+		Trace:    hw.Trace,
+		Faults:   hw.Faults,
+		Eng:      hw.Eng,
 	})
 	x := xn.New(k)
 	x.FlushBehind = 512

@@ -18,16 +18,6 @@ type Event struct {
 // not cancelled). The zero Event reports false.
 func (ev Event) Pending() bool { return ev.n != nil && ev.n.gen == ev.gen }
 
-// At returns the virtual time at which the event is scheduled to
-// fire, or 0 if it already fired or was cancelled (the slot may have
-// been recycled, so the original timestamp is gone).
-func (ev Event) At() Time {
-	if !ev.Pending() {
-		return 0
-	}
-	return ev.n.at
-}
-
 // node is the engine-owned storage for one scheduled event. Nodes are
 // pooled: on fire or cancel they return to the engine's free list and
 // are reused by later At/After calls, so steady-state scheduling does

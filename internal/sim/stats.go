@@ -48,13 +48,6 @@ func (s *Stats) Names() []string {
 	return names
 }
 
-// Reset zeroes every counter.
-func (s *Stats) Reset() {
-	for k := range s.counters {
-		delete(s.counters, k)
-	}
-}
-
 // String renders the registry as "name=value" lines, sorted by name.
 func (s *Stats) String() string {
 	var b strings.Builder

@@ -211,8 +211,8 @@ func TestWheelPendingAndHandles(t *testing.T) {
 	if e.wheel == nil || e.wheel.count != 2 {
 		t.Fatalf("wheel residents = %v, want 2", e.wheel)
 	}
-	if a.At() != 10_000_000 || !a.Pending() {
-		t.Fatalf("wheel-resident handle broken: at=%d pending=%v", a.At(), a.Pending())
+	if !a.Pending() || a.n.at != 10_000_000 {
+		t.Fatalf("wheel-resident handle broken: at=%d pending=%v", a.n.at, a.Pending())
 	}
 	e.Cancel(a)
 	if a.Pending() || e.Pending() != 2 || e.wheel.count != 1 {

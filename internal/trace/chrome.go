@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"io"
+	"slices"
 )
 
 // chromeEvent is one entry of the Chrome trace_event format
@@ -53,9 +55,18 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				return err
 			}
 		}
-		for key, name := range t.laneNames {
+		// Lane names come out sorted by (pid, tid), not in map order,
+		// so two identical runs write identical files.
+		lanes := make([]laneKey, 0, len(t.laneNames))
+		for key := range t.laneNames {
+			lanes = append(lanes, key)
+		}
+		slices.SortFunc(lanes, func(a, b laneKey) int {
+			return cmp.Or(cmp.Compare(a.pid, b.pid), cmp.Compare(a.tid, b.tid))
+		})
+		for _, key := range lanes {
 			if err := emit(chromeEvent{Name: "thread_name", Phase: "M", PID: key.pid,
-				TID: key.tid, Args: map[string]string{"name": name}}); err != nil {
+				TID: key.tid, Args: map[string]string{"name": t.laneNames[key]}}); err != nil {
 				return err
 			}
 		}

@@ -30,9 +30,6 @@ type Histogram struct {
 
 func newHistogram(name string) *Histogram { return &Histogram{name: name} }
 
-// Name returns the histogram's registry key ("<process>/<metric>").
-func (h *Histogram) Name() string { return h.name }
-
 // Observe adds one duration sample.
 func (h *Histogram) Observe(d sim.Time) {
 	if h.n == 0 || d < h.min {
@@ -70,14 +67,6 @@ func (h *Histogram) Count() int64 { return h.n }
 
 // Sum reports the total of all samples.
 func (h *Histogram) Sum() sim.Time { return h.sum }
-
-// Min reports the smallest sample (zero if empty).
-func (h *Histogram) Min() sim.Time {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
 
 // Max reports the largest sample.
 func (h *Histogram) Max() sim.Time { return h.max }

@@ -55,8 +55,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		h.Observe(sim.Time(i))
 	}
-	if h.Count() != 1000 || h.Min() != 1 || h.Max() != 1000 {
-		t.Fatalf("count/min/max = %d/%d/%d", h.Count(), h.Min(), h.Max())
+	if h.Count() != 1000 || h.min != 1 || h.Max() != 1000 {
+		t.Fatalf("count/min/max = %d/%d/%d", h.Count(), h.min, h.Max())
 	}
 	if m := h.Mean(); m != 500 {
 		t.Fatalf("mean = %d, want 500", m)
@@ -146,6 +146,61 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 	}
 }
 
+// TestChromeExportDeterministic names the same lanes in two different
+// orders: the exports must be byte-identical, lane names sorted by
+// (pid, tid).
+func TestChromeExportDeterministic(t *testing.T) {
+	lanes := []struct {
+		tid  int64
+		name string
+	}{{1, "disk spindle 0"}, {100, "env 0 (init)"}, {101, "env 1 (sh)"}, {10000, "conn 0"}, {7, "nic"}}
+	export := func(order []int) []byte {
+		tr := New()
+		a := tr.AddProcess("xok")
+		b := tr.AddProcess("freebsd")
+		for _, i := range order {
+			tr.NameLane(b, lanes[i].tid, lanes[i].name)
+			tr.NameLane(a, lanes[i].tid, lanes[i].name)
+		}
+		tr.Span(a, 1, "disk", "read", sim.FromMicros(1), sim.FromMicros(9))
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fwd := export([]int{0, 1, 2, 3, 4})
+	rev := export([]int{4, 3, 2, 1, 0})
+	if !bytes.Equal(fwd, rev) {
+		t.Fatalf("exports differ with lane naming order:\n%s\n---\n%s", fwd, rev)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			PID  int64  `json:"pid"`
+			TID  int64  `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(fwd, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var prev [2]int64
+	n := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Name != "thread_name" {
+			continue
+		}
+		if n > 0 && (ev.PID < prev[0] || ev.PID == prev[0] && ev.TID <= prev[1]) {
+			t.Fatalf("lane (%d, %d) after (%d, %d)", ev.PID, ev.TID, prev[0], prev[1])
+		}
+		prev = [2]int64{ev.PID, ev.TID}
+		n++
+	}
+	if n != 2*len(lanes) {
+		t.Fatalf("%d thread_name records, want %d", n, 2*len(lanes))
+	}
+}
+
 func TestHistReport(t *testing.T) {
 	tr := New()
 	pid := tr.AddProcess("xok")
@@ -222,7 +277,7 @@ func TestMergeMatchesSerial(t *testing.T) {
 		hs := serial.hists[name+"/latency"]
 		hm := merged.hists[name+"/latency"]
 		if hs == nil || hm == nil || hs.Count() != hm.Count() ||
-			hs.Min() != hm.Min() || hs.Max() != hm.Max() || hs.Sum() != hm.Sum() {
+			hs.min != hm.min || hs.Max() != hm.Max() || hs.Sum() != hm.Sum() {
 			t.Fatalf("histogram %s/latency diverged: serial=%+v merged=%+v", name, hs, hm)
 		}
 	}
@@ -238,7 +293,7 @@ func TestMergeSameProcessName(t *testing.T) {
 	dst.Merge(src)
 
 	h := dst.hists["m/latency"]
-	if h == nil || h.Count() != 2 || h.Min() != 10 || h.Max() != 30 || h.Sum() != 40 {
+	if h == nil || h.Count() != 2 || h.min != 10 || h.Max() != 30 || h.Sum() != 40 {
 		t.Fatalf("merged histogram = %+v, want n=2 min=10 max=30 sum=40", h)
 	}
 	if dst.counts["m/events"] != 2 {

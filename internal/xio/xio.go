@@ -11,10 +11,7 @@
 //     checksums");
 //   - application-level caching of pointers to file cache blocks (the
 //     "simple (though generally valuable) extensions" that make even
-//     the vanilla socket interface on XIO faster);
-//   - HTML-based file grouping: co-locating files referenced by a
-//     document so cold fetches of a page and its inlines are one disk
-//     schedule.
+//     the vanilla socket interface on XIO faster).
 package xio
 
 import (
@@ -108,63 +105,4 @@ func (c *Cache) Evict(path string) {
 		c.FS.X.Unpin(b)
 	}
 	delete(c.entries, path)
-}
-
-// Len reports cached documents.
-func (c *Cache) Len() int { return len(c.entries) }
-
-// StoreGrouped writes a document set so that each group is co-located
-// on disk (HTML-based grouping: "Cheetah co-locates files included in
-// an HTML document by allocating them in disk blocks adjacent to that
-// file when possible"). Each group becomes one directory, so C-FFS's
-// co-location policy places the page and its inlines contiguously.
-func StoreGrouped(e *kernel.Env, fs *cffs.FS, base string, groups [][]Doc) error {
-	if err := fs.Mkdir(e, base, 0, 0, 7); err != nil && err != cffs.ErrExists {
-		return err
-	}
-	for gi, group := range groups {
-		dir := groupDir(base, gi)
-		if err := fs.Mkdir(e, dir, 0, 0, 7); err != nil {
-			return err
-		}
-		for _, d := range group {
-			ref, err := fs.Create(e, dir+"/"+d.Name, 0, 0, 6)
-			if err != nil {
-				return err
-			}
-			if _, err := fs.WriteAt(e, ref, 0, make([]byte, d.Size)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Doc names one document in a group.
-type Doc struct {
-	Name string
-	Size int
-}
-
-// GroupPath returns the path of document name in group gi.
-func GroupPath(base string, gi int, name string) string {
-	return groupDir(base, gi) + "/" + name
-}
-
-func groupDir(base string, gi int) string {
-	return base + "/g" + itoa(gi)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -1,7 +1,6 @@
 package xio
 
 import (
-	"fmt"
 	"testing"
 
 	"xok/internal/cap"
@@ -110,7 +109,7 @@ func TestCachePinsBlocks(t *testing.T) {
 		}
 		// After Evict the blocks become reclaimable.
 		c.Evict("/doc")
-		if c.Len() != 0 {
+		if len(c.entries) != 0 {
 			t.Error("entry survived Evict")
 		}
 		if _, ok := s.X.RecycleLRU(e); !ok {
@@ -153,123 +152,4 @@ func TestLookupMissing(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestStoreGroupedColocates(t *testing.T) {
-	// HTML grouping: a page and its inlines land contiguously, so a
-	// cold fetch of the whole group is (nearly) one disk schedule.
-	s := boot(t)
-	groups := [][]Doc{
-		{{Name: "index.html", Size: 8000}, {Name: "a.gif", Size: 6000}, {Name: "b.gif", Size: 6000}},
-		{{Name: "index.html", Size: 8000}, {Name: "c.gif", Size: 12000}},
-	}
-	runEnv(t, s, func(e *kernel.Env) error {
-		if err := StoreGrouped(e, s.FS, "/web", groups); err != nil {
-			return err
-		}
-		// All blocks of group 0 must sit within a tight disk span.
-		var blocks []int64
-		for _, d := range groups[0] {
-			ref, _, err := s.FS.Lookup(e, GroupPath("/web", 0, d.Name))
-			if err != nil {
-				return err
-			}
-			exts, err := s.FS.FileExtents(e, ref)
-			if err != nil {
-				return err
-			}
-			for _, ext := range exts {
-				for j := uint32(0); j < ext.Count; j++ {
-					blocks = append(blocks, int64(ext.Start+uint64(j)))
-				}
-			}
-		}
-		min, max := blocks[0], blocks[0]
-		for _, b := range blocks {
-			if b < min {
-				min = b
-			}
-			if b > max {
-				max = b
-			}
-		}
-		if span := max - min; span > 64 {
-			t.Errorf("group 0 spans %d blocks; co-location broken", span)
-		}
-		return nil
-	})
-}
-
-func TestGroupedColdFetchBeatsScattered(t *testing.T) {
-	// The ablation for Cheetah's HTML-based grouping: cold-reading a
-	// grouped page + inlines vs the same files scattered across the
-	// disk with other data interleaved.
-	coldFetch := func(grouped bool) sim.Time {
-		s := boot(t)
-		docs := []Doc{
-			{Name: "index.html", Size: 10000},
-			{Name: "a.gif", Size: 15000}, {Name: "b.gif", Size: 15000},
-			{Name: "c.gif", Size: 15000},
-		}
-		var elapsed sim.Time
-		runEnv(t, s, func(e *kernel.Env) error {
-			if grouped {
-				if err := StoreGrouped(e, s.FS, "/web", [][]Doc{docs}); err != nil {
-					return err
-				}
-			} else {
-				// Scattered: interleave each doc with filler files in
-				// separate directories.
-				for i, d := range docs {
-					dir := fmt.Sprintf("/dir%d", i)
-					if err := s.FS.Mkdir(e, dir, 0, 0, 7); err != nil {
-						return err
-					}
-					ref, err := s.FS.Create(e, dir+"/"+d.Name, 0, 0, 6)
-					if err != nil {
-						return err
-					}
-					if _, err := s.FS.WriteAt(e, ref, 0, make([]byte, d.Size)); err != nil {
-						return err
-					}
-					// Filler pushes the next doc away on disk.
-					fref, err := s.FS.Create(e, dir+"/filler", 0, 0, 6)
-					if err != nil {
-						return err
-					}
-					if _, err := s.FS.WriteAt(e, fref, 0, make([]byte, 600_000)); err != nil {
-						return err
-					}
-				}
-			}
-			if err := s.FS.Sync(e); err != nil {
-				return err
-			}
-			for {
-				if _, ok := s.X.RecycleLRU(e); !ok {
-					break
-				}
-			}
-			cache := NewCache(s.FS)
-			start := e.Kernel().Now()
-			for i, d := range docs {
-				path := GroupPath("/web", 0, d.Name)
-				if !grouped {
-					path = fmt.Sprintf("/dir%d/%s", i, d.Name)
-				}
-				if _, err := cache.Lookup(e, path); err != nil {
-					return err
-				}
-			}
-			elapsed = e.Kernel().Now() - start
-			return nil
-		})
-		return elapsed
-	}
-	g := coldFetch(true)
-	sc := coldFetch(false)
-	t.Logf("cold page fetch: grouped=%v scattered=%v (%.2fx)", g, sc, float64(sc)/float64(g))
-	if g >= sc {
-		t.Errorf("grouped fetch (%v) should beat scattered (%v)", g, sc)
-	}
 }

@@ -48,8 +48,8 @@ func checkIndices(x *XN) error {
 	if !slices.Equal(indexed, dirty) {
 		return fmt.Errorf("dirty index %v, dirty entries %v", indexed, dirty)
 	}
-	if x.DirtyCount() != len(dirty) {
-		return fmt.Errorf("DirtyCount() = %d with %d dirty entries", x.DirtyCount(), len(dirty))
+	if x.dirty.n != len(dirty) {
+		return fmt.Errorf("DirtyCount() = %d with %d dirty entries", x.dirty.n, len(dirty))
 	}
 	slices.Sort(flushable)
 	indexed = indexed[:0]
@@ -227,7 +227,7 @@ func TestDeallocInFlightKeepsDirtyCount(t *testing.T) {
 			dirty++
 		}
 	}
-	if got := f.x.DirtyCount(); got != dirty {
+	if got := f.x.dirty.n; got != dirty {
 		t.Fatalf("DirtyCount() = %d after the drain, with %d dirty entries", got, dirty)
 	}
 }

@@ -86,9 +86,9 @@ func (x *XN) getPage(e *kernel.Env) (mem.PageNo, error) {
 // Read is the second stage of reading (Section 4.4): supply pages and
 // issue disk requests for the listed blocks, blocking the environment
 // until all complete. Entries must already exist (Insert, LoadRoot or
-// RawRead). pages may be nil (XN allocates from the free page list /
-// LRU); if given, pages[i] backs blocks[i] — applications control
-// placement.
+// RawRead). pages may be nil (XN allocates a page, or recycles its
+// LRU buffer); if given, pages[i] backs blocks[i] — applications
+// control placement.
 func (x *XN) Read(e *kernel.Env, blocks []disk.BlockNo, pages []mem.PageNo) error {
 	x.charge(e, sim.Time(50*len(blocks)))
 	x.K.Stats.Inc(sim.CtrRegistryOps)
@@ -267,15 +267,6 @@ func (x *XN) chargeIO(e *kernel.Env, nreq int) {
 	e.Use(sim.Time(nreq) * x.K.TrapCost())
 }
 
-func (x *XN) allResident(blocks []disk.BlockNo) bool {
-	for _, b := range blocks {
-		if en, ok := x.reg[b]; !ok || en.State != StateResident {
-			return false
-		}
-	}
-	return true
-}
-
 // RawRead speculatively reads a block before its parent is known
 // (Section 4.4). The entry is marked "unknown type" and cannot be used
 // until Insert binds it to a parent.
@@ -411,9 +402,6 @@ func (x *XN) MarkDirty(e *kernel.Env, b disk.BlockNo) error {
 	x.touch(en)
 	return nil
 }
-
-// DirtyCount reports the number of dirty blocks (exposed information).
-func (x *XN) DirtyCount() int { return x.dirty.n }
 
 // maybeFlushBehind starts asynchronous write-back of the writable
 // dirty blocks when the dirty set exceeds the threshold. It walks only
@@ -727,35 +715,6 @@ func (x *XN) decDiskRef(b disk.BlockNo) {
 			x.releaseBlock(b)
 		}
 	}
-}
-
-// Replace applies a modification that atomically allocates the add
-// extent and releases the remove extent in one metadata block — the
-// "move" operation of Ganger/Patt rule 3 ("when moving an on-disk
-// resource, never reset the old pointer in persistent storage before
-// the new one has been set"): because the swap is one cached-block
-// modification, the on-disk image transitions in a single write. The
-// log-structured file system uses it to swap a file's old inode for
-// its freshly-logged replacement.
-func (x *XN) Replace(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remove udf.Extent) error {
-	x.charge(e, 250)
-	for i := int64(0); i < add.Count; i++ {
-		b := add.Start + i
-		if b < reservedEnd || b >= x.D.NumBlocks() {
-			return ErrOutOfRange
-		}
-		if !x.free.get(b) {
-			return ErrNotFree
-		}
-	}
-	en, err := x.mutateMeta(e, meta, mods, add, remove, OpAlloc)
-	if err != nil {
-		return err
-	}
-	x.addChildren(meta, en, add)
-	x.freeChildren(remove)
-	x.recomputeTaint(meta)
-	return nil
 }
 
 // Modify applies a metadata modification that must not change

@@ -133,9 +133,6 @@ func (x *XN) isMetadata(id TemplateID) bool {
 func (x *XN) touch(en *Entry) {
 	x.useClock++
 	en.lastUse = x.useClock
-	if en.Page != mem.NoPage {
-		x.M.Touch(en.Page)
-	}
 	if !en.dropped {
 		x.lruUnlink(en)
 		x.lruAppend(en)
@@ -376,9 +373,6 @@ func (x *XN) DirtyBlocks() []disk.BlockNo {
 	})
 	return out
 }
-
-// RegistrySize reports the number of registry entries.
-func (x *XN) RegistrySize() int { return len(x.reg) }
 
 // StateWord exposes the address of an entry's state as a watchable
 // word for wakeup predicates — the paper's Section 5.1 example: sleep

@@ -16,7 +16,7 @@ import (
 // A count belongs to an incarnation of the block, not to its registry
 // entry. It survives the entry being recycled and read back, because
 // the children stay cached and bound to it. It ends when the block is
-// removed from its parent's content (Dealloc, Replace), so the children
+// removed from its parent's content (Dealloc), so the children
 // a freed block leaves behind never count toward a later allocation of
 // the same block number. Each child points at the count it is bound
 // under (Entry.up) and adds one to it exactly while it is bad; every

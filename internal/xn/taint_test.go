@@ -74,7 +74,6 @@ const (
 	tdAllocTnode        // tnode, hint, init: allocate a child tnode, maybe initialize it
 	tdTouch             // tnode, record, block: dirty a data block, or read a child back
 	tdDealloc           // tnode: deallocate its last record (orphans a child tnode's subtree)
-	tdReplace           // tnode, hint: swap its last record for a fresh extent
 	tdRealloc           // tnode: deallocate its last record and allocate the same extent again
 	tdWrite             // tnode: write it
 	tdWriteBack         // max
@@ -221,38 +220,26 @@ func (d *taintRig) step(e *kernel.Env, op int) bool {
 				_ = x.MarkDirty(e, b)
 			}
 		}
-	case tdDealloc, tdReplace, tdRealloc:
+	case tdDealloc, tdRealloc:
 		if len(n.recs) == 0 {
 			break
 		}
 		last := n.recs[len(n.recs)-1]
 		typ := TemplateID(last.Type)
-		next := last
-		if op == tdReplace {
-			var ok bool
-			if next, ok = d.fresh(d.arg(), int(last.Count), typ); !ok {
-				break
-			}
-			if x.Replace(e, tn, tnAddRecord(len(n.recs)-1, disk.BlockNo(next.Start), uint32(next.Count), typ), next, last) != nil {
-				break
-			}
-		} else {
-			if x.Dealloc(e, tn, tnRemoveLast(len(n.recs)), last) != nil {
-				break
-			}
-			n.recs = n.recs[:len(n.recs)-1]
-			if op == tdDealloc || x.Alloc(e, tn, tnAddRecord(len(n.recs), disk.BlockNo(last.Start), uint32(last.Count), typ), last) != nil {
-				if typ == f.tnode {
-					d.orphan(disk.BlockNo(last.Start))
-				}
-				break
-			}
-			n.recs = append(n.recs, last)
+		if x.Dealloc(e, tn, tnRemoveLast(len(n.recs)), last) != nil {
+			break
 		}
-		n.recs[len(n.recs)-1] = next
+		n.recs = n.recs[:len(n.recs)-1]
+		if op == tdDealloc || x.Alloc(e, tn, tnAddRecord(len(n.recs), disk.BlockNo(last.Start), uint32(last.Count), typ), last) != nil {
+			if typ == f.tnode {
+				d.orphan(disk.BlockNo(last.Start))
+			}
+			break
+		}
+		n.recs = append(n.recs, last)
 		if typ == f.tnode {
 			d.orphan(disk.BlockNo(last.Start))
-			d.addNode(disk.BlockNo(next.Start), tn, next)
+			d.addNode(disk.BlockNo(last.Start), tn, last)
 		}
 	case tdWrite:
 		_ = x.Write(e, []disk.BlockNo{tn})
@@ -342,9 +329,9 @@ var taintSeeds = [][]byte{
 	// orphaned, then a reallocation of the same block number.
 	{tdAllocTnode, 0, 10, 0, tdAllocData, 1, 30, 2, tdDealloc, 0,
 		tdAllocTnode, 0, 10, 0, tdAllocData, 1, 80, 1, tdSync},
-	// Dealloc and Replace with flush-behind writes in flight.
+	// Two Deallocs with flush-behind writes in flight.
 	{tdAllocData, 0, 10, 2, tdTouch, 0, 0, 0, tdTouch, 0, 0, 1, tdAllocData, 0, 20, 2,
-		tdTouch, 0, 1, 0, tdTouch, 0, 1, 1, tdReplace, 0, 40, tdDealloc, 0, tdWait, 10},
+		tdTouch, 0, 1, 0, tdTouch, 0, 1, 1, tdDealloc, 0, tdDealloc, 0, tdWait, 10},
 	// A write completing on an entry already dropped and reallocated.
 	{tdAllocData, 0, 10, 1, tdTouch, 0, 0, 0, tdAllocData, 0, 20, 1, tdTouch, 0, 1, 0,
 		tdAllocData, 0, 30, 1, tdTouch, 0, 2, 0, tdRealloc, 0, tdWait, 10, tdSync},

@@ -283,12 +283,6 @@ func (x *XN) TemplateByName(name string) (*Template, bool) {
 	return x.templates[id], true
 }
 
-// Template returns the template with the given id.
-func (x *XN) Template(id TemplateID) (*Template, bool) {
-	t, ok := x.templates[id]
-	return t, ok
-}
-
 // RegisterRoot records a persistent root in the root catalogue
 // (Section 4.4, "LibFS persistence"). The extent must be allocated
 // first (via Alloc or claimed from the free map at mkfs time with

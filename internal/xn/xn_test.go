@@ -199,7 +199,7 @@ func TestMkfsAndCatalogues(t *testing.T) {
 	if _, ok := f.x.TemplateByName("tnode"); !ok {
 		t.Fatal("tnode template not installed")
 	}
-	if _, ok := f.x.Template(f.data); !ok {
+	if _, ok := f.x.templates[f.data]; !ok {
 		t.Fatal("data template not found by id")
 	}
 	f.run(t, "lookup", func(e *kernel.Env) error {
@@ -922,7 +922,7 @@ func TestCacheSharingAcrossEnvironments(t *testing.T) {
 func TestLRURecycleReclaimsCleanBuffers(t *testing.T) {
 	f := newFixture(t)
 	f.run(t, "recycle", func(e *kernel.Env) error {
-		before := f.x.RegistrySize()
+		before := len(f.x.reg)
 		if before == 0 {
 			t.Fatal("nothing cached")
 		}
@@ -938,8 +938,8 @@ func TestLRURecycleReclaimsCleanBuffers(t *testing.T) {
 			t.Fatal("recycle found no victim")
 		}
 		_ = p
-		if f.x.RegistrySize() != before-1 {
-			t.Errorf("registry size %d, want %d", f.x.RegistrySize(), before-1)
+		if len(f.x.reg) != before-1 {
+			t.Errorf("registry size %d, want %d", len(f.x.reg), before-1)
 		}
 		return nil
 	})
