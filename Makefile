@@ -36,14 +36,16 @@ crash:
 # every personality compared against every other (internal/difftest).
 # Deterministic by construction, so a failure here is a real semantic
 # divergence, never flake. Then short native-fuzzing runs of XN's
-# ownership delta check against its per-block map reference, and of its
-# incremental taint counts against the owns-udf scan they replace; a
-# crasher either finds lands in internal/xn/testdata/fuzz and replays
-# on every `go test` from then on.
+# ownership delta check against its per-block map reference, of its
+# incremental taint counts against the owns-udf scan they replace, and
+# of the -faults parser's round trip through Plan.String; a crasher
+# any of them finds lands in the package's testdata/fuzz and replays on
+# every `go test` from then on.
 fuzz-smoke:
 	$(GO) run ./cmd/xok-bench -run difftest -seeds 100
 	$(GO) test -run '^$$' -fuzz '^FuzzOwnsDelta$$' -fuzztime 10s ./internal/xn/
 	$(GO) test -run '^$$' -fuzz '^FuzzTaintIncremental$$' -fuzztime 10s ./internal/xn/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/fault/
 
 # A short difftest batch fanned across 4 workers under the race
 # detector: the canary for cross-machine shared state. Any package

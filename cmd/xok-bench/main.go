@@ -61,7 +61,7 @@ var (
 	fullFlag     = flag.Bool("full", false, "run Figures 4/5 at full size (35 jobs); slower")
 	traceFlag    = flag.String("trace", "", "write a Chrome trace_event JSON timeline of every simulated machine to this file")
 	histFlag     = flag.Bool("hist", false, "print per-machine latency histograms (p50/p90/p99) after the experiments")
-	faultsFlag   = flag.String("faults", "", "fault plan as seed[:spec], e.g. 42:torn,loss=50 (see internal/fault); used by -run crash and -run difftest")
+	faultsFlag   = flag.String("faults", "", "fault plan as seed[:spec], e.g. 42:torn or 42:kill=60,killenv=fuzz (see internal/fault); used by -run crash and -run difftest")
 	seedsFlag    = flag.Int("seeds", 200, "difftest: number of generated programs")
 	stepsFlag    = flag.Int("steps", 60, "difftest: syscalls per generated program")
 	baseFlag     = flag.Uint64("base", 1, "difftest: first seed (seed i = base+i)")

@@ -1,18 +1,20 @@
 // Package fault is the simulation's deterministic fault-injection
-// layer: one seed-driven Plan that every subsystem consults — the disk
-// for media errors and torn writes, the kernel for env kills
-// mid-syscall and whole-machine crashes, the network for segment loss,
-// duplication and reordering.
+// layer: one seed-driven Plan that the disk consults for media errors
+// and torn writes and the kernel for env kills mid-syscall. Its two
+// consumers are the crash-enumeration harness (internal/workload) and
+// the differential fuzzer (internal/difftest); the network is a
+// lossless LAN, like the paper's testbed, and draws nothing from it.
 //
 // The paper's central protection claim (Sections 5 and 6.3) is that XN
 // and C-FFS keep metadata integrity even though untrusted libOSes own
 // the file-system code. A claim like that is only credible when
 // failure behaviour is exercised systematically, and a simulator can
 // do what hardware cannot: fail the same component at the same virtual
-// instant on every run. All fault decisions come from per-channel
-// xorshift streams derived from Plan.Seed, so a plan replays
-// identically — the property the crash-enumeration harness
-// (internal/workload) relies on for bit-identical outcomes.
+// instant on every run. The one random channel, read errors, draws
+// from an xorshift stream derived from Plan.Seed, and the other knobs
+// are counters and switches, so a plan replays identically — the
+// property the crash-enumeration harness (internal/workload) relies on
+// for bit-identical outcomes.
 //
 // # Zero overhead when disabled
 //
@@ -41,16 +43,14 @@ import (
 var ErrMedia = errors.New("fault: disk media error")
 
 // Plan is one machine's fault schedule. The zero value (and a nil
-// pointer) injects nothing. Rates are "one in N" probabilities (0 =
-// never), evaluated against independent deterministic streams so that
-// changing one rate does not perturb the draws of another channel.
+// pointer) injects nothing.
 type Plan struct {
-	// Seed drives every fault channel. Two plans with equal Seed and
-	// equal rates make identical decisions in an identical simulation.
+	// Seed drives the read-error stream. Two plans with equal knobs
+	// make identical decisions in an identical simulation.
 	Seed uint64
 
 	// ReadErrRate fails roughly one in N disk block reads with
-	// ErrMedia (the request completes, carrying the error).
+	// ErrMedia (the request completes, carrying the error); 0 = never.
 	ReadErrRate int
 
 	// TornWrites makes Disk.CrashImage apply the partially-transferred
@@ -58,14 +58,6 @@ type Plan struct {
 	// power-failure case where a multi-block write stops between (or
 	// inside) sectors.
 	TornWrites bool
-
-	// LossRate drops roughly one in N TCP segments, in both directions
-	// (data, ACKs, SYNs). DupRate delivers one in N segments twice;
-	// ReorderRate delays one in N segments by a few wire times so a
-	// successor overtakes it.
-	LossRate    int
-	DupRate     int
-	ReorderRate int
 
 	// KillSyscallNth kills an environment at its Nth syscall (1-based;
 	// 0 = never). KillEnv restricts the kill to environments whose
@@ -75,63 +67,30 @@ type Plan struct {
 
 	syscalls int
 	killed   bool
-	rngs     map[string]*sim.RNG
+	rng      *sim.RNG // the read-error stream, made at its first draw
 	onWrite  func(at sim.Time, block int64, count int)
 }
 
-// rng returns the named channel's private stream, derived from the
-// plan seed and the channel name (FNV-1a) so channels are independent.
-func (p *Plan) rng(channel string) *sim.RNG {
-	if p.rngs == nil {
-		p.rngs = make(map[string]*sim.RNG)
-	}
-	r, ok := p.rngs[channel]
-	if !ok {
-		h := uint64(14695981039346656037)
-		for i := 0; i < len(channel); i++ {
-			h = (h ^ uint64(channel[i])) * 1099511628211
-		}
-		r = sim.NewRNG(p.Seed ^ h)
-		p.rngs[channel] = r
-	}
-	return r
-}
-
-// hit draws from channel's stream and reports a one-in-rate event.
-// The stream only advances when the channel is armed (rate > 0), so
-// enabling one fault type never perturbs the others. p is non-nil
-// (callers nil-check before reading their rate field).
-func (p *Plan) hit(channel string, rate int) bool {
-	if rate <= 0 {
-		return false
-	}
-	return p.rng(channel).Intn(rate) == 0
-}
+// readErrSalt is XORed into Seed to seed the read-error stream: the
+// FNV-1a hash of "disk.read". Changing it moves every plan's
+// media-error schedule.
+const readErrSalt = 0xf708207b973ed9d6
 
 // ReadError reports whether this disk block read fails with ErrMedia.
+// The stream only advances while ReadErrRate is armed.
 func (p *Plan) ReadError() bool {
-	return p != nil && p.hit("disk.read", p.ReadErrRate)
+	if p == nil || p.ReadErrRate <= 0 {
+		return false
+	}
+	if p.rng == nil {
+		p.rng = sim.NewRNG(p.Seed ^ readErrSalt)
+	}
+	return p.rng.Intn(p.ReadErrRate) == 0
 }
 
 // Torn reports whether crash images include partially-transferred
 // writes.
 func (p *Plan) Torn() bool { return p != nil && p.TornWrites }
-
-// DropSegment reports whether this TCP segment is lost on the wire.
-func (p *Plan) DropSegment() bool {
-	return p != nil && p.hit("net.loss", p.LossRate)
-}
-
-// DupSegment reports whether this segment is delivered twice.
-func (p *Plan) DupSegment() bool {
-	return p != nil && p.hit("net.dup", p.DupRate)
-}
-
-// ReorderSegment reports whether this segment is delayed so that a
-// later one overtakes it.
-func (p *Plan) ReorderSegment() bool {
-	return p != nil && p.hit("net.reorder", p.ReorderRate)
-}
 
 // KillNow is consulted by Env.Syscall: it counts syscalls made by
 // environments matching KillEnv and fires exactly once, at the Nth.
@@ -171,7 +130,7 @@ func (p *Plan) NoteWrite(at sim.Time, block int64, count int) {
 }
 
 // Clone returns a fresh plan with the same knobs and none of the
-// consumed state (rng streams, syscall counter, kill latch, write
+// consumed state (rng stream, syscall counter, kill latch, write
 // observer), so a re-run under the clone injects the identical fault
 // sequence. Nil-safe.
 func (p *Plan) Clone() *Plan {
@@ -182,16 +141,13 @@ func (p *Plan) Clone() *Plan {
 		Seed:           p.Seed,
 		ReadErrRate:    p.ReadErrRate,
 		TornWrites:     p.TornWrites,
-		LossRate:       p.LossRate,
-		DupRate:        p.DupRate,
-		ReorderRate:    p.ReorderRate,
 		KillSyscallNth: p.KillSyscallNth,
 		KillEnv:        p.KillEnv,
 	}
 }
 
-// Fork returns a copy that *preserves* the consumed state: every
-// per-channel xorshift stream continues from its current position, and
+// Fork returns a copy that *preserves* the consumed state: the
+// read-error stream continues from its current position, and
 // the syscall counter and kill latch carry over. A machine forked from
 // a snapshot uses this so it draws the exact fault schedule a run from
 // boot would see past the snapshot point — Clone would rewind the
@@ -206,11 +162,8 @@ func (p *Plan) Fork() *Plan {
 	cp := p.Clone()
 	cp.syscalls = p.syscalls
 	cp.killed = p.killed
-	if p.rngs != nil {
-		cp.rngs = make(map[string]*sim.RNG, len(p.rngs))
-		for ch, r := range p.rngs {
-			cp.rngs[ch] = r.Clone()
-		}
+	if p.rng != nil {
+		cp.rng = p.rng.Clone()
 	}
 	return cp
 }
@@ -219,15 +172,13 @@ func (p *Plan) Fork() *Plan {
 // -faults flag). The seed is a decimal or 0x-hex integer; spec is a
 // comma-separated list of key=value fault knobs:
 //
-//	loss=N      one-in-N segment loss, both directions
-//	dup=N       one-in-N segment duplication
-//	reorder=N   one-in-N segment reordering
 //	readerr=N   one-in-N disk read media errors
 //	torn        torn (partially-transferred) writes in crash images
 //	kill=N      kill an environment at its Nth syscall
 //	killenv=S   restrict the kill to env names containing S
 //
-// "1234" alone (no colon) is a seed with no faults armed — useful for
+// N is a non-negative integer; 0 leaves the knob off. An unknown knob
+// is an error. "1234" alone (no colon) is a seed with no faults armed — useful for
 // harnesses that inject their own schedule, like crash enumeration.
 func Parse(s string) (*Plan, error) {
 	if s == "" {
@@ -248,16 +199,14 @@ func Parse(s string) (*Plan, error) {
 			if !hasVal {
 				return 0, fmt.Errorf("fault: %s needs a value", key)
 			}
-			return strconv.Atoi(val)
+			n, err := strconv.Atoi(val)
+			if err == nil && n < 0 {
+				err = fmt.Errorf("fault: %s=%d is negative", key, n)
+			}
+			return n, err
 		}
 		var err error
 		switch key {
-		case "loss":
-			p.LossRate, err = intVal()
-		case "dup":
-			p.DupRate, err = intVal()
-		case "reorder":
-			p.ReorderRate, err = intVal()
 		case "readerr":
 			p.ReadErrRate, err = intVal()
 		case "torn":
@@ -293,9 +242,6 @@ func (p *Plan) String() string {
 			knobs = append(knobs, fmt.Sprintf("%s=%d", k, v))
 		}
 	}
-	add("loss", p.LossRate)
-	add("dup", p.DupRate)
-	add("reorder", p.ReorderRate)
 	add("readerr", p.ReadErrRate)
 	if p.TornWrites {
 		knobs = append(knobs, "torn")

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"xok/internal/sim"
@@ -8,8 +10,7 @@ import (
 
 func TestNilPlanIsInert(t *testing.T) {
 	var p *Plan
-	if p.ReadError() || p.Torn() || p.DropSegment() ||
-		p.DupSegment() || p.ReorderSegment() || p.KillNow("x") || p.Killed() {
+	if p.ReadError() || p.Torn() || p.KillNow("x") || p.Killed() {
 		t.Fatal("nil plan injected a fault")
 	}
 	p.NoteWrite(0, 0, 1) // must not panic
@@ -22,24 +23,33 @@ func TestChannelsAreIndependentAndDeterministic(t *testing.T) {
 	draw := func(p *Plan) []bool {
 		var out []bool
 		for i := 0; i < 200; i++ {
-			out = append(out, p.DropSegment())
+			out = append(out, p.ReadError())
 		}
 		return out
 	}
-	a := draw(&Plan{Seed: 7, LossRate: 4})
-	b := draw(&Plan{Seed: 7, LossRate: 4})
+	a := draw(&Plan{Seed: 7, ReadErrRate: 4})
+	b := draw(&Plan{Seed: 7, ReadErrRate: 4})
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at draw %d", i)
 		}
 	}
-	// Arming an unrelated channel must not perturb the loss stream.
-	c := &Plan{Seed: 7, LossRate: 4, DupRate: 3, ReadErrRate: 5}
+	// The stream is seeded from Seed and the FNV-1a hash of
+	// "disk.read", so a plan's read-error schedule never moves.
+	h := fnv.New64a()
+	h.Write([]byte("disk.read"))
+	ref := sim.NewRNG(7 ^ h.Sum64())
+	for i := range a {
+		if want := ref.Intn(4) == 0; a[i] != want {
+			t.Fatalf("read-error stream departs from its seed derivation at draw %d", i)
+		}
+	}
+	// Counting syscalls toward a kill must not perturb the stream.
+	c := &Plan{Seed: 7, ReadErrRate: 4, KillSyscallNth: 50}
 	for i := 0; i < 200; i++ {
-		c.DupSegment()
-		c.ReadError()
-		if got := c.DropSegment(); got != a[i] {
-			t.Fatalf("loss stream perturbed by other channels at draw %d", i)
+		c.KillNow("env")
+		if got := c.ReadError(); got != a[i] {
+			t.Fatalf("read-error stream perturbed by the kill counter at draw %d", i)
 		}
 	}
 	hits := 0
@@ -49,7 +59,7 @@ func TestChannelsAreIndependentAndDeterministic(t *testing.T) {
 		}
 	}
 	if hits == 0 || hits == len(a) {
-		t.Fatalf("loss rate 1/4 produced %d/200 hits", hits)
+		t.Fatalf("read-error rate 1/4 produced %d/200 hits", hits)
 	}
 }
 
@@ -88,24 +98,54 @@ func TestWriteObserver(t *testing.T) {
 	}
 }
 
+// parseInputs are TestParseRoundTrip's inputs, accepted and rejected;
+// FuzzParse starts from them.
+var (
+	parseGood = []string{"1234:kill=100,killenv=mab,readerr=64,torn", "0x10", "42:torn", "42:kill=60,killenv=fuzz"}
+	parseBad  = []string{"", "x:torn", "1:frob=2", "1:readerr", "1:torn=1", "1:loss=2"}
+)
+
 func TestParseRoundTrip(t *testing.T) {
-	p, err := Parse("1234:dup=8,kill=100,killenv=mab,loss=16,readerr=64,reorder=32,torn")
+	p, err := Parse(parseGood[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 1234 || p.LossRate != 16 || p.DupRate != 8 || p.ReorderRate != 32 ||
-		p.ReadErrRate != 64 || !p.TornWrites || p.KillSyscallNth != 100 || p.KillEnv != "mab" {
+	if p.Seed != 1234 || p.ReadErrRate != 64 || !p.TornWrites || p.KillSyscallNth != 100 || p.KillEnv != "mab" {
 		t.Fatalf("parsed %+v", p)
 	}
-	if s := p.String(); s != "1234:dup=8,kill=100,killenv=mab,loss=16,readerr=64,reorder=32,torn" {
+	if s := p.String(); s != parseGood[0] {
 		t.Fatalf("String = %q", s)
 	}
 	if p2, err := Parse("0x10"); err != nil || p2.Seed != 16 {
 		t.Fatalf("hex seed: %+v, %v", p2, err)
 	}
-	for _, bad := range []string{"", "x:loss=1", "1:frob=2", "1:loss", "1:torn=1"} {
+	for _, bad := range parseBad {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParse: any string Parse accepts renders through String to one
+// that Parse turns back into an equal plan.
+func FuzzParse(f *testing.F) {
+	for _, s := range parseGood {
+		f.Add(s)
+	}
+	for _, s := range parseBad {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil {
+			return
+		}
+		q, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %#v, but its String %q does not parse: %v", s, p, p.String(), err)
+		}
+		if !reflect.DeepEqual(q, p) {
+			t.Fatalf("Parse(%q) = %#v, but its String %q parses to %#v", s, p, p.String(), q)
+		}
+	})
 }

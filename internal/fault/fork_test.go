@@ -3,17 +3,17 @@ package fault
 import "testing"
 
 // TestForkResumesStreams is the contract snapshots depend on: Fork
-// preserves every channel's consumed xorshift position, so a forked
-// plan draws the same continuation the original would — while Clone
-// rewinds to the start of every stream. A machine forked mid-run must
+// preserves the read-error stream's consumed xorshift position, so a
+// forked plan draws the same continuation the original would — while
+// Clone rewinds to the start of the stream. A machine forked mid-run must
 // see the fault schedule it would have seen from boot; a Fork that
 // rewound (behaved like Clone) would re-deal the prefix's faults.
 func TestForkResumesStreams(t *testing.T) {
-	p := &Plan{Seed: 5, ReadErrRate: 4, LossRate: 3}
+	p := &Plan{Seed: 5, ReadErrRate: 4}
 	draw := func(q *Plan, n int) []bool {
-		out := make([]bool, 0, 2*n)
+		out := make([]bool, 0, n)
 		for i := 0; i < n; i++ {
-			out = append(out, q.ReadError(), q.DropSegment())
+			out = append(out, q.ReadError())
 		}
 		return out
 	}

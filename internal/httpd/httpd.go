@@ -186,7 +186,6 @@ func Measure(kind Kind, docSize int, o Opts) (Result, error) {
 	// The paper's testbed as a Topology: one client host wired to the
 	// server machine by sim.NumLinks Ethernets.
 	topo := netsim.NewTopologyOn(k.Eng)
-	topo.Faults = k.Faults
 	clientHost := topo.AddHost("clients")
 	srvHost := topo.AttachKernel("server", k)
 	for i := 0; i < sim.NumLinks; i++ {

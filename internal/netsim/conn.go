@@ -28,14 +28,14 @@ const pathHalf = 2
 // can reach them: the client is done (completion cancelled its timer),
 // the server retired the connection (RTO cancelled, filter removed),
 // the balancer slot is given back, and no Packet naming the Conn is
-// still live — in flight, duplicated, queued in a server inbox or
-// being processed. Each Packet counts once from xmit (or the RTO
-// marker) until its last reference is released, so a late duplicate
-// segment keeps its Conn out of the freelist until it is gone. Any
-// other ending — a client deadline give-up, a server stopped with
-// packets still queued, a crash — leaves the Conn to the garbage
-// collector. A freed Conn is marked, and a packet or timer that
-// reaches one panics rather than act on a recycled connection.
+// still live — in flight, queued in a server inbox or being
+// processed. Each Packet counts once from xmit (or the RTO marker)
+// until it is released, so a late re-sent segment keeps its Conn out
+// of the freelist until it is gone. Any other ending — a client
+// deadline give-up, a server stopped with packets still queued, a
+// crash — leaves the Conn to the garbage collector. A freed Conn is
+// marked, and a packet or timer that reaches one panics rather than
+// act on a recycled connection.
 type Conn struct {
 	t       *Topology
 	fwd     []hop // client -> server path (through the balancer, if any)
@@ -67,9 +67,9 @@ type Conn struct {
 	filterID   dpf.ID
 	hasFilter  bool
 
-	// Client-side state. The client accepts segments in order only
-	// (the path is FIFO; a loss leaves a hole that go-back-N
-	// retransmission fills).
+	// Client-side state. The client accepts segments in order only:
+	// the path is FIFO, but a go-back-N retransmission can land
+	// behind segments the client already has.
 	expect    int // response bytes outstanding
 	got       int // contiguous bytes received
 	gotSynAck bool
@@ -116,7 +116,8 @@ func (c *Conn) mustLive() {
 // clientRTO is the client-side retransmission timeout: shorter than
 // the server's RTO so a stalled handshake restarts before the
 // server's timer would have a say. On a LAN's sub-millisecond round
-// trip a fixed timer is all the fabric needs.
+// trip a fixed timer is all the fabric needs; it fires only when an
+// overloaded server leaves the exchange waiting longer than that.
 const clientRTO = 60 * sim.Millisecond
 
 // Class returns the request-class index the connection was opened
@@ -138,8 +139,9 @@ func (c *Conn) clientDeliver(pkt *Packet) {
 	}
 	if pkt.Payload > 0 {
 		if pkt.Seq != c.got {
-			// A predecessor was lost: discard and dup-ACK so the
-			// server learns our progress.
+			// Out of order (a retransmission repeating bytes we
+			// have): discard and dup-ACK so the server learns our
+			// progress.
 			c.sendAck()
 			return
 		}
@@ -152,8 +154,7 @@ func (c *Conn) clientDeliver(pkt *Packet) {
 		}
 	}
 	// The client knows the response length up front, so arrival of the
-	// last byte completes the request — a lost FIN must not strand a
-	// connection whose data all made it.
+	// last byte completes the request, FIN or not.
 	if c.got >= c.expect {
 		owner := c.owner
 		c.owner = nil
@@ -190,10 +191,11 @@ func (c *Conn) sendRequest() {
 }
 
 // armTimer (re)schedules the client retransmission timer. The server's
-// go-back-N covers lost response data; this timer covers everything the
-// server cannot know about — a lost SYN, SYN-ACK or request, and lost
-// client ACKs that leave both ends waiting. On firing it re-sends
-// whatever the exchange is missing and re-arms.
+// go-back-N covers response data it has not seen acknowledged; this
+// timer covers the client's side — a SYN, request or ACK whose answer
+// is slow to come because the server is busy. On firing it re-sends
+// whatever the exchange is missing, counts the re-send in the backend
+// machine's sim.CtrResends, and re-arms.
 func (c *Conn) armTimer() {
 	c.t.eng.Cancel(c.ctimer)
 	c.ctimer = c.t.eng.AfterArg(clientRTO, clientTimerFire, c)
@@ -208,6 +210,7 @@ func clientTimerFire(a any) {
 	if c.owner == nil || (c.deadline > 0 && c.t.eng.Now() >= c.deadline) {
 		return
 	}
+	c.backend.K.Stats.Inc(sim.CtrResends)
 	switch {
 	case !c.gotSynAck:
 		c.sendSyn()
@@ -271,8 +274,7 @@ func (c *Conn) deliverPkt(pkt *Packet) {
 	c.t.release(pkt)
 }
 
-// sendToClient transmits a server segment; Topology.xmit applies the
-// fault decisions (loss, duplication, reordering) on the way out.
+// sendToClient transmits a server segment.
 func (c *Conn) sendToClient(flags uint8, payload, seq int) {
 	k := c.backend.K
 	k.Stats.Inc(sim.CtrPacketsTx)
@@ -316,7 +318,8 @@ const ServerPort = 80
 
 // NewClientPool prepares n closed-loop clients at host `from`
 // fetching docSize-byte documents from `target` (a NIC host or a load
-// balancer).
+// balancer). No client opens a connection at or past stopAt; the
+// caller stops the engine there, so no client timer fires past it.
 func (t *Topology) NewClientPool(from, target HostID, clients, docSize int, stopAt sim.Time) *ClientPool {
 	p := &ClientPool{t: t, from: from, target: target, docSize: docSize,
 		nextPort: 10000, stopAt: stopAt}
@@ -339,7 +342,7 @@ func (p *ClientPool) startRequest() {
 	}
 	port := p.nextPort
 	p.nextPort++
-	c := p.t.openConn(p.from, p.target, port, p.docSize, p.stopAt)
+	c := p.t.openConn(p.from, p.target, port, p.docSize, 0)
 	c.owner = p
 	c.sendSyn()
 	c.armTimer()

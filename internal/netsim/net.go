@@ -1,8 +1,10 @@
 // Package netsim models the paper's network environment for the HTTP
 // experiments (Section 7.3) and its cluster-scale extension: a LAN of
-// hosts joined by links with real bandwidth and queue bounds
-// (Topology), machines attached at NICs, and an optional
-// load-balancer node spreading connections over several servers.
+// hosts joined by links with real bandwidth (Topology), machines
+// attached at NICs, and an optional load-balancer node spreading
+// connections over several servers. Like the paper's testbed of three
+// 100-Mbit Ethernets the LAN is lossless: a frame waits for its link
+// as long as it must, and arrives once and in order.
 // Packets occupy link bandwidth for their wire time, arrivals
 // interrupt the owning machine's CPU, and Xok's dynamic packet
 // filters (internal/dpf) demultiplex arriving packets to the
@@ -56,11 +58,6 @@ type Packet struct {
 	Seq     int // first payload byte's offset in the response stream
 	Ack     int // client ACK: bytes received in order
 	Conn    *Conn
-
-	// refs counts pending deliveries of this exact packet object (a
-	// fault-plan duplication puts the same pointer on the wire twice).
-	// When it reaches zero the packet returns to the fabric's freelist.
-	refs int
 }
 
 // HeaderInto renders the bytes the packet filter engine matches — dst

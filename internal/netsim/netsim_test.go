@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"xok/internal/cap"
-	"xok/internal/fault"
 	"xok/internal/kernel"
 	"xok/internal/sim"
 	"xok/internal/trace"
@@ -21,7 +20,6 @@ func testServerConfig() StackConfig {
 // machine: the single-server fabric of the HTTP experiments.
 func pair(k *kernel.Kernel) (tp *Topology, client, server HostID) {
 	tp = NewTopologyOn(k.Eng)
-	tp.Faults = k.Faults
 	client = tp.AddHost("client")
 	server = tp.AttachKernel("server", k)
 	for i := 0; i < sim.NumLinks; i++ {
@@ -154,7 +152,7 @@ func TestWireTimeSerializesLink(t *testing.T) {
 		t.Fatal("second frame not serialized behind the first")
 	}
 	gap := second - first
-	wire := sim.WireTime(1460 + ipTCPHeader)
+	wire := sim.WireTimeAt(1460+ipTCPHeader, sim.LinkBandwidthBps)
 	if gap != wire {
 		t.Fatalf("inter-frame gap = %v, want one wire time %v", gap, wire)
 	}
@@ -171,113 +169,6 @@ func TestPacketHeaderMatchesFilters(t *testing.T) {
 		if h[i] != want[i] {
 			t.Fatalf("header = %v, want %v", h, want)
 		}
-	}
-}
-
-func TestLossRecoveredByRetransmission(t *testing.T) {
-	// With ~3% data-segment loss, every request must still complete —
-	// go-back-N retransmission out of the retransmission pool fills
-	// the holes.
-	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-	tp, client, server := pair(k)
-	tp.Faults = &fault.Plan{Seed: 1, LossRate: 32}
-	dur := 2 * sim.CPUHz / 5 * sim.Time(1) // 400 ms
-	stop := k.Now() + dur
-	pool := tp.NewClientPool(client, server, 6, 20000, stop)
-	k.Spawn("server", func(e *kernel.Env) {
-		tp.NIC(server).Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 20000 }, stop)
-	})
-	k.RunUntil(stop)
-	k.Shutdown()
-	if pool.Completed == 0 {
-		t.Fatal("no requests completed under loss")
-	}
-	if k.Stats.Get(sim.CtrRetransmits) == 0 {
-		t.Fatal("loss recovered without any retransmissions?")
-	}
-	if pool.Bytes != int64(pool.Completed)*20000 {
-		t.Fatalf("byte accounting broken under loss: %d for %d requests",
-			pool.Bytes, pool.Completed)
-	}
-}
-
-func TestLossReducesThroughput(t *testing.T) {
-	measure := func(loss int) int {
-		k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-		tp, client, server := pair(k)
-		tp.Faults = &fault.Plan{Seed: 1, LossRate: loss}
-		stop := k.Now() + 200*sim.Millisecond
-		pool := tp.NewClientPool(client, server, 8, 10000, stop)
-		k.Spawn("server", func(e *kernel.Env) {
-			tp.NIC(server).Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 10000 }, stop)
-		})
-		k.RunUntil(stop)
-		k.Shutdown()
-		return pool.Completed
-	}
-	clean := measure(0)
-	lossy := measure(16) // ~6% loss
-	if lossy >= clean {
-		t.Fatalf("loss did not hurt throughput: %d vs %d", lossy, clean)
-	}
-}
-
-func TestBidirectionalLossRecovered(t *testing.T) {
-	// The fault plan drops, duplicates and reorders segments in BOTH
-	// directions: lost SYNs, requests and client ACKs are recovered by
-	// the client's retransmission timer, lost response data by the
-	// server's go-back-N — and every completed request still delivers
-	// exactly its bytes. Same seed, same outcome.
-	run := func() (*ClientPool, *kernel.Kernel) {
-		plan := &fault.Plan{Seed: 7, LossRate: 24, DupRate: 37, ReorderRate: 41}
-		k := kernel.New(kernel.Config{Name: "net", MemPages: 512, Faults: plan})
-		tp, client, server := pair(k)
-		stop := k.Now() + 400*sim.Millisecond
-		pool := tp.NewClientPool(client, server, 6, 20000, stop)
-		k.Spawn("server", func(e *kernel.Env) {
-			tp.NIC(server).Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 20000 }, stop)
-		})
-		k.RunUntil(stop)
-		k.Shutdown()
-		return pool, k
-	}
-	pool, k := run()
-	if pool.Completed == 0 {
-		t.Fatal("no requests completed under bidirectional faults")
-	}
-	if pool.Bytes != int64(pool.Completed)*20000 {
-		t.Fatalf("byte accounting broken: %d bytes for %d requests", pool.Bytes, pool.Completed)
-	}
-	if k.Stats.Get(sim.CtrRetransmits) == 0 {
-		t.Fatal("no server retransmissions under loss?")
-	}
-	pool2, _ := run()
-	if pool2.Completed != pool.Completed || pool2.Bytes != pool.Bytes {
-		t.Fatalf("same seed diverged: %d/%d requests, %d/%d bytes",
-			pool.Completed, pool2.Completed, pool.Bytes, pool2.Bytes)
-	}
-}
-
-func TestClientSideLossRecovered(t *testing.T) {
-	// The fault plan's loss applies to client->server segments too: under
-	// harsh symmetric loss (one in six frames) the handshake itself
-	// fails constantly, and only the client retransmission timer keeps
-	// connections alive.
-	k := kernel.New(kernel.Config{Name: "net", MemPages: 512})
-	tp, client, server := pair(k)
-	tp.Faults = &fault.Plan{Seed: 1, LossRate: 6}
-	stop := k.Now() + 400*sim.Millisecond
-	pool := tp.NewClientPool(client, server, 4, 5000, stop)
-	k.Spawn("server", func(e *kernel.Env) {
-		tp.NIC(server).Serve(e, testServerConfig(), func(*kernel.Env, *Conn) int { return 5000 }, stop)
-	})
-	k.RunUntil(stop)
-	k.Shutdown()
-	if pool.Completed == 0 {
-		t.Fatal("no requests completed under symmetric loss")
-	}
-	if pool.Bytes != int64(pool.Completed)*5000 {
-		t.Fatalf("byte accounting broken: %d bytes for %d requests", pool.Bytes, pool.Completed)
 	}
 }
 

@@ -4,36 +4,33 @@ import (
 	"testing"
 
 	"xok/internal/cap"
-	"xok/internal/fault"
 	"xok/internal/kernel"
 	"xok/internal/sim"
 	"xok/internal/trace"
 )
 
 // cellOutcome is what a small cluster cell measures: completions, the
-// servers' go-back-N retransmits, the latency digest, and how many
-// connections went back to the fabric's freelist.
+// servers' go-back-N retransmits, the clients' timer re-sends, the
+// latency digest, and how many connections went back to the fabric's
+// freelist.
 type cellOutcome struct {
-	issued, completed int
-	retransmits       int64
-	digest            uint64
-	recycled          int64
+	issued, completed    int
+	retransmits, resends int64
+	digest               uint64
+	recycled             int64
 }
 
-// cellEpoch is when faultCell's load starts.
+// cellEpoch is when cell's load starts.
 const cellEpoch = sim.Millisecond
 
-// faultCell runs an open-loop load through a least-connections
-// balancer to two servers sharing one engine, under plan (nil = a
-// clean fabric). stopAt > 0 stops the servers at that instant (after
-// cellEpoch) and
-// deadline > 0 bounds every client's retries, so connections can be
-// abandoned mid-exchange.
-func faultCell(t *testing.T, plan *fault.Plan, conns int, rate float64, stopAt, deadline sim.Time) cellOutcome {
+// cell runs an open-loop load through a least-connections balancer to
+// two servers sharing one engine. stopAt > 0 stops the servers at that
+// instant (after cellEpoch), so connections can be abandoned
+// mid-exchange, and deadline > 0 bounds every client's re-sends.
+func cell(t *testing.T, conns int, rate float64, stopAt, deadline sim.Time) cellOutcome {
 	t.Helper()
 	eng := sim.NewEngine()
 	tp := NewTopologyOn(eng)
-	tp.Faults = plan
 	clients := tp.AddHost("clients")
 	lb := tp.LoadBalancer(LeastConnections)
 	tp.Link(clients, lb, LinkSpec{BandwidthBps: 1_000_000_000})
@@ -66,50 +63,32 @@ func faultCell(t *testing.T, plan *fault.Plan, conns int, rate float64, stopAt, 
 		digest: tr.Digest(), recycled: tp.connsRecycled}
 	for _, k := range kernels {
 		out.retransmits += k.Stats.Get(sim.CtrRetransmits)
+		out.resends += k.Stats.Get(sim.CtrResends)
 		k.Shutdown()
 	}
 	return out
 }
 
-// TestFaultedCellRecyclesConns: under loss, duplication and reordering
-// every connection still completes with exactly the latency series,
-// completions and retransmits of the allocating implementation (the
-// pinned figures predate Conn recycling), connections are recycled,
-// and no packet or timer ever reaches a freed Conn (that would panic).
-func TestFaultedCellRecyclesConns(t *testing.T) {
-	plan := &fault.Plan{Seed: 11, LossRate: 20, DupRate: 23, ReorderRate: 29}
-	got := faultCell(t, plan, 600, 4000, 0, 0)
-	if got.recycled == 0 {
-		t.Error("no connection was recycled in a cell where all 600 complete")
-	}
-	got.recycled = 0
-	want := cellOutcome{issued: 600, completed: 600, retransmits: 228, digest: 7226338685703827415}
-	if got != want {
-		t.Fatalf("faulted cell = %+v, want %+v", got, want)
-	}
-}
-
 // TestAbandonedConnsNotRecycled: connections that end any other way
-// than a full exchange are left to the garbage collector. Overloaded
-// servers under a lossy plan with a 20-ms client deadline abandon
-// about a quarter of the arrivals: exactly the completed connections
-// are recycled. Servers stopped 30 ms into the load strand packets in
-// their inboxes: only the completions whose last packets drained
-// before the stop are recycled. Both cells finish exactly as the
-// allocating implementation did (completions, retransmits, digest)
-// and without panicking.
+// than a full exchange are left to the garbage collector. Servers
+// stopped 30 ms into the load strand packets in their inboxes: only the
+// completions whose last packets drained before the stop are recycled
+// (the cell finishes exactly as the allocating implementation did).
+// Overloaded servers keep 1200 clients waiting past their 60-ms timers,
+// and a 100-ms client deadline stops the re-sends part way: on the
+// lossless LAN every exchange still finishes and every connection is
+// recycled. Neither cell panics.
 func TestAbandonedConnsNotRecycled(t *testing.T) {
-	plan := &fault.Plan{Seed: 11, LossRate: 20, DupRate: 23, ReorderRate: 29}
 	for _, tc := range []struct {
-		name   string
-		plan   *fault.Plan
-		stopAt sim.Time
-		want   cellOutcome
+		name             string
+		conns            int
+		stopAt, deadline sim.Time
+		want             cellOutcome
 	}{
-		{"deadline", plan, 0, cellOutcome{issued: 600, completed: 453, retransmits: 176, digest: 3293681385666056476, recycled: 453}},
-		{"stopped", nil, 30 * sim.Millisecond, cellOutcome{issued: 600, completed: 106, digest: 17227506352884953760, recycled: 23}},
+		{"deadline", 1200, 0, 100 * sim.Millisecond, cellOutcome{issued: 1200, completed: 1200, resends: 418, digest: 8588898508467712879, recycled: 1200}},
+		{"stopped", 600, 30 * sim.Millisecond, 20 * sim.Millisecond, cellOutcome{issued: 600, completed: 106, digest: 17227506352884953760, recycled: 23}},
 	} {
-		if got := faultCell(t, tc.plan, 600, 40000, tc.stopAt, 20*sim.Millisecond); got != tc.want {
+		if got := cell(t, tc.conns, 40000, tc.stopAt, tc.deadline); got != tc.want {
 			t.Errorf("%s cell = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}

@@ -58,7 +58,8 @@ type NIC struct {
 
 // deliverPkt is the NIC receive path (the NIC is the sink of every
 // client->server path): interrupt, packet filter, enqueue on the
-// owner's ring, wake the server.
+// owner's ring, wake the server. A packet no filter claims is dropped
+// and counted in Topology.Drops, the fabric's one drop point.
 func (nic *NIC) deliverPkt(pkt *Packet) {
 	nic.K.ChargeInterrupt(sim.CostNICInterrupt)
 	nic.K.Stats.Inc(sim.CtrPacketsRx)
@@ -67,12 +68,9 @@ func (nic *NIC) deliverPkt(pkt *Packet) {
 	}
 	nic.K.ChargeInterrupt(sim.CostPacketFilter)
 	owner, ok := nic.DPF.Dispatch(pkt.HeaderInto(nic.hdrBuf[:]))
-	if !ok {
-		nic.t.release(pkt)
-		return // no filter claims it: dropped
-	}
-	ring, ok := owner.(*ring)
-	if !ok {
+	ring, isRing := owner.(*ring)
+	if !ok || !isRing {
+		nic.t.Drops++
 		nic.t.release(pkt)
 		return
 	}
@@ -196,9 +194,9 @@ func (s *Stack) loop() {
 // a connection-specific packet filter, then SYN-ACK.
 func (s *Stack) acceptConn(c *Conn) {
 	if c.srvAccepted {
-		// Duplicate SYN (retransmitted or duplicated in flight; the
-		// first SYN-ACK may have been lost): re-send the SYN-ACK
-		// without setting up a second PCB or filter.
+		// Duplicate SYN (the client's timer re-sent it while the
+		// first waited in an overloaded server's inbox): re-send the
+		// SYN-ACK without setting up a second PCB or filter.
 		c.sendToClient(FlagSYN|FlagACK, 0, 0)
 		return
 	}
@@ -296,7 +294,7 @@ func rtoFire(a any) {
 		return
 	}
 	mp := s.nic.t.newPacket()
-	mp.Flags, mp.Conn, mp.refs = flagRetransmit, c, 1
+	mp.Flags, mp.Conn = flagRetransmit, c
 	c.pkts++
 	s.inbox = append(s.inbox, mp)
 	s.nic.K.Wake(s.env)

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"xok/internal/dpf"
-	"xok/internal/fault"
 	"xok/internal/kernel"
 	"xok/internal/sim"
 )
@@ -19,39 +18,27 @@ type sink interface {
 	deliverPkt(*Packet)
 }
 
-// transit is one copy of one segment in flight across one hop: the
-// pooled record link.transmit schedules instead of a fresh closure per
-// hop (at connection scale the per-hop closures were the fabric's
-// dominant allocation). The fault decisions are drawn at send time in
-// forward — exactly where the closure captured them before.
+// transit is one segment in flight across one hop: the pooled record
+// link.transmit schedules instead of a fresh closure per hop (at
+// connection scale the per-hop closures were the fabric's dominant
+// allocation).
 type transit struct {
-	t     *Topology
-	path  []hop
-	i     int
-	pkt   *Packet
-	to    sink
-	lost  bool
-	delay sim.Time
+	t    *Topology
+	path []hop
+	i    int
+	pkt  *Packet
+	to   sink
 }
 
-// transitArrive is the arrival event for one hop: drop a lost copy,
-// forward an inner hop, apply a reorder delay on the last hop, or
-// deliver to the sink. Package-level so scheduling it via AtArg /
-// AfterArg captures nothing.
+// transitArrive is the arrival event for one hop: forward an inner
+// hop or deliver to the sink. Package-level so scheduling it via
+// AtArg captures nothing.
 func transitArrive(a any) {
 	tr := a.(*transit)
 	t := tr.t
-	switch {
-	case tr.lost:
-		t.release(tr.pkt)
-	case tr.i+1 < len(tr.path):
+	if tr.i+1 < len(tr.path) {
 		t.forward(tr.path, tr.i+1, tr.pkt, tr.to)
-	case tr.delay > 0:
-		d := tr.delay
-		tr.delay = 0
-		t.eng.AfterArg(d, transitArrive, tr)
-		return // still in flight; the delayed firing frees it
-	default:
+	} else {
 		tr.to.deliverPkt(tr.pkt)
 	}
 	t.freeTransit(tr)
@@ -84,53 +71,32 @@ func (p Policy) String() string {
 
 // LinkSpec describes one full-duplex LAN link; every link adds the
 // same one-way sim.LinkLatency. The zero value is a stock Ethernet:
-// sim.LinkBandwidthBps with an unbounded queue.
+// sim.LinkBandwidthBps.
 type LinkSpec struct {
 	// BandwidthBps is the link speed in bits/second (0 = the default
 	// 100-Mbit Ethernet).
 	BandwidthBps uint64
-	// Queue bounds the per-direction transmit backlog, in full-size
-	// frames; a frame arriving at a link whose backlog exceeds it is
-	// tail-dropped (counted in Topology.Drops). 0 = unbounded, the
-	// legacy behavior.
-	Queue int
 }
 
 // link is one full-duplex wire between two hosts. Direction 0 runs
 // from the first host given to Topology.Link, direction 1 back; each
-// direction serializes frames against its own transmit horizon.
+// direction serializes frames against its own transmit horizon, with
+// an unbounded backlog: the LAN loses nothing.
 type link struct {
-	bps   uint64
-	queue int
-	busy  [2]sim.Time
-}
-
-// wire is the serialization time of payload bytes plus TCP/IP headers
-// on this link.
-func (l *link) wire(payload int) sim.Time {
-	return sim.WireTimeAt(payload+ipTCPHeader, l.bps)
-}
-
-// full reports whether the direction's backlog at time now exceeds
-// the queue bound: the untransmitted horizon is longer than Queue
-// full-size frames' worth of wire time.
-func (l *link) full(dir int, now sim.Time) bool {
-	if l.queue <= 0 {
-		return false
-	}
-	return l.busy[dir]-now > sim.Time(l.queue)*l.wire(MSS)
+	bps  uint64
+	busy [2]sim.Time
 }
 
 // transmit serializes a frame on one direction and schedules its
-// arrival record, on the fabric's engine, after the wire time plus
-// propagation.
+// arrival record, on the fabric's engine, after the wire time (payload
+// plus TCP/IP headers) plus propagation.
 func (l *link) transmit(dir int, payload int, tr *transit) {
 	eng := tr.t.eng
 	start := eng.Now()
 	if l.busy[dir] > start {
 		start = l.busy[dir]
 	}
-	tx := l.wire(payload)
+	tx := sim.WireTimeAt(payload+ipTCPHeader, l.bps)
 	l.busy[dir] = start + tx
 	eng.AtArg(start+tx+sim.LinkLatency, transitArrive, tr)
 }
@@ -228,18 +194,15 @@ func (l *lbState) pick() int {
 // hop to an adjacent NIC host, or two through an adjacent balancer.
 // All hosts share one event engine and therefore one virtual clock.
 //
-// Everything is deterministic: parallel links rotate per connection,
-// balancer policies break ties by index, and every loss/duplication
-// decision comes from the fault plan's seeded streams.
+// Everything is deterministic: parallel links rotate per connection
+// and balancer policies break ties by index. Like the paper's testbed
+// the LAN is lossless: links queue without bound, and every frame put
+// on the wire arrives, once and in order.
 type Topology struct {
 	eng   *sim.Engine
 	hosts []*host
 
-	// Faults is the fabric's deterministic fault plan (nil = none):
-	// segment loss, duplication and reordering channels.
-	Faults *fault.Plan
-
-	// Drops counts frames tail-dropped at a full link queue.
+	// Drops counts frames a NIC received that no packet filter claimed.
 	Drops int64
 
 	// freePkts recycles Packet objects: a saturated run sends hundreds
@@ -319,7 +282,7 @@ func (t *Topology) Link(a, b HostID, spec LinkSpec) {
 	if spec.BandwidthBps == 0 {
 		spec.BandwidthBps = sim.LinkBandwidthBps
 	}
-	l := &link{bps: spec.BandwidthBps, queue: spec.Queue}
+	l := &link{bps: spec.BandwidthBps}
 	t.addTrunk(a, b, hop{l: l, dir: 0})
 	t.addTrunk(b, a, hop{l: l, dir: 1})
 }
@@ -374,13 +337,9 @@ func (t *Topology) newPacket() *Packet {
 	return &Packet{}
 }
 
-// release drops one pending delivery; the last one frees the packet,
-// and the last live packet of a retired connection frees the Conn.
+// release frees a delivered (or dropped) packet; the last live packet
+// of a retired connection frees the Conn.
 func (t *Topology) release(p *Packet) {
-	p.refs--
-	if p.refs != 0 {
-		return
-	}
 	t.freePkts = append(t.freePkts, p)
 	if c := p.Conn; c != nil {
 		c.pkts--
@@ -420,49 +379,24 @@ func (t *Topology) freeTransit(tr *transit) {
 	t.freeTransits = append(t.freeTransits, tr)
 }
 
-// xmit puts one segment on the wire along a path of hops, applying
-// the fault plan's decisions: loss, duplication and reordering (the
-// latter on the final hop so successors can overtake). A lost segment still
-// consumes its wire time — the frame went out, it just never arrives;
-// a tail-dropped one (full queue) consumes nothing. A duplicated
-// segment is sent twice back to back. Each copy carries one
-// reference; a lost or dropped copy releases it, a delivered copy
-// passes it to the sink, which owns it from then on. From here until
-// its last reference goes, the packet counts toward its Conn's live
-// packets.
+// xmit puts one segment on the wire along a path of hops. It arrives
+// exactly once: the sink it reaches owns it from then on and releases
+// it. From here until that release, the packet counts toward its
+// Conn's live packets.
 func (t *Topology) xmit(path []hop, pkt *Packet, to sink) {
-	copies := 1
-	if t.Faults.DupSegment() {
-		copies = 2
-	}
-	pkt.refs = copies
 	if c := pkt.Conn; c != nil {
 		c.pkts++
 	}
-	for i := 0; i < copies; i++ {
-		t.forward(path, 0, pkt, to)
-	}
+	t.forward(path, 0, pkt, to)
 }
 
-// forward sends one copy across hop i; its transit record recurses to
-// i+1 on arrival. Fault decisions draw in a fixed order (loss, then
-// reorder) at every hop, at send time.
+// forward sends the segment across hop i; its transit record recurses
+// to i+1 on arrival.
 func (t *Topology) forward(path []hop, i int, pkt *Packet, to sink) {
 	h := path[i]
-	last := i == len(path)-1
-	lost := t.Faults.DropSegment()
-	var delay sim.Time
-	if last && t.Faults.ReorderSegment() {
-		delay = 2 * sim.WireTime(sim.EthernetMTU+ipTCPHeader)
-	}
-	if h.l.full(h.dir, t.eng.Now()) {
-		t.Drops++
-		t.release(pkt)
-		return
-	}
 	tr := t.newTransit()
 	tr.t, tr.path, tr.i = t, path, i
-	tr.pkt, tr.to, tr.lost, tr.delay = pkt, to, lost, delay
+	tr.pkt, tr.to = pkt, to
 	h.l.transmit(h.dir, pkt.Payload, tr)
 }
 

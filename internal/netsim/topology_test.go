@@ -52,55 +52,29 @@ func TestLinkCustomBandwidthSerializes(t *testing.T) {
 	}
 }
 
-// TestQueueTailDrop: a bounded link queue tail-drops the burst's
-// excess, counts it in Drops, and delivers the rest.
-func TestQueueTailDrop(t *testing.T) {
-	tp := NewTopology()
-	a := tp.AddHost("a")
-	b := tp.AddHost("b")
-	tp.Link(a, b, LinkSpec{Queue: 2})
-	path := []hop{tp.hopTo(a, b)}
-
-	const burst = 16
-	delivered := 0
-	count := &funcSink{f: func(p *Packet) { delivered++; tp.release(p) }}
-	for i := 0; i < burst; i++ {
-		pkt := tp.newPacket()
-		pkt.Payload = MSS
-		tp.xmit(path, pkt, count)
+// TestUnclaimedPacketDropped: a packet reaching a NIC where no filter
+// claims it (here, no server listens) is the fabric's one drop: it is
+// counted in Drops and its packet goes back to the freelist.
+func TestUnclaimedPacketDropped(t *testing.T) {
+	k := kernel.New(kernel.Config{Name: "srv", MemPages: 512})
+	tp := NewTopologyOn(k.Eng)
+	client := tp.AddHost("client")
+	srv := tp.AttachKernel("server", k)
+	tp.Link(client, srv, LinkSpec{})
+	pkt := tp.newPacket()
+	pkt.SrcPort, pkt.DstPort, pkt.Flags = 10000, ServerPort, FlagSYN
+	tp.xmit([]hop{tp.hopTo(client, srv)}, pkt, tp.NIC(srv))
+	k.Eng.Run()
+	if rx := k.Stats.Get(sim.CtrPacketsRx); rx != 1 {
+		t.Errorf("NIC received %d packets, want 1", rx)
 	}
-	tp.Engine().Run()
-	if tp.Drops == 0 {
-		t.Fatal("no tail drops on a 2-frame queue under a 16-frame burst")
+	if tp.Drops != 1 {
+		t.Errorf("Drops = %d, want 1", tp.Drops)
 	}
-	if got := int64(burst) - int64(delivered); got != tp.Drops {
-		t.Errorf("delivered %d + dropped %d != burst %d", delivered, tp.Drops, burst)
+	if len(tp.freePkts) != 1 || tp.freePkts[0] != pkt {
+		t.Error("the dropped packet did not go back to the freelist")
 	}
-	// The queue admits the in-flight frame plus roughly Queue more.
-	if delivered < 3 || delivered > 4 {
-		t.Errorf("delivered %d frames, want 3-4 (1 in flight + queue of 2)", delivered)
-	}
-}
-
-// TestUnboundedQueueNeverDrops: the zero-value spec keeps the legacy
-// behavior — everything queues, nothing drops.
-func TestUnboundedQueueNeverDrops(t *testing.T) {
-	tp := NewTopology()
-	a := tp.AddHost("a")
-	b := tp.AddHost("b")
-	tp.Link(a, b, LinkSpec{})
-	path := []hop{tp.hopTo(a, b)}
-	delivered := 0
-	count := &funcSink{f: func(p *Packet) { delivered++; tp.release(p) }}
-	for i := 0; i < 64; i++ {
-		pkt := tp.newPacket()
-		pkt.Payload = MSS
-		tp.xmit(path, pkt, count)
-	}
-	tp.Engine().Run()
-	if delivered != 64 || tp.Drops != 0 {
-		t.Errorf("delivered %d (want 64), drops %d (want 0)", delivered, tp.Drops)
-	}
+	k.Shutdown()
 }
 
 // TestAttachKernelRejectsForeignEngine: a kernel booted on its own
@@ -225,18 +199,17 @@ func TestTrunkRotation(t *testing.T) {
 	tp := NewTopology()
 	a := tp.AddHost("a")
 	b := tp.AddHost("b")
-	// Each trunk carries its link index+1 as its queue bound, so a hop
-	// names the link it took.
 	for i := 0; i < 3; i++ {
-		tp.Link(a, b, LinkSpec{Queue: i + 1})
+		tp.Link(a, b, LinkSpec{})
 	}
+	links := tp.hosts[a].trunkTo(b).hops // in link order
 	var got []*link
 	for i := 0; i < 6; i++ {
 		got = append(got, tp.hopTo(a, b).l)
 	}
 	for i := range got {
-		if want := i%3 + 1; got[i].queue != want {
-			t.Fatalf("connection %d used link %d, want %d (round-robin)", i, got[i].queue-1, want-1)
+		if want := links[i%3].l; got[i] != want {
+			t.Fatalf("connection %d used link %p, want link %d (%p, round-robin)", i, got[i], i%3, want)
 		}
 	}
 	// The reverse direction walks the same links the other way.

@@ -178,15 +178,9 @@ const (
 	CostPacketFilter Time = 100
 )
 
-// WireTime is the transmission time of n payload bytes on one
-// default-speed (LinkBandwidthBps) link.
-func WireTime(n int) Time {
-	return WireTimeAt(n, LinkBandwidthBps)
-}
-
 // WireTimeAt is the transmission time of n payload bytes on a link of
-// the given bandwidth (bits/second). Topology links with explicit
-// LinkSpec bandwidths serialize frames with this.
+// the given bandwidth (bits/second); Topology links serialize frames
+// with it.
 func WireTimeAt(n int, bps uint64) Time {
 	bits := (n + EthernetHeader) * 8
 	return Time(uint64(bits) * CPUHz / bps)

@@ -76,7 +76,8 @@ const (
 	CtrProtCalls     = "prot_calls"     // shared-state protection calls
 	CtrForks         = "forks"          // process creations
 	CtrChecksums     = "checksum_bytes" // bytes checksummed by CPU
-	CtrRetransmits   = "retransmits"    // TCP retransmissions
+	CtrRetransmits   = "retransmits"    // server go-back-N retransmissions
+	CtrResends       = "resends"        // client timer re-sends (SYN, request or ACK)
 	CtrUpcalls       = "upcalls"        // kernel->env upcalls
 	CtrEngineEvents  = "engine_events"  // event-queue dispatches (EventsDispatched delta)
 	CtrRegistryOps   = "registry_ops"   // buffer-registry operations

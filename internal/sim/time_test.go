@@ -80,11 +80,11 @@ func TestCostModelSanity(t *testing.T) {
 
 func TestWireTime(t *testing.T) {
 	// A full MTU frame is (1500+38)*8 bits at 100 Mbit/s = 123.04us.
-	wt := WireTime(EthernetMTU)
+	wt := WireTimeAt(EthernetMTU, LinkBandwidthBps)
 	if wt.Micros() < 120 || wt.Micros() > 126 {
-		t.Fatalf("WireTime(MTU) = %v, want ~123us", wt)
+		t.Fatalf("WireTimeAt(MTU) = %v, want ~123us", wt)
 	}
-	if WireTime(0) == 0 {
+	if WireTimeAt(0, LinkBandwidthBps) == 0 {
 		t.Fatal("zero-byte frame must still cost framing overhead")
 	}
 }

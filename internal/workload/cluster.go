@@ -101,8 +101,11 @@ type ClusterResult struct {
 	// Assignments is connections per backend, in backend order.
 	Assignments []int64
 	// Retransmits sums the server machines' go-back-N retransmits;
-	// Drops counts link-queue tail drops in the fabric.
+	// Resends sums the clients' timer re-sends (SYN, request or ACK),
+	// charged to the backend each connection went to; Drops counts
+	// packets that reached a server NIC and no filter claimed.
 	Retransmits int64
+	Resends     int64
 	Drops       int64
 
 	// EngineEvents is the cell engine's dispatched-event count
@@ -300,6 +303,7 @@ func Cluster(cfg ClusterConfig) (ClusterResult, error) {
 	}
 	for _, m := range machines {
 		res.Retransmits += m.Stats().Get(sim.CtrRetransmits)
+		res.Resends += m.Stats().Get(sim.CtrResends)
 	}
 	res.EngineEvents = eng.Dispatched()
 	if len(machines) > 0 {
@@ -355,13 +359,13 @@ func WriteClusterReport(w io.Writer, rs []ClusterResult) {
 		fmt.Fprintf(w, " %s=%dB(w%d)", cl.Name, cl.DocSize, cl.Weight)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%7s  %-11s %6s %9s %7s %9s %9s %9s %9s %5s %6s\n",
+	fmt.Fprintf(w, "%7s  %-11s %6s %9s %7s %9s %9s %9s %9s %5s %7s %6s\n",
 		"servers", "policy", "done", "req/s", "MB/s",
-		"p50(ms)", "p90(ms)", "p99(ms)", "max(ms)", "rtx", "drops")
+		"p50(ms)", "p90(ms)", "p99(ms)", "max(ms)", "rtx", "resends", "drops")
 	for _, r := range rs {
-		fmt.Fprintf(w, "%7d  %-11s %6d %9.0f %7.2f %9.2f %9.2f %9.2f %9.2f %5d %6d\n",
+		fmt.Fprintf(w, "%7d  %-11s %6d %9.0f %7.2f %9.2f %9.2f %9.2f %9.2f %5d %7d %6d\n",
 			r.Servers, r.Policy, r.Completed, r.ReqPerSec, r.MBytesPerS,
-			ms(r.P50), ms(r.P90), ms(r.P99), ms(r.Max), r.Retransmits, r.Drops)
+			ms(r.P50), ms(r.P90), ms(r.P99), ms(r.Max), r.Retransmits, r.Resends, r.Drops)
 	}
 	last := rs[len(rs)-1]
 	for _, cc := range last.Classes {

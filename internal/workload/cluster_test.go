@@ -131,19 +131,21 @@ func TestMachinesShareFabricClock(t *testing.T) {
 // TestClusterOverloadCellPinned: one server offered ten times what it
 // can serve, so its RTOs fire while requests queue behind each other
 // (hundreds of retransmits, duplicate segments racing recycled
-// connections). The cell completes every connection with exactly the
+// connections) and the waiting clients' 60-ms timers re-send over
+// 200,000 times. The cell completes every connection with exactly the
 // completions, retransmits, engine events and latency digest it had
 // when every connection was a fresh allocation — recycling Conns and
-// filter entries is invisible to the simulation.
+// filter entries is invisible to the simulation. The re-send count is
+// pinned as first measured.
 func TestClusterOverloadCellPinned(t *testing.T) {
 	r, err := workload.Cluster(workload.ClusterConfig{Servers: 1, Conns: 4000, Rate: 40000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Completed != 4000 || r.Retransmits != 850 || r.Drops != 0 ||
+	if r.Completed != 4000 || r.Retransmits != 850 || r.Resends != 225797 || r.Drops != 0 ||
 		r.EngineEvents != 1101396 || r.Digest != 0x874f816b72dbc60f {
-		t.Fatalf("overload cell: completed=%d retransmits=%d drops=%d events=%d digest=%#x, "+
-			"want 4000, 850, 0, 1101396, 0x874f816b72dbc60f",
-			r.Completed, r.Retransmits, r.Drops, r.EngineEvents, r.Digest)
+		t.Fatalf("overload cell: completed=%d retransmits=%d resends=%d drops=%d events=%d digest=%#x, "+
+			"want 4000, 850, 225797, 0, 1101396, 0x874f816b72dbc60f",
+			r.Completed, r.Retransmits, r.Resends, r.Drops, r.EngineEvents, r.Digest)
 	}
 }
