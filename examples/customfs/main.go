@@ -55,7 +55,10 @@ const ownsNothing = "li r0, 0\nret r0"
 const blockSize = "li r0, 4096\nret r0"
 
 func main() {
-	sys := exos.Boot(exos.Config{})
+	sys, err := exos.Boot(exos.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	x := sys.X
 	var logRoot disk.BlockNo

@@ -15,7 +15,10 @@ import (
 
 func main() {
 	// Boot: Xok kernel + XN storage + a fresh C-FFS volume + ExOS.
-	sys := exos.Boot(exos.Config{Protect: true})
+	sys, err := exos.Boot(exos.Config{Protect: true})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("booted Xok/ExOS:",
 		sys.K.Mem.NumPages(), "pages of memory,",
 		sys.K.Disk.NumBlocks(), "disk blocks")

@@ -7,14 +7,26 @@ import (
 	"testing"
 
 	"xok/internal/exos"
+	"xok/internal/posix"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
 
+// bootExOS boots a default Xok/ExOS machine for a test: a failed format
+// fails t.
+func bootExOS(t testing.TB) *posix.System {
+	t.Helper()
+	s, err := exos.Boot(exos.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // run executes main in a process on a fresh Xok/ExOS machine.
 func run(t *testing.T, main func(p unix.Proc) error) {
 	t.Helper()
-	s := exos.Boot(exos.Config{})
+	s := bootExOS(t)
 	var err error
 	s.Spawn("app", 0, func(p unix.Proc) {
 		err = main(p)
@@ -277,7 +289,7 @@ func TestGzipShrinksGunzipRestoresSize(t *testing.T) {
 // Tsp and Sor return nothing: they charge their computation and do
 // none of it, and a lone process pays exactly the closed-form charge.
 func TestTspAndSorAreCPUBound(t *testing.T) {
-	s := exos.Boot(exos.Config{})
+	s := bootExOS(t)
 	var tspTime, sorTime sim.Time
 	s.Spawn("tsp", 0, func(p unix.Proc) {
 		start := p.Now()

@@ -3,7 +3,6 @@ package apps
 import (
 	"testing"
 
-	"xok/internal/exos"
 	"xok/internal/sim"
 	"xok/internal/unix"
 )
@@ -117,7 +116,7 @@ func TestAppCharges(t *testing.T) {
 		}, charge{38880, 0, 0, 0, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := exos.Boot(exos.Config{})
+			s := bootExOS(t)
 			var err error
 			s.Spawn("stage", 0, func(p unix.Proc) {
 				if err = tc.stage(p); err == nil {

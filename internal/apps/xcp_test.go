@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"xok/internal/cap"
-	"xok/internal/exos"
 	"xok/internal/kernel"
 	"xok/internal/posix"
 	"xok/internal/sim"
@@ -105,7 +104,7 @@ func runCP(t *testing.T, s *posix.System, pairs [][2]string) sim.Time {
 }
 
 func TestXCPCopiesCorrectly(t *testing.T) {
-	s := exos.Boot(exos.Config{})
+	s := bootExOS(t)
 	pairs := stageFiles(t, s, 4, 150_000)
 	runXCP(t, s, pairs)
 	s.Spawn("verify", 0, func(p unix.Proc) {
@@ -130,7 +129,7 @@ func TestXCPCopiesCorrectly(t *testing.T) {
 
 func TestXCPSurvivesSyncAndReload(t *testing.T) {
 	// The adopted pages must produce correct on-disk data.
-	s := exos.Boot(exos.Config{})
+	s := bootExOS(t)
 	pairs := stageFiles(t, s, 2, 50_000)
 	runXCP(t, s, pairs)
 	evictAll(s)
@@ -152,12 +151,12 @@ func TestXCPFactorThreeInCore(t *testing.T) {
 	// not touch the data)". Stage once; both runs are warm.
 	const n, size = 8, 400_000
 
-	sX := exos.Boot(exos.Config{})
+	sX := bootExOS(t)
 	pairsX := stageFiles(t, sX, n, size)
 	warm(t, sX, pairsX) // fault everything in
 	xcpTime := runXCP(t, sX, pairsX)
 
-	sC := exos.Boot(exos.Config{})
+	sC := bootExOS(t)
 	pairsC := stageFiles(t, sC, n, size)
 	warm(t, sC, pairsC)
 	cpTime := runCP(t, sC, pairsC)
@@ -174,12 +173,12 @@ func TestXCPFactorThreeOnDisk(t *testing.T) {
 	// number of seeks and the largest contiguous ranges)".
 	const n, size = 8, 400_000
 
-	sX := exos.Boot(exos.Config{})
+	sX := bootExOS(t)
 	pairsX := stageFiles(t, sX, n, size)
 	evictAll(sX)
 	xcpTime := runXCP(t, sX, pairsX)
 
-	sC := exos.Boot(exos.Config{})
+	sC := bootExOS(t)
 	pairsC := stageFiles(t, sC, n, size)
 	evictAll(sC)
 	cpTime := runCP(t, sC, pairsC)

@@ -61,8 +61,9 @@ func (v Variant) String() string {
 // FreeBSD beating OpenBSD under load).
 const openBSDCachePages = 800
 
-// Boot builds the machine on hw and formats its file system.
-func Boot(v Variant, hw posix.Hardware) *posix.System {
+// Boot builds the machine on hw and formats its file system. It fails
+// when the file system cannot be formatted.
+func Boot(v Variant, hw posix.Hardware) (*posix.System, error) {
 	s := posix.New(v.String(), sim.CostTrapBSD, hw, traps{})
 	s.X.FreeCost = true // in-kernel FS: no protection-boundary charging
 	if v == OpenBSD || v == OpenBSDCFFS {
@@ -72,8 +73,10 @@ func Boot(v Variant, hw posix.Hardware) *posix.System {
 	if v == OpenBSDCFFS {
 		fsCfg = cffs.DefaultConfig()
 	}
-	s.Mkfs("bsd-mkfs", "ffs", fsCfg)
-	return s
+	if err := s.Mkfs("bsd-mkfs", "ffs", fsCfg); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // trapWork is each call's in-kernel work beyond the trap itself:

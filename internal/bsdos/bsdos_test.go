@@ -9,8 +9,18 @@ import (
 	"xok/internal/unix"
 )
 
-func runner(v Variant) (ostest.RunFunc, *posix.System) {
-	s := Boot(v, posix.Hardware{})
+// boot is Boot for a test: a failed format fails t.
+func boot(t testing.TB, v Variant, hw posix.Hardware) *posix.System {
+	t.Helper()
+	s, err := Boot(v, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func runner(t testing.TB, v Variant) (ostest.RunFunc, *posix.System) {
+	s := boot(t, v, posix.Hardware{})
 	return func(main func(unix.Proc)) {
 		s.Spawn("test", 0, main)
 		s.Run()
@@ -19,7 +29,7 @@ func runner(v Variant) (ostest.RunFunc, *posix.System) {
 
 func TestFileOpsConformanceAllVariants(t *testing.T) {
 	for _, v := range []Variant{FreeBSD, OpenBSD, OpenBSDCFFS} {
-		run, _ := runner(v)
+		run, _ := runner(t, v)
 		if err := ostest.CheckFileOps(v.String(), run); err != nil {
 			t.Errorf("%v: %v", v, err)
 		}
@@ -27,7 +37,7 @@ func TestFileOpsConformanceAllVariants(t *testing.T) {
 }
 
 func TestPipeConformance(t *testing.T) {
-	run, _ := runner(OpenBSD)
+	run, _ := runner(t, OpenBSD)
 	if err := ostest.CheckPipe(run); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +45,7 @@ func TestPipeConformance(t *testing.T) {
 
 func TestGetpidTraps(t *testing.T) {
 	// Section 7.1: getpid = 270 cycles on OpenBSD (a kernel crossing).
-	run, s := runner(OpenBSD)
+	run, s := runner(t, OpenBSD)
 	sysBefore := s.Stats().Get(sim.CtrSyscalls)
 	cost := ostest.GetpidCost(run)
 	if cost < 240 || cost > 300 {
@@ -48,7 +58,7 @@ func TestGetpidTraps(t *testing.T) {
 
 func TestForkCheaperThanExOS(t *testing.T) {
 	// Section 6.2: BSD fork < 1 ms (ExOS's is 6 ms).
-	run, _ := runner(FreeBSD)
+	run, _ := runner(t, FreeBSD)
 	cost := ostest.ForkCost(run)
 	if cost > sim.FromMillis(4) {
 		t.Fatalf("fork+exec+wait = %v, want < 4ms", cost)
@@ -56,7 +66,7 @@ func TestForkCheaperThanExOS(t *testing.T) {
 }
 
 func TestEveryFileOpTraps(t *testing.T) {
-	run, s := runner(FreeBSD)
+	run, s := runner(t, FreeBSD)
 	before := s.Stats().Get(sim.CtrSyscalls)
 	run(func(p unix.Proc) {
 		fd, err := p.Create("/f", 6)
@@ -78,8 +88,8 @@ func TestEveryFileOpTraps(t *testing.T) {
 }
 
 func TestOpenBSDCacheSmallerThanFreeBSD(t *testing.T) {
-	sf := Boot(FreeBSD, posix.Hardware{})
-	so := Boot(OpenBSD, posix.Hardware{})
+	sf := boot(t, FreeBSD, posix.Hardware{})
+	so := boot(t, OpenBSD, posix.Hardware{})
 	if sf.X.MaxCachePages != 0 {
 		t.Fatal("FreeBSD cache should be unified (uncapped)")
 	}
@@ -91,11 +101,11 @@ func TestOpenBSDCacheSmallerThanFreeBSD(t *testing.T) {
 func TestVariantFSProfiles(t *testing.T) {
 	// FreeBSD/OpenBSD run FFS (sync metadata); OpenBSD/C-FFS runs the
 	// co-locating profile.
-	f := Boot(FreeBSD, posix.Hardware{})
+	f := boot(t, FreeBSD, posix.Hardware{})
 	if f.FS.Cfg.EmbeddedInodes || !f.FS.Cfg.SyncMeta {
 		t.Fatalf("FreeBSD profile = %+v", f.FS.Cfg)
 	}
-	c := Boot(OpenBSDCFFS, posix.Hardware{})
+	c := boot(t, OpenBSDCFFS, posix.Hardware{})
 	if !c.FS.Cfg.EmbeddedInodes || c.FS.Cfg.SyncMeta {
 		t.Fatalf("OpenBSD/C-FFS profile = %+v", c.FS.Cfg)
 	}

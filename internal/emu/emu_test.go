@@ -12,8 +12,19 @@ import (
 	"xok/internal/unix"
 )
 
-func runEmulated(main func(unix.Proc)) *posix.System {
-	s := exos.Boot(exos.Config{})
+// boot boots a default Xok/ExOS machine for a test: a failed format
+// fails t.
+func boot(t testing.TB) *posix.System {
+	t.Helper()
+	s, err := exos.Boot(exos.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func runEmulated(t testing.TB, main func(unix.Proc)) *posix.System {
+	s := boot(t)
 	s.Spawn("emu", 0, func(p unix.Proc) {
 		main(Emulate(p))
 	})
@@ -24,7 +35,7 @@ func runEmulated(main func(unix.Proc)) *posix.System {
 func TestEmulatedGetpidFasterThanNative(t *testing.T) {
 	// Section 7.1: 270 cycles on OpenBSD, ~100 cycles emulated.
 	var emulated sim.Time
-	runEmulated(func(p unix.Proc) {
+	runEmulated(t, func(p unix.Proc) {
 		const n = 1000
 		p.Getpid()
 		start := p.Now()
@@ -34,7 +45,10 @@ func TestEmulatedGetpidFasterThanNative(t *testing.T) {
 		emulated = (p.Now() - start) / n
 	})
 
-	bsd := bsdos.Boot(bsdos.OpenBSD, posix.Hardware{})
+	bsd, err := bsdos.Boot(bsdos.OpenBSD, posix.Hardware{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	native := ostest.GetpidCost(func(main func(unix.Proc)) {
 		bsd.Spawn("native", 0, main)
 		bsd.Run()
@@ -57,7 +71,7 @@ func TestEmulatedProgramsRunCorrectly(t *testing.T) {
 	// "It has been able to execute large programs such as Mosaic": a
 	// real application (cp over a tree) must behave identically under
 	// emulation.
-	runEmulated(func(p unix.Proc) {
+	runEmulated(t, func(p unix.Proc) {
 		spec := apps.TreeSpec{
 			Dirs:  []string{"d"},
 			Files: []apps.FileSpec{{Path: "d/a", Size: 20000}, {Path: "d/b", Size: 4096}},
@@ -96,12 +110,12 @@ func TestEmulationOverheadFewPercent(t *testing.T) {
 		}
 	}
 
-	sNative := exos.Boot(exos.Config{})
+	sNative := boot(t)
 	sNative.Spawn("native", 0, workload)
 	sNative.Run()
 	native := sNative.Now()
 
-	sEmu := runEmulated(workload)
+	sEmu := runEmulated(t, workload)
 	emulated := sEmu.Now()
 
 	overhead := float64(emulated-native) / float64(native)
@@ -125,7 +139,7 @@ func TestEmulatorFullConformance(t *testing.T) {
 	// the native personalities — 90 supported calls means real
 	// programs run unmodified.
 	runE := func(main func(unix.Proc)) {
-		s := exos.Boot(exos.Config{})
+		s := boot(t)
 		s.Spawn("emu", 0, func(p unix.Proc) {
 			main(Emulate(p))
 		})

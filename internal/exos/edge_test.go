@@ -9,7 +9,7 @@ import (
 )
 
 func TestFDErrors(t *testing.T) {
-	s := Boot(Config{})
+	s := boot(t, Config{})
 	s.Spawn("t", 0, func(p unix.Proc) {
 		buf := make([]byte, 8)
 		if _, err := p.Read(unix.FD(42), buf); !errors.Is(err, unix.ErrBadFD) {
@@ -36,7 +36,7 @@ func TestFDErrors(t *testing.T) {
 }
 
 func TestPipeEndMisuse(t *testing.T) {
-	s := Boot(Config{})
+	s := boot(t, Config{})
 	s.Spawn("t", 0, func(p unix.Proc) {
 		r, w, err := p.Pipe()
 		if err != nil {
@@ -57,7 +57,7 @@ func TestPipeEndMisuse(t *testing.T) {
 }
 
 func TestWriteToClosedPipe(t *testing.T) {
-	s := Boot(Config{})
+	s := boot(t, Config{})
 	s.Spawn("t", 0, func(p unix.Proc) {
 		r, w, err := p.Pipe()
 		if err != nil {
@@ -74,7 +74,7 @@ func TestWriteToClosedPipe(t *testing.T) {
 }
 
 func TestSeekSemantics(t *testing.T) {
-	s := Boot(Config{})
+	s := boot(t, Config{})
 	s.Spawn("t", 0, func(p unix.Proc) {
 		fd, err := p.Create("/f", 6)
 		if err != nil {
@@ -103,7 +103,7 @@ func TestSeekSemantics(t *testing.T) {
 }
 
 func TestOpenDirectoryRejected(t *testing.T) {
-	s := Boot(Config{})
+	s := boot(t, Config{})
 	s.Spawn("t", 0, func(p unix.Proc) {
 		if err := p.Mkdir("/d", 7); err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestOpenDirectoryRejected(t *testing.T) {
 }
 
 func TestCreateTruncatesExisting(t *testing.T) {
-	s := Boot(Config{})
+	s := boot(t, Config{})
 	s.Spawn("t", 0, func(p unix.Proc) {
 		fd, _ := p.Create("/f", 6)
 		p.Write(fd, make([]byte, 5000))

@@ -46,12 +46,15 @@ type Config struct {
 }
 
 // Boot builds the machine: Xok kernel, XN, and a fresh C-FFS volume,
-// ready to spawn UNIX processes.
-func Boot(cfg Config) *posix.System {
+// ready to spawn UNIX processes. It fails when the volume cannot be
+// formatted.
+func Boot(cfg Config) (*posix.System, error) {
 	s := posix.New("xok", sim.CostTrapXok, cfg.Hardware,
 		libOS{protect: cfg.Protect, sharedPipes: cfg.SharedMemPipes})
-	s.Mkfs("exos-mkfs", "cffs", cffs.DefaultConfig())
-	return s
+	if err := s.Mkfs("exos-mkfs", "cffs", cffs.DefaultConfig()); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // libOS is what ExOS charges in the UNIX process layer.

@@ -9,8 +9,18 @@ import (
 	"xok/internal/unix"
 )
 
-func runner(cfg Config) (ostest.RunFunc, *posix.System) {
-	s := Boot(cfg)
+// boot is Boot for a test: a failed format fails t.
+func boot(t testing.TB, cfg Config) *posix.System {
+	t.Helper()
+	s, err := Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func runner(t testing.TB, cfg Config) (ostest.RunFunc, *posix.System) {
+	s := boot(t, cfg)
 	return func(main func(unix.Proc)) {
 		s.Spawn("test", 0, main)
 		s.Run()
@@ -18,21 +28,21 @@ func runner(cfg Config) (ostest.RunFunc, *posix.System) {
 }
 
 func TestFileOpsConformance(t *testing.T) {
-	run, _ := runner(Config{Protect: true})
+	run, _ := runner(t, Config{Protect: true})
 	if err := ostest.CheckFileOps("Xok/ExOS", run); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPipeConformanceProtected(t *testing.T) {
-	run, _ := runner(Config{Protect: true})
+	run, _ := runner(t, Config{Protect: true})
 	if err := ostest.CheckPipe(run); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPipeConformanceShared(t *testing.T) {
-	run, _ := runner(Config{SharedMemPipes: true})
+	run, _ := runner(t, Config{SharedMemPipes: true})
 	if err := ostest.CheckPipe(run); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +51,7 @@ func TestPipeConformanceShared(t *testing.T) {
 func TestGetpidIsLibraryCall(t *testing.T) {
 	// Section 7.1: ~100 cycles on Xok/ExOS — a procedure call, no
 	// kernel crossing.
-	run, s := runner(Config{})
+	run, s := runner(t, Config{})
 	sysBefore := s.Stats().Get(sim.CtrSyscalls)
 	cost := ostest.GetpidCost(run)
 	if cost < 80 || cost > 130 {
@@ -56,7 +66,7 @@ func TestGetpidIsLibraryCall(t *testing.T) {
 
 func TestForkCostNearSixMilliseconds(t *testing.T) {
 	// Section 6.2: "Fork takes six milliseconds on ExOS".
-	run, _ := runner(Config{})
+	run, _ := runner(t, Config{})
 	cost := ostest.ForkCost(run)
 	if cost < sim.FromMillis(6) || cost > sim.FromMillis(12) {
 		t.Fatalf("fork+exec+wait = %v, want 6ms fork dominant", cost)
@@ -66,8 +76,8 @@ func TestForkCostNearSixMilliseconds(t *testing.T) {
 func TestPipeLatencyOrdering(t *testing.T) {
 	// Table 2 shape: shared-memory pipes beat protected pipes at 1
 	// byte; at 8 KB the copy cost dominates and they converge.
-	runShared, _ := runner(Config{SharedMemPipes: true})
-	runProt, _ := runner(Config{})
+	runShared, _ := runner(t, Config{SharedMemPipes: true})
+	runProt, _ := runner(t, Config{})
 	shared1 := ostest.PipeLatency(runShared, 1, 50)
 	prot1 := ostest.PipeLatency(runProt, 1, 50)
 	if shared1 >= prot1 {
@@ -88,7 +98,7 @@ func TestProtectionCallsCharged(t *testing.T) {
 	// With Protect on, shared-state writes cost 3 syscalls each
 	// (Section 6.3).
 	measure := func(protect bool) (int64, int64) {
-		run, s := runner(Config{Protect: protect})
+		run, s := runner(t, Config{Protect: protect})
 		run(func(p unix.Proc) {
 			for i := 0; i < 10; i++ {
 				fd, err := p.Create("/f", 6)
@@ -115,7 +125,7 @@ func TestProtectionCallsCharged(t *testing.T) {
 }
 
 func TestConcurrentProcessesShareFS(t *testing.T) {
-	s := Boot(Config{})
+	s := boot(t, Config{})
 	done := 0
 	for i := 0; i < 4; i++ {
 		i := i
@@ -155,7 +165,7 @@ func TestConcurrentProcessesShareFS(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	elapsed := func() sim.Time {
-		run, s := runner(Config{Protect: true})
+		run, s := runner(t, Config{Protect: true})
 		if err := ostest.CheckPipe(run); err != nil {
 			t.Fatal(err)
 		}

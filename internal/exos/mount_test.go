@@ -13,7 +13,7 @@ import (
 )
 
 func TestMountTable(t *testing.T) {
-	s := Boot(Config{})
+	s := boot(t, Config{})
 	// Build a memory-based file system and mount it at /tmp
 	// (Section 5.2.1's mount table mapping directories across file
 	// systems).
@@ -87,7 +87,7 @@ func TestMountTable(t *testing.T) {
 }
 
 func TestLongestPrefixWins(t *testing.T) {
-	s := Boot(Config{})
+	s := boot(t, Config{})
 	var fsA, fsB *cffs.FS
 	s.K.Spawn("mk", func(e *kernel.Env) {
 		e.Creds = cap.UnixCreds(0)
@@ -132,7 +132,7 @@ func TestLongestPrefixWins(t *testing.T) {
 // file system is mounted at two prefixes: the fork must keep it one
 // file system, and must not share it with the original.
 func TestSnapshotForkKeepsMountAliases(t *testing.T) {
-	s := Boot(Config{})
+	s := boot(t, Config{})
 	var memfs *cffs.FS
 	s.K.Spawn("mktmp", func(e *kernel.Env) {
 		e.Creds = cap.UnixCreds(0)

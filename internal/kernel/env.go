@@ -114,8 +114,9 @@ func (e *Env) park(msg parkMsg) {
 // environments; the call returns when they have elapsed.
 //
 // When nothing else is owed, the charge fits in what is left of the
-// slice and sim.Engine.RunAhead accepts it, Use burns the charge
-// without parking; the package comment says why that is exact.
+// slice and sim.Engine.RunAhead accepts it, Use burns the charge on
+// the environment's own coroutine, firing the events queued before its
+// end on the way; the package comment says why that is exact.
 func (e *Env) Use(c sim.Time) {
 	if c == 0 {
 		return
@@ -124,6 +125,12 @@ func (e *Env) Use(c sim.Time) {
 	if k.current == e && e.burst == 0 && !e.dying &&
 		c < e.sliceLeft && k.Eng.RunAhead(c) {
 		e.burned(c)
+		if e.burst > 0 {
+			// An interrupt fired during the burn and stole cycles: the
+			// scheduler burns them now, at the instant the parked
+			// path's burn event would have asked it to.
+			e.park(parkMsg{kind: parkUse})
+		}
 		return
 	}
 	e.park(parkMsg{kind: parkUse, n: c})

@@ -24,19 +24,28 @@
 // rather than created and grown again. A coroutine that Shutdown or
 // Release unwinds ends, as does one whose body panicked.
 //
-// A charge usually burns without leaving the coroutine. Use parks only
-// when the scheduler could do something else before the charge ends:
-// when cycles are already owed (an interrupt stole them), when the
-// charge reaches the end of the slice, or
-// when sim.Engine.RunAhead refuses because an event is queued at or
-// before the charge's end or the end lies past the running RunUntil's
-// bound. Otherwise the burn event the parked path would schedule is
-// the very next event the engine would fire, nothing can be scheduled
-// ahead of it in between, and RunAhead advances the clock and counts
-// that event in place: the same clock, event count, CPU accounting and
-// event order, with no coroutine switch and no queued event. A loop
-// that drives Engine.Step by hand never runs ahead, and so always
-// takes the parked path.
+// A charge usually burns without leaving the coroutine. On the parked
+// path, Use yields, the scheduler schedules a burn event at the
+// charge's end, the engine fires every event ordered before it, and
+// the burn event switches back into the coroutine. When cycles are
+// already owed (an interrupt stole them) or the charge reaches the end
+// of the slice, the scheduler may do something else first, and Use
+// parks. Otherwise sim.Engine.RunAhead does the same on the
+// coroutine's own stack: it fires those events in the same order,
+// then advances the clock and counts the burn event in place. The
+// events it fires are other machines' on a shared engine, or this
+// machine's device completions and timers: none can resume this
+// environment, which is current and has no burn event queued. One
+// may resume another machine's environment, whose own charge then
+// burns inline only if it ends strictly before this one (its burn
+// event would carry the larger stamp); otherwise that environment
+// parks, and this charge finishes once its event order is reached.
+// An interrupt that fires during the burn leaves cycles owed, and Use
+// then parks a charge of zero, so the scheduler carries on exactly as
+// after the parked path's burn event. RunAhead also refuses a charge
+// that ends past the running RunUntil's bound, and a loop that drives
+// Engine.Step by hand never runs ahead, so both always take the
+// parked path.
 //
 // The same Kernel type also serves as the substrate for the monolithic
 // BSD personalities (internal/bsdos): Config selects the trap cost and

@@ -128,6 +128,14 @@ func TestUseRunAheadMatchesParked(t *testing.T) {
 		}
 	})
 	inline := runAheadScenario((*Kernel).Run)
+	checkSameOutcome(t, parked, inline, 26)
+}
+
+// checkSameOutcome fails t unless inline, a run driven by Run, ends
+// exactly as parked, the same run driven by Step, with the given number
+// of observations and fewer switches into the bodies.
+func checkSameOutcome(t *testing.T, parked, inline runAheadOutcome, observations int) {
+	t.Helper()
 	if inline.now != parked.now {
 		t.Errorf("clock %v inline, %v parked", inline.now, parked.now)
 	}
@@ -146,12 +154,107 @@ func TestUseRunAheadMatchesParked(t *testing.T) {
 	if !slices.Equal(inline.log, parked.log) {
 		t.Errorf("observations inline:\n%v\nparked:\n%v", inline.log, parked.log)
 	}
-	if len(parked.log) != 26 {
-		t.Errorf("%d observations, want 26: a body stopped early", len(parked.log))
+	if len(parked.log) != observations {
+		t.Errorf("%d observations, want %d: a body stopped early", len(parked.log), observations)
 	}
 	if inline.resumes >= parked.resumes {
 		t.Errorf("%d resumes inline, %d parked: no Use ran ahead", inline.resumes, parked.resumes)
 	}
+}
+
+// sharedScenario runs two traced machines on one engine. A client on
+// machine a sends requests to a server on machine b and waits for the
+// replies; each message is an engine event that one machine files and
+// the other handles, charging a receive interrupt to whatever runs
+// there, so the events an inline burn on one machine fires resume the
+// other machine's environments, whose own charges nest inside it. Each
+// machine also runs a CPU hog, and a timer on machine a charges an
+// interrupt halfway through some of the client's charges, landing
+// during the burn. drive runs the engine.
+func sharedScenario(drive func(*sim.Engine)) runAheadOutcome {
+	eng := sim.NewEngine()
+	tr := trace.New()
+	a := New(Config{Name: "a", MemPages: 64, Trace: tr, Eng: eng})
+	b := New(Config{Name: "b", MemPages: 64, Trace: tr, Eng: eng})
+	var out runAheadOutcome
+	note := func(who, what string) {
+		out.log = append(out.log, fmt.Sprintf("%d %s %s", eng.Now(), who, what))
+	}
+	const rounds = 12
+	var client, server *Env
+	requests, replies := 0, 0
+	send := func(to *Kernel, delay sim.Time, deliver func()) {
+		eng.After(delay, func() {
+			to.ChargeInterrupt(sim.CostNICInterrupt)
+			deliver()
+		})
+	}
+	envs := []*Env{
+		a.Spawn("client", func(e *Env) {
+			for i := 0; i < rounds; i++ {
+				c := sim.Time(3000 + 1700*(i%4))
+				if i%3 == 1 {
+					eng.After(c/2, func() { a.ChargeInterrupt(400) })
+				}
+				e.Use(c)
+				note("client", "charged")
+				send(b, 2500, func() { requests++; b.Wake(server) })
+				e.Syscall(200)
+				for replies <= i {
+					e.Block()
+				}
+				note("client", "reply")
+			}
+		}),
+		a.Spawn("hog-a", func(e *Env) {
+			for i := 0; i < 30; i++ {
+				e.Use(sim.Time(900 + 450*(i%5)))
+			}
+			note("hog-a", "done")
+		}),
+		b.Spawn("server", func(e *Env) {
+			for served := 0; served < rounds; served++ {
+				for requests <= served {
+					e.Block()
+				}
+				e.Use(sim.Time(1200 + 800*(served%3)))
+				note("server", "served")
+				e.Syscall(150)
+				send(a, 2500, func() { replies++; a.Wake(client) })
+			}
+		}),
+		b.Spawn("hog-b", func(e *Env) {
+			for i := 0; i < 40; i++ {
+				e.Use(sim.Time(700 + 300*(i%7)))
+			}
+			note("hog-b", "done")
+		}),
+	}
+	client, server = envs[0], envs[2]
+	for _, e := range envs {
+		countResumes(e, &out.resumes)
+	}
+	drive(eng)
+	out.now = eng.Now()
+	for _, e := range envs {
+		out.cpu = append(out.cpu, e.CPUUsed())
+	}
+	out.stats = a.Stats.String() + b.Stats.String()
+	out.dispatched = eng.Dispatched()
+	out.digest = tr.Digest()
+	return out
+}
+
+// Two machines on one engine burn inline exactly as they would parked,
+// though an inline burn fires the other machine's events, nests its
+// charges and takes interrupts on the way.
+func TestUseRunAheadSharedEngineMatchesParked(t *testing.T) {
+	parked := sharedScenario(func(eng *sim.Engine) {
+		for eng.Step() {
+		}
+	})
+	inline := sharedScenario((*sim.Engine).Run)
+	checkSameOutcome(t, parked, inline, 12*3+2)
 }
 
 // A Use that straddles a crash point stops at the crash on both paths:

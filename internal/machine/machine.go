@@ -126,14 +126,15 @@ func New(cfg Config) (Machine, error) {
 		Eng:        eng,
 	}
 	var s *posix.System
+	var err error
 	switch cfg.Personality {
 	case XokExOS, XokUnprotected:
-		s = exos.Boot(exos.Config{
+		s, err = exos.Boot(exos.Config{
 			Hardware:       hw,
 			Protect:        cfg.Personality == XokExOS,
 			SharedMemPipes: cfg.SharedMemPipes,
 		})
-		if cfg.Personality == XokUnprotected {
+		if err == nil && cfg.Personality == XokUnprotected {
 			s.X.FreeCost = true
 		}
 	case FreeBSD, OpenBSD, OpenBSDCFFS:
@@ -149,9 +150,12 @@ func New(cfg Config) (Machine, error) {
 		case OpenBSDCFFS:
 			v = bsdos.OpenBSDCFFS
 		}
-		s = bsdos.Boot(v, hw)
+		s, err = bsdos.Boot(v, hw)
 	default:
 		return Machine{}, fmt.Errorf("machine: unknown personality %d", int(cfg.Personality))
+	}
+	if err != nil {
+		return Machine{}, fmt.Errorf("machine: boot %s: %w", cfg.Personality, err)
 	}
 	m := Machine{s, cfg.Personality}
 	if cfg.Net != nil {

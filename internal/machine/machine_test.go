@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"errors"
 	"testing"
 
 	"xok/internal/fault"
@@ -62,6 +63,17 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	}
 	if _, err := New(Config{Personality: Personality(99)}); err == nil {
 		t.Error("unknown personality accepted")
+	}
+}
+
+// A boot whose format fails on a faulted disk read reports the media
+// error instead of panicking.
+func TestNewReturnsMkfsError(t *testing.T) {
+	for _, p := range Personalities() {
+		_, err := New(Config{Personality: p, DiskBlocks: 1 << 15, Faults: &fault.Plan{Seed: 1, ReadErrRate: 2}})
+		if !errors.Is(err, fault.ErrMedia) {
+			t.Errorf("%s: New with readerr=2 returned %v, want an error wrapping fault.ErrMedia", p, err)
+		}
 	}
 }
 

@@ -182,3 +182,21 @@ func (m *PhysMem) Data(p PageNo) []byte {
 	}
 	return pg.data
 }
+
+// Zeroed clears frame p and returns its backing store: the bytes Data
+// then a clear would leave, at the cost of one clear. A frame never
+// touched, or one still shared with a snapshot, gets a fresh zeroed
+// buffer, so the shared bytes are neither copied up nor cleared twice.
+func (m *PhysMem) Zeroed(p PageNo) []byte {
+	if !m.allocated(p) {
+		panic(fmt.Sprintf("mem: Zeroed on invalid page %d", p))
+	}
+	pg := &m.pages[p]
+	if pg.data == nil || pg.shared {
+		pg.data = bufpool.Get()
+		pg.shared = false
+	} else {
+		clear(pg.data)
+	}
+	return pg.data
+}

@@ -126,3 +126,30 @@ func TestAllocOrderAcrossRecycleAndFork(t *testing.T) {
 		m.Recycle()
 	}
 }
+
+// Zeroed leaves a frame reading as zeros whether it was never touched,
+// written, or still shared with a snapshot, and never writes through
+// to the snapshot's bytes.
+func TestZeroed(t *testing.T) {
+	m := newMem(4)
+	g := cap.Root(true)
+	untouched, _ := m.Alloc(g)
+	written, _ := m.Alloc(g)
+	shared, _ := m.Alloc(g)
+	m.Data(shared)[9] = 7
+	s := m.Freeze()
+	defer s.Release()
+	defer m.Recycle()
+	m.Data(written)[9] = 8
+	zero := string(make([]byte, sim.PageSize))
+	for _, p := range []PageNo{untouched, written, shared} {
+		if d := m.Zeroed(p); string(d) != zero || string(m.Data(p)) != zero {
+			t.Errorf("frame %d not zero after Zeroed", p)
+		}
+	}
+	f := s.Fork()
+	defer f.Recycle()
+	if f.Data(shared)[9] != 7 {
+		t.Error("Zeroed cleared the snapshot's copy of a shared frame")
+	}
+}

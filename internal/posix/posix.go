@@ -14,6 +14,8 @@
 package posix
 
 import (
+	"fmt"
+
 	"xok/internal/cap"
 	"xok/internal/cffs"
 	"xok/internal/fault"
@@ -130,17 +132,20 @@ func New(name string, trap sim.Time, hw Hardware, pers Personality) *System {
 }
 
 // Mkfs formats the root file system as fsName with profile cfg, from
-// a root environment named env, and drains the machine.
-func (s *System) Mkfs(env, fsName string, cfg cffs.Config) {
+// a root environment named env, and drains the machine. A format that
+// fails, for instance on a disk read the fault plan fails, leaves the
+// system without a root file system and returns the error.
+func (s *System) Mkfs(env, fsName string, cfg cffs.Config) error {
+	var err error
 	s.K.Spawn(env, func(e *kernel.Env) {
 		e.Creds = cap.UnixCreds(0)
-		fs, err := cffs.Mkfs(e, s.X, fsName, cfg)
-		if err != nil {
-			panic("posix: mkfs failed: " + err.Error())
-		}
-		s.FS = fs
+		s.FS, err = cffs.Mkfs(e, s.X, fsName, cfg)
 	})
 	s.K.Run()
+	if err != nil {
+		return fmt.Errorf("posix: mkfs: %w", err)
+	}
+	return nil
 }
 
 // Run drains the machine's event queue.

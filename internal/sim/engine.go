@@ -45,23 +45,32 @@ type node struct {
 // event queue is the hottest host-side structure in the simulator.
 //
 // RunAhead lets the code an event runs skip scheduling an event it
-// would only wait for: RunAhead(d) advances the clock to now+d exactly
-// as if an event scheduled now for now+d had fired next. It counts one
-// dispatched event and calls the event hook with the new time, so
-// Dispatched, the global meters and a tracer's event count read the
-// same as on the scheduled path. It refuses (reports false and changes
-// nothing) unless that event really would be the next one popped:
-//   - some queued event, in the heap or the wheel, is at or before
-//     now+d (a tie loses: the queued event carries the older seq);
+// would only wait for: RunAhead(d) behaves exactly as if an event
+// scheduled now for now+d had been queued and the engine had run until
+// it fired. That event's stamp would be (now+d, S), S being the seq it
+// would take, so RunAhead first fires, on the caller's stack and in
+// order, every event that orders before (now+d, S): heap and wheel
+// residents, arrivals filed under earlier reserved stamps, and events
+// the fired ones schedule (re-peeking after each). A tie at now+d fires
+// first if it was scheduled before the call and after it otherwise.
+// Then it advances the clock to now+d, counts one dispatched event and
+// calls the event hook with the new time, so Dispatched, the global
+// meters and a tracer's event count read the same as on the scheduled
+// path. It refuses (reports false and changes nothing) when that event
+// could not fire as the call's next step:
 //   - now+d lies past the bound of the running RunUntil, so a crash
 //     point or a deadline stops the clock where it always did;
+//   - another RunAhead is firing the events ahead of it and now+d is
+//     not strictly before that call's target: the inner event's stamp
+//     would be the larger, and the outer caller's continuation sits
+//     below it on the stack, so it must end first;
 //   - no Run or RunUntil is running, so a caller driving Step by hand
 //     still sees one event per Step.
 //
 // RunAhead takes no seq stamp where the scheduled event would have
 // taken one. That keeps every other event's relative order: the stamp
 // would only have ordered that event against events scheduled after
-// it, and none of them can fire before it.
+// it, and the comparison against S above keeps all of them behind it.
 //
 // Engine is not safe for concurrent use; the simulation guarantees
 // that only one goroutine touches it at a time (the kernel runs each
@@ -80,8 +89,12 @@ type Engine struct {
 	heapOnly bool          // pure-heap reference mode, set only by tests before scheduling
 	fired    int64         // events dispatched since the last meter flush
 	flushed  int64         // events already published to the global meter
-	running  bool          // inside Run or RunUntil; see RunAhead
-	horizon  Time          // the running RunUntil's bound (max for Run)
+	// limitAt and limitSeq are the stamp a RunAhead must end strictly
+	// before: (t, max) inside RunUntil(t), (max, max) inside Run, the
+	// enclosing RunAhead's own stamp while it fires the events ahead of
+	// it, and zero, which nothing orders before, outside any run.
+	limitAt  Time
+	limitSeq uint64
 }
 
 // Dispatched returns the total events this engine has fired since it
@@ -239,6 +252,13 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
+	e.fire()
+	return true
+}
+
+// fire pops and runs the heap's head. The caller has synced the wheel
+// and seen the heap non-empty.
+func (e *Engine) fire() {
 	n := e.pop()
 	e.now = n.at
 	fn, fnArg, arg := n.fn, n.fnArg, n.arg
@@ -252,7 +272,6 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
-	return true
 }
 
 // peek syncs the wheel and reports the earliest queued deadline.
@@ -265,16 +284,23 @@ func (e *Engine) peek() (Time, bool) {
 }
 
 // RunAhead advances the clock by d as if an event scheduled now for
-// now+d were the next to fire, and reports whether it could (see the
-// contract on Engine).
+// now+d had fired, first firing every event queued ahead of it, and
+// reports whether it could (see the contract on Engine).
 func (e *Engine) RunAhead(d Time) bool {
-	t := e.now + d
-	if !e.running || t > e.horizon {
+	t, seq := e.now+d, e.seq
+	if !stampLess(t, seq, e.limitAt, e.limitSeq) {
 		return false
 	}
-	if at, ok := e.peek(); ok && at <= t {
-		return false
+	outerAt, outerSeq := e.limitAt, e.limitSeq
+	e.limitAt, e.limitSeq = t, seq
+	for {
+		e.syncWheel()
+		if len(e.heap) == 0 || !stampLess(e.heap[0].at, e.heap[0].seq, t, seq) {
+			break
+		}
+		e.fire()
 	}
+	e.limitAt, e.limitSeq = outerAt, outerSeq
 	e.now = t
 	e.fired++
 	if e.hook != nil {
@@ -284,16 +310,17 @@ func (e *Engine) RunAhead(d Time) bool {
 }
 
 // enter marks a Run or RunUntil with horizon t as running and returns
-// the state it replaces; the deferred leave restores it, so a nested or
+// the limit it replaces; the deferred leave restores it, so a nested or
 // panicking run leaves RunAhead's view of the enclosing one intact.
-func (e *Engine) enter(t Time) (running bool, horizon Time) {
-	running, horizon = e.running, e.horizon
-	e.running, e.horizon = true, t
-	return running, horizon
+// That includes a RunAhead unwound by a panic from an event it fired.
+func (e *Engine) enter(t Time) (at Time, seq uint64) {
+	at, seq = e.limitAt, e.limitSeq
+	e.limitAt, e.limitSeq = t, ^uint64(0)
+	return at, seq
 }
 
-func (e *Engine) leave(running bool, horizon Time) {
-	e.running, e.horizon = running, horizon
+func (e *Engine) leave(at Time, seq uint64) {
+	e.limitAt, e.limitSeq = at, seq
 }
 
 // Run processes events until the queue is empty.
@@ -313,7 +340,7 @@ func (e *Engine) RunUntil(t Time) {
 		if !ok || at > t {
 			break
 		}
-		e.Step()
+		e.fire()
 	}
 	if e.now < t {
 		e.now = t
@@ -335,11 +362,14 @@ func (e *Engine) Advance(d Time) {
 
 // less orders the heap: by timestamp, then FIFO among simultaneous
 // events.
-func less(a, b *node) bool {
-	if a.at != b.at {
-		return a.at < b.at
+func less(a, b *node) bool { return stampLess(a.at, a.seq, b.at, b.seq) }
+
+// stampLess reports whether the stamp (at, seq) orders before (bat, bseq).
+func stampLess(at Time, seq uint64, bat Time, bseq uint64) bool {
+	if at != bat {
+		return at < bat
 	}
-	return a.seq < b.seq
+	return seq < bseq
 }
 
 // push appends n and restores the heap property.

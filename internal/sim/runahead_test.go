@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -18,59 +19,127 @@ func runAheadAt(e *Engine, from, d Time, drive func()) (ok bool, now Time, event
 	return ok, now, events
 }
 
-// RunAhead succeeds only when the event it stands for would be the
-// next one popped, and then looks exactly like that event firing.
+// runAheadLog schedules an event at from whose callback calls
+// RunAhead(d) and logs "ahead@<clock>" once it returns; setup queues
+// the other events, which log through the returned note. Run drives
+// the engine. It reports what RunAhead returned, the log, and the
+// times the event hook saw.
+func runAheadLog(from, d Time, setup func(e *Engine, note func(string))) (ok bool, log []string, hooked []Time) {
+	e := NewEngine()
+	e.SetEventHook(func(at Time) { hooked = append(hooked, at) })
+	note := func(what string) { log = append(log, fmt.Sprintf("%s@%d", what, e.Now())) }
+	setup(e, note)
+	e.At(from, func() {
+		ok = e.RunAhead(d)
+		note("ahead")
+	})
+	e.Run()
+	return ok, log, hooked
+}
+
+// RunAhead(d) fires, before it returns, exactly the queued events the
+// event it stands for would have followed: those before now+d, and a
+// tie at now+d scheduled before the call. A tie scheduled after the
+// call, and anything later, fires after it. The hook sees every fired
+// event, the stand-in's at now+d among them, in that order.
 func TestRunAheadRefusesQueuedEvents(t *testing.T) {
+	at := func(t Time) func(*Engine, func(string)) {
+		return func(e *Engine, note func(string)) { e.At(t, func() { note("ev") }) }
+	}
 	for _, tc := range []struct {
 		name   string
-		queued Time // a second event's time, 0 for none
-		want   bool
+		setup  func(*Engine, func(string))
+		log    []string
+		hooked []Time
 	}{
-		{"empty queue", 0, true},
-		{"event before", 149, false},
-		{"tie", 150, false},
-		{"event after", 151, true},
+		{"empty queue", func(*Engine, func(string)) {}, []string{"ahead@150"}, []Time{100, 150}},
+		{"event before", at(149), []string{"ev@149", "ahead@150"}, []Time{100, 149, 150}},
+		{"tie", at(150), []string{"ev@150", "ahead@150"}, []Time{100, 150, 150}},
+		{"event after", at(151), []string{"ahead@150", "ev@151"}, []Time{100, 150, 151}},
+		{"tie scheduled after", func(e *Engine, note func(string)) {
+			// Filed at 120, while RunAhead fires the events before 150:
+			// its stamp is the larger, so it follows the stand-in.
+			e.At(120, func() {
+				note("filer")
+				e.At(150, func() { note("ev") })
+				e.At(149, func() { note("early") })
+			})
+		}, []string{"filer@120", "early@149", "ahead@150", "ev@150"}, []Time{100, 120, 149, 150, 150}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine()
-			var hooked []Time
-			e.SetEventHook(func(at Time) { hooked = append(hooked, at) })
-			if tc.queued != 0 {
-				e.At(tc.queued, func() {})
+			ok, log, hooked := runAheadLog(100, 50, tc.setup)
+			if !ok {
+				t.Fatal("RunAhead refused under Run")
 			}
-			ok, now, events := runAheadAt(e, 100, 50, e.Run)
-			if ok != tc.want {
-				t.Fatalf("RunAhead = %v, want %v", ok, tc.want)
+			if !slices.Equal(log, tc.log) {
+				t.Errorf("log %v, want %v", log, tc.log)
 			}
-			wantNow, wantEvents, wantHooked := Time(100), int64(0), []Time{100}
-			if ok {
-				wantNow, wantEvents, wantHooked = 150, 1, []Time{100, 150}
-			}
-			if now != wantNow || events != wantEvents {
-				t.Errorf("clock %d after %d events, want %d after %d", now, events, wantNow, wantEvents)
-			}
-			if len(hooked) < len(wantHooked) || !slices.Equal(hooked[:len(wantHooked)], wantHooked) {
-				t.Errorf("hook saw %v, want it to begin %v", hooked, wantHooked)
+			if !slices.Equal(hooked, tc.hooked) {
+				t.Errorf("hook saw %v, want %v", hooked, tc.hooked)
 			}
 		})
 	}
 }
 
-// A queued event parked in a timer-wheel bucket blocks RunAhead just
-// as a heap resident does.
+// An event parked in a timer-wheel bucket at or before now+d fires
+// inside RunAhead just as a heap resident does.
 func TestRunAheadSeesWheelResidents(t *testing.T) {
 	const far = 1 << 20
 	for _, tc := range []struct {
-		d    Time
-		want bool
-	}{{far - 1, true}, {far, false}, {far + 1, false}} {
-		e := NewEngine()
-		ev := e.At(far, func() {})
-		if ev.n.index >= -1 {
-			t.Fatalf("event at %d is not in a wheel bucket", far)
+		d     Time
+		first bool // the resident fires before RunAhead returns
+	}{{far - 1, false}, {far, true}, {far + 1, true}} {
+		var resident Event
+		ok, log, hooked := runAheadLog(0, tc.d, func(e *Engine, note func(string)) {
+			resident = e.At(far, func() { note("ev") })
+			if resident.n.index >= -1 {
+				t.Fatalf("event at %d is not in a wheel bucket", far)
+			}
+		})
+		want := []string{fmt.Sprintf("ahead@%d", tc.d), fmt.Sprintf("ev@%d", far)}
+		wantHooked := []Time{0, tc.d, far}
+		if tc.first {
+			want[0], want[1] = want[1], want[0]
+			wantHooked[1], wantHooked[2] = far, tc.d
 		}
-		if ok, _, _ := runAheadAt(e, 0, tc.d, e.Run); ok != tc.want {
-			t.Errorf("RunAhead(%d) with a wheel resident at %d = %v, want %v", tc.d, far, ok, tc.want)
+		if !ok || !slices.Equal(log, want) || !slices.Equal(hooked, wantHooked) {
+			t.Errorf("RunAhead(%d) with a wheel resident at %d: %v, log %v, hook %v; want true, %v, %v",
+				tc.d, far, ok, log, hooked, want, wantHooked)
+		}
+	}
+}
+
+// A RunAhead called from an event that an outer RunAhead fires must end
+// strictly before the outer target: its stand-in event would carry the
+// larger stamp, so at the outer target it loses the tie, and the outer
+// caller's continuation, below it on the stack, must run first. When
+// accepted, it fires the events ahead of its own target as the outer
+// call does.
+func TestRunAheadNestedEndsBeforeOuter(t *testing.T) {
+	for _, tc := range []struct {
+		d    Time // the inner call's charge, from 120; the outer target is 150
+		want bool
+		log  []string
+	}{
+		{29, true, []string{"ev@130", "inner@149", "ahead@150"}},
+		{30, false, []string{"inner@120", "ev@130", "ahead@150"}},
+		{31, false, []string{"inner@120", "ev@130", "ahead@150"}},
+	} {
+		var inner bool
+		ok, log, hooked := runAheadLog(100, 50, func(e *Engine, note func(string)) {
+			e.At(120, func() {
+				inner = e.RunAhead(tc.d)
+				note("inner")
+			})
+			e.At(130, func() { note("ev") })
+		})
+		wantHooked := []Time{100, 120, 130, 150}
+		if tc.want {
+			wantHooked = []Time{100, 120, 130, 149, 150}
+		}
+		if !ok || inner != tc.want || !slices.Equal(log, tc.log) || !slices.Equal(hooked, wantHooked) {
+			t.Errorf("inner RunAhead(%d) from 120 under an outer one to 150: outer %v, inner %v, log %v, hook %v; want true, %v, %v, %v",
+				tc.d, ok, inner, log, hooked, tc.want, tc.log, wantHooked)
 		}
 	}
 }

@@ -71,13 +71,13 @@ type wheel struct {
 	levels [wheelLevels]wheelLevel
 }
 
-// place files n into the shallowest level whose unflushed window covers
-// its deadline, reporting false when none can (already-flushed slot or
-// beyond the top span) — the caller then heaps the node, which is
-// always safe.
-func (w *wheel) place(n *node) bool {
+// place files n into the shallowest of the first levels levels whose
+// unflushed window covers its deadline, reporting false when none can
+// (already-flushed slot or beyond the top span) — the caller then heaps
+// the node, which is always safe.
+func (w *wheel) place(n *node, levels int) bool {
 	shift := uint(wheelShift)
-	for l := 0; l < wheelLevels; l++ {
+	for l := 0; l < levels; l++ {
 		lv := &w.levels[l]
 		abs := uint64(n.at) >> shift
 		if abs >= lv.cur && abs-lv.cur < wheelSlots {
@@ -184,7 +184,7 @@ func (e *Engine) wheelAdd(n *node) bool {
 	if w.count == 0 {
 		w.reset(e.now)
 	}
-	return w.place(n)
+	return w.place(n, wheelLevels)
 }
 
 // wheelPool holds the empty wheels of released engines (about 10 KB
@@ -221,7 +221,10 @@ func (e *Engine) wheelFeed(l int) {
 }
 
 // wheelPull empties level l's current slot, re-filing each node into a
-// shallower level or the heap, and advances the cursor past it.
+// shallower level or the heap, and advances the cursor past it. A node
+// never goes back to level l or above: the slot just pulled is flushed
+// there, and the higher levels' windows start past it. So a level-0
+// pull, with no level below it, heaps its nodes.
 func (e *Engine) wheelPull(l int) {
 	w := e.wheel
 	lv := &w.levels[l]
@@ -234,7 +237,7 @@ func (e *Engine) wheelPull(l int) {
 		next := n.next
 		n.prev, n.next = nil, nil
 		w.count--
-		if !w.place(n) {
+		if !w.place(n, l) {
 			e.push(n)
 		}
 		n = next

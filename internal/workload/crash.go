@@ -116,19 +116,22 @@ func crashEnumerate(cfg CrashConfig, fromBoot bool, audit func(ci *disk.CrashIma
 	if cfg.DiskBlocks == 0 {
 		cfg.DiskBlocks = 32768
 	}
-	boot := func() (machine.Machine, *fault.Plan) {
+	boot := func() (machine.Machine, *fault.Plan, error) {
 		p := plan.Clone()
-		m := machine.MustNew(machine.Config{
+		m, err := machine.New(machine.Config{
 			Personality: machine.XokExOS,
 			DiskBlocks:  cfg.DiskBlocks,
 			MemPages:    4096,
 			Faults:      p,
 		})
+		if err != nil {
+			return m, p, err
+		}
 		// Aggressive flush-behind: the workload emits many small
 		// synchronous writes instead of a few giant batches, giving the
 		// sweep dense crash-point coverage.
 		m.X.FlushBehind = 16
-		return m, p
+		return m, p, nil
 	}
 
 	// Probe run: record every write-completion boundary while the
@@ -138,7 +141,10 @@ func crashEnumerate(cfg CrashConfig, fromBoot bool, audit func(ci *disk.CrashIma
 	// to the start of the segment containing its crash point.
 	spec := mabTree()
 	segs := crashSegments(spec)
-	probe, pp := boot()
+	probe, pp, err := boot()
+	if err != nil {
+		return CrashResult{}, fmt.Errorf("crash probe: %w", err)
+	}
 	var boundaries []sim.Time
 	pp.ObserveWrites(func(at sim.Time, block int64, count int) {
 		if n := len(boundaries); n == 0 || boundaries[n-1] != at {
@@ -199,7 +205,12 @@ func crashEnumerate(cfg CrashConfig, fromBoot bool, audit func(ci *disk.CrashIma
 		var m machine.Machine
 		if fromBoot {
 			var serr error
-			m, _ = boot()
+			var err error
+			if m, _, err = boot(); err != nil {
+				// The probe booted under an identical plan: only a
+				// nondeterministic boot could fail here.
+				panic(err)
+			}
 			for _, seg := range segs[:k] {
 				exec(m, seg.name, seg.body, &serr)
 			}

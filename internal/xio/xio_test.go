@@ -13,7 +13,11 @@ import (
 
 func boot(t *testing.T) *posix.System {
 	t.Helper()
-	return exos.Boot(exos.Config{})
+	s, err := exos.Boot(exos.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func runEnv(t *testing.T, s *posix.System, body func(e *kernel.Env) error) {

@@ -380,10 +380,7 @@ func (x *XN) AttachPage(e *kernel.Env, b disk.BlockNo) (mem.PageNo, error) {
 	en.Page = p
 	x.M.Ref(p)
 	en.setState(StateResident)
-	d := x.M.Data(p)
-	for i := range d {
-		d[i] = 0
-	}
+	x.M.Zeroed(p)
 	x.touch(en)
 	return p, nil
 }
