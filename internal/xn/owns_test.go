@@ -2,6 +2,8 @@ package xn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -147,5 +149,81 @@ func TestMountCatalogueMemoOneByte(t *testing.T) {
 		if _, ok := x.TemplateByName(other); ok {
 			t.Errorf("mount %d: template %q of the other catalogue present", i, other)
 		}
+	}
+}
+
+// TestSelfOverlappingOwnsAudit pins what XN's audits make of an
+// owns-udf output that names one block twice. The root tnode on disk
+// names block x twice with the same type and block y twice with two
+// types. Mount's reachability GC, the free map, CheckConsistency and
+// the on-disk reference counts count each occurrence; Insert accepts an
+// extent when any occurrence of its type covers it; and rewriting the
+// root without changing its pointers leaves the counts alone.
+func TestSelfOverlappingOwnsAudit(t *testing.T) {
+	f := newFixture(t)
+	const x, y = 300, 301
+	img := make([]byte, 4096)
+	recs := []udf.Extent{
+		{Start: x, Count: 1, Type: int64(f.data)},
+		{Start: x, Count: 1, Type: int64(f.data)},
+		{Start: y, Count: 1, Type: int64(f.data)},
+		{Start: y, Count: 1, Type: int64(f.tnode)},
+	}
+	binary.LittleEndian.PutUint32(img[tnCountOff:], uint32(len(recs)))
+	for i, r := range recs {
+		rec := img[tnRecsOff+i*tnRecSize:]
+		binary.LittleEndian.PutUint64(rec[0:], uint64(r.Start))
+		binary.LittleEndian.PutUint32(rec[8:], uint32(r.Count))
+		binary.LittleEndian.PutUint32(rec[12:], uint32(r.Type))
+	}
+	f.k.Disk.PokeBlock(f.rootBlk, img)
+	x2, err := Mount(f.k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.x = x2
+	audit := func(when string) {
+		t.Helper()
+		want := []string{"block 300 has 2 on-disk owners", "block 301 has 2 on-disk owners"}
+		if got := x2.CheckConsistency(); !slices.Equal(got, want) {
+			t.Errorf("%s: CheckConsistency = %q, want %q", when, got, want)
+		}
+		for _, b := range []disk.BlockNo{x, y} {
+			if n := x2.diskRefs[b]; n != 2 {
+				t.Errorf("%s: block %d has %d on-disk references, want 2", when, b, n)
+			}
+			if x2.IsFree(b) {
+				t.Errorf("%s: block %d on the free map", when, b)
+			}
+		}
+	}
+	audit("after Mount")
+	f.run(t, "insert", func(e *kernel.Env) error {
+		if _, err := x2.LoadRoot(e, f.rootName); err != nil {
+			return err
+		}
+		for _, c := range []struct {
+			ext  udf.Extent
+			want error
+		}{
+			{udf.Extent{Start: x, Count: 1, Type: int64(f.tnode)}, ErrNotOwned},
+			{udf.Extent{Start: x, Count: 1, Type: int64(f.data)}, nil},
+			{udf.Extent{Start: y, Count: 1, Type: int64(f.data)}, nil},
+			{udf.Extent{Start: y, Count: 1, Type: int64(f.tnode)}, nil},
+			{udf.Extent{Start: x, Count: 2, Type: int64(f.data)}, nil},
+			{udf.Extent{Start: x - 1, Count: 2, Type: int64(f.data)}, ErrNotOwned},
+		} {
+			if err := x2.Insert(e, f.rootBlk, c.ext); !errors.Is(err, c.want) {
+				t.Errorf("Insert(%+v) = %v, want %v", c.ext, err, c.want)
+			}
+		}
+		if err := x2.Modify(e, f.rootBlk, []Mod{{Off: tnOwnerOff, Bytes: []byte{5, 0, 0, 0}}}); err != nil {
+			return err
+		}
+		return x2.Write(e, []disk.BlockNo{f.rootBlk})
+	})
+	audit("after rewriting the root")
+	if err := checkOwns(x2); err != nil {
+		t.Error(err)
 	}
 }
