@@ -35,7 +35,9 @@ crash:
 # A fixed-seed differential fuzzing campaign: 100 syscall programs,
 # every personality compared against every other (internal/difftest).
 # Deterministic by construction, so a failure here is a real semantic
-# divergence, never flake. Then short native-fuzzing runs of XN's
+# divergence, never flake. Then short native-fuzzing runs of the UDF
+# interpreter (fuel bound, determinism, assembler round trip and the
+# soundness of the read set XN keeps owns-udf results by), of XN's
 # ownership delta check against its per-block map reference, of its
 # incremental taint counts against the owns-udf scan they replace, and
 # of the -faults parser's round trip through Plan.String; a crasher
@@ -43,6 +45,7 @@ crash:
 # every `go test` from then on.
 fuzz-smoke:
 	$(GO) run ./cmd/xok-bench -run difftest -seeds 100
+	$(GO) test -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 10s ./internal/udf/
 	$(GO) test -run '^$$' -fuzz '^FuzzOwnsDelta$$' -fuzztime 10s ./internal/xn/
 	$(GO) test -run '^$$' -fuzz '^FuzzTaintIncremental$$' -fuzztime 10s ./internal/xn/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/fault/

@@ -336,11 +336,7 @@ func (fs *FS) findEntry(e *kernel.Env, head, parent disk.BlockNo, name string) (
 		data := fs.dirData(blk)
 		e.Use(sim.TouchCost(DirHdrSize + SlotsPerBlock*8)) // scan cost
 		for i := 0; i < SlotsPerBlock; i++ {
-			if data[SlotOff(i)] == 0 {
-				continue
-			}
-			in := DecodeSlot(data, i)
-			if in.Name == name {
+			if in, ok := decodeSlotNamed(data, i, name); ok {
 				return Ref{Dir: blk, Slot: i, Gen: in.Gen}, in, nil
 			}
 		}
@@ -614,7 +610,7 @@ func (fs *FS) childBlocks(b disk.BlockNo) []disk.BlockNo {
 			if data[SlotOff(i)] == 0 {
 				continue
 			}
-			in := DecodeSlot(data, i)
+			in := decodeSlotFields(data, i)
 			for _, ext := range in.Ext {
 				for j := uint32(0); j < ext.Count; j++ {
 					out = append(out, disk.BlockNo(ext.Start+uint64(j)))

@@ -31,9 +31,9 @@ const pathHalf = 2
 // still live — in flight, queued in a server inbox or being
 // processed. Each Packet counts once from xmit (or the RTO marker)
 // until it is released, so a late re-sent segment keeps its Conn out
-// of the freelist until it is gone. Any other ending — a client
-// deadline give-up, a server stopped with packets still queued, a
-// crash — leaves the Conn to the garbage collector. A freed Conn is
+// of the freelist until it is gone. Any other ending — a server
+// stopped with packets still queued, a crash — leaves the Conn to the
+// garbage collector. A freed Conn is
 // marked, and a packet or timer that reaches one panics rather than
 // act on a recycled connection.
 type Conn struct {
@@ -75,7 +75,6 @@ type Conn struct {
 	gotSynAck bool
 	started   sim.Time
 	tsReq     sim.Time  // when the server began serving the request
-	deadline  sim.Time  // client stops re-sending past this point (0 = never)
 	ctimer    sim.Event // client retransmission timer
 	owner     connOwner // completion sink; nil once done
 	unacked   int       // data segments since last client ACK
@@ -207,7 +206,7 @@ func clientTimerFire(a any) {
 	c := a.(*Conn)
 	c.mustLive()
 	c.ctimer = sim.Event{}
-	if c.owner == nil || (c.deadline > 0 && c.t.eng.Now() >= c.deadline) {
+	if c.owner == nil {
 		return
 	}
 	c.backend.K.Stats.Inc(sim.CtrResends)
@@ -342,7 +341,7 @@ func (p *ClientPool) startRequest() {
 	}
 	port := p.nextPort
 	p.nextPort++
-	c := p.t.openConn(p.from, p.target, port, p.docSize, 0)
+	c := p.t.openConn(p.from, p.target, port, p.docSize)
 	c.owner = p
 	c.sendSyn()
 	c.armTimer()

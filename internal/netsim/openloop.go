@@ -36,11 +36,6 @@ type OpenLoopConfig struct {
 	// Classes is the request mix (nil = one 1-KB "doc" class).
 	Classes []RequestClass
 
-	// Deadline bounds each connection's client-side retries, relative
-	// to its launch (0 = retry forever; the run ends when every
-	// connection completes).
-	Deadline sim.Time
-
 	// Trace receives every connection's spans and latency samples
 	// ("http.request" plus one "http.<class>" series per class) under
 	// TracePID. Nil falls back to each backend machine's own tracer.
@@ -171,11 +166,7 @@ func (t *Topology) OpenLoop(cfg OpenLoopConfig) *OpenPool {
 // launch opens one connection (the arrival instant).
 func (p *OpenPool) launch(port uint32, ci int) {
 	cl := p.cfg.Classes[ci]
-	var deadline sim.Time
-	if p.cfg.Deadline > 0 {
-		deadline = p.t.eng.Now() + p.cfg.Deadline
-	}
-	c := p.t.openConn(p.cfg.From, p.cfg.Target, port, cl.DocSize, deadline)
+	c := p.t.openConn(p.cfg.From, p.cfg.Target, port, cl.DocSize)
 	c.class, c.classSeries = ci, p.series[ci]
 	if p.cfg.Trace != nil {
 		c.sink, c.sinkPID = p.cfg.Trace, p.cfg.TracePID

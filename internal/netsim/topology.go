@@ -405,11 +405,11 @@ func (t *Topology) forward(path []hop, i int, pkt *Packet, to sink) {
 // which picks a backend by its policy at connection-open time (an L4
 // balancer's connection table) and forwards every packet as an
 // ordinary hop. Both paths fit the connection's inline buffer.
-func (t *Topology) openConn(from, target HostID, port uint32, docSize int, deadline sim.Time) *Conn {
+func (t *Topology) openConn(from, target HostID, port uint32, docSize int) *Conn {
 	c := t.newConn()
 	c.t, c.clientPort = t, port
 	c.expect, c.reqDocLen = responseHeader+docSize, docSize
-	c.started, c.deadline = t.eng.Now(), deadline
+	c.started = t.eng.Now()
 	c.pathBuf[0] = t.hopTo(from, target)
 	hops := 1
 	dst := t.hosts[target]

@@ -236,5 +236,5 @@ func TestConnToUnlinkedHostPanics(t *testing.T) {
 			t.Fatalf("panic %q, want one naming client and backend", msg)
 		}
 	}()
-	tp.openConn(client, srv, 10000, 100, 0)
+	tp.openConn(client, srv, 10000, 100)
 }

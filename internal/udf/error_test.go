@@ -56,6 +56,12 @@ func TestInterpAborts(t *testing.T) {
 		{name: "envw with nil env",
 			src:  "envw r0, 0\n ret r0\n",
 			want: ErrOOB},
+		{name: "word load at the top of int64",
+			src:  "li r1, -1\n li r2, 1\n shr r1, r1, r2\n ldw r0, r1, 0\n ret r0\n",
+			want: ErrOOB},
+		{name: "quad aux load at the top of int64",
+			src:  "li r1, -1\n li r2, 1\n shr r1, r1, r2\n ldaq r0, r1, -3\n ret r0\n",
+			want: ErrOOB},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

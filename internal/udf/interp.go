@@ -41,24 +41,42 @@ type Env []int64
 //
 // fuel <= 0 selects DefaultFuel.
 func Run(p *Program, meta, aux []byte, env Env, fuel int) (Result, error) {
+	return RunInto(p, meta, aux, env, fuel, nil, nil)
+}
+
+// ReadWords is the number of uint64s in a read set over n bytes of
+// metadata: one bit per 8-byte word.
+func ReadWords(n int) int { return ((n+7)/8 + 63) / 64 }
+
+// RunInto is Run for a caller that keeps what a run depends on. The
+// extents are appended to ext[:0], so a buffer with room spares the
+// allocation. When reads is non-nil, every load from meta sets the bit
+// of each 8-byte word it touches: bit w%64 of reads[w/64] stands for
+// bytes [8w, 8w+8). reads needs ReadWords(len(meta)) elements and is
+// not cleared first. A run that gets no aux and no env depends only on
+// len(meta) and the words it marks: over any meta of the same length
+// that agrees on those words it takes the same steps to the same
+// result and error.
+func RunInto(p *Program, meta, aux []byte, env Env, fuel int, ext []Extent, reads []uint64) (Result, error) {
 	if fuel <= 0 {
 		fuel = DefaultFuel
 	}
-	var res Result
+	res := Result{Extents: ext[:0]}
 	var regs [NumRegs]int64
+	instrs := p.Instrs
 	pc := 0
 	for {
-		if pc == len(p.Instrs) {
-			return res, ErrFellOffEnd
-		}
-		if pc < 0 || pc > len(p.Instrs) {
+		if uint(pc) >= uint(len(instrs)) {
+			if pc == len(instrs) {
+				return res, ErrFellOffEnd
+			}
 			return res, fmt.Errorf("udf: pc %d out of range", pc)
 		}
 		if res.Steps >= fuel {
 			return res, ErrFuel
 		}
 		res.Steps++
-		in := p.Instrs[pc]
+		in := &instrs[pc]
 		pc++
 		switch in.Op {
 		case OpLI:
@@ -94,41 +112,50 @@ func Run(p *Program, meta, aux []byte, env Env, fuel int) (Result, error) {
 		case OpADDI:
 			regs[in.Rd] = regs[in.Rs] + in.Imm
 		case OpLDB:
-			v, err := load(meta, regs[in.Rs]+in.Imm, 1)
-			if err != nil {
-				return res, err
+			off := regs[in.Rs] + in.Imm
+			if uint64(off) >= uint64(len(meta)) {
+				return res, ErrOOB
 			}
-			regs[in.Rd] = v
+			if reads != nil {
+				markReads(reads, off, 1)
+			}
+			regs[in.Rd] = int64(meta[off])
 		case OpLDW:
-			v, err := load(meta, regs[in.Rs]+in.Imm, 4)
-			if err != nil {
-				return res, err
+			off := regs[in.Rs] + in.Imm
+			if off < 0 || off > int64(len(meta)-4) {
+				return res, ErrOOB
 			}
-			regs[in.Rd] = v
+			if reads != nil {
+				markReads(reads, off, 4)
+			}
+			regs[in.Rd] = int64(binary.LittleEndian.Uint32(meta[off:]))
 		case OpLDQ:
-			v, err := load(meta, regs[in.Rs]+in.Imm, 8)
-			if err != nil {
-				return res, err
+			off := regs[in.Rs] + in.Imm
+			if off < 0 || off > int64(len(meta)-8) {
+				return res, ErrOOB
 			}
-			regs[in.Rd] = v
+			if reads != nil {
+				markReads(reads, off, 8)
+			}
+			regs[in.Rd] = int64(binary.LittleEndian.Uint64(meta[off:]))
 		case OpLDAB:
-			v, err := load(aux, regs[in.Rs]+in.Imm, 1)
-			if err != nil {
-				return res, err
+			off := regs[in.Rs] + in.Imm
+			if uint64(off) >= uint64(len(aux)) {
+				return res, ErrOOB
 			}
-			regs[in.Rd] = v
+			regs[in.Rd] = int64(aux[off])
 		case OpLDAW:
-			v, err := load(aux, regs[in.Rs]+in.Imm, 4)
-			if err != nil {
-				return res, err
+			off := regs[in.Rs] + in.Imm
+			if off < 0 || off > int64(len(aux)-4) {
+				return res, ErrOOB
 			}
-			regs[in.Rd] = v
+			regs[in.Rd] = int64(binary.LittleEndian.Uint32(aux[off:]))
 		case OpLDAQ:
-			v, err := load(aux, regs[in.Rs]+in.Imm, 8)
-			if err != nil {
-				return res, err
+			off := regs[in.Rs] + in.Imm
+			if off < 0 || off > int64(len(aux)-8) {
+				return res, ErrOOB
 			}
-			regs[in.Rd] = v
+			regs[in.Rd] = int64(binary.LittleEndian.Uint64(aux[off:]))
 		case OpMETA:
 			regs[in.Rd] = int64(len(meta))
 		case OpAUX:
@@ -174,17 +201,10 @@ func Run(p *Program, meta, aux []byte, env Env, fuel int) (Result, error) {
 	}
 }
 
-func load(buf []byte, off int64, size int) (int64, error) {
-	if off < 0 || off+int64(size) > int64(len(buf)) {
-		return 0, ErrOOB
-	}
-	switch size {
-	case 1:
-		return int64(buf[off]), nil
-	case 4:
-		return int64(binary.LittleEndian.Uint32(buf[off:])), nil
-	case 8:
-		return int64(binary.LittleEndian.Uint64(buf[off:])), nil
-	}
-	panic("udf: bad load size")
+// markReads sets the read-set bits of the words a size-byte load at
+// off touches: one word, or two when a wider load straddles a boundary.
+func markReads(reads []uint64, off int64, size int64) {
+	first, last := uint64(off)>>3, uint64(off+size-1)>>3
+	reads[first>>6] |= 1 << (first & 63)
+	reads[last>>6] |= 1 << (last & 63)
 }

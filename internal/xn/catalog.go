@@ -230,14 +230,17 @@ func (x *XN) recoverGC() {
 			continue
 		}
 		data := x.D.ViewBlock(f.b)
-		extents, err := x.runOwns(nil, t, data)
+		owns, extents, err := x.evalOwns(t, data)
+		x.chargeUDF(nil, owns.steps)
 		if err != nil {
 			// A block whose owns-udf faults owns nothing; the write
 			// ordering rules guarantee reachable metadata is intact,
 			// so this only happens for hostile or leaf content.
 			continue
 		}
-		x.onDiskOwns[f.b] = extents
+		if len(owns.runs) > 0 {
+			x.onDiskOwns[f.b] = owns
+		}
 		for _, ext := range extents {
 			for j := int64(0); j < ext.Count; j++ {
 				c := disk.BlockNo(ext.Start + j)

@@ -32,18 +32,15 @@ func (x *XN) CheckConsistency() []string {
 			owners[r.Start+disk.BlockNo(i)]++
 		}
 	}
-	for _, extents := range x.onDiskOwns {
-		for _, ext := range extents {
-			for j := int64(0); j < ext.Count; j++ {
-				b := disk.BlockNo(ext.Start + j)
-				if int64(b) < reservedEnd || int64(b) >= x.D.NumBlocks() {
-					errs = append(errs, fmt.Sprintf("owned block %d outside volume [%d,%d)",
-						b, reservedEnd, x.D.NumBlocks()))
-					continue
-				}
-				owners[b]++
+	for _, owns := range x.onDiskOwns {
+		owns.eachBlock(func(b disk.BlockNo) {
+			if int64(b) < reservedEnd || int64(b) >= x.D.NumBlocks() {
+				errs = append(errs, fmt.Sprintf("owned block %d outside volume [%d,%d)",
+					b, reservedEnd, x.D.NumBlocks()))
+				return
 			}
-		}
+			owners[b]++
+		})
 	}
 	for b, n := range owners {
 		if n > 1 && !x.willFree[b] {

@@ -158,7 +158,7 @@ func (x *XN) lruUnlink(en *Entry) {
 func (x *XN) dropEntry(en *Entry) {
 	delete(x.reg, en.Block)
 	en.dropped = true
-	en.clearOwns()
+	en.owns = nil
 	x.lruUnlink(en)
 	x.clearDirty(en)
 	x.unbind(en)

@@ -407,33 +407,47 @@ func TestModifyRacingRemovalOfItsBlock(t *testing.T) {
 	}
 }
 
-// BenchmarkXNModifyDirBlock times one Modify of a full directory block
-// shaped like C-FFS's: 31 slots, each owning a 15-block extent, so each
-// call runs owns-udf twice over 465 owned blocks and checks the delta.
+// BenchmarkXNModifyDirBlock times one Modify of the owner of a full
+// directory block shaped like C-FFS's: 31 slots, each owning a 15-block
+// extent, so each call charges owns-udf twice over 465 owned blocks.
+// The owner shares its word with the record count owns-udf loads: kept
+// rewrites it with its own value, so XN keeps the block's owns result
+// and interprets nothing; changed alternates two values, so every call
+// interprets the modified block once and checks the delta.
 func BenchmarkXNModifyDirBlock(b *testing.B) {
-	f := newFixture(b)
-	f.run(b, "fill", func(e *kernel.Env) error {
-		for i := 0; i < 31; i++ {
-			start, ok := f.x.FindFree(200, 15)
-			if !ok {
-				return errors.New("volume full")
+	for _, bc := range []struct {
+		name   string
+		owners [2]byte
+	}{{"kept", [2]byte{0, 0}}, {"changed", [2]byte{0, 1}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			f := newFixture(b)
+			f.run(b, "fill", func(e *kernel.Env) error {
+				for i := 0; i < 31; i++ {
+					start, ok := f.x.FindFree(200, 15)
+					if !ok {
+						return errors.New("volume full")
+					}
+					if err := f.x.Alloc(e, f.rootBlk, tnAddRecord(i, start, 15, f.data),
+						udf.Extent{Start: int64(start), Count: 15, Type: int64(f.data)}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			owner := [2][]Mod{
+				{{Off: tnOwnerOff, Bytes: []byte{bc.owners[0], 0, 0, 0}}},
+				{{Off: tnOwnerOff, Bytes: []byte{bc.owners[1], 0, 0, 0}}},
 			}
-			if err := f.x.Alloc(e, f.rootBlk, tnAddRecord(i, start, 15, f.data),
-				udf.Extent{Start: int64(start), Count: 15, Type: int64(f.data)}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	owner := []Mod{{Off: tnOwnerOff, Bytes: []byte{0, 0, 0, 0}}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	f.run(b, "modify", func(e *kernel.Env) error {
-		for i := 0; i < b.N; i++ {
-			if err := f.x.Modify(e, f.rootBlk, owner); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			f.run(b, "modify", func(e *kernel.Env) error {
+				for i := 0; i < b.N; i++ {
+					if err := f.x.Modify(e, f.rootBlk, owner[i%2]); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+	}
 }

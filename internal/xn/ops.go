@@ -496,11 +496,13 @@ func (x *XN) InitMetadata(e *kernel.Env, b disk.BlockNo, content []byte) error {
 	}
 	buf := make([]byte, sim.DiskBlockSize)
 	copy(buf, content)
-	owned, err := x.runOwns(e, t, buf)
+	o, owned, err := x.evalOwns(t, buf)
+	emitted := len(owned)
+	x.chargeUDF(e, o.steps)
 	if err != nil {
 		return err
 	}
-	if len(owned) != 0 {
+	if emitted != 0 {
 		return fmt.Errorf("%w: initial content may not own blocks", ErrBadDelta)
 	}
 	okAcl, err := x.runAcl(e, t, buf, nil, OpModify)
@@ -578,16 +580,24 @@ func (x *XN) mutateMeta(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remov
 	if err := applyMods(tmp, mods); err != nil {
 		return nil, err
 	}
-	newOwns, newSteps, err := evalOwns(t, tmp)
-	x.chargeUDF(e, newSteps)
+	// The result en holds now is over data as it stands after the
+	// charges above: if the modification rewrites none of the words
+	// its run loaded, it is the result over tmp too.
+	newOwns := en.owns
+	if newOwns == nil || !newOwns.readsUnchanged(data, tmp, mods) {
+		newOwns, _, err = x.evalOwns(t, tmp)
+	}
+	x.chargeUDF(e, newOwns.steps)
 	if err != nil {
 		return nil, err
 	}
-	rs := x.takeRuns()
-	err = rs.checkDelta(oldOwns, newOwns, add, remove)
-	x.releaseRuns(rs)
-	if err != nil {
-		return nil, err
+	if newOwns != oldOwns || add.Count > 0 || remove.Count > 0 {
+		rs := x.takeRuns()
+		err = rs.checkDelta(oldOwns.runs, newOwns.runs, add, remove)
+		x.releaseRuns(rs)
+		if err != nil {
+			return nil, err
+		}
 	}
 	// The charged UDF runs let other envs in: one may have recycled or
 	// deallocated meta, and data may now back another block.
@@ -596,7 +606,7 @@ func (x *XN) mutateMeta(e *kernel.Env, meta disk.BlockNo, mods []Mod, add, remov
 	}
 	// Commit.
 	copy(data, tmp)
-	en.setOwns(newOwns, newSteps)
+	en.owns = newOwns
 	x.detachChildren(remove)
 	x.setDirty(en)
 	x.touch(en)
@@ -693,12 +703,7 @@ func (x *XN) releaseBlock(b disk.BlockNo) {
 	// Freeing a metadata block kills its on-disk pointers.
 	if owns, ok := x.onDiskOwns[b]; ok {
 		delete(x.onDiskOwns, b)
-		for _, ext := range owns {
-			for i := int64(0); i < ext.Count; i++ {
-				c := disk.BlockNo(ext.Start + i)
-				x.decDiskRef(c)
-			}
-		}
+		owns.eachBlock(x.decDiskRef)
 	}
 }
 
@@ -735,7 +740,7 @@ func (x *XN) Write(e *kernel.Env, blocks []disk.BlockNo) error {
 	type writeOp struct {
 		block disk.BlockNo
 		entry *Entry
-		owns  []udf.Extent
+		owns  *ownsResult
 	}
 	var ops []writeOp
 	for _, b := range blocks {
@@ -752,7 +757,7 @@ func (x *XN) Write(e *kernel.Env, blocks []disk.BlockNo) error {
 		if err := x.taintCheck(en); err != nil {
 			return err
 		}
-		var owns []udf.Extent
+		var owns *ownsResult
 		if x.isMetadata(en.Tmpl) {
 			t := x.templates[en.Tmpl]
 			var err error
@@ -814,9 +819,16 @@ func (x *XN) Write(e *kernel.Env, blocks []disk.BlockNo) error {
 // reference counts from the ownership diff, release will-free blocks
 // whose last pointer died, clear dirty/uninit, and refresh taint up
 // the tree.
-func (x *XN) completeWrite(b disk.BlockNo, en *Entry, newOwns []udf.Extent) {
+func (x *XN) completeWrite(b disk.BlockNo, en *Entry, newOwns *ownsResult) {
+	var old, cur []ownRun
+	if o := x.onDiskOwns[b]; o != nil {
+		old = o.runs
+	}
+	if newOwns != nil {
+		cur = newOwns.runs
+	}
 	rs := x.takeRuns()
-	gained, lost := rs.refDelta(x.onDiskOwns[b], newOwns)
+	gained, lost := rs.refDelta(old, cur)
 	for _, r := range gained {
 		for c := r.first; ; c++ {
 			x.diskRefs[disk.BlockNo(c)]++
@@ -834,7 +846,7 @@ func (x *XN) completeWrite(b disk.BlockNo, en *Entry, newOwns []udf.Extent) {
 		}
 	}
 	x.releaseRuns(rs)
-	if len(newOwns) > 0 {
+	if len(cur) > 0 {
 		x.onDiskOwns[b] = newOwns
 	} else {
 		delete(x.onDiskOwns, b)

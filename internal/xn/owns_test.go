@@ -8,32 +8,48 @@ import (
 	"slices"
 	"testing"
 
+	"xok/internal/cap"
 	"xok/internal/disk"
 	"xok/internal/kernel"
+	"xok/internal/sim"
 	"xok/internal/udf"
 )
 
 // checkOwns audits the owns-udf results registry entries keep: an entry
 // holds one only while resident, under a template with an owns-udf, and
-// the result must be what a fresh interpretation of its page gives,
-// extents and step count alike.
+// the result must be what a fresh interpretation of its page gives —
+// runs, raw extents, step count and read words alike — however many
+// modifications have reused it since it was made.
 func checkOwns(x *XN) error {
+	var rs runScratch
 	for b, en := range x.reg {
-		if !en.ownsValid {
+		if en.owns == nil {
 			continue
 		}
 		t, ok := x.templates[en.Tmpl]
 		if en.State != StateResident || !ok {
 			return fmt.Errorf("block %d: owns result held in state %d under template %d", b, en.State, en.Tmpl)
 		}
-		res, err := udf.Run(t.Owns, x.M.Data(en.Page), nil, nil, 0)
+		fresh, _, err := rs.interpret(t, x.M.Data(en.Page))
 		if err != nil {
 			return fmt.Errorf("block %d: owns result held over content owns-udf rejects: %v", b, err)
 		}
-		if int(en.ownsSteps) != res.Steps || !slices.Equal(en.owns, res.Extents) {
-			return fmt.Errorf("block %d: held %v in %d steps, content gives %v in %d",
-				b, en.owns, en.ownsSteps, res.Extents, res.Steps)
+		if err := sameOwns(en.owns, fresh); err != nil {
+			return fmt.Errorf("block %d: %v", b, err)
 		}
+	}
+	return nil
+}
+
+// sameOwns reports how a held owns result differs from a fresh one.
+func sameOwns(held, fresh *ownsResult) error {
+	switch {
+	case !slices.Equal(held.runs, fresh.runs) || !slices.Equal(held.raw, fresh.raw):
+		return fmt.Errorf("held %v (raw %v), content gives %v (raw %v)", held.runs, held.raw, fresh.runs, fresh.raw)
+	case held.steps != fresh.steps:
+		return fmt.Errorf("held %d steps, content gives %d", held.steps, fresh.steps)
+	case held.reads != fresh.reads:
+		return fmt.Errorf("held read words %x, content gives %x", held.reads, fresh.reads)
 	}
 	return nil
 }
@@ -55,13 +71,13 @@ func TestOwnsResultClearedByInitMetadata(t *testing.T) {
 		if err := f.x.Modify(e, b, []Mod{{Off: tnOwnerOff, Bytes: []byte{7, 0, 0, 0}}}); err != nil {
 			return err
 		}
-		if !f.x.reg[b].ownsValid {
+		if f.x.reg[b].owns == nil {
 			return fmt.Errorf("no owns result after Modify")
 		}
 		if err := f.x.InitMetadata(e, b, []byte{9, 0, 0, 0}); err != nil {
 			return err
 		}
-		if f.x.reg[b].ownsValid {
+		if f.x.reg[b].owns != nil {
 			return fmt.Errorf("owns result kept across InitMetadata")
 		}
 		return checkOwns(f.x)
@@ -81,7 +97,7 @@ func TestOwnsResultForkThenModify(t *testing.T) {
 		}
 	}
 	f.run(t, "alloc", alloc(f.x, 0))
-	if !f.x.reg[f.rootBlk].ownsValid {
+	if f.x.reg[f.rootBlk].owns == nil {
 		t.Fatal("no owns result on the root after Alloc")
 	}
 	ks, err := f.k.Snapshot()
@@ -95,8 +111,8 @@ func TestOwnsResultForkThenModify(t *testing.T) {
 	parent := f.x
 	fork := &fixture{k: kernel.Fork(ks), tnode: f.tnode, data: f.data, rootBlk: f.rootBlk, rootName: f.rootName}
 	fork.x = ForkXN(xs, fork.k)
-	if got := fork.x.reg[f.rootBlk]; !got.ownsValid || len(got.owns) != 1 {
-		t.Fatalf("fork's root result = %v (valid %v), want the parent's one extent", got.owns, got.ownsValid)
+	if got := fork.x.reg[f.rootBlk].owns; got != parent.reg[f.rootBlk].owns || len(got.runs) != 1 {
+		t.Fatalf("fork's root result = %+v, want the parent's, of one run", got)
 	}
 	fork.run(t, "fork alloc", alloc(fork.x, 1))
 	fork.run(t, "fork modify", func(e *kernel.Env) error {
@@ -107,8 +123,8 @@ func TestOwnsResultForkThenModify(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if n, m := len(parent.reg[f.rootBlk].owns), len(fork.x.reg[f.rootBlk].owns); n != 1 || m != 2 {
-		t.Errorf("root owns %d extents on the parent and %d on the fork, want 1 and 2", n, m)
+	if n, m := len(parent.reg[f.rootBlk].owns.runs), len(fork.x.reg[f.rootBlk].owns.runs); n != 1 || m != 2 {
+		t.Errorf("root owns %d runs on the parent and %d on the fork, want 1 and 2", n, m)
 	}
 }
 
@@ -224,6 +240,133 @@ func TestSelfOverlappingOwnsAudit(t *testing.T) {
 	})
 	audit("after rewriting the root")
 	if err := checkOwns(x2); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestModifyKeepsOwnsResultOverUnloadedWords modifies the root tnode
+// three ways. A word owns-udf never loads, and a loaded word rewritten
+// with its own bytes, keep the root's owns result: no interpretation,
+// but the steps it stands for are still charged. The owner, which
+// shares its word with the loaded record count, gets a new result of
+// the same runs.
+func TestModifyKeepsOwnsResultOverUnloadedWords(t *testing.T) {
+	f := newFixture(t)
+	f.run(t, "modify", func(e *kernel.Env) error {
+		b, _ := f.x.FindFree(300, 2)
+		if err := f.x.Alloc(e, f.rootBlk, tnAddRecord(0, b, 2, f.data),
+			udf.Extent{Start: int64(b), Count: 2, Type: int64(f.data)}); err != nil {
+			return err
+		}
+		en := f.x.reg[f.rootBlk]
+		count := append([]byte(nil), f.x.M.Data(en.Page)[tnCountOff:tnCountOff+4]...)
+		for _, c := range []struct {
+			name string
+			mod  Mod
+			keep bool
+		}{
+			{"unloaded word", Mod{Off: 2048, Bytes: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9}}, true},
+			{"same count", Mod{Off: tnCountOff, Bytes: count}, true},
+			{"new owner", Mod{Off: tnOwnerOff, Bytes: []byte{9, 0, 0, 0}}, false},
+		} {
+			held := en.owns
+			before := f.k.Stats.Get(sim.CtrUDFSteps)
+			if err := f.x.Modify(e, f.rootBlk, []Mod{c.mod}); err != nil {
+				return fmt.Errorf("%s: %v", c.name, err)
+			}
+			if kept := en.owns == held; kept != c.keep {
+				return fmt.Errorf("%s: result kept = %v, want %v", c.name, kept, c.keep)
+			}
+			acl, err := udf.Run(tnodeAcl, f.x.M.Data(en.Page), appendModsAux(nil, []Mod{c.mod}), udf.Env{0, OpModify, 0, 0}, 0)
+			if err != nil {
+				return err
+			}
+			if got, want := f.k.Stats.Get(sim.CtrUDFSteps)-before, int64(acl.Steps+2*held.steps); got != want {
+				return fmt.Errorf("%s: charged %d udf steps, want %d (acl-uf, owns-udf twice)", c.name, got, want)
+			}
+			if err := checkOwns(f.x); err != nil {
+				return fmt.Errorf("%s: %v", c.name, err)
+			}
+		}
+		return nil
+	})
+}
+
+// TestAllocDeallocRejectUnloadedModification hands Alloc and Dealloc
+// modifications that rewrite only words owns-udf does not load: the
+// owns result stands for the modified block too, so ownership does not
+// change and both must fail the delta check.
+func TestAllocDeallocRejectUnloadedModification(t *testing.T) {
+	f := newFixture(t)
+	f.run(t, "lie", func(e *kernel.Env) error {
+		b, _ := f.x.FindFree(300, 1)
+		ext := udf.Extent{Start: int64(b), Count: 1, Type: int64(f.data)}
+		past := tnAddRecord(1, b, 1, f.data)[:1] // record 1 written, count left at 0
+		if err := f.x.Alloc(e, f.rootBlk, past, ext); !errors.Is(err, ErrBadDelta) {
+			t.Errorf("Alloc recording nothing: err = %v, want ErrBadDelta", err)
+		}
+		if !f.x.IsFree(b) {
+			t.Error("refused Alloc took the block off the free map")
+		}
+		if err := f.x.Alloc(e, f.rootBlk, tnAddRecord(0, b, 1, f.data), ext); err != nil {
+			return err
+		}
+		if err := f.x.Dealloc(e, f.rootBlk, past, ext); !errors.Is(err, ErrBadDelta) {
+			t.Errorf("Dealloc dropping nothing: err = %v, want ErrBadDelta", err)
+		}
+		return checkOwns(f.x)
+	})
+}
+
+// TestModifyRacingAllocKeepsOnlyTheCurrentResult parks a Modify of the
+// root's owner in its first owns-udf charge while another environment
+// commits an allocation into the root. The owner's word is loaded, but
+// the shadow copy is taken after the park, from the page holding the
+// allocation: only the result held then may be kept, never the one
+// the Modify read before it parked. The Modify sees ownership change
+// under it and fails; the root's result stays that of its content.
+func TestModifyRacingAllocKeepsOnlyTheCurrentResult(t *testing.T) {
+	const records = 60
+	f := newFixtureQuantum(t, sim.CostUpcall+100)
+	f.run(t, "setup", func(e *kernel.Env) error {
+		for i := 0; i < records; i++ {
+			c, _ := f.x.FindFree(700, 1)
+			if err := f.x.Alloc(e, f.rootBlk, tnAddRecord(i, c, 1, f.data),
+				udf.Extent{Start: int64(c), Count: 1, Type: int64(f.data)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	var modErr error
+	modified := false
+	f.k.Spawn("allocator", func(e *kernel.Env) {
+		e.Creds = cap.UnixCreds(0)
+		c, _ := f.x.FindFree(900, 1)
+		if err := f.x.Alloc(e, f.rootBlk, tnAddRecord(records, c, 1, f.data),
+			udf.Extent{Start: int64(c), Count: 1, Type: int64(f.data)}); err != nil {
+			t.Errorf("racing Alloc: %v", err)
+		}
+		if !modified {
+			t.Error("Alloc finished before the Modify started")
+		}
+	})
+	f.k.Spawn("modifier", func(e *kernel.Env) {
+		e.Creds = cap.UnixCreds(0)
+		for f.x.trials == 0 { // wait until the Alloc is in its last charge
+			e.Use(10)
+		}
+		modified = true
+		modErr = f.x.Modify(e, f.rootBlk, []Mod{{Off: tnOwnerOff, Bytes: []byte{0, 0, 0, 0}}})
+	})
+	f.k.Run()
+	if !errors.Is(modErr, ErrBadDelta) {
+		t.Errorf("Modify across a racing Alloc: err = %v, want ErrBadDelta", modErr)
+	}
+	if n := len(f.x.reg[f.rootBlk].owns.runs); n == 0 {
+		t.Error("root holds no ownership")
+	}
+	if err := checkOwns(f.x); err != nil {
 		t.Error(err)
 	}
 }

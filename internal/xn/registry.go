@@ -55,25 +55,21 @@ type Entry struct {
 	// Temporary: belongs to a non-persistent file system.
 	Temporary bool
 
-	// Packed beside the flags above, which keeps an Entry (with
-	// ownsSteps and owns, below) within the 128-byte allocator size
-	// class.
-	flushing  bool // flush-behind write in flight
-	pinned    bool // exempt from LRU recycling (hot metadata)
-	dropped   bool // removed from the registry (see dropEntry)
-	ownsValid bool // owns and ownsSteps hold a result (see ownsOf)
-
-	// ownsSteps and owns are the last owns-udf result over the page's
-	// current content, under the template Tmpl names. Tmpl changes only
-	// from TmplUnknown, which has no owns-udf, and every content reload
-	// goes through setState, which clears the result.
-	ownsSteps int32
+	// Packed beside the flags above, which keeps an Entry at 96 bytes,
+	// an allocator size class.
+	flushing bool // flush-behind write in flight
+	pinned   bool // exempt from LRU recycling (hot metadata)
+	dropped  bool // removed from the registry (see dropEntry)
 
 	Tmpl     TemplateID
 	Parent   disk.BlockNo
 	LockedBy kernel.EnvID
 
-	owns []udf.Extent
+	// owns is the owns-udf result over the page's current content
+	// under the template Tmpl names (owns.go), nil when none is held.
+	// Tmpl changes only from TmplUnknown, which has no owns-udf, and
+	// every content reload goes through setState, which clears it.
+	owns *ownsResult
 
 	lastUse uint64
 
@@ -101,15 +97,8 @@ type Entry struct {
 func (en *Entry) setState(st EntryState) {
 	en.State = st
 	en.stateWord = int64(st)
-	en.clearOwns()
+	en.owns = nil
 }
-
-// setOwns records the owns-udf result over the page's current content.
-func (en *Entry) setOwns(owns []udf.Extent, steps int) {
-	en.owns, en.ownsSteps, en.ownsValid = owns, int32(steps), true
-}
-
-func (en *Entry) clearOwns() { en.owns, en.ownsSteps, en.ownsValid = nil, 0, false }
 
 // Metadata reports whether the entry's type can own blocks (leaf/data
 // templates never taint anything through content).
@@ -223,7 +212,7 @@ func (x *XN) Insert(e *kernel.Env, parent disk.BlockNo, ext udf.Extent) error {
 	if err != nil {
 		return err
 	}
-	if !extentCovered(owned, ext) {
+	if !owned.covers(ext) {
 		return ErrNotOwned
 	}
 	// Read access control at the parent.
@@ -264,25 +253,6 @@ func (x *XN) Insert(e *kernel.Env, parent disk.BlockNo, ext udf.Extent) error {
 		x.bind(cen, parent)
 	}
 	return nil
-}
-
-// extentCovered reports whether every block of ext (with matching
-// type) appears in the owned set.
-func extentCovered(owned []udf.Extent, ext udf.Extent) bool {
-	for i := int64(0); i < ext.Count; i++ {
-		b := ext.Start + i
-		found := false
-		for _, o := range owned {
-			if o.Type == ext.Type && b >= o.Start && b < o.Start+o.Count {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // LoadRoot installs registry entries for a root catalogue entry and

@@ -24,15 +24,17 @@ type ownRun struct {
 	typ         int64
 }
 
-// runScratch holds the reusable buffers of one ownership comparison.
+// runScratch holds the reusable buffers of one owns-udf interpretation
+// or ownership comparison.
 type runScratch struct {
-	pieces   []ownRun
-	bounds   []int64
-	owner    []int32 // per segment between bounds: index into pieces, or -1
-	old, new []ownRun
-	want     []ownRun
-	out      []ownRun
-	edge     [2]ownRun // an add or remove extent's runs
+	ext    []udf.Extent // owns-udf output as emitted
+	pieces []ownRun
+	bounds []int64
+	owner  []int32 // per segment between bounds: index into pieces, or -1
+	norm   []ownRun
+	want   []ownRun
+	out    []ownRun
+	edge   [2]ownRun // an add or remove extent's runs
 }
 
 // takeRuns lends out XN's run scratch. Charging parks the borrower,
@@ -83,12 +85,17 @@ func appendRun(runs []ownRun, r ownRun) []ownRun {
 // normalize turns extents into a normalized run list in *dst, with the
 // per-block meaning of expanding each extent in order into a map from
 // block to type: a later extent wins on overlap, and an extent with a
-// zero or negative count owns nothing.
-func (rs *runScratch) normalize(dst *[]ownRun, extents []udf.Extent) []ownRun {
+// zero or negative count owns nothing. plain reports that no two
+// extents share a block and none reaches the top of int64 (where
+// Start+Count wraps): the runs then hold each owned block exactly
+// once, as the extents do.
+func (rs *runScratch) normalize(dst *[]ownRun, extents []udf.Extent) (runs []ownRun, plain bool) {
 	rs.pieces = rs.pieces[:0]
 	rs.bounds = rs.bounds[:0]
+	plain = true
 	for _, ext := range extents {
 		ps, n := extentPieces(ext)
+		plain = plain && (n == 0 || n == 1 && ps[0].last != math.MaxInt64)
 		for _, p := range ps[:n] {
 			rs.pieces = append(rs.pieces, p)
 			rs.bounds = append(rs.bounds, p.first)
@@ -110,6 +117,7 @@ func (rs *runScratch) normalize(dst *[]ownRun, extents []udf.Extent) []ownRun {
 	for i, p := range rs.pieces {
 		k, _ := slices.BinarySearch(rs.bounds, p.first)
 		for ; k < len(rs.bounds) && rs.bounds[k] <= p.last; k++ {
+			plain = plain && rs.owner[k] < 0
 			rs.owner[k] = int32(i)
 		}
 	}
@@ -125,7 +133,7 @@ func (rs *runScratch) normalize(dst *[]ownRun, extents []udf.Extent) []ownRun {
 		out = appendRun(out, ownRun{first: b, last: end, typ: rs.pieces[rs.owner[k]].typ})
 	}
 	*dst = out
-	return out
+	return out, plain
 }
 
 // runAt returns the index of the first run that ends at or after block
@@ -173,12 +181,11 @@ func cutRuns(dst, a, cut []ownRun) []ownRun {
 
 // checkDelta verifies that the ownership newOwns equals oldOwns plus
 // exactly the blocks of add and minus exactly those of remove, block
-// for block and type for type (Section 4.1). Adding an owned block, or
-// removing one not owned with remove's type, names the first offending
-// block in the extent's own order; any other mismatch is a bare
-// ErrBadDelta.
-func (rs *runScratch) checkDelta(oldOwns, newOwns []udf.Extent, add, remove udf.Extent) error {
-	old := rs.normalize(&rs.old, oldOwns)
+// for block and type for type (Section 4.1); both are normalized run
+// lists. Adding an owned block, or removing one not owned with
+// remove's type, names the first offending block in the extent's own
+// order; any other mismatch is a bare ErrBadDelta.
+func (rs *runScratch) checkDelta(old, newOwns []ownRun, add, remove udf.Extent) error {
 	addPieces, nAdd := extentPieces(add)
 	for _, p := range addPieces[:nAdd] {
 		if i := runAt(old, p.first); i < len(old) && old[i].first <= p.last {
@@ -188,23 +195,33 @@ func (rs *runScratch) checkDelta(oldOwns, newOwns []udf.Extent, add, remove udf.
 	want := mergeRuns(rs.want[:0], old, rs.edgeRuns(addPieces, nAdd))
 	rs.want = want
 
-	rmPieces, nRm := extentPieces(remove)
-	for _, p := range rmPieces[:nRm] {
-		for c, j := p.first, runAt(want, p.first); ; j++ {
-			if j == len(want) || want[j].first > c || want[j].typ != remove.Type {
-				return fmt.Errorf("%w: block %d not owned with type %d", ErrBadDelta, c, remove.Type)
-			}
-			if want[j].last >= p.last {
-				break
-			}
-			c = want[j].last + 1
-		}
+	if c, ok := ownedAs(want, remove); !ok {
+		return fmt.Errorf("%w: block %d not owned with type %d", ErrBadDelta, c, remove.Type)
 	}
+	rmPieces, nRm := extentPieces(remove)
 	rs.out = cutRuns(rs.out[:0], want, rs.edgeRuns(rmPieces, nRm))
-	if !slices.Equal(rs.out, rs.normalize(&rs.new, newOwns)) {
+	if !slices.Equal(rs.out, newOwns) {
 		return ErrBadDelta
 	}
 	return nil
+}
+
+// ownedAs reports whether runs own every block of ext with ext's type;
+// if not, c is the first block in ext's own order that they do not.
+func ownedAs(runs []ownRun, ext udf.Extent) (c int64, ok bool) {
+	pieces, n := extentPieces(ext)
+	for _, p := range pieces[:n] {
+		for c, j := p.first, runAt(runs, p.first); ; j++ {
+			if j == len(runs) || runs[j].first > c || runs[j].typ != ext.Type {
+				return c, false
+			}
+			if runs[j].last >= p.last {
+				break
+			}
+			c = runs[j].last + 1
+		}
+	}
+	return 0, true
 }
 
 // edgeRuns returns extentPieces' output as a run list in block order
@@ -217,12 +234,10 @@ func (rs *runScratch) edgeRuns(pieces [2]ownRun, n int) []ownRun {
 	return rs.edge[:n]
 }
 
-// refDelta compares a metadata block's ownership before and after a
-// write, ignoring types: gained lists the blocks newOwns owns and
-// oldOwns does not, lost the reverse. Both alias the scratch.
-func (rs *runScratch) refDelta(oldOwns, newOwns []udf.Extent) (gained, lost []ownRun) {
-	old := rs.normalize(&rs.old, oldOwns)
-	cur := rs.normalize(&rs.new, newOwns)
+// refDelta compares a metadata block's normalized ownership before and
+// after a write, ignoring types: gained lists the blocks cur owns and
+// old does not, lost the reverse. Both alias the scratch.
+func (rs *runScratch) refDelta(old, cur []ownRun) (gained, lost []ownRun) {
 	rs.out = cutRuns(rs.out[:0], cur, old)
 	rs.want = cutRuns(rs.want[:0], old, cur)
 	return rs.out, rs.want

@@ -173,12 +173,25 @@ func decodeDeltaCase(data []byte) deltaCase {
 	return c
 }
 
+// runsOf normalizes extents into a run list of its own, as an owns
+// result holds them.
+func runsOf(rs *runScratch, extents []udf.Extent) []ownRun {
+	var runs []ownRun
+	rs.normalize(&runs, extents)
+	return runs
+}
+
+// delta is the run-based check of c.
+func (c deltaCase) delta(rs *runScratch) error {
+	return rs.checkDelta(runsOf(rs, c.old), runsOf(rs, c.new), c.add, c.remove)
+}
+
 // checkDeltaCase holds the run-based comparison to the map reference on
 // one case: the same verdict, the same offending block in the message,
 // and the same on-disk reference diff.
 func checkDeltaCase(t *testing.T, rs *runScratch, c deltaCase) {
 	t.Helper()
-	got := rs.checkDelta(c.old, c.new, c.add, c.remove)
+	got := c.delta(rs)
 	want := verifyDelta(ownsMap(c.old), ownsMap(c.new), c.add, c.remove)
 	switch {
 	case (got == nil) != (want == nil):
@@ -186,7 +199,7 @@ func checkDeltaCase(t *testing.T, rs *runScratch, c deltaCase) {
 	case want != nil && (!errors.Is(got, ErrBadDelta) || got.Error() != want.Error()):
 		t.Fatalf("%+v: run check says %q, map reference %q", c, got, want)
 	}
-	gained, lost := rs.refDelta(c.old, c.new)
+	gained, lost := rs.refDelta(runsOf(rs, c.old), runsOf(rs, c.new))
 	wantGained, wantLost := mapRefDelta(ownsMap(c.old), ownsMap(c.new))
 	if !slices.Equal(runBlocks(gained), wantGained) || !slices.Equal(runBlocks(lost), wantLost) {
 		t.Fatalf("%+v: reference diff +%v -%v, map reference +%v -%v",
@@ -264,8 +277,7 @@ func TestOwnsDeltaSeeds(t *testing.T) {
 		checkDeltaCase(t, &rs, c)
 		// The fuzz corpus must mean what the seed says.
 		d := decodeDeltaCase(encodeDeltaCase(c))
-		if got, want := fmt.Sprint(rs.checkDelta(d.old, d.new, d.add, d.remove)),
-			fmt.Sprint(rs.checkDelta(c.old, c.new, c.add, c.remove)); got != want {
+		if got, want := fmt.Sprint(d.delta(&rs)), fmt.Sprint(c.delta(&rs)); got != want {
 			t.Errorf("%+v encodes as %+v: verdict %s, want %s", c, d, got, want)
 		}
 	}
@@ -282,7 +294,7 @@ func TestOwnsDeltaMatchesMapReference(t *testing.T) {
 		rng.Read(buf[:rng.Intn(len(buf))])
 		c := decodeDeltaCase(buf)
 		checkDeltaCase(t, &rs, c)
-		if rs.checkDelta(c.old, c.new, c.add, c.remove) == nil {
+		if c.delta(&rs) == nil {
 			accepted++
 		}
 	}
@@ -301,11 +313,13 @@ func FuzzOwnsDelta(f *testing.F) {
 	})
 }
 
-// TestOwnsDeltaSteadyStateAllocs pins the ownership comparison of a
-// full C-FFS-shaped directory block (31 slots, each owning a few data
-// extents and an indirect block, some 470 blocks) at zero allocations
-// once XN's scratch has grown: the delta check runs on every metadata
-// modification and the reference diff on every metadata write.
+// TestOwnsDeltaSteadyStateAllocs pins the normalization and ownership
+// comparison of a full C-FFS-shaped directory block (31 slots, each
+// owning a few data extents and an indirect block, some 470 blocks) at
+// zero allocations once XN's scratch has grown: normalization runs on
+// every owns-udf interpretation, the delta check on every metadata
+// modification that allocates, frees or gets a new result, and the
+// reference diff on every metadata write.
 func TestOwnsDeltaSteadyStateAllocs(t *testing.T) {
 	var old []udf.Extent
 	for s := int64(0); s < 31; s++ {
@@ -318,14 +332,17 @@ func TestOwnsDeltaSteadyStateAllocs(t *testing.T) {
 	add := udf.Extent{Start: 9000, Count: 3, Type: 2}
 	new := append(append([]udf.Extent(nil), old...), add)
 	var rs runScratch
+	var oldRuns, newRuns []ownRun
 	check := func() {
-		if err := rs.checkDelta(old, new, add, udf.Extent{}); err != nil {
+		o, _ := rs.normalize(&oldRuns, old)
+		n, _ := rs.normalize(&newRuns, new)
+		if err := rs.checkDelta(o, n, add, udf.Extent{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := rs.checkDelta(old, old, udf.Extent{}, udf.Extent{}); err != nil {
+		if err := rs.checkDelta(o, o, udf.Extent{}, udf.Extent{}); err != nil {
 			t.Fatal(err)
 		}
-		rs.refDelta(old, new)
+		rs.refDelta(o, n)
 	}
 	check()
 	if avg := testing.AllocsPerRun(100, check); avg != 0 {

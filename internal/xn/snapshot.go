@@ -8,15 +8,14 @@ import (
 
 	"xok/internal/disk"
 	"xok/internal/kernel"
-	"xok/internal/udf"
 )
 
 // Snapshot is XN's frozen bookkeeping: the type catalogue, roots, the
 // free map, the buffer-cache registry, and the on-disk reference
-// counting state. Template values and owns-extent slices are shared
+// counting state. Template values and owns-udf results are shared
 // with the live XN and its forks rather than deep-copied — both are
-// immutable once stored (templates never change after install;
-// completeWrite replaces onDiskOwns slices wholesale) — so a snapshot
+// immutable once stored (templates never change after install; an
+// owns result is replaced, never changed) — so a snapshot
 // costs the tables, not the data they index. Forking from one
 // Snapshot is safe from concurrent goroutines: forks only read it.
 type Snapshot struct {
@@ -39,7 +38,7 @@ type Snapshot struct {
 	// and recounts.
 	taint map[disk.BlockNo]*taintCount
 
-	onDiskOwns map[disk.BlockNo][]udf.Extent
+	onDiskOwns map[disk.BlockNo]*ownsResult
 	diskRefs   map[disk.BlockNo]int
 	willFree   map[disk.BlockNo]bool
 
@@ -68,7 +67,7 @@ func (x *XN) Snapshot() (*Snapshot, error) {
 		freeN:         x.free.n,
 		entries:       make([]Entry, 0, len(x.reg)),
 		useClock:      x.useClock,
-		onDiskOwns:    make(map[disk.BlockNo][]udf.Extent, len(x.onDiskOwns)),
+		onDiskOwns:    make(map[disk.BlockNo]*ownsResult, len(x.onDiskOwns)),
 		diskRefs:      make(map[disk.BlockNo]int, len(x.diskRefs)),
 		willFree:      make(map[disk.BlockNo]bool, len(x.willFree)),
 		freeCost:      x.FreeCost,

@@ -17,13 +17,13 @@ import (
 // cached content and counts the distinct owned blocks whose registry
 // entries are uninitialized or tainted.
 func scanBadChildren(x *XN, en *Entry) (int, error) {
-	owns, err := x.runOwns(nil, x.templates[en.Tmpl], x.M.Data(en.Page))
+	res, err := udf.Run(x.templates[en.Tmpl].Owns, x.M.Data(en.Page), nil, nil, 0)
 	if err != nil {
 		return 0, err
 	}
 	seen := make(map[disk.BlockNo]bool)
 	n := 0
-	for _, ext := range owns {
+	for _, ext := range res.Extents {
 		for i := int64(0); i < ext.Count; i++ {
 			c := disk.BlockNo(ext.Start + i)
 			if seen[c] {
@@ -83,6 +83,7 @@ const (
 	tdModify            // tnode: a modification that changes no ownership
 	tdWait              // ms: let in-flight writes complete
 	tdFork              // drain the machine, Snapshot and ForkXN
+	tdScribble          // tnode, kind, value: a Modify of one word, which owns-udf loads or not (see step)
 	tdOps
 )
 
@@ -261,6 +262,29 @@ func (d *taintRig) step(e *kernel.Env, op int) bool {
 		e.Use(sim.FromMillis(float64(1 + d.arg()%20)))
 	case tdFork:
 		return false
+	case tdScribble:
+		kind, v := d.arg()%4, d.arg()
+		var m Mod
+		switch kind {
+		case 0: // a word past the records, which owns-udf never loads
+			off := sim.DiskBlockSize - 8*(1+v%64)
+			m = Mod{Off: off, Bytes: []byte{byte(v), 1, 2, 3, 4, 5, 6, byte(v)}}
+		case 1: // a loaded word rewritten with the bytes it holds
+			off := tnCountOff
+			if len(n.recs) > 0 {
+				off = tnRecsOff + tnRecSize*(v%len(n.recs)) + 8*(v/len(n.recs)%2)
+			}
+			m = Mod{Off: off, Bytes: append([]byte(nil), x.M.Data(x.reg[tn].Page)[off:off+8]...)}
+		case 2: // the owner, which shares its word with the loaded count
+			m = Mod{Off: tnOwnerOff, Bytes: []byte{byte(v % 3), 0, 0, 0}}
+		case 3: // a record's count, grown: an ownership change Modify rejects
+			if len(n.recs) == 0 {
+				return true
+			}
+			r := n.recs[v%len(n.recs)]
+			m = Mod{Off: tnRecsOff + tnRecSize*(v%len(n.recs)) + 8, Bytes: []byte{byte(r.Count + 1), 0, 0, 0}}
+		}
+		_ = x.Modify(e, tn, []Mod{m})
 	}
 	return true
 }
@@ -355,6 +379,17 @@ var taintSeeds = [][]byte{
 	// A fork, then a modification and allocation on the fork.
 	{tdAllocTnode, 0, 10, 0, tdAllocData, 1, 30, 1, tdModify, 1, tdFork,
 		tdModify, 1, tdAllocData, 1, 50, 0, tdFork, tdDealloc, 1, tdModify, 0},
+	// The rest modify words of a tnode that owns-udf does not load,
+	// loads with the same value, and loads with a new value, so the
+	// owns result is kept, kept, and made again or the modification
+	// refused; then allocation, write and recycling follow.
+	{tdAllocData, 0, 10, 1, tdScribble, 0, 0, 5, tdScribble, 0, 1, 0, tdScribble, 0, 1, 1,
+		tdScribble, 0, 2, 7, tdScribble, 0, 3, 0, tdScribble, 0, 2, 0, tdWrite, 0,
+		tdAllocData, 0, 20, 2, tdScribble, 0, 0, 63, tdScribble, 0, 3, 1, tdSync},
+	// A child tnode scribbled on before and after a fork and a reread.
+	{tdAllocTnode, 0, 10, 0, tdAllocData, 1, 30, 0, tdScribble, 1, 0, 9, tdFork,
+		tdScribble, 1, 2, 1, tdScribble, 1, 1, 2, tdSync, tdWait, 10, tdRecycle, 7, tdRecycle, 7,
+		tdReread, 1, tdScribble, 1, 0, 3, tdScribble, 1, 3, 0, tdAllocData, 1, 40, 1, tdScribble, 1, 1, 1},
 }
 
 func TestTaintSeeds(t *testing.T) {

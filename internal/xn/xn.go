@@ -165,9 +165,9 @@ type XN struct {
 	useClock uint64
 
 	// onDiskOwns is what each written metadata block pointed to the
-	// last time it hit the disk; diffing against it on each write
-	// maintains diskRefs.
-	onDiskOwns map[disk.BlockNo][]udf.Extent
+	// last time it hit the disk, for the blocks that point to any;
+	// diffing against it on each write maintains diskRefs.
+	onDiskOwns map[disk.BlockNo]*ownsResult
 	// diskRefs counts on-disk pointers to each block.
 	diskRefs map[disk.BlockNo]int
 	// willFree holds deallocated blocks awaiting diskRefs == 0
@@ -235,7 +235,7 @@ func newEmpty(k *kernel.Kernel) *XN {
 		reg:        make(map[disk.BlockNo]*Entry),
 		waiters:    make(map[*Entry][]*kernel.Env),
 		taint:      make(map[disk.BlockNo]*taintCount),
-		onDiskOwns: make(map[disk.BlockNo][]udf.Extent),
+		onDiskOwns: make(map[disk.BlockNo]*ownsResult),
 		diskRefs:   make(map[disk.BlockNo]int),
 		willFree:   make(map[disk.BlockNo]bool),
 	}
@@ -378,40 +378,31 @@ func (x *XN) chargeUDF(e *kernel.Env, steps int) {
 // owns-udf).
 func (x *XN) NextTemplateID() TemplateID { return x.nextTmpl }
 
-// evalOwns interprets a template's owns-udf over metadata bytes,
-// without charging for it.
-func evalOwns(t *Template, meta []byte) ([]udf.Extent, int, error) {
-	res, err := udf.Run(t.Owns, meta, nil, nil, 0)
-	if err != nil {
-		return nil, res.Steps, fmt.Errorf("%w: owns-udf(%s): %v", ErrUDF, t.Name, err)
-	}
-	return res.Extents, res.Steps, nil
+// evalOwns interprets a template's owns-udf over metadata bytes on XN's
+// scratch, without charging for it (see runScratch.interpret).
+func (x *XN) evalOwns(t *Template, meta []byte) (*ownsResult, []udf.Extent, error) {
+	rs := x.takeRuns()
+	defer x.releaseRuns(rs)
+	return rs.interpret(t, meta)
 }
 
-// runOwns interprets a template's owns-udf over metadata bytes.
-func (x *XN) runOwns(e *kernel.Env, t *Template, meta []byte) ([]udf.Extent, error) {
-	owns, steps, err := evalOwns(t, meta)
-	x.chargeUDF(e, steps)
-	return owns, err
-}
-
-// ownsOf is runOwns over data, the content of en's page. owns-udf is
-// deterministic, so its result is a function of the template and the
-// bytes: en keeps the last one until its content changes, and a repeat
-// is charged the steps of the run it stands for without interpreting
-// them again. The result is stored before the charge parks e, so a
-// modification committed meanwhile is not overwritten by a stale one.
-func (x *XN) ownsOf(e *kernel.Env, en *Entry, t *Template, data []byte) ([]udf.Extent, error) {
-	if en.ownsValid {
-		x.chargeUDF(e, int(en.ownsSteps))
-		return en.owns, nil
+// ownsOf returns the owns-udf result over data, the content of en's
+// page, charged. en keeps the result until its content changes, and a
+// repeat is charged the steps of the run it stands for without
+// interpreting them again. The result is stored before the charge
+// parks e, so a modification committed meanwhile is not overwritten by
+// a stale one.
+func (x *XN) ownsOf(e *kernel.Env, en *Entry, t *Template, data []byte) (*ownsResult, error) {
+	if o := en.owns; o != nil {
+		x.chargeUDF(e, o.steps)
+		return o, nil
 	}
-	owns, steps, err := evalOwns(t, data)
+	o, _, err := x.evalOwns(t, data)
 	if err == nil && !en.dropped {
-		en.setOwns(owns, steps)
+		en.owns = o
 	}
-	x.chargeUDF(e, steps)
-	return owns, err
+	x.chargeUDF(e, o.steps)
+	return o, err
 }
 
 // runAcl interprets acl-uf: metadata, proposed modification bytes, and
